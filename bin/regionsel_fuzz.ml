@@ -65,8 +65,8 @@ let run_frames_seed ~cases seed =
   let spec = match Suite.find "gzip" with Some s -> s | None -> assert false in
   let image = Spec.image spec in
   let program = image.Image.program in
-  let n_blocks = Program.n_blocks program in
-  let mk_events n =
+  let mk_recording program n =
+    let n_blocks = Program.n_blocks program in
     let ev = Branch_stream.recorder () in
     for _ = 1 to n do
       let next =
@@ -76,7 +76,16 @@ let run_frames_seed ~cases seed =
       Branch_stream.append_event ev ~block_id:(Sm.int rng n_blocks) ~taken:(Sm.bool rng)
         ~next
     done;
-    Event_log.encode_batch ~program ev ~pos:0 ~len:n
+    ev
+  in
+  let mk_events n = Event_log.encode_batch ~program (mk_recording program n) ~pos:0 ~len:n in
+  (* Every bundled workload's block count makes an odd event width, and an
+     odd width cannot turn a wrapped event count back into the payload
+     size; a power-of-two block count (width 16 here) can. *)
+  let program_128 =
+    Program.of_blocks_exn ~entry:0
+      (List.init 128 (fun i ->
+           Block.make ~start:(3 * i) ~size:3 ~term:Regionsel_isa.Terminator.Halt))
   in
   let valid_msg () =
     match Sm.int rng 8 with
@@ -94,7 +103,56 @@ let run_frames_seed ~cases seed =
   in
   let n_ok = ref 0 and n_rejected = ref 0 in
   let failure = ref None in
-  let case i =
+  (* Header forgery: rewrite one count or shape field of a REVL file
+     (block count, event count low or high word, payload bit count) or of a
+     wire batch (event count, bit count) and re-seal the file's header
+     checksum, so only the decoder's own consistency checks stand between
+     the forgery and the engine.  The outcome must be a typed reject or
+     exactly the encoded events. *)
+  let forgery_case i =
+    let seed = 7L in
+    let program = if Sm.bool rng then program else program_128 in
+    let ev = mk_recording program (Sm.int rng 300) in
+    let n = Branch_stream.length ev in
+    let file = Sm.bool rng in
+    let bytes, fields =
+      if file then (Event_log.encode ~program ~seed ev, [ 8; 20; 24; 32 ])
+      else (Event_log.encode_batch ~program ev ~pos:0 ~len:n, [ 0; 4 ])
+    in
+    let off = List.nth fields (Sm.int rng (List.length fields)) in
+    let old = Int32.to_int (Bytes.get_int32_be bytes off) land 0xFFFFFFFF in
+    let forged =
+      match Sm.int rng 4 with
+      | 0 -> (Sm.bits30 rng lsl 2) lor Sm.int rng 4 (* any u32 *)
+      | 1 -> old lxor (1 lsl Sm.int rng 32)
+      | 2 ->
+        (* 2^27 .. 2^30 in the high count word: count * width wraps back to
+           the payload size whenever the width is even *)
+        1 lsl (27 + Sm.int rng 4)
+      | _ -> 0xFFFFFFFF
+    in
+    Bytes.set_int32_be bytes off (Int32.of_int forged);
+    if file then
+      Bytes.set_int32_be bytes 28 (Int32.of_int (Persist.crc32 bytes ~pos:0 ~len:28));
+    match
+      if file then Event_log.decode bytes ~program ~seed
+      else begin
+        let into = Branch_stream.recorder () in
+        ignore (Event_log.decode_batch bytes ~program ~into);
+        into
+      end
+    with
+    | exception Persist.Hard_corruption _ -> incr n_rejected
+    | decoded when Branch_stream.equal decoded ev -> incr n_ok
+    | decoded ->
+      failure :=
+        Some
+          (Printf.sprintf
+             "case %d: %s field at byte %d forged %#x -> %#x decoded to %d events, not the %d \
+              encoded"
+             i (if file then "file" else "batch") off old forged (Branch_stream.length decoded) n)
+  in
+  let frame_case i =
     let n_msgs = 1 + Sm.int rng 3 in
     let buf = Buffer.create 256 in
     for _ = 1 to n_msgs do
@@ -159,7 +217,7 @@ let run_frames_seed ~cases seed =
   in
   let i = ref 0 in
   while !failure = None && !i < cases do
-    (try case !i
+    (try if Sm.int rng 3 = 0 then forgery_case !i else frame_case !i
      with e ->
        failure :=
          Some (Printf.sprintf "case %d: unexpected exception %s" !i (Printexc.to_string e)));
@@ -220,8 +278,9 @@ let () =
       ( "--frames",
         Arg.Set frames,
         " fuzz the daemon wire protocol instead: truncated/bit-flipped/garbage frames \
-         through the incremental dechunker and the batch event codec; every outcome \
-         must be a typed reject or a clean decode, never a crash" );
+         through the incremental dechunker and the batch event codec, plus forged \
+         count and shape fields in event-log files and batches; every outcome must be \
+         a typed reject or a clean decode, never a crash" );
       ("--cases", Arg.Set_int cases, "N  frame cases per seed with --frames (default 200)");
       ( "--self-test-break",
         Arg.Set self_test,

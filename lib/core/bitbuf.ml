@@ -1,7 +1,11 @@
+let max_bits = 56
+
 module Writer = struct
   type t = { mutable buf : bytes; mutable n_bits : int }
 
-  let create () = { buf = Bytes.make 16 '\000'; n_bits = 0 }
+  let create ?(capacity = 16) () =
+    if capacity < 0 then invalid_arg "Bitbuf.Writer.create";
+    { buf = Bytes.make capacity '\000'; n_bits = 0 }
 
   let ensure t n_bytes =
     if n_bytes > Bytes.length t.buf then begin
@@ -11,58 +15,73 @@ module Writer = struct
       t.buf <- buf
     end
 
-  let add_bit t bit =
-    let byte_pos = t.n_bits / 8 and bit_pos = t.n_bits mod 8 in
-    ensure t (byte_pos + 1);
-    if bit then begin
-      let mask = 0x80 lsr bit_pos in
-      Bytes.unsafe_set t.buf byte_pos
-        (Char.chr (Char.code (Bytes.unsafe_get t.buf byte_pos) lor mask))
-    end;
-    t.n_bits <- t.n_bits + 1
+  (* The partial byte's [used] bits followed by [v] form one field of at
+     most 7 + [max_bits] = 63 bits, written out a byte at a time with
+     logical shifts, so bit 62 (the sign bit) is just another bit.  The
+     buffer beyond [n_bits] is always zero. *)
+  let add_bits t v k =
+    if k < 0 || k > max_bits || v lsr k <> 0 then invalid_arg "Bitbuf.Writer.add_bits";
+    let n = t.n_bits in
+    let stop = n + k in
+    ensure t ((stop + 7) lsr 3);
+    let buf = t.buf in
+    let pos = n lsr 3 and used = n land 7 in
+    let head = if used = 0 then 0 else Char.code (Bytes.unsafe_get buf pos) lsr (8 - used) in
+    let acc = (head lsl k) lor v in
+    let rem = ref (used + k) and p = ref pos in
+    while !rem >= 8 do
+      rem := !rem - 8;
+      Bytes.unsafe_set buf !p (Char.unsafe_chr ((acc lsr !rem) land 0xFF));
+      incr p
+    done;
+    if !rem > 0 then Bytes.unsafe_set buf !p (Char.unsafe_chr ((acc lsl (8 - !rem)) land 0xFF));
+    t.n_bits <- stop
 
-  let add_bits2 t v =
-    assert (v >= 0 && v <= 3);
-    add_bit t (v land 2 <> 0);
-    add_bit t (v land 1 <> 0)
-
-  let add_uint32 t v =
-    assert (v >= 0 && v < 0x1_0000_0000);
-    for i = 31 downto 0 do
-      add_bit t ((v lsr i) land 1 = 1)
-    done
+  let add_bit t bit = add_bits t (Bool.to_int bit) 1
+  let add_bits2 t v = add_bits t v 2
+  let add_uint32 t v = add_bits t v 32
 
   let length_bits t = t.n_bits
   let byte_length t = (t.n_bits + 7) / 8
-  let contents t = Bytes.sub t.buf 0 (byte_length t)
+
+  let contents t =
+    let n = byte_length t in
+    if n = Bytes.length t.buf then t.buf else Bytes.sub t.buf 0 n
 end
 
 module Reader = struct
-  type t = { buf : bytes; n_bits : int; mutable pos : int }
+  (* [pos] and [limit] are absolute bit offsets into [buf]. *)
+  type t = { buf : bytes; limit : int; mutable pos : int }
 
   exception Out_of_bits
 
-  let create buf ~n_bits =
-    if (n_bits + 7) / 8 > Bytes.length buf then invalid_arg "Bitbuf.Reader.create";
-    { buf; n_bits; pos = 0 }
+  let create ?(pos = 0) buf ~n_bits =
+    if pos < 0 || n_bits < 0 || pos + ((n_bits + 7) / 8) > Bytes.length buf then
+      invalid_arg "Bitbuf.Reader.create";
+    { buf; limit = (8 * pos) + n_bits; pos = 8 * pos }
 
-  let read_bit t =
-    if t.pos >= t.n_bits then raise Out_of_bits;
-    let byte_pos = t.pos / 8 and bit_pos = t.pos mod 8 in
-    t.pos <- t.pos + 1;
-    Char.code (Bytes.unsafe_get t.buf byte_pos) land (0x80 lsr bit_pos) <> 0
+  (* The bytes covering [p, p + k) are folded into one int with the
+     already-consumed high bits of the first masked off: at most k + 7 <= 63
+     bits, then the bits past the field are shifted out. *)
+  let read_bits t k =
+    if k < 0 || k > max_bits then invalid_arg "Bitbuf.Reader.read_bits";
+    let p = t.pos in
+    if k > t.limit - p then raise Out_of_bits;
+    t.pos <- p + k;
+    if k = 0 then 0
+    else begin
+      let buf = t.buf in
+      let first = p lsr 3 and last = (p + k - 1) lsr 3 in
+      let acc = ref (Char.code (Bytes.unsafe_get buf first) land (0xFF lsr (p land 7))) in
+      for i = first + 1 to last do
+        acc := (!acc lsl 8) lor Char.code (Bytes.unsafe_get buf i)
+      done;
+      !acc lsr ((8 - ((p + k) land 7)) land 7)
+    end
 
-  let read_bits2 t =
-    let hi = read_bit t in
-    let lo = read_bit t in
-    ((if hi then 2 else 0) lor if lo then 1 else 0 : int)
+  let read_bit t = read_bits t 1 = 1
+  let read_bits2 t = read_bits t 2
+  let read_uint32 t = read_bits t 32
 
-  let read_uint32 t =
-    let v = ref 0 in
-    for _ = 1 to 32 do
-      v := (!v lsl 1) lor if read_bit t then 1 else 0
-    done;
-    !v
-
-  let remaining_bits t = t.n_bits - t.pos
+  let remaining_bits t = t.limit - t.pos
 end

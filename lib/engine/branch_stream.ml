@@ -8,7 +8,9 @@
 (* In-memory recording: two parallel int arrays, doubling on demand.  One
    slot packs the dense block id with the taken flag; the other holds the
    successor address verbatim ([Addr.none] on a halt), so appending is two
-   stores and replaying is two loads. *)
+   stores and replaying is two loads.  Slots past [len] are invisible to
+   every reader, which is what lets a batch be written there and committed
+   only once all of it is valid. *)
 type events = {
   mutable packed : int array; (* (block_id lsl 1) lor taken *)
   mutable next : int array; (* successor start address, or Addr.none *)
@@ -17,20 +19,44 @@ type events = {
 
 type t = Interp.step -> bool
 
-let recorder () = { packed = Array.make 1024 0; next = Array.make 1024 0; len = 0 }
+let recorder ?(capacity = 1024) () =
+  if capacity < 0 then invalid_arg "Branch_stream.recorder: negative capacity";
+  { packed = Array.make capacity 0; next = Array.make capacity 0; len = 0 }
 
-let grow ev =
+(* A copy loop typed [int array] rather than [Array.blit], which into a
+   major-heap array goes through the generic per-element write barrier even
+   for ints: growing a recording this way takes about half the time. *)
+let grown (a : int array) len cap =
+  let b = Array.make cap 0 in
+  for i = 0 to len - 1 do
+    Array.unsafe_set b i (Array.unsafe_get a i)
+  done;
+  b
+
+let reserve ev n =
+  if n < 0 then invalid_arg "Branch_stream.reserve: negative count";
   let cap = Array.length ev.packed in
-  let packed = Array.make (2 * cap) 0 in
-  let next = Array.make (2 * cap) 0 in
-  Array.blit ev.packed 0 packed 0 ev.len;
-  Array.blit ev.next 0 next 0 ev.len;
-  ev.packed <- packed;
-  ev.next <- next
+  if ev.len + n > cap then begin
+    let cap = max (ev.len + n) (max 16 (2 * cap)) in
+    ev.packed <- grown ev.packed ev.len cap;
+    ev.next <- grown ev.next ev.len cap
+  end
+
+let set_pending ev i ~block_id ~taken ~next =
+  if block_id < 0 then invalid_arg "Branch_stream.set_pending: negative block id";
+  if i < 0 || ev.len + i >= Array.length ev.packed then
+    invalid_arg "Branch_stream.set_pending: slot not reserved";
+  Array.unsafe_set ev.packed (ev.len + i) ((block_id lsl 1) lor Bool.to_int taken);
+  Array.unsafe_set ev.next (ev.len + i) next
+
+let commit ev n =
+  if n < 0 || ev.len + n > Array.length ev.packed then
+    invalid_arg "Branch_stream.commit: more events than reserved";
+  ev.len <- ev.len + n
 
 let append_event ev ~block_id ~taken ~next =
   if block_id < 0 then invalid_arg "Branch_stream.append_event: negative block id";
-  if ev.len = Array.length ev.packed then grow ev;
+  if ev.len = Array.length ev.packed then reserve ev 1;
   ev.packed.(ev.len) <- (block_id lsl 1) lor (if taken then 1 else 0);
   ev.next.(ev.len) <- next;
   ev.len <- ev.len + 1

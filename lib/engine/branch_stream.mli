@@ -23,15 +23,36 @@ type t
 (** A stream: pulls the next branch event into a caller-owned step record.
     Allocation-free per event. *)
 
-val recorder : unit -> events
-(** A fresh, empty recording to pass as [Simulator.create ~record]. *)
+val recorder : ?capacity:int -> unit -> events
+(** A fresh, empty recording to pass as [Simulator.create ~record], with
+    room for [capacity] events (default 1024) before it grows. *)
 
 val append : events -> Interp.step -> unit
 (** Append the event a filled step record describes.  Amortized O(1). *)
 
 val append_event : events -> block_id:int -> taken:bool -> next:Regionsel_isa.Addr.t -> unit
-(** Append one event by parts (the file codec's decode path).
+(** Append one event by parts.
     @raise Invalid_argument on a negative block id. *)
+
+(** {2 All-or-nothing appends}
+
+    A batch is written into slots past the current length, which no reader
+    ({!length}, {!iter}, {!of_events}, ...) sees, and becomes part of the
+    recording only at {!commit}.  A batch abandoned before its commit
+    leaves the recording exactly as it was. *)
+
+val reserve : events -> int -> unit
+(** [reserve ev n] makes room for [n] slots past the current length
+    without changing it. *)
+
+val set_pending : events -> int -> block_id:int -> taken:bool -> next:Regionsel_isa.Addr.t -> unit
+(** [set_pending ev i ...] writes slot [length ev + i] of the reserved room.
+    @raise Invalid_argument on a negative block id or a slot past the
+    recording's capacity. *)
+
+val commit : events -> int -> unit
+(** [commit ev n] appends the [n] pending slots to the recording.
+    @raise Invalid_argument if fewer than [n] slots were reserved. *)
 
 val length : events -> int
 

@@ -72,5 +72,8 @@ val decode_batch :
   into:Regionsel_engine.Branch_stream.events ->
   int
 (** Validate and append a batch's events onto [into] (a live replay
-    source may be consuming it), returning the number appended.
-    @raise Persist.Hard_corruption on any validation failure. *)
+    source may be consuming it), returning the number appended.  The
+    append is all-or-nothing: the events become part of [into] only once
+    every one has validated.
+    @raise Persist.Hard_corruption on any validation failure, leaving
+    [into] unchanged. *)

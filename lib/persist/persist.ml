@@ -10,21 +10,43 @@ type report = { restored : string list; degraded : degraded list; skipped : int 
 
 let clean r = r.degraded = []
 
-(* CRC32 (IEEE 802.3, reflected polynomial 0xEDB88320), table-driven. *)
-let crc_table =
+(* CRC32 (IEEE 802.3, reflected polynomial 0xEDB88320), sliced by four:
+   table [k] (entries [256k .. 256k+255]) maps a byte to its contribution
+   [k] bytes further on, so a 32-bit word folds into the register with
+   four independent lookups instead of a chain of four dependent ones. *)
+let crc_tables =
   lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+    (let t = Array.make 1024 0 in
+     for n = 0 to 255 do
+       let c = ref n in
+       for _ = 0 to 7 do
+         c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+       done;
+       t.(n) <- !c
+     done;
+     for i = 256 to 1023 do
+       let p = t.(i - 256) in
+       t.(i) <- (p lsr 8) lxor t.(p land 0xFF)
+     done;
+     t)
 
 let crc_update c bytes ~pos ~len =
-  let table = Lazy.force crc_table in
-  let c = ref c in
-  for i = pos to pos + len - 1 do
-    c := Array.unsafe_get table ((!c lxor Char.code (Bytes.get bytes i)) land 0xFF) lxor (!c lsr 8)
+  if pos < 0 || len < 0 || pos + len > Bytes.length bytes then invalid_arg "Persist.crc32";
+  let t = Lazy.force crc_tables in
+  let c = ref c and i = ref pos and stop = pos + len in
+  while !i + 4 <= stop do
+    let x = !c lxor (Int32.to_int (Bytes.get_int32_le bytes !i) land 0xFFFFFFFF) in
+    c :=
+      Array.unsafe_get t (768 + (x land 0xFF))
+      lxor Array.unsafe_get t (512 + ((x lsr 8) land 0xFF))
+      lxor Array.unsafe_get t (256 + ((x lsr 16) land 0xFF))
+      lxor Array.unsafe_get t (x lsr 24);
+    i := !i + 4
+  done;
+  while !i < stop do
+    let b = Char.code (Bytes.unsafe_get bytes !i) in
+    c := Array.unsafe_get t ((!c lxor b) land 0xFF) lxor (!c lsr 8);
+    incr i
   done;
   !c
 
@@ -212,8 +234,7 @@ let decode_into bytes ~seed ~policy (internals : Simulator.internals) =
             if sver <> section_version then
               drop sec_name (Printf.sprintf "unsupported section version %d" sver)
             else begin
-            let payload = Bytes.sub bytes ppos plen in
-            let r = Bitbuf.Reader.create payload ~n_bits:(plen * 8) in
+            let r = Bitbuf.Reader.create ~pos:ppos bytes ~n_bits:(plen * 8) in
             match s.Simulator.sec_load (fun () -> read_int r) with
             | () -> restored := sec_name :: !restored
             | exception Failure msg -> drop sec_name msg

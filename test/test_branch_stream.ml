@@ -214,9 +214,185 @@ let replay_after_round_trip_is_identical () =
     (Run_metrics.to_json (Run_metrics.of_result live))
     (Run_metrics.to_json (Run_metrics.of_result replayed))
 
+(* --- The format, pinned without reference to any encoder --------------- *)
+
+module Program = Regionsel_isa.Program
+module Block = Regionsel_isa.Block
+module Terminator = Regionsel_isa.Terminator
+
+(* [n] halting blocks of 3 instructions each: block [i] starts at [3i], so a
+   successor code (block id + 1) never coincides with an address. *)
+let halting_program =
+  let memo = Hashtbl.create 8 in
+  fun n ->
+    match Hashtbl.find_opt memo n with
+    | Some p -> p
+    | None ->
+      let p =
+        Program.of_blocks_exn ~entry:0
+          (List.init n (fun i -> Block.make ~start:(3 * i) ~size:3 ~term:Terminator.Halt))
+      in
+      Hashtbl.add memo n p;
+      p
+
+let of_list l =
+  let ev = Branch_stream.recorder () in
+  List.iter (fun (block_id, taken, next) -> Branch_stream.append_event ev ~block_id ~taken ~next) l;
+  ev
+
+let hex b =
+  Bytes.fold_left (fun acc c -> acc ^ Printf.sprintf "%02x" (Char.code c)) "" b
+
+(* Three blocks: kb = 2, kn = 2, 5 bits per event, 20 bits of payload.
+   Fields (block id | taken | successor code): 00 1 10, 01 0 11, 10 1 01,
+   00 0 00 -> 0011 0010 | 1110 1010 | 0000 (pad 0000) = 32 ea 00.  The
+   checksums are IEEE CRC32 values computed outside this code base. *)
+let golden_bytes () =
+  let program = halting_program 3 in
+  let events = of_list [ (0, true, 3); (1, false, 6); (2, true, 0); (0, false, Addr.none) ] in
+  let seed = 0x0102030405060708L in
+  let file =
+    "5245564c" ^ "00000001" ^ "00000003" ^ "05060708" ^ "01020304" ^ "00000004" ^ "00000000"
+    ^ "4e27723f" ^ "00000014" ^ "32ea00" ^ "7c3ff38a"
+  in
+  Alcotest.(check string) "file bytes" file (hex (Event_log.encode ~program ~seed events));
+  Alcotest.(check string) "batch bytes" ("00000004" ^ "00000014" ^ "32ea00" ^ "7c3ff38a")
+    (hex (Event_log.encode_batch ~program events ~pos:0 ~len:4));
+  (* Events 1-2 alone: 01011 10101 -> 0101 1101 | 01(00 0000) = 5d 40. *)
+  Alcotest.(check string) "batch slice bytes" ("00000002" ^ "0000000a" ^ "5d40" ^ "38107076")
+    (hex (Event_log.encode_batch ~program events ~pos:1 ~len:2));
+  let of_hex s =
+    Bytes.init (String.length s / 2) (fun i ->
+        Char.chr (int_of_string ("0x" ^ String.sub s (2 * i) 2)))
+  in
+  check_true "golden file decodes"
+    (Branch_stream.equal events (Event_log.decode (of_hex file) ~program ~seed))
+
+let qcheck_codec_round_trip =
+  let gen =
+    QCheck.Gen.(
+      oneofl [ 1; 2; 3; 127; 128; 129; 4096 ] >>= fun n_blocks ->
+      list_size (int_range 0 60) (triple (int_bound (n_blocks - 1)) bool (int_bound n_blocks))
+      >>= fun evs -> map (fun cut -> (n_blocks, evs, cut)) (int_bound 60))
+  in
+  let print (n, evs, cut) = Printf.sprintf "%d blocks, %d events, cut %d" n (List.length evs) cut in
+  QCheck.Test.make ~name:"event-log round trip over block counts" ~count:300
+    (QCheck.make ~print gen)
+    (fun (n_blocks, evs, cut) ->
+      let program = halting_program n_blocks in
+      (* successor choice 0 is a halt, c > 0 is block c - 1 *)
+      let events =
+        of_list (List.map (fun (b, t, c) -> (b, t, if c = 0 then Addr.none else 3 * (c - 1))) evs)
+      in
+      let n = Branch_stream.length events in
+      let cut = min cut n in
+      let file_ok =
+        Branch_stream.equal events
+          (Event_log.decode (Event_log.encode ~program ~seed:9L events) ~program ~seed:9L)
+      in
+      (* Two batches appended after an existing event rebuild the same stream. *)
+      let into = of_list [ (0, false, Addr.none) ] in
+      let expected = of_list [ (0, false, Addr.none) ] in
+      Branch_stream.iter
+        (fun ~block_id ~taken ~next -> Branch_stream.append_event expected ~block_id ~taken ~next)
+        events;
+      let append ~pos ~len =
+        Event_log.decode_batch (Event_log.encode_batch ~program events ~pos ~len) ~program ~into
+      in
+      let a = append ~pos:0 ~len:cut in
+      let b = append ~pos:cut ~len:(n - cut) in
+      file_ok && a = cut && b = n - cut && Branch_stream.equal expected into)
+
+(* A forged 64-bit event count that wraps: 1000 + 2^62 is negative as an
+   OCaml int and times 16 bits per event it equals the real payload size.
+   It must be refused, not decoded as an empty recording. *)
+let forged_count_rejected () =
+  let program = halting_program 128 in
+  let events = of_list (List.init 1000 (fun i -> (i mod 128, i land 1 = 0, 3 * (i mod 7)))) in
+  let pristine = Event_log.encode ~program ~seed:1L events in
+  let forge hi =
+    let b = Bytes.copy pristine in
+    Bytes.set_int32_be b 24 (Int32.of_int hi);
+    Bytes.set_int32_be b 28 (Int32.of_int (Persist.crc32 b ~pos:0 ~len:28));
+    b
+  in
+  check_true "re-sealing an unchanged count still decodes"
+    (Branch_stream.equal events (Event_log.decode (forge 0) ~program ~seed:1L));
+  expect_corruption "event count 1000 + 2^62" (fun () ->
+      Event_log.decode (forge 0x40000000) ~program ~seed:1L)
+
+(* Write a [width]-bit field at an absolute bit offset, MSB first. *)
+let set_field bytes ~bit ~width v =
+  for j = 0 to width - 1 do
+    let b = bit + j in
+    let mask = 0x80 lsr (b land 7) in
+    let byte = Char.code (Bytes.get bytes (b lsr 3)) in
+    let on = (v lsr (width - 1 - j)) land 1 = 1 in
+    Bytes.set bytes (b lsr 3) (Char.chr (if on then byte lor mask else byte land lnot mask))
+  done
+
+(* A batch whose checksum holds but whose last event is out of range must
+   raise and leave [into] exactly as it was: five blocks give 3-bit ids
+   (5-7 invalid) and 3-bit successor codes (6-7 invalid), 7 bits per event. *)
+let decode_batch_all_or_nothing () =
+  let program = halting_program 5 in
+  let events =
+    of_list
+      (List.init 10 (fun i -> (i mod 5, i mod 3 = 0, if i = 4 then Addr.none else 3 * (i mod 5))))
+  in
+  let body = Event_log.encode_batch ~program events ~pos:0 ~len:10 in
+  let last = 64 + (9 * 7) in
+  let plen = (70 + 7) / 8 in
+  List.iter
+    (fun (what, bit, v) ->
+      let b = Bytes.copy body in
+      set_field b ~bit ~width:3 v;
+      Bytes.set_int32_be b (8 + plen) (Int32.of_int (Persist.crc32 b ~pos:8 ~len:plen));
+      let into = of_list [ (1, true, 0); (2, false, Addr.none); (4, true, 9) ] in
+      let before = of_list [ (1, true, 0); (2, false, Addr.none); (4, true, 9) ] in
+      (match Event_log.decode_batch b ~program ~into with
+      | n -> Alcotest.failf "%s: accepted %d events" what n
+      | exception Persist.Hard_corruption _ -> ());
+      check_int (what ^ ": length unchanged") 3 (Branch_stream.length into);
+      check_true (what ^ ": contents unchanged") (Branch_stream.equal before into);
+      (* and the recording still takes appends afterwards *)
+      ignore (Event_log.decode_batch body ~program ~into);
+      check_int (what ^ ": a valid batch still appends") 13 (Branch_stream.length into))
+    [ ("block id 5", last, 5); ("block id 7", last, 7); ("successor code 6", last + 4, 6);
+      ("successor code 7", last + 4, 7) ]
+
+(* Pending slots are invisible until committed, including to a replay
+   stream already reading the recording. *)
+let pending_slots () =
+  let ev = Branch_stream.recorder ~capacity:0 () in
+  Branch_stream.append_event ev ~block_id:3 ~taken:true ~next:7;
+  let stream = Branch_stream.of_events ev in
+  let s = Interp.make_step () in
+  check_true "first event" (Branch_stream.next_into stream s);
+  Branch_stream.reserve ev 2;
+  Branch_stream.set_pending ev 0 ~block_id:4 ~taken:false ~next:8;
+  Branch_stream.set_pending ev 1 ~block_id:5 ~taken:true ~next:Addr.none;
+  check_int "length before commit" 1 (Branch_stream.length ev);
+  check_true "stream sees nothing pending" (not (Branch_stream.next_into stream s));
+  check_true "slot past the reserved room refused"
+    (try
+       Branch_stream.set_pending ev 100 ~block_id:0 ~taken:false ~next:0;
+       false
+     with Invalid_argument _ -> true);
+  Branch_stream.commit ev 2;
+  check_int "length after commit" 3 (Branch_stream.length ev);
+  check_true "stream resumes" (Branch_stream.next_into stream s);
+  check_int "committed block id" 4 s.Interp.block_id;
+  check_int "last event" 5 (Branch_stream.get_block_id ev 2)
+
 let suite =
   [
     case "recorder basics" recorder_basics;
+    case "recorder pending slots commit atomically" pending_slots;
+    case "event-log golden bytes" golden_bytes;
+    QCheck_alcotest.to_alcotest qcheck_codec_round_trip;
+    case "event-log rejects a wrapped event count" forged_count_rejected;
+    case "decode_batch is all-or-nothing" decode_batch_all_or_nothing;
     case "producers agree (live vs recorded)" stream_producers_agree;
     case "matrix: live == replay, byte-identical" matrix_clean;
     case "matrix: live == replay under mixed faults" matrix_mixed_faults;
