@@ -983,9 +983,8 @@ let segment_share ?snapshot ~spec ~policy_name n =
   let d =
     match !base with None -> later | Some earlier -> Stats.diff ~earlier ~later
   in
-  let total = d.Stats.Snapshot.cached_insts + d.Stats.Snapshot.interpreted_insts in
-  if total = 0 then 0.0
-  else float_of_int d.Stats.Snapshot.cached_insts /. float_of_int total
+  let total = d.Stats.cached_insts + d.Stats.interpreted_insts in
+  if total = 0 then 0.0 else float_of_int d.Stats.cached_insts /. float_of_int total
 
 (* Smallest segment length whose share reaches [target], by bisection on
    the (monotone up to warm-up noise) share curve; [None] if even the full
@@ -1085,17 +1084,17 @@ let prefill_matrix () =
    uses the most region-dominated workload (gzip: tight loops, ~99% of
    instructions cached), where the compiled-automaton stepping and the
    link cache matter most. *)
-let measure_throughput ?(params = Params.default) ~image_name ~policy_name () =
+let measure_throughput ~image_name ~policy_name () =
   let image = Spec.image (Option.get (Suite.find image_name)) in
   let policy = Option.get (Policies.find policy_name) in
   let steps = if quick then 100_000 else 400_000 in
   let run () =
     match trace_out_path with
-    | None -> ignore (Simulator.run ~params ~seed:1L ~policy ~max_steps:steps image)
+    | None -> ignore (Simulator.run ~seed:1L ~policy ~max_steps:steps image)
     | Some _ ->
       let t = Telemetry.create () in
       let result =
-        Simulator.run ~params ~seed:1L ~telemetry:(Some t) ~policy ~max_steps:steps image
+        Simulator.run ~seed:1L ~telemetry:(Some t) ~policy ~max_steps:steps image
       in
       Telemetry.finish t ~step:result.Simulator.stats.Stats.steps;
       last_trace := Some (image_name ^ "/" ^ policy_name, t)
@@ -1254,11 +1253,6 @@ let json_float v = if Float.is_finite v then Printf.sprintf "%.17g" v else "null
 let emit_json path =
   let steps_per_sec = measure_steps_per_sec () in
   let steps_per_sec_hot = measure_throughput ~image_name:"gzip" ~policy_name:"net" () in
-  let steps_per_sec_hot_legacy =
-    measure_throughput
-      ~params:{ Params.default with Params.compiled_regions = false }
-      ~image_name:"gzip" ~policy_name:"net" ()
-  in
   let links, link_hits, link_severs, links_hw, node_steps, profiler_flushes =
     measure_link_counters ()
   in
@@ -1270,20 +1264,15 @@ let emit_json path =
   Buffer.add_string b (Printf.sprintf "  \"quick\": %b,\n" quick);
   Buffer.add_string b
     (Printf.sprintf "  \"n_domains\": %d,\n" (Domain_pool.default_n_domains ()));
-  (* The interpreter mode the measured runs used; "legacy" only if someone
-     re-benches with Params.threaded_dispatch = false. *)
-  Buffer.add_string b
-    (Printf.sprintf "  \"dispatch_mode\": \"%s\",\n"
-       (if Params.default.Params.threaded_dispatch then "threaded" else "legacy"));
+  (* The interpreter has one dispatch mode; the key stays for readers of
+     the schema. *)
+  Buffer.add_string b "  \"dispatch_mode\": \"threaded\",\n";
   Buffer.add_string b
     (Printf.sprintf "  \"steps_per_sec\": %s,\n" (json_float steps_per_sec));
   Buffer.add_string b
     (Printf.sprintf "  \"ns_per_block\": %s,\n" (json_float (1e9 /. steps_per_sec)));
   Buffer.add_string b
     (Printf.sprintf "  \"steps_per_sec_hot\": %s,\n" (json_float steps_per_sec_hot));
-  Buffer.add_string b
-    (Printf.sprintf "  \"steps_per_sec_hot_legacy\": %s,\n"
-       (json_float steps_per_sec_hot_legacy));
   Buffer.add_string b
     (Printf.sprintf "  \"minor_words_per_step\": %s,\n" (json_float minor_words_per_step));
   Buffer.add_string b
@@ -1352,11 +1341,8 @@ let emit_json path =
   output_string oc (Buffer.contents b);
   close_out oc;
   Printf.printf
-    "\nwrote %s (%.2fM steps/sec, %.1f ns/block; hot %.2fM vs legacy %.2fM = %.2fx; %.4f \
-     minor words/step)\n"
-    path (steps_per_sec /. 1e6) (1e9 /. steps_per_sec) (steps_per_sec_hot /. 1e6)
-    (steps_per_sec_hot_legacy /. 1e6)
-    (steps_per_sec_hot /. steps_per_sec_hot_legacy)
+    "\nwrote %s (%.2fM steps/sec, %.1f ns/block; hot %.2fM; %.4f minor words/step)\n" path
+    (steps_per_sec /. 1e6) (1e9 /. steps_per_sec) (steps_per_sec_hot /. 1e6)
     minor_words_per_step
 
 (* Sections that never touch the memoized matrix; prefilling for them

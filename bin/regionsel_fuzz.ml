@@ -1,6 +1,6 @@
-(* Differential fuzz driver: random workloads x policies x fault schedules
-   x dispatch modes, every run under the invariant sanitizer with a
-   shadow-interpreter oracle and a compiled-vs-legacy metric cross-check.
+(* Differential fuzz driver: random workloads x policies x fault
+   schedules, every run under the invariant sanitizer with a
+   shadow-interpreter oracle and an instruction-accounting cross-check.
    The first failure is greedily shrunk to a minimal case and reported as
    a replayable command line. *)
 
@@ -10,8 +10,7 @@ module Fuzz = Regionsel_check.Fuzz
 let usage =
   "regionsel_fuzz [--seeds A-B | --seed N] [--steps N] [--shrink] [--out FILE] \
    [--snapshots [--corruptions N]] [--streams] [--frames [--cases N]]\n\
-   regionsel_fuzz --seed N --genome G1,G2,... [--policy P] [--fault F] [--legacy] \
-   [--legacy-dispatch] [--steps N]\n\
+   regionsel_fuzz --seed N --genome G1,G2,... [--policy P] [--fault F] [--steps N]\n\
    regionsel_fuzz --self-test-break [--flight FILE]"
 
 let parse_seeds s =
@@ -25,15 +24,15 @@ let parse_genome s =
   String.split_on_char ',' s |> List.filter (fun g -> g <> "") |> List.map int_of_string
 
 let report_failure ~shrink ~out ~flight (c, f) =
-  Printf.printf "FAIL %s\n  %s\n%!" (Fuzz.cli_line c) (Fuzz.failure_to_string f);
+  Printf.printf "FAIL %s\n  %s\n%!" (Fuzz.cli_line c) (Check.violation_to_string f);
   let c, f = if shrink then Fuzz.shrink c f else (c, f) in
   if shrink then
-    Printf.printf "shrunk to: %s\n  %s\n%!" (Fuzz.cli_line c) (Fuzz.failure_to_string f);
+    Printf.printf "shrunk to: %s\n  %s\n%!" (Fuzz.cli_line c) (Check.violation_to_string f);
   (match out with
   | "" -> ()
   | path ->
     let oc = open_out path in
-    Printf.fprintf oc "%s\n# %s\n" (Fuzz.cli_line c) (Fuzz.failure_to_string f);
+    Printf.fprintf oc "%s\n# %s\n" (Fuzz.cli_line c) (Check.violation_to_string f);
     close_out oc;
     Printf.printf "reproducer written to %s\n%!" path);
   match flight with
@@ -234,8 +233,6 @@ let () =
   let genome = ref "" in
   let policy = ref "net" in
   let fault = ref "" in
-  let legacy = ref false in
-  let legacy_dispatch = ref false in
   let snapshots = ref false in
   let corruptions = ref 50 in
   let streams = ref false in
@@ -256,13 +253,6 @@ let () =
       ( "--fault",
         Arg.Set_string fault,
         "NAME  fault profile for --genome replay (default none)" );
-      ( "--legacy",
-        Arg.Set legacy,
-        " use legacy (non-compiled) region stepping for --genome replay" );
-      ( "--legacy-dispatch",
-        Arg.Set legacy_dispatch,
-        " use the legacy terminator-match interpreter (not the threaded closure table) \
-         for --genome replay" );
       ( "--snapshots",
         Arg.Set snapshots,
         " fuzz the checkpoint restore path instead: corrupt a mid-run snapshot and \
@@ -379,8 +369,6 @@ let () =
         genome = parse_genome !genome;
         policy = !policy;
         fault = (if !fault = "" then None else Some !fault);
-        compiled = not !legacy;
-        threaded = not !legacy_dispatch;
         max_steps = !steps;
       }
     in

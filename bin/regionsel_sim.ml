@@ -154,7 +154,7 @@ let simulate ?(check = false) ?(params = Params.default) ?(telemetry = Telemetry
 (* Windowed-metrics plumbing, shared by run/matrix/replay.  All notices
    (status lines, export summaries, flight dumps) go to stderr: stdout
    must stay byte-diffable against a metrics-off run. *)
-let metrics_recorder ~bench ~policy ~params metrics_out metrics_window status =
+let metrics_recorder ~bench ~policy metrics_out metrics_window status =
   if metrics_out = None && not status then None
   else begin
     if metrics_window <= 0 then begin
@@ -167,12 +167,7 @@ let metrics_recorder ~bench ~policy ~params metrics_out metrics_window status =
     in
     Some
       (Metrics.create ~window:metrics_window ?notify
-         ~labels:
-           [
-             ("tenant", bench);
-             ("policy", policy);
-             ("dispatch", if params.Params.threaded_dispatch then "threaded" else "legacy");
-           ]
+         ~labels:[ ("tenant", bench); ("policy", policy); ("dispatch", "threaded") ]
          ())
   end
 
@@ -257,7 +252,7 @@ let run_cmd =
     let params = params_of_faults faults in
     let policy_name = policy in
     let recorder =
-      metrics_recorder ~bench ~policy:policy_name ~params metrics_out metrics_window status
+      metrics_recorder ~bench ~policy:policy_name metrics_out metrics_window status
     in
     let telemetry =
       match trace_out with None -> Telemetry.none | Some _ -> Some (Telemetry.create ())
@@ -393,7 +388,7 @@ let replay_cmd =
     let params = params_of_faults faults in
     let spec = lookup_bench bench in
     let recorder =
-      metrics_recorder ~bench ~policy ~params metrics_out metrics_window status
+      metrics_recorder ~bench ~policy metrics_out metrics_window status
     in
     let events =
       Event_log.read_file ~path:events_in ~program:(Spec.image spec).Image.program ~seed
@@ -513,7 +508,7 @@ let matrix_cmd =
       parallel_map_specs
         (fun spec (name, policy) ->
           let recorder =
-            metrics_recorder ~bench ~policy:name ~params metrics_out metrics_window status
+            metrics_recorder ~bench ~policy:name metrics_out metrics_window status
           in
           let result =
             simulate ~check ~params

@@ -13,7 +13,8 @@
       the rule-by-rule rationale).
 
     - {!checked_run} wraps [Simulator.run] with a differential oracle: a
-      second, pure interpreter shadow-steps the run and every executed
+      second, pure interpreter shadow-steps the run with
+      [Interp.step_reference] and every executed
       (block, branch outcome, target) triple must match — region dispatch,
       compiled automata, fragment links and fault recovery may change
       {e where} metrics are attributed, never {e what} the program
@@ -87,11 +88,17 @@ val checked_run :
     A shadow interpreter with the same image and seed is stepped in
     lockstep; any divergence in executed block, branch outcome or target
     raises (rules ["oracle-halt"], ["oracle-block"], ["oracle-branch"],
-    ["oracle-target"]).  Region mode's believed position is checked
-    against the interpreter's ground truth every step
-    (["region-position"]).  {!audit_cache} runs after every mutating cache
-    operation, every [audit_every] steps (default 64; [0] disables the
-    periodic sweep), and once after the run; the final sweep also checks
+    ["oracle-target"]).  The shadow steps with [Interp.step_reference],
+    so this is also a differential of the threaded dispatch against the
+    match-based one.  Region mode's believed position is checked against
+    the interpreter's ground truth every step (["region-position"]), and
+    at the end of the run the interpreted and cached instruction counts
+    and the node-step count must equal what the believed positions
+    account for (["insts-accounting"]: a step with no believed block is
+    interpreted, any other is one cached node step).  {!audit_cache} runs
+    after every mutating cache operation, every [audit_every] steps
+    (default 64; [0] disables the periodic sweep), and once after the
+    run; the final sweep also checks
     that every telemetry span closed with [retired_at >= installed_at]
     (["span-duration"]) and that installs and closed spans agree
     (["span-count"]).
@@ -108,7 +115,8 @@ val checked_run :
     [checkpoint] and [restore] pass through to [Simulator.run]; on restore
     the shadow oracle is fast-forwarded to the restored interpreter
     position, so a checked run can resume a snapshot without spurious
-    divergence reports.
+    divergence reports, and ["insts-accounting"] compares the counters'
+    growth since the restore.
 
     [record] and [replay] pass through to [Simulator.run].  A checked
     {e replay} is a strong oracle: the recorded events are cross-checked

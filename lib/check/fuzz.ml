@@ -5,7 +5,6 @@ module Context = Regionsel_engine.Context
 module Params = Regionsel_engine.Params
 module Region = Regionsel_engine.Region
 module Simulator = Regionsel_engine.Simulator
-module Stats = Regionsel_engine.Stats
 module Image = Regionsel_workload.Image
 module Policies = Regionsel_core.Policies
 module Persist = Regionsel_persist.Persist
@@ -18,16 +17,8 @@ type case = {
   genome : int list;
   policy : string;
   fault : string option;
-  compiled : bool;
-  threaded : bool;  (* interpreter dispatch mode: threaded closures vs legacy match *)
   max_steps : int;
 }
-
-type failure = Violation of Check.violation | Mode_divergence of string
-
-let failure_to_string = function
-  | Violation v -> Check.violation_to_string v
-  | Mode_divergence detail -> "compiled/legacy divergence: " ^ detail
 
 (* Same derivation as the qcheck fuzz suite: each gene adds one function
    of a shape picked by the gene value, always valid by construction. *)
@@ -71,74 +62,31 @@ let fault_exn name =
   | None -> invalid_arg (Printf.sprintf "Fuzz: unknown fault profile %S" name)
 
 let params_of c =
-  {
-    Params.default with
-    Params.faults = Option.map fault_exn c.fault;
-    compiled_regions = c.compiled;
-    threaded_dispatch = c.threaded;
-    validate = true;
-  }
+  { Params.default with Params.faults = Option.map fault_exn c.fault; validate = true }
 
 let cli_line c =
-  Printf.sprintf "regionsel_fuzz --seed %d --genome %s --policy %s%s%s%s --steps %d" c.seed
+  Printf.sprintf "regionsel_fuzz --seed %d --genome %s --policy %s%s --steps %d" c.seed
     (String.concat "," (List.map string_of_int c.genome))
     c.policy
     (match c.fault with None -> "" | Some f -> " --fault " ^ f)
-    (if c.compiled then "" else " --legacy")
-    (if c.threaded then "" else " --legacy-dispatch")
     c.max_steps
 
-(* One checked run; [Some result] on a clean pass, the violation
-   otherwise. *)
-let checked ?break_at ~audit_every c ~compiled =
-  let image = image_of_genome c.genome in
-  let params = { (params_of c) with Params.compiled_regions = compiled } in
-  match
-    Check.checked_run ?break_at ~audit_every ~params ~seed:(Int64.of_int c.seed)
-      ~policy:(policy_exn c.policy) ~max_steps:c.max_steps image
-  with
-  | result -> Ok result
-  | exception Check.Check_violation v -> Error v
-
 let run_case ?break_at ?(audit_every = 1) c =
-  match checked ?break_at ~audit_every c ~compiled:c.compiled with
-  | Ok _ -> None
-  | Error v -> Some (Violation v)
+  match
+    Check.checked_run ?break_at ~audit_every ~params:(params_of c)
+      ~seed:(Int64.of_int c.seed) ~policy:(policy_exn c.policy) ~max_steps:c.max_steps
+      (image_of_genome c.genome)
+  with
+  | (_ : Simulator.result) -> None
+  | exception Check.Check_violation v -> Some v
 
-(* The metrics both dispatch modes must agree on (what the parity suite
-   pins globally, re-checked here per fuzz case). *)
-let signature (r : Simulator.result) =
-  let s = r.Simulator.stats in
-  ( Stats.total_insts s,
-    s.Stats.interpreted_insts,
-    s.Stats.cached_insts,
-    s.Stats.dispatches,
-    s.Stats.region_transitions,
-    s.Stats.cache_exits_to_interp,
-    s.Stats.installs,
+(* What two runs of one case must agree on to count as the same run: every
+   counter and the install-ordered region entries. *)
+let fingerprint (r : Simulator.result) =
+  ( r.Simulator.stats,
     List.map
       (fun (rg : Region.t) -> rg.Region.entry)
       (Code_cache.all_regions r.Simulator.ctx.Context.cache) )
-
-let run_case_cross ?(audit_every = 1) c =
-  match checked ~audit_every c ~compiled:true with
-  | Error v -> Some (Violation v)
-  | Ok compiled_result -> (
-    match checked ~audit_every c ~compiled:false with
-    | Error v -> Some (Violation v)
-    | Ok legacy_result ->
-      let sc = signature compiled_result and sl = signature legacy_result in
-      if sc = sl then None
-      else
-        let t7 (a, b, c', d, e, f, g, _) = (a, b, c', d, e, f, g) in
-        let a, b, c', d, e, f, g = t7 sc and a', b', cc, d', e', f', g' = t7 sl in
-        Some
-          (Mode_divergence
-             (Printf.sprintf
-                "compiled (insts %d, interp %d, cached %d, dispatches %d, transitions \
-                 %d, exits %d, installs %d) vs legacy (insts %d, interp %d, cached %d, \
-                 dispatches %d, transitions %d, exits %d, installs %d)"
-                a b c' d e f g a' b' cc d' e' f' g')))
 
 let genome_of_seed seed =
   let g = Splitmix.create ~seed:(Int64.of_int (seed + 0x9e3779)) in
@@ -152,22 +100,15 @@ let run_seed ?(max_steps = 4000) seed =
   let cases =
     List.concat_map
       (fun (policy, _) ->
-        List.concat_map
-          (fun fault ->
-            (* Both interpreter dispatch modes drive the sweep; the checked
-               run's shadow always takes the opposite mode, so each case is
-               a threaded-vs-legacy step differential in both directions. *)
-            List.map
-              (fun threaded ->
-                { seed; genome; policy; fault; compiled = true; threaded; max_steps })
-              [ true; false ])
+        List.map
+          (fun fault -> { seed; genome; policy; fault; max_steps })
           fault_profiles_under_test)
       Policies.all
   in
   let rec sweep n = function
     | [] -> (None, n)
     | c :: rest -> (
-      match run_case_cross c with
+      match run_case c with
       | None -> sweep (n + 1) rest
       | Some f -> (Some (c, f), n + 1))
   in
@@ -210,7 +151,7 @@ let snapshot_of_case c ~at =
     Simulator.run ~params ~seed:(Int64.of_int c.seed) ~checkpoint
       ~policy:(policy_exn c.policy) ~max_steps:c.max_steps image
   in
-  (!snap, signature result)
+  (!snap, fingerprint result)
 
 let restore_case c bytes =
   let image = image_of_genome c.genome in
@@ -242,7 +183,7 @@ let snapshot_outcome c ~reference bytes =
   | exception e -> Error ("restore raised: " ^ Printexc.to_string e)
   | result, report ->
     if Persist.clean report && report.Persist.skipped = 0 then
-      if signature result = reference then Ok (Snapshot_clean, "")
+      if fingerprint result = reference then Ok (Snapshot_clean, "")
       else Error "clean restore silently diverged from the uninterrupted run"
     else
       let reasons =
@@ -286,8 +227,6 @@ let run_snapshot_seed ?(corruptions = 50) ?(max_steps = 3000) seed =
       genome = genome_of_seed seed;
       policy = policies.(seed mod Array.length policies);
       fault = faults.(seed mod Array.length faults);
-      compiled = true;
-      threaded = seed mod 2 = 0;
       max_steps;
     }
   in
@@ -328,7 +267,7 @@ let run_snapshot_seed ?(corruptions = 50) ?(max_steps = 3000) seed =
 let shrink c0 f0 =
   let best = ref (c0, f0) in
   let try_improve cand =
-    match run_case_cross cand with
+    match run_case cand with
     | Some f ->
       best := (cand, f);
       true
@@ -341,12 +280,10 @@ let shrink c0 f0 =
     let candidates =
       (* Clamp the budget to the failing step: a violation raised during
          step [k] reproduces with any budget >= k. *)
-      (match f with
-      | Violation v when v.Check.step < c.max_steps && v.Check.step >= 1 ->
-        [ { c with max_steps = v.Check.step } ]
-      | Violation _ | Mode_divergence _ -> [])
+      (if f.Check.step < c.max_steps && f.Check.step >= 1 then
+         [ { c with max_steps = f.Check.step } ]
+       else [])
       @ (match c.fault with Some _ -> [ { c with fault = None } ] | None -> [])
-      @ (if c.threaded then [] else [ { c with threaded = true } ])
       @ (if List.length c.genome > 1 then
            List.mapi (fun i _ -> { c with genome = drop i c.genome }) c.genome
          else [])
@@ -363,11 +300,11 @@ let shrink c0 f0 =
 
 (* --- Multi-stream axis -----------------------------------------------
 
-   Seeded tenant fleets (2-4 tenants, mixed policies, fault profiles and
-   dispatch modes) exercise the scheduler's two contracts: without a
-   budget, every tenant's multiplexed result is bit-identical to running
-   it alone; with a shared budget, the outcome (signatures, quota
-   counters, round count) is identical whatever [n_domains].  Each tenant
+   Seeded tenant fleets (2-4 tenants, mixed policies and fault profiles)
+   exercise the scheduler's two contracts: without a budget, every
+   tenant's multiplexed result is bit-identical to running it alone; with
+   a shared budget, the outcome (fingerprints, quota counters, round
+   count) is identical whatever [n_domains].  Each tenant
    is first run solo under the full sanitizer — the checked run's shadow
    interpreter oracle — so scheduler failures are never confused with
    engine failures.  Failures shrink to a single-tenant reproducer when
@@ -384,8 +321,6 @@ let stream_cases_of_seed ?(max_steps = 3000) seed =
         genome = genome_of_seed tseed;
         policy = policies.((seed + i) mod Array.length policies);
         fault = faults.((seed + (2 * i)) mod Array.length faults);
-        compiled = true;
-        threaded = (seed + i) mod 2 = 0;
         max_steps;
       })
 
@@ -398,9 +333,9 @@ let tenants_of_cases cases =
         (image_of_genome c.genome))
     cases
 
-let solo_signature c =
+let solo_fingerprint c =
   let image = image_of_genome c.genome in
-  signature
+  fingerprint
     (Simulator.run ~params:(params_of c) ~seed:(Int64.of_int c.seed)
        ~policy:(policy_exn c.policy) ~max_steps:c.max_steps image)
 
@@ -419,8 +354,8 @@ let audit_outcome (o : Multi_stream.outcome) =
     None
   with Failure detail -> Some detail
 
-let outcome_signatures (o : Multi_stream.outcome) =
-  List.map (fun (_, r) -> signature r) o.Multi_stream.results
+let outcome_fingerprints (o : Multi_stream.outcome) =
+  List.map (fun (_, r) -> fingerprint r) o.Multi_stream.results
 
 (* Greedy tenant-subset shrink: a single-tenant reproducer if any tenant
    fails alone, else drop tenants while the fleet still fails. *)
@@ -457,14 +392,14 @@ let run_streams_seed ?(max_steps = 3000) seed =
   let rec solo = function
     | [] -> None
     | c :: rest -> (
-      match checked ~audit_every:64 c ~compiled:c.compiled with
-      | Ok _ -> solo rest
-      | Error v -> Some (c, Violation v))
+      match run_case ~audit_every:64 c with
+      | None -> solo rest
+      | Some v -> Some (c, v))
   in
   match solo cases with
   | Some (c, f) ->
     let c, f = shrink c f in
-    (Some ([ c ], failure_to_string f), n_tenants)
+    (Some ([ c ], Check.violation_to_string f), n_tenants)
   | None -> (
     let multi ?budget_bytes ~n_domains cs =
       Multi_stream.run ~n_domains ~batch_steps:512 ?budget_bytes (tenants_of_cases cs)
@@ -482,7 +417,7 @@ let run_streams_seed ?(max_steps = 3000) seed =
                 if got = want then None
                 else Some (name ^ " diverged from its solo run"))
               (List.combine o.Multi_stream.results
-                 (List.combine (outcome_signatures o) (List.map solo_signature cs))))
+                 (List.combine (outcome_fingerprints o) (List.map solo_fingerprint cs))))
     in
     (* 3. Shared budget: the outcome is a pure function of the barrier
        states — identical whatever the domain count. *)
@@ -506,7 +441,7 @@ let run_streams_seed ?(max_steps = 3000) seed =
             match audit_outcome o2 with
             | Some d -> Some d
             | None ->
-              if outcome_signatures o1 <> outcome_signatures o2 then
+              if outcome_fingerprints o1 <> outcome_fingerprints o2 then
                 Some "budgeted outcome differs between 1 and 2 domains"
               else if
                 (o1.Multi_stream.rounds, o1.Multi_stream.quota_rejects,
@@ -535,20 +470,11 @@ let run_streams_seed ?(max_steps = 3000) seed =
    is unsanitized — it observes the honest pre-crash history, not the
    corruption the sanitizer injected or convicted. *)
 
-let flight_labels c =
-  [
-    ("tenant", "fuzz");
-    ("policy", c.policy);
-    ("dispatch", (if c.threaded then "threaded" else "legacy"));
-  ]
+let flight_labels c = [ ("tenant", "fuzz"); ("policy", c.policy); ("dispatch", "threaded") ]
 
-let flight_dump ?(window = 64) ?params c failure ~path =
+let flight_dump ?(window = 64) ?params c (failure : Check.violation) ~path =
   let params = match params with Some p -> p | None -> params_of c in
-  let upto =
-    match failure with
-    | Violation v -> max 0 (v.Check.step - 1)
-    | Mode_divergence _ -> c.max_steps
-  in
+  let upto = max 0 (failure.Check.step - 1) in
   let window = max 1 (min window (max 1 (upto / 4))) in
   let r =
     Metrics.create ~window ~keep:Metrics.default_flight_keep ~labels:(flight_labels c) ()
@@ -563,7 +489,7 @@ let flight_dump ?(window = 64) ?params c failure ~path =
      end-state sample, so a dump always carries at least one window. *)
   if Metrics.n_windows r = 0 then Simulator.sample sim (Metrics.sample r);
   Metrics.flight_dump ~path ~cli:(cli_line c)
-    ~detail:(failure_to_string failure)
+    ~detail:(Check.violation_to_string failure)
     (Metrics.windows r)
 
 let self_test ?flight () =
@@ -594,16 +520,6 @@ let self_test ?flight () =
     (match flight with
     | None -> ()
     | Some path ->
-      let c =
-        {
-          seed = 1;
-          genome = [ 1 ];
-          policy = "net";
-          fault = None;
-          compiled = true;
-          threaded = Params.default.Params.threaded_dispatch;
-          max_steps = budget;
-        }
-      in
-      ignore (flight_dump ~window:1 ~params c (Violation v) ~path));
+      let c = { seed = 1; genome = [ 1 ]; policy = "net"; fault = None; max_steps = budget } in
+      ignore (flight_dump ~window:1 ~params c v ~path));
     Ok budget

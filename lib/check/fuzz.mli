@@ -2,13 +2,11 @@
 
     A {!case} is a fully deterministic point in the test matrix: a compact
     genome (expanded into a workload program exactly as the qcheck fuzz
-    suite expands it), a policy, an optional fault profile, a dispatch
-    mode and a step budget.  {!run_case} executes it under
-    [Check.checked_run] with a per-step audit; {!run_case_cross} runs both
-    region execution modes and additionally requires their mode-invariant
-    metrics to agree (the differential compiled-vs-legacy oracle).
-    {!run_seed} sweeps one seed's genome across every policy × fault
-    profile × interpreter dispatch mode.
+    suite expands it), a policy, an optional fault profile and a step
+    budget.  {!run_case} executes it under [Check.checked_run] with a
+    per-step audit: the shadow-interpreter oracle, the region-position and
+    instruction-accounting rules, and the cache audit.  {!run_seed} sweeps
+    one seed's genome across every policy × fault profile.
 
     The first failure {!shrink}s greedily — drop the fault profile, drop
     genes, halve gene values, clamp the budget to the failing step — to a
@@ -19,22 +17,8 @@ type case = {
   genome : int list;  (** Workload genome; see {!image_of_genome}. *)
   policy : string;  (** A [Regionsel_core.Policies] name. *)
   fault : string option;  (** A [Params.fault_profile] name, if any. *)
-  compiled : bool;  (** Region execution mode for {!run_case}. *)
-  threaded : bool;
-      (** Interpreter dispatch mode: threaded closure table ([true]) or the
-          legacy terminator match.  The checked run's shadow interpreter
-          always takes the opposite mode, so either setting doubles as a
-          live threaded-vs-legacy differential. *)
   max_steps : int;
 }
-
-type failure =
-  | Violation of Check.violation  (** The sanitizer raised. *)
-  | Mode_divergence of string
-      (** Compiled and legacy stepping disagreed on a mode-invariant
-          metric ({!run_case_cross} only). *)
-
-val failure_to_string : failure -> string
 
 val image_of_genome : int list -> Regionsel_workload.Image.t
 (** Expand a genome into a compiled workload image: each gene adds one
@@ -45,20 +29,14 @@ val image_of_genome : int list -> Regionsel_workload.Image.t
 val cli_line : case -> string
 (** A [regionsel_fuzz] invocation replaying exactly this case. *)
 
-val run_case : ?break_at:int -> ?audit_every:int -> case -> failure option
-(** Run one case in its own dispatch mode under the sanitizer
-    ([audit_every] defaults to 1: a full cache audit every step).
-    [break_at] threads through to [Check.checked_run] (self-test only). *)
+val run_case : ?break_at:int -> ?audit_every:int -> case -> Check.violation option
+(** Run one case under the sanitizer ([audit_every] defaults to 1: a full
+    cache audit every step); [Some] is the first violation.  [break_at]
+    threads through to [Check.checked_run] (self-test only). *)
 
-val run_case_cross : ?audit_every:int -> case -> failure option
-(** Run the case under both dispatch modes ([compiled] is ignored) and
-    compare their mode-invariant signatures: executed instructions
-    (interpreted and cached), dispatches, region transitions, exits to the
-    interpreter, installs, and the install-ordered region entry list. *)
-
-val run_seed : ?max_steps:int -> int -> (case * failure) option * int
+val run_seed : ?max_steps:int -> int -> (case * Check.violation) option * int
 (** Derive a genome from the seed and sweep it across every policy and
-    every fault profile (including none) with {!run_case_cross}.  Returns
+    every fault profile (including none) with {!run_case}.  Returns
     the first failing case, if any, and the number of cases run
     ([max_steps] defaults to 4000 per case). *)
 
@@ -81,9 +59,9 @@ type snapshot_summary = {
 val run_snapshot_seed :
   ?corruptions:int -> ?max_steps:int -> int -> (case * string) option * snapshot_summary
 (** The snapshot-corruption axis for one seed: derive a case (genome,
-    policy, fault profile and dispatch mode all keyed off the seed),
-    capture a [Persist] snapshot halfway through the run, then restore
-    the pristine snapshot plus [corruptions] (default 50) mutants of it —
+    policy and fault profile all keyed off the seed), capture a [Persist]
+    snapshot halfway through the run, then restore the pristine snapshot
+    plus [corruptions] (default 50) mutants of it —
     random byte flips, truncations, garbage tails — each into a fresh
     run.  Every restore must end in one of the three
     {!snapshot_outcome}s; the first that instead raises an unhandled
@@ -94,8 +72,7 @@ val run_snapshot_seed :
 val stream_cases_of_seed : ?max_steps:int -> int -> case list
 (** The tenant fleet the multi-stream axis derives from a seed: 2-4
     tenants with their own genomes, cycling through the policy and fault
-    tables and alternating dispatch modes ([max_steps] defaults to 3000
-    per tenant). *)
+    tables ([max_steps] defaults to 3000 per tenant). *)
 
 val run_streams_seed : ?max_steps:int -> int -> (case list * string) option * int
 (** The multi-stream axis for one seed.  Each tenant of
@@ -105,25 +82,25 @@ val run_streams_seed : ?max_steps:int -> int -> (case list * string) option * in
     [Multi_stream.run] (batch 512) and checked against the scheduler's
     contracts: without a budget every tenant's result must be
     bit-identical to its solo run, and with a shared budget (derived from
-    the fleet's unconstrained footprint) the outcome — signatures, quota
-    counters, round count — must be identical on 1 and 2 domains, with
+    the fleet's unconstrained footprint) the outcome — every tenant's
+    counters and region entries, the quota counters, the round count —
+    must be identical on 1 and 2 domains, with
     every final cache passing {!Check.audit_cache} (including the
     quota-accounting rule).  A failing fleet shrinks to a single-tenant
     reproducer when one exists, else to a minimal tenant subset.  Returns
     the shrunk fleet and a detail line, if any, plus the fleet size. *)
 
-val shrink : case -> failure -> case * failure
-(** Greedily minimize a failing case (re-validating with
-    {!run_case_cross} after every candidate edit) until no single edit —
-    dropping the fault, dropping a gene, halving a gene, clamping or
-    halving the budget — still fails.  Returns the minimal case and its
-    failure. *)
+val shrink : case -> Check.violation -> case * Check.violation
+(** Greedily minimize a failing case (re-validating with {!run_case}
+    after every candidate edit) until no single edit — dropping the fault,
+    dropping a gene, halving a gene, clamping or halving the budget —
+    still fails.  Returns the minimal case and its violation. *)
 
 val flight_dump :
   ?window:int ->
   ?params:Regionsel_engine.Params.t ->
   case ->
-  failure ->
+  Check.violation ->
   path:string ->
   int
 (** Write the crash flight record for a failing case: re-run it (cases

@@ -197,12 +197,6 @@ let find t a =
   | Some _ as hit -> hit
   | None -> Int_tbl.find_opt t.by_aux_entry a
 
-(* Option-free [find] for callers without a block id at hand. *)
-let find_live t a =
-  match Int_tbl.find t.by_entry a with
-  | r -> r
-  | exception Not_found -> Int_tbl.find t.by_aux_entry a
-
 let mem t a =
   match t.program with
   | Some p ->

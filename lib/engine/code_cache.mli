@@ -51,10 +51,6 @@ val find : t -> Addr.t -> Region.t option
 (** The live region whose {e entry} is the given address, if any.  Regions
     are single-entry: an address inside a region's body is not a hit. *)
 
-val find_live : t -> Addr.t -> Region.t
-(** Option-free {!find} for callers without a block id at hand.
-    @raise Not_found when no live region has that entry. *)
-
 val dispatch : t -> int -> Region.t option
 (** [dispatch t block_id] is the live region claiming that block as its
     entry (or an aux entry) — the simulator's per-transition probe: a

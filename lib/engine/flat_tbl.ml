@@ -78,27 +78,9 @@ let bump t key =
     maybe_grow t
   end
 
-(* [bump] that also reports whether the key was newly inserted, fusing the
-   length-changed check callers would otherwise do with two extra reads
-   around the probe (Edge_profile invalidates its predecessor index only
-   on fresh edges — once per static edge, on a per-step path). *)
-let bump_fresh t key =
-  if key < 0 then invalid_arg "Flat_tbl.bump_fresh: negative key";
-  let i = probe t.keys t.mask key (slot t.mask key) in
-  if Array.unsafe_get t.keys i = key then begin
-    t.vals.(i) <- t.vals.(i) + 1;
-    false
-  end
-  else begin
-    t.keys.(i) <- key;
-    t.vals.(i) <- 1;
-    t.len <- t.len + 1;
-    maybe_grow t;
-    true
-  end
-
-(* [bump_fresh] generalized to an arbitrary positive increment: the edge
-   profiler's flush path lands a whole batched count in one probe. *)
+(* [bump] by an arbitrary positive increment that also reports whether
+   the key was newly inserted: the edge profiler's flush path lands a
+   whole batched count in one probe. *)
 let add_fresh t key n =
   if key < 0 then invalid_arg "Flat_tbl.add_fresh: negative key";
   let i = probe t.keys t.mask key (slot t.mask key) in

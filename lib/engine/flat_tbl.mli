@@ -24,11 +24,6 @@ val bump : t -> int -> unit
 (** Add 1 to the key's count, inserting it at 1 — a single probe.
     @raise Invalid_argument on a negative key. *)
 
-val bump_fresh : t -> int -> bool
-(** {!bump} that returns [true] iff the key was newly inserted, in the
-    same single probe.
-    @raise Invalid_argument on a negative key. *)
-
 val add_fresh : t -> int -> int -> bool
 (** [add_fresh t key n] adds [n] to the key's count, inserting it at [n];
     [true] iff the key was newly inserted.  One probe.

@@ -26,14 +26,13 @@ type t = {
   cond_states : Behavior.state option array; (* keyed by dense block id *)
   indirect_states : Behavior.indirect_state option array;
   prng : Splitmix.t;
-  threaded : bool;
-  mutable ops : (step -> unit) array; (* threaded mode: dense block id -> terminator op *)
+  mutable ops : (step -> unit) array; (* dense block id -> terminator op *)
 }
 
 (* Branch-behaviour states are keyed by the branch block's dense id, so the
    per-branch lookup is an array read.  States are still created lazily in
-   first-execution order — in both dispatch modes — which preserves the
-   per-site PRNG streams (and hence bit-for-bit behaviour) across modes. *)
+   first-execution order — by both steppers — which preserves the per-site
+   PRNG streams (and hence bit-for-bit behaviour) across them. *)
 let cond_state t id site =
   match t.cond_states.(id) with
   | Some s -> s
@@ -134,7 +133,7 @@ let compile_op t (block : Block.t) id =
       s.taken <- false;
       s.next <- Addr.none
 
-let create ?(threaded = true) image ~seed =
+let create image ~seed =
   let program = image.Image.program in
   let n = Program.n_blocks program in
   let t =
@@ -147,57 +146,11 @@ let create ?(threaded = true) image ~seed =
       cond_states = Array.make n None;
       indirect_states = Array.make n None;
       prng = Splitmix.create ~seed;
-      threaded;
       ops = [||];
     }
   in
-  if threaded then
-    t.ops <- Array.init n (fun id -> compile_op t (Program.block_of_id program id) id);
+  t.ops <- Array.init n (fun id -> compile_op t (Program.block_of_id program id) id);
   t
-
-(* The legacy dispatch path: a [match] over terminator variants with the
-   fall-through, site, and validation recomputed per step.  Kept (behind
-   [create ~threaded:false]) as the differential reference for the
-   threaded path — the parity suite and the fuzz oracle run both modes
-   over the same workloads and require bit-identical streams. *)
-let step_legacy t (s : step) id =
-  let program = t.program in
-  let block = Program.block_of_id program id in
-  let site = Block.last block in
-  (match block.Block.term with
-  | Terminator.Fallthrough ->
-    s.taken <- false;
-    s.next <- Block.fall_addr block
-  | Terminator.Jump tgt ->
-    s.taken <- true;
-    s.next <- tgt
-  | Terminator.Cond tgt ->
-    if Behavior.decide (cond_state t id site) then begin
-      s.taken <- true;
-      s.next <- tgt
-    end
-    else begin
-      s.taken <- false;
-      s.next <- Block.fall_addr block
-    end
-  | Terminator.Call tgt ->
-    push_return t (Block.fall_addr block);
-    s.taken <- true;
-    s.next <- tgt
-  | Terminator.Indirect_jump ->
-    s.taken <- true;
-    s.next <- Behavior.choose (indirect_state t id site)
-  | Terminator.Indirect_call ->
-    push_return t (Block.fall_addr block);
-    s.taken <- true;
-    s.next <- Behavior.choose (indirect_state t id site)
-  | Terminator.Return -> pop_return t s
-  | Terminator.Halt ->
-    s.taken <- false;
-    s.next <- Addr.none);
-  let next = s.next in
-  if (not (Addr.is_none next)) && not (Program.is_block_start program next) then
-    bad_transfer site next
 
 let[@inline] step_into t (s : step) =
   let pc = t.pc in
@@ -206,8 +159,60 @@ let[@inline] step_into t (s : step) =
     (* [pc] is always a validated block start, so the id is in range. *)
     let id = Program.block_id t.program pc in
     s.block_id <- id;
-    if t.threaded then (Array.unsafe_get t.ops id) s else step_legacy t s id;
+    (Array.unsafe_get t.ops id) s;
     t.pc <- s.next;
+    true
+  end
+
+(* The reference stepper: a [match] over terminator variants with the
+   fall-through, site, and validation recomputed per step — the plain
+   reading of the terminators the threaded ops are compiled from.  The
+   sanitizer steps its shadow interpreter with it, so every checked run is
+   a step-by-step differential of the threaded path against this one. *)
+let step_reference t (s : step) =
+  let pc = t.pc in
+  if Addr.is_none pc then false
+  else begin
+    let program = t.program in
+    let id = Program.block_id program pc in
+    let block = Program.block_of_id program id in
+    let site = Block.last block in
+    s.block_id <- id;
+    (match block.Block.term with
+    | Terminator.Fallthrough ->
+      s.taken <- false;
+      s.next <- Block.fall_addr block
+    | Terminator.Jump tgt ->
+      s.taken <- true;
+      s.next <- tgt
+    | Terminator.Cond tgt ->
+      if Behavior.decide (cond_state t id site) then begin
+        s.taken <- true;
+        s.next <- tgt
+      end
+      else begin
+        s.taken <- false;
+        s.next <- Block.fall_addr block
+      end
+    | Terminator.Call tgt ->
+      push_return t (Block.fall_addr block);
+      s.taken <- true;
+      s.next <- tgt
+    | Terminator.Indirect_jump ->
+      s.taken <- true;
+      s.next <- Behavior.choose (indirect_state t id site)
+    | Terminator.Indirect_call ->
+      push_return t (Block.fall_addr block);
+      s.taken <- true;
+      s.next <- Behavior.choose (indirect_state t id site)
+    | Terminator.Return -> pop_return t s
+    | Terminator.Halt ->
+      s.taken <- false;
+      s.next <- Addr.none);
+    let next = s.next in
+    if (not (Addr.is_none next)) && not (Program.is_block_start program next) then
+      bad_transfer site next;
+    t.pc <- next;
     true
   end
 
@@ -289,6 +294,5 @@ let load_warm t read =
   t.stack_len <- stack_len
 
 let block t (s : step) = Program.block_of_id t.program s.block_id
-let threaded t = t.threaded
 let pc t = if Addr.is_none t.pc then None else Some t.pc
 let stack_depth t = t.stack_len

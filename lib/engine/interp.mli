@@ -7,14 +7,14 @@
     real shadow stack, so return addresses — and hence interprocedural
     cycles — behave exactly as in native execution.
 
-    Dispatch is threaded-code by default: {!create} precompiles every
-    block's terminator into a closure indexed by the block's dense id, so a
-    step is an array load and one call — no terminator [match], no
-    per-step target validation for statically-checked transfers (the
-    program constructor already proved them).  [create ~threaded:false]
-    keeps the legacy match-based dispatch as a differential reference; the
-    two modes are bit-identical (same PRNG streams, same step sequence),
-    which the parity suite and the fuzz oracle verify.
+    Dispatch is threaded code: {!create} precompiles every block's
+    terminator into a closure indexed by the block's dense id, so a step is
+    an array load and one call — no terminator [match], no per-step target
+    validation for statically-checked transfers (the program constructor
+    already proved them).  {!step_reference} is the plain match-based
+    reading of the same terminators, kept as the sanitizer's differential
+    reference; the two produce bit-identical steps (same PRNG streams, same
+    step sequence).
 
     The stepping API is built for the simulator's hot loop: {!step_into}
     fills a caller-owned mutable {!step} record and performs no allocation.
@@ -26,9 +26,7 @@ open Regionsel_isa
 
 type t
 
-val create : ?threaded:bool -> Regionsel_workload.Image.t -> seed:int64 -> t
-(** [threaded] (default [true]) selects threaded-code dispatch; [false]
-    selects the legacy match-based path.  Both produce identical steps. *)
+val create : Regionsel_workload.Image.t -> seed:int64 -> t
 
 type step = {
   mutable block_id : int;  (** Dense id of the block just executed. *)
@@ -44,10 +42,13 @@ val step_into : t -> step -> bool
     once the program has halted (explicit [Halt] or return with an empty
     stack), in which case the record is untouched.  Allocation-free. *)
 
+val step_reference : t -> step -> bool
+(** {!step_into} by a [match] over the terminator, with every transfer
+    target validated per step: slower, but bit-identical.  The sanitizer's
+    shadow interpreter steps with it. *)
+
 val block : t -> step -> Block.t
 (** The block a filled step record refers to. *)
-
-val threaded : t -> bool
 
 val save_warm : t -> (int -> unit) -> unit
 (** Serialize the warm state — pc, shadow-stack prefix, root PRNG limbs,

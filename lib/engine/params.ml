@@ -102,8 +102,6 @@ type t = {
   watchdog_window : int;
   watchdog_min_share : float;
   bailout_cooldown : int;
-  compiled_regions : bool;
-  threaded_dispatch : bool;
   validate : bool;
 }
 
@@ -133,8 +131,6 @@ let default =
     watchdog_window = 2_000;
     watchdog_min_share = 0.2;
     bailout_cooldown = 4_000;
-    compiled_regions = true;
-    threaded_dispatch = true;
     validate = false;
   }
 

@@ -102,17 +102,6 @@ type t = {
           previous peak while faults are active. *)
   bailout_cooldown : int;
       (** Steps of pure interpretation after a watchdog bailout. *)
-  compiled_regions : bool;
-      (** Execute cached code through the compiled region automaton and the
-          inter-region link cache (the default).  [false] keeps the legacy
-          address-keyed region stepping — same metrics, slower — as the
-          parity reference. *)
-  threaded_dispatch : bool;
-      (** Drive the interpreter through threaded-code dispatch (the
-          default): each block's terminator precompiled into a closure
-          indexed by dense block id.  [false] keeps the legacy match-based
-          dispatch — bit-identical steps, slower — as the parity
-          reference. *)
   validate : bool;
       (** Run under the sanitizer (see [Regionsel_check.Check]): audit the
           DESIGN.md cache/link/telemetry invariants on every cache mutation

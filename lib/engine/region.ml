@@ -260,7 +260,6 @@ let dummy =
   }
 
 let node_id t a = if a < 0 then -1 else Flat_tbl.find t.node_by_addr a
-let node_block t i = t.node_blocks.(i)
 
 let has_edge_nodes t ~src ~dst =
   Array.unsafe_get t.succ_bits ((src * t.succ_stride) + (dst lsr 5)) land (1 lsl (dst land 31))
@@ -274,10 +273,6 @@ let has_edge t ~src ~dst =
   d >= 0 && has_edge_nodes t ~src:s ~dst:d
 
 let mem_block t a = node_id t a >= 0
-
-let find_block t a =
-  let i = node_id t a in
-  if i < 0 then None else Some t.node_blocks.(i)
 
 let nodes t =
   List.sort
@@ -319,13 +314,6 @@ let block_cache_addr t a =
   else
     let off = block_offset t a in
     if off < 0 then None else Some (t.cache_base + off)
-
-(* Allocation-free variant for the simulator's per-step icache model. *)
-let block_cache_offset t a =
-  if t.cache_base < 0 then -1
-  else
-    let off = block_offset t a in
-    if off < 0 then -1 else t.cache_base + off
 
 let n_link_slots t = Array.length t.link_slots
 

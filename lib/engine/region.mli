@@ -121,8 +121,8 @@ val of_spec : id:int -> selected_at:int -> ?program:Program.t -> spec -> t
     jumps and calls, the continuation of fall-through blocks) not covered
     by an internal edge, and always one stub per indirect branch or return
     (the mispredict path).  Pass [program] to enable the dense
-    [node_of_block] translation and the [link_slots] used by the
-    simulator's compiled execution mode.
+    [node_of_block] translation and the [link_slots] the simulator steps
+    cached code through.
     @raise Invalid_argument if the spec is malformed (entry not a node, or
     an edge endpoint that is not a node). *)
 
@@ -135,11 +135,7 @@ val dummy : t
 val node_id : t -> Addr.t -> int
 (** The node id of the block starting at the address, or [-1]. *)
 
-val node_block : t -> int -> Block.t
-(** The block at a node id (raises on out-of-range ids). *)
-
 val mem_block : t -> Addr.t -> bool
-val find_block : t -> Addr.t -> Block.t option
 val has_edge : t -> src:Addr.t -> dst:Addr.t -> bool
 
 val has_edge_nodes : t -> src:int -> dst:int -> bool
@@ -190,9 +186,6 @@ val block_cache_addr : t -> Addr.t -> int option
 (** The byte address in the code cache at which the copy of the given
     block starts, once the region is installed ([None] for non-nodes or
     before installation). *)
-
-val block_cache_offset : t -> Addr.t -> int
-(** Allocation-free {!block_cache_addr}: [-1] instead of [None]. *)
 
 val n_link_slots : t -> int
 (** Length of [link_slots] (0 when built without [~program]). *)

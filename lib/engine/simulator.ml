@@ -92,9 +92,9 @@ let ev_label_of_code c =
   else ev_labels.(c)
 
 (* The execution mode is a [Region.t ref] holding [Region.dummy] while
-   interpreting, plus an int cell for the position within the region
-   ([cur_node] compiled / [cur_addr] legacy).  Physical equality against
-   the sentinel replaces an option match, and — the point — entering or
+   interpreting, plus an int cell for the node id within the region
+   ([cur_node]).  Physical equality against the sentinel replaces an
+   option match, and — the point — entering or
    crossing regions is a plain store: with [Region.t option ref] every one
    of the ~100k region-to-region transitions of a cache-friendly run
    allocated a [Some], the last allocation on the steady-state path. *)
@@ -126,17 +126,15 @@ let create ?(params = Params.default) ?(seed = 1L) ?(telemetry = Telemetry.none)
   (* A ref, not a binding: a crash fault re-instantiates the policy from
      scratch, and restoring a snapshot replaces it with the saved one. *)
   let policy = ref (Policy.instantiate policy_mod ctx) in
-  let interp = Interp.create ~threaded:params.Params.threaded_dispatch image ~seed in
+  let interp = Interp.create image ~seed in
   let stats = Stats.create () in
   let edges = Edge_profile.create () in
   let icache =
     Icache.create ~size_bytes:params.Params.icache_size_bytes
       ~line_bytes:params.Params.icache_line_bytes ~ways:params.Params.icache_ways ()
   in
-  let compiled = params.Params.compiled_regions in
   let cur_region = ref Region.dummy in (* dummy = interpreting *)
-  let cur_addr = ref Addr.none in (* legacy mode: current block address *)
-  let cur_node = ref 0 in (* compiled mode: current node id within !cur_region *)
+  let cur_node = ref 0 in (* node id within !cur_region *)
   let halted = ref false in
   (* Fault machinery.  On clean runs ([faults = None]) all of this
      collapses to one always-false branch per step. *)
@@ -184,10 +182,6 @@ let create ?(params = Params.default) ?(seed = 1L) ?(telemetry = Telemetry.none)
       stats.Stats.links <- stats.Stats.links + 1
     end
   in
-  (* The simulator's per-transition probe: one flat-array read indexed by
-     block id (the ROADMAP's region-cache-dispatch item) instead of up to
-     two hash probes. *)
-  let probe a = Code_cache.dispatch cache (Program.block_id program a) in
   (* A rejected install is reported back to the policy as an invalidation
      of the would-be entry: the policy drops its profiling state for the
      entry and can re-select it later — without this, a policy that
@@ -239,74 +233,18 @@ let create ?(params = Params.default) ?(seed = 1L) ?(telemetry = Telemetry.none)
         Telemetry.dispatch telemetry ~step:stats.Stats.steps ~id:region.Region.id;
         Region.record_entry region;
         cur_region := region;
-        cur_addr := a;
         (* A dispatch hit is at the region's entry or an aux entry, both
            nodes of the region, so the translation is never -1. *)
         cur_node := Array.unsafe_get region.Region.node_of_block id
       | None -> ()
     end
   in
-  (* Invariant: [cur] is the start address of the block just executed,
-     [block] — the loop only enters region mode at a block start. *)
-  let region_step region cur (block : Block.t) (s : Interp.step) =
-    stats.Stats.cached_insts <- stats.Stats.cached_insts + block.Block.size;
-    Region.record_exec region block.Block.size;
-    let off = Region.block_cache_offset region cur in
-    if off >= 0 then Icache.access icache ~addr:off ~bytes:(block.Block.size * Region.inst_bytes);
-    let a = s.Interp.next in
-    if Addr.is_none a then halted := true
-    else begin
-      if Region.has_edge region ~src:cur ~dst:a then begin
-        if Addr.equal a region.Region.entry then Region.record_cycle region;
-        cur_addr := a
-      end
-      else begin
-        match probe a with
-        | Some other when other == region ->
-          (* A side exit linked back to this region's own entry: execution
-             stays put, and the paper's executed-cycle metric counts it as a
-             completed cycle, not an exit. *)
-          Region.record_cycle region;
-          cur_addr := a
-        | Some other ->
-          Region.record_exit region ~from:cur ~tgt:a;
-          stats.Stats.region_transitions <- stats.Stats.region_transitions + 1;
-          record_link ~from:region ~into:other;
-          Region.record_entry other;
-          cur_region := other;
-          cur_addr := a
-        | None ->
-          Region.record_exit region ~from:cur ~tgt:a;
-          stats.Stats.cache_exits_to_interp <- stats.Stats.cache_exits_to_interp + 1;
-          (* Leaving cached execution is an edge-profile drain point: any
-             observer that runs while the system interprets sees counts as
-             exact as the unbatched profile's. *)
-          Edge_profile.flush edges;
-          install_if_any
-            (Policy.handle !policy
-               (Policy.Cache_exited
-                  { from_entry = region.Region.entry; src = Block.last block; tgt = a }));
-          (* The paper's "jump newT": if the policy just installed a region
-             at the pending target, enter it without interpreting. *)
-          (match probe a with
-          | Some fresh ->
-            stats.Stats.dispatches <- stats.Stats.dispatches + 1;
-            Telemetry.dispatch telemetry ~step:stats.Stats.steps ~id:fresh.Region.id;
-            Region.record_entry fresh;
-            cur_region := fresh;
-            cur_addr := a
-          | None -> cur_region := Region.dummy)
-      end
-    end
-  in
-  (* Compiled-mode stepping: [!cur_node] is the node id (within [region])
+  (* Region-mode stepping: [!cur_node] is the node id (within [region])
      of the block just executed, [block].  The common stay-in-region step
      is one compare against the node's precompiled hot successor; the
      general internal edge is a bitset word read; an exit consults the
-     region's patched link slot before the dispatch array.  Every metric
-     update matches [region_step] exactly — the parity suite runs both
-     modes over the full matrix and diffs the results. *)
-  let region_step_node (region : Region.t) (block : Block.t) (s : Interp.step) =
+     region's patched link slot before the dispatch array. *)
+  let region_step (region : Region.t) (block : Block.t) (s : Interp.step) =
     stats.Stats.cached_insts <- stats.Stats.cached_insts + block.Block.size;
     stats.Stats.node_steps <- stats.Stats.node_steps + 1;
     Region.record_exec region block.Block.size;
@@ -365,7 +303,9 @@ let create ?(params = Params.default) ?(seed = 1L) ?(telemetry = Telemetry.none)
           | None ->
             Region.record_exit region ~from:cur ~tgt:a;
             stats.Stats.cache_exits_to_interp <- stats.Stats.cache_exits_to_interp + 1;
-            (* Edge-profile drain point, as in [region_step]. *)
+            (* Leaving cached execution is an edge-profile drain point: any
+               observer that runs while the system interprets sees counts
+               as exact as the unbatched profile's. *)
             Edge_profile.flush edges;
             install_if_any
               (Policy.handle !policy
@@ -448,8 +388,8 @@ let create ?(params = Params.default) ?(seed = 1L) ?(telemetry = Telemetry.none)
     let now_snap = Stats.snapshot stats in
     let d = Stats.diff ~earlier:!window_start ~later:now_snap in
     window_start := now_snap;
-    let cached_d = d.Stats.Snapshot.cached_insts in
-    let interp_d = d.Stats.Snapshot.interpreted_insts in
+    let cached_d = d.Stats.cached_insts in
+    let interp_d = d.Stats.interpreted_insts in
     let total = cached_d + interp_d in
     let share = if total = 0 then 0.0 else float_of_int cached_d /. float_of_int total in
     sample_log := (stats.Stats.steps, share) :: !sample_log;
@@ -477,14 +417,17 @@ let create ?(params = Params.default) ?(seed = 1L) ?(telemetry = Telemetry.none)
   let save_loop emit =
     let r = !cur_region in
     emit (if r == Region.dummy then -1 else r.Region.id);
-    emit !cur_addr;
+    (* Retired slot (a region-position address once); written as
+       [Addr.none] and ignored on load, so the section layout stays at
+       version 1. *)
+    emit Addr.none;
     emit !cur_node;
     emit (if !halted then 1 else 0);
     emit !bail_until;
     emit (if !bail_exit_pending then 1 else 0);
     emit !next_window;
     emit_float emit !peak_share;
-    Stats.save_snapshot !window_start emit;
+    Stats.save !window_start emit;
     (match faults with
     | None -> emit 0
     | Some f ->
@@ -517,14 +460,15 @@ let create ?(params = Params.default) ?(seed = 1L) ?(telemetry = Telemetry.none)
       | _ -> failwith ("Simulator: bad flag in snapshot: " ^ what)
     in
     let rid = read () in
-    let addr = read () in
+    let (_ : int) = read () in
     let node = read () in
     let halted' = read_bool "halted" in
     let bail_until' = read () in
     let bail_exit_pending' = read_bool "bail-exit-pending" in
     let next_window' = read () in
     let peak_share' = read_float read in
-    let window_start' = Stats.load_snapshot read in
+    let window_start' = Stats.create () in
+    Stats.load window_start' read;
     let fault_cursor =
       match read () with
       | 0 -> None
@@ -559,9 +503,9 @@ let create ?(params = Params.default) ?(seed = 1L) ?(telemetry = Telemetry.none)
        section. *)
     (* With no live region ([rid < 0], or the cache section was dropped
        and re-warmed empty) the node id is scratch — region entry always
-       sets it before compiled stepping reads it — so it is restored
-       verbatim, like [cur_addr], to keep a re-encoded snapshot
-       byte-identical to the one just loaded. *)
+       sets it before region stepping reads it — so it is restored
+       verbatim, to keep a re-encoded snapshot byte-identical to the one
+       just loaded. *)
     let region', node' =
       if rid < 0 then (Region.dummy, node)
       else
@@ -570,17 +514,6 @@ let create ?(params = Params.default) ?(seed = 1L) ?(telemetry = Telemetry.none)
         | Some r ->
           if node < 0 || node >= Array.length r.Region.node_blocks then
             failwith "Simulator: region node out of range in snapshot";
-          (* [cur_addr] is the live position only in legacy mode; compiled
-             stepping advances [cur_node] alone (a link transition can move
-             to another region without touching [cur_addr]), so there the
-             address is restored verbatim as scratch state. *)
-          if
-            (not compiled)
-            && not
-                 (Array.exists
-                    (fun (b : Block.t) -> Addr.equal b.Block.start addr)
-                    r.Region.node_blocks)
-          then failwith "Simulator: region address not a node start in snapshot";
           (r, node)
     in
     (* Commit.  The fault-cursor store goes first: [Faults.set_cursor] is
@@ -594,7 +527,6 @@ let create ?(params = Params.default) ?(seed = 1L) ?(telemetry = Telemetry.none)
       failwith "Simulator: snapshot fault profile does not match this run");
     fault_next := (match faults with None -> max_int | Some f -> Faults.next_step f);
     cur_region := region';
-    cur_addr := addr;
     cur_node := node';
     halted := halted';
     bail_until := bail_until';
@@ -709,14 +641,11 @@ let create ?(params = Params.default) ?(seed = 1L) ?(telemetry = Telemetry.none)
         let r = !cur_region in
         let believed =
           if r == Region.dummy then Addr.none
-          else if compiled then (Array.unsafe_get r.Region.node_blocks !cur_node).Block.start
-          else !cur_addr
+          else (Array.unsafe_get r.Region.node_blocks !cur_node).Block.start
         in
         o.on_step ~step:stats.Stats.steps ~block ~taken:sbuf.Interp.taken ~next ~believed);
       (let r = !cur_region in
-       if r == Region.dummy then interpret_step block sbuf
-       else if compiled then region_step_node r block sbuf
-       else region_step r !cur_addr block sbuf);
+       if r == Region.dummy then interpret_step block sbuf else region_step r block sbuf);
       if has_events then begin
         if stats.Stats.steps <= !bail_until then
           stats.Stats.recovery_steps <- stats.Stats.recovery_steps + 1

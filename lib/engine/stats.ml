@@ -37,170 +37,60 @@ let create () =
     recovery_steps = 0;
   }
 
-module Snapshot = struct
-  type t = {
-    steps : int;
-    interpreted_insts : int;
-    cached_insts : int;
-    taken_branches : int;
-    region_transitions : int;
-    dispatches : int;
-    cache_exits_to_interp : int;
-    installs : int;
-    links : int;
-    link_hits : int;
-    node_steps : int;
-    install_rejects : int;
-    faults_injected : int;
-    async_exits : int;
-    bailouts : int;
-    recovery_steps : int;
-  }
-end
+type field = { name : string; get : t -> int; set : t -> int -> unit }
 
-let snapshot t =
-  {
-    Snapshot.steps = t.steps;
-    interpreted_insts = t.interpreted_insts;
-    cached_insts = t.cached_insts;
-    taken_branches = t.taken_branches;
-    region_transitions = t.region_transitions;
-    dispatches = t.dispatches;
-    cache_exits_to_interp = t.cache_exits_to_interp;
-    installs = t.installs;
-    links = t.links;
-    link_hits = t.link_hits;
-    node_steps = t.node_steps;
-    install_rejects = t.install_rejects;
-    faults_injected = t.faults_injected;
-    async_exits = t.async_exits;
-    bailouts = t.bailouts;
-    recovery_steps = t.recovery_steps;
-  }
+let field name get set = { name; get; set }
+
+(* Declaration order, which is also the checkpoint stream order: existing
+   snapshots depend on it. *)
+let fields =
+  [|
+    field "steps" (fun t -> t.steps) (fun t v -> t.steps <- v);
+    field "interpreted_insts" (fun t -> t.interpreted_insts) (fun t v -> t.interpreted_insts <- v);
+    field "cached_insts" (fun t -> t.cached_insts) (fun t v -> t.cached_insts <- v);
+    field "taken_branches" (fun t -> t.taken_branches) (fun t v -> t.taken_branches <- v);
+    field "region_transitions"
+      (fun t -> t.region_transitions)
+      (fun t v -> t.region_transitions <- v);
+    field "dispatches" (fun t -> t.dispatches) (fun t v -> t.dispatches <- v);
+    field "cache_exits_to_interp"
+      (fun t -> t.cache_exits_to_interp)
+      (fun t v -> t.cache_exits_to_interp <- v);
+    field "installs" (fun t -> t.installs) (fun t v -> t.installs <- v);
+    field "links" (fun t -> t.links) (fun t v -> t.links <- v);
+    field "link_hits" (fun t -> t.link_hits) (fun t v -> t.link_hits <- v);
+    field "node_steps" (fun t -> t.node_steps) (fun t v -> t.node_steps <- v);
+    field "install_rejects" (fun t -> t.install_rejects) (fun t v -> t.install_rejects <- v);
+    field "faults_injected" (fun t -> t.faults_injected) (fun t v -> t.faults_injected <- v);
+    field "async_exits" (fun t -> t.async_exits) (fun t v -> t.async_exits <- v);
+    field "bailouts" (fun t -> t.bailouts) (fun t v -> t.bailouts <- v);
+    field "recovery_steps" (fun t -> t.recovery_steps) (fun t v -> t.recovery_steps <- v);
+  |]
+
+let snapshot t = { t with steps = t.steps }
+
+let map2 fn a b =
+  let r = create () in
+  Array.iter (fun f -> f.set r (fn (f.get a) (f.get b))) fields;
+  r
 
 (* Counters are monotone within a run, but a window can straddle a
    counter reload (a crash fault resets nothing here, yet [load] may
    install an older image, e.g. a snapshot restore taken before the
    window opened).  A window is a measure of activity: clamp at zero so a
    baseline from a discarded future never yields negative rates. *)
-let ( -^ ) a b = if a > b then a - b else 0
+let diff ~earlier ~later = map2 (fun e l -> if l > e then l - e else 0) earlier later
+let sum a b = map2 ( + ) a b
 
-let diff ~earlier ~later =
-  {
-    Snapshot.steps = later.Snapshot.steps -^ earlier.Snapshot.steps;
-    interpreted_insts =
-      later.Snapshot.interpreted_insts -^ earlier.Snapshot.interpreted_insts;
-    cached_insts = later.Snapshot.cached_insts -^ earlier.Snapshot.cached_insts;
-    taken_branches = later.Snapshot.taken_branches -^ earlier.Snapshot.taken_branches;
-    region_transitions =
-      later.Snapshot.region_transitions -^ earlier.Snapshot.region_transitions;
-    dispatches = later.Snapshot.dispatches -^ earlier.Snapshot.dispatches;
-    cache_exits_to_interp =
-      later.Snapshot.cache_exits_to_interp -^ earlier.Snapshot.cache_exits_to_interp;
-    installs = later.Snapshot.installs -^ earlier.Snapshot.installs;
-    links = later.Snapshot.links -^ earlier.Snapshot.links;
-    link_hits = later.Snapshot.link_hits -^ earlier.Snapshot.link_hits;
-    node_steps = later.Snapshot.node_steps -^ earlier.Snapshot.node_steps;
-    install_rejects = later.Snapshot.install_rejects -^ earlier.Snapshot.install_rejects;
-    faults_injected = later.Snapshot.faults_injected -^ earlier.Snapshot.faults_injected;
-    async_exits = later.Snapshot.async_exits -^ earlier.Snapshot.async_exits;
-    bailouts = later.Snapshot.bailouts -^ earlier.Snapshot.bailouts;
-    recovery_steps = later.Snapshot.recovery_steps -^ earlier.Snapshot.recovery_steps;
-  }
+(* Checkpoint support: the counters as a flat int stream, in table order. *)
+let save t emit = Array.iter (fun f -> emit (f.get t)) fields
 
-(* Checkpoint support: the counters as a flat int stream, in declaration
-   order.  [save_snapshot]/[load_snapshot] serialize a frozen image the
-   same way (the bailout watchdog's window baseline survives restore). *)
-
-let save t emit =
-  emit t.steps;
-  emit t.interpreted_insts;
-  emit t.cached_insts;
-  emit t.taken_branches;
-  emit t.region_transitions;
-  emit t.dispatches;
-  emit t.cache_exits_to_interp;
-  emit t.installs;
-  emit t.links;
-  emit t.link_hits;
-  emit t.node_steps;
-  emit t.install_rejects;
-  emit t.faults_injected;
-  emit t.async_exits;
-  emit t.bailouts;
-  emit t.recovery_steps
-
+(* Read the whole record before committing any of it, so a short or
+   invalid stream leaves [t] untouched. *)
 let load t read =
-  t.steps <- read ();
-  t.interpreted_insts <- read ();
-  t.cached_insts <- read ();
-  t.taken_branches <- read ();
-  t.region_transitions <- read ();
-  t.dispatches <- read ();
-  t.cache_exits_to_interp <- read ();
-  t.installs <- read ();
-  t.links <- read ();
-  t.link_hits <- read ();
-  t.node_steps <- read ();
-  t.install_rejects <- read ();
-  t.faults_injected <- read ();
-  t.async_exits <- read ();
-  t.bailouts <- read ();
-  t.recovery_steps <- read ()
-
-let save_snapshot (s : Snapshot.t) emit =
-  emit s.Snapshot.steps;
-  emit s.Snapshot.interpreted_insts;
-  emit s.Snapshot.cached_insts;
-  emit s.Snapshot.taken_branches;
-  emit s.Snapshot.region_transitions;
-  emit s.Snapshot.dispatches;
-  emit s.Snapshot.cache_exits_to_interp;
-  emit s.Snapshot.installs;
-  emit s.Snapshot.links;
-  emit s.Snapshot.link_hits;
-  emit s.Snapshot.node_steps;
-  emit s.Snapshot.install_rejects;
-  emit s.Snapshot.faults_injected;
-  emit s.Snapshot.async_exits;
-  emit s.Snapshot.bailouts;
-  emit s.Snapshot.recovery_steps
-
-let load_snapshot read =
-  let steps = read () in
-  let interpreted_insts = read () in
-  let cached_insts = read () in
-  let taken_branches = read () in
-  let region_transitions = read () in
-  let dispatches = read () in
-  let cache_exits_to_interp = read () in
-  let installs = read () in
-  let links = read () in
-  let link_hits = read () in
-  let node_steps = read () in
-  let install_rejects = read () in
-  let faults_injected = read () in
-  let async_exits = read () in
-  let bailouts = read () in
-  let recovery_steps = read () in
-  {
-    Snapshot.steps;
-    interpreted_insts;
-    cached_insts;
-    taken_branches;
-    region_transitions;
-    dispatches;
-    cache_exits_to_interp;
-    installs;
-    links;
-    link_hits;
-    node_steps;
-    install_rejects;
-    faults_injected;
-    async_exits;
-    bailouts;
-    recovery_steps;
-  }
+  let values = Array.map (fun _ -> read ()) fields in
+  if Array.exists (fun v -> v < 0) values then failwith "Stats.load: negative counter";
+  Array.iteri (fun i f -> f.set t values.(i)) fields
 
 let total_insts t = t.interpreted_insts + t.cached_insts
 

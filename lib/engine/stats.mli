@@ -17,10 +17,9 @@ type t = {
           footnote 9 expects its algorithms to reduce. *)
   mutable link_hits : int;
       (** Region transitions taken through a patched link slot rather than
-          the dispatch array (compiled mode only; 0 in legacy mode). *)
+          the dispatch array. *)
   mutable node_steps : int;
-      (** Cached steps executed through the compiled region automaton
-          (compiled mode only; 0 in legacy mode). *)
+      (** Cached steps executed through the compiled region automaton. *)
   mutable install_rejects : int;
       (** Install attempts the cache rejected (duplicate, blacklisted or
           translation-failed) or the bailout cooldown suppressed. *)
@@ -35,47 +34,35 @@ type t = {
 
 val create : unit -> t
 
-(** An immutable copy of the counters at one instant, so windowed readers
-    (the bailout watchdog, telemetry samplers) work off a frozen image
-    instead of live mutable fields that may advance under them. *)
-module Snapshot : sig
-  type t = {
-    steps : int;
-    interpreted_insts : int;
-    cached_insts : int;
-    taken_branches : int;
-    region_transitions : int;
-    dispatches : int;
-    cache_exits_to_interp : int;
-    installs : int;
-    links : int;
-    link_hits : int;
-    node_steps : int;
-    install_rejects : int;
-    faults_injected : int;
-    async_exits : int;
-    bailouts : int;
-    recovery_steps : int;
-  }
-end
+(** One counter: its record field name and accessors. *)
+type field = { name : string; get : t -> int; set : t -> int -> unit }
 
-val snapshot : t -> Snapshot.t
-(** Freeze the current counter values. *)
+val fields : field array
+(** Every counter, in declaration order — which is also the {!save}
+    order, so reordering it breaks existing snapshots.  Whole-record
+    operations iterate this table. *)
 
-val diff : earlier:Snapshot.t -> later:Snapshot.t -> Snapshot.t
+val snapshot : t -> t
+(** A copy of the current counter values, so windowed readers (the
+    bailout watchdog, telemetry samplers) work off a frozen image instead
+    of live mutable fields that may advance under them. *)
+
+val diff : earlier:t -> later:t -> t
 (** Field-wise [later - earlier], clamped at zero: the activity inside
     one window.  A window that straddles a counter reload (snapshot
     restore to an older image) reads as empty activity, never as a
     negative rate. *)
 
+val sum : t -> t -> t
+(** Field-wise sum (fleet aggregates). *)
+
 val save : t -> (int -> unit) -> unit
-(** Checkpoint support: emit every counter, in declaration order. *)
+(** Checkpoint support: emit every counter, in {!fields} order. *)
 
 val load : t -> (unit -> int) -> unit
-(** Overwrite every counter from a {!save} stream. *)
-
-val save_snapshot : Snapshot.t -> (int -> unit) -> unit
-val load_snapshot : (unit -> int) -> Snapshot.t
+(** Overwrite every counter from a {!save} stream.  All values are read
+    before any is stored; a short stream (the reader's exception) or a
+    negative counter ([Failure]) leaves [t] untouched. *)
 
 val total_insts : t -> int
 

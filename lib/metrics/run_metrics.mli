@@ -31,16 +31,12 @@ type t = {
   links : int;  (** Distinct inter-region links created (footnote 9). *)
   link_hits : int;
       (** Transitions taken through a patched link slot instead of the
-          dispatch array (0 in legacy execution mode). *)
+          dispatch array. *)
   link_severs : int;
       (** Links unpatched because their target region was retired or their
-          slot was reclaimed (0 in legacy mode: no links are patched). *)
-  links_high_water : int;
-      (** Peak number of simultaneously live patched links (0 in legacy
-          mode). *)
-  node_steps : int;
-      (** Cached steps executed through the compiled automaton (0 in
-          legacy mode). *)
+          slot was reclaimed. *)
+  links_high_water : int;  (** Peak number of simultaneously live patched links. *)
+  node_steps : int;  (** Cached steps executed through the compiled automaton. *)
   icache_accesses : int;
   icache_misses : int;
   icache_miss_rate : float;

@@ -36,7 +36,7 @@ type window = {
 type delta = {
   d_start : int;
   d_end : int;
-  d_stats : Stats.Snapshot.t;
+  d_stats : Stats.t;
   d_evictions : int;
   d_quota_rejects : int;
   g_blacklisted : int;
@@ -51,7 +51,7 @@ type recorder = {
   r_every : int;
   r_keep : int option;
   r_notify : (window -> unit) option;
-  mutable r_prev : Stats.Snapshot.t;
+  mutable r_prev : Stats.t;
   mutable r_prev_evictions : int;
   mutable r_prev_quota_rejects : int;
   mutable r_count : int;
@@ -123,7 +123,7 @@ let quants_of_sink = function
 let delta_of r ~step ~stats ~ctx =
   let later = Stats.snapshot stats in
   let d = Stats.diff ~earlier:r.r_prev ~later in
-  let start = r.r_prev.Stats.Snapshot.steps in
+  let start = r.r_prev.Stats.steps in
   r.r_prev <- later;
   let cache = ctx.Context.cache in
   let evictions = Code_cache.evictions cache in
@@ -148,29 +148,29 @@ let delta_of r ~step ~stats ~ctx =
 (* The fixed series order every exporter follows. *)
 let series_of_delta d =
   let s = d.d_stats in
-  let steps = s.Stats.Snapshot.steps in
+  let steps = s.Stats.steps in
   let fsteps = float_of_int (max 1 steps) in
   let rate n = Float (float_of_int n /. fsteps) in
-  let insts = s.Stats.Snapshot.interpreted_insts + s.Stats.Snapshot.cached_insts in
+  let insts = s.Stats.interpreted_insts + s.Stats.cached_insts in
   let cached_share =
-    if insts = 0 then 0.0 else float_of_int s.Stats.Snapshot.cached_insts /. float_of_int insts
+    if insts = 0 then 0.0 else float_of_int s.Stats.cached_insts /. float_of_int insts
   in
   let steps_per_transition =
-    if s.Stats.Snapshot.region_transitions = 0 then 0.0
-    else float_of_int steps /. float_of_int s.Stats.Snapshot.region_transitions
+    if s.Stats.region_transitions = 0 then 0.0
+    else float_of_int steps /. float_of_int s.Stats.region_transitions
   in
   [
     ("steps", Int steps);
     ("insts", Int insts);
     ("cached_share", Float cached_share);
     ("steps_per_transition", Float steps_per_transition);
-    ("dispatch_rate", rate s.Stats.Snapshot.dispatches);
-    ("install_rate", rate s.Stats.Snapshot.installs);
-    ("install_reject_rate", rate s.Stats.Snapshot.install_rejects);
+    ("dispatch_rate", rate s.Stats.dispatches);
+    ("install_rate", rate s.Stats.installs);
+    ("install_reject_rate", rate s.Stats.install_rejects);
     ("evict_rate", rate d.d_evictions);
     ("quota_reject_rate", rate d.d_quota_rejects);
-    ("bailouts", Int s.Stats.Snapshot.bailouts);
-    ("recovery_steps", Int s.Stats.Snapshot.recovery_steps);
+    ("bailouts", Int s.Stats.bailouts);
+    ("recovery_steps", Int s.Stats.recovery_steps);
     ("blacklist_occupancy", Int d.g_blacklisted);
     ("cache_bytes", Int d.g_cache_bytes);
     ("live_regions", Int d.g_regions);
@@ -207,7 +207,7 @@ let hook r =
 
 let finalize r (result : Simulator.result) =
   (* Close the final partial window, if the run ended off-boundary. *)
-  if result.Simulator.stats.Stats.steps > r.r_prev.Stats.Snapshot.steps then
+  if result.Simulator.stats.Stats.steps > r.r_prev.Stats.steps then
     sample r ~step:result.Simulator.stats.Stats.steps ~stats:result.Simulator.stats
       ~ctx:result.Simulator.ctx
 
@@ -425,32 +425,10 @@ module Fleet = struct
     }
 
   let add_delta a b =
-    let s x y =
-      {
-        Stats.Snapshot.steps = x.Stats.Snapshot.steps + y.Stats.Snapshot.steps;
-        interpreted_insts = x.Stats.Snapshot.interpreted_insts + y.Stats.Snapshot.interpreted_insts;
-        cached_insts = x.Stats.Snapshot.cached_insts + y.Stats.Snapshot.cached_insts;
-        taken_branches = x.Stats.Snapshot.taken_branches + y.Stats.Snapshot.taken_branches;
-        region_transitions =
-          x.Stats.Snapshot.region_transitions + y.Stats.Snapshot.region_transitions;
-        dispatches = x.Stats.Snapshot.dispatches + y.Stats.Snapshot.dispatches;
-        cache_exits_to_interp =
-          x.Stats.Snapshot.cache_exits_to_interp + y.Stats.Snapshot.cache_exits_to_interp;
-        installs = x.Stats.Snapshot.installs + y.Stats.Snapshot.installs;
-        links = x.Stats.Snapshot.links + y.Stats.Snapshot.links;
-        link_hits = x.Stats.Snapshot.link_hits + y.Stats.Snapshot.link_hits;
-        node_steps = x.Stats.Snapshot.node_steps + y.Stats.Snapshot.node_steps;
-        install_rejects = x.Stats.Snapshot.install_rejects + y.Stats.Snapshot.install_rejects;
-        faults_injected = x.Stats.Snapshot.faults_injected + y.Stats.Snapshot.faults_injected;
-        async_exits = x.Stats.Snapshot.async_exits + y.Stats.Snapshot.async_exits;
-        bailouts = x.Stats.Snapshot.bailouts + y.Stats.Snapshot.bailouts;
-        recovery_steps = x.Stats.Snapshot.recovery_steps + y.Stats.Snapshot.recovery_steps;
-      }
-    in
     {
       d_start = min a.d_start b.d_start;
       d_end = max a.d_end b.d_end;
-      d_stats = s a.d_stats b.d_stats;
+      d_stats = Stats.sum a.d_stats b.d_stats;
       d_evictions = a.d_evictions + b.d_evictions;
       d_quota_rejects = a.d_quota_rejects + b.d_quota_rejects;
       g_blacklisted = a.g_blacklisted + b.g_blacklisted;

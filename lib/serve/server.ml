@@ -137,16 +137,13 @@ let log t fmt =
     (fun s -> if t.cfg.verbose then Printf.eprintf "regionsel_daemon: %s\n%!" s)
     fmt
 
-let dispatch_label () =
-  if Params.default.Params.threaded_dispatch then "threaded" else "legacy"
-
 let recorder_for t ~tenant ~policy =
   match Hashtbl.find_opt t.recorders tenant with
   | Some r -> r
   | None ->
     let r =
       Metrics.create ~keep:t.cfg.metrics_keep
-        ~labels:[ ("tenant", tenant); ("policy", policy); ("dispatch", dispatch_label ()) ]
+        ~labels:[ ("tenant", tenant); ("policy", policy); ("dispatch", "threaded") ]
         ()
     in
     Hashtbl.add t.recorders tenant r;

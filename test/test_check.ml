@@ -63,16 +63,15 @@ let checked_run_survives_bounded_cache () =
            ~max_steps:8_000 image))
     [ Params.Evict_oldest; Params.Flush_all ]
 
-(* Two fuzz seeds swept across every policy x fault profile x dispatch
-   mode stay violation-free (the CI job runs more seeds with a bigger
-   budget). *)
+(* Two fuzz seeds swept across every policy x fault profile stay
+   violation-free (the CI job runs more seeds with a bigger budget). *)
 let fuzz_matrix_clean () =
   List.iter
     (fun seed ->
       match Fuzz.run_seed ~max_steps:1_500 seed with
       | Some (c, f), _ ->
         Alcotest.failf "seed %d: %s fails: %s" seed (Fuzz.cli_line c)
-          (Fuzz.failure_to_string f)
+          (Check.violation_to_string f)
       | None, n -> check_true "cases ran" (n > 0))
     [ 1; 2 ]
 

@@ -66,20 +66,24 @@ let determinism () =
   Alcotest.(check (list int)) "same seed same path" (run 3L) (run 3L);
   check_true "different seeds usually differ" (run 3L <> run 4L)
 
-(* The tentpole guarantee of the threaded-code dispatch: the compiled
-   closure table and the legacy terminator [match] produce the same step
-   stream, bit for bit — same blocks, same taken flags, same targets, and
-   hence the same per-site PRNG draws. *)
-let threaded_matches_legacy () =
+(* The threaded closure table and the reference terminator [match]
+   produce the same step stream, bit for bit — same blocks, same taken
+   flags, same targets, and hence the same per-site PRNG draws. *)
+let step_into_matches_step_reference () =
   List.iter
     (fun (name, image) ->
-      let stream threaded =
-        let interp = Interp.create ~threaded image ~seed:7L in
-        List.map (fun s -> (s.block.Block.start, s.taken, s.next)) (steps_until_halt interp)
+      let stream step =
+        let interp = Interp.create image ~seed:7L in
+        let s = Interp.make_step () in
+        let rec go acc =
+          if step interp s then go ((s.Interp.block_id, s.Interp.taken, s.Interp.next) :: acc)
+          else List.rev acc
+        in
+        go []
       in
       Alcotest.(check (list (triple int bool int)))
-        (name ^ ": threaded stream equals legacy stream")
-        (stream false) (stream true))
+        (name ^ ": threaded stream equals reference stream")
+        (stream Interp.step_reference) (stream Interp.step_into))
     [
       "figure2", figure2 ~iters:100 ();
       "figure3", figure3 ();
@@ -163,7 +167,7 @@ let suite =
     case "loop trip count" loop_trip_count;
     case "call/return balance" call_return_balance;
     case "determinism" determinism;
-    case "threaded dispatch matches legacy" threaded_matches_legacy;
+    case "step_into matches step_reference" step_into_matches_step_reference;
     case "return with empty stack halts" return_with_empty_stack_halts;
     case "runaway recursion detected" runaway_recursion_detected;
     case "indirect targets followed" indirect_targets_followed;

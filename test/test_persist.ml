@@ -1,6 +1,6 @@
 (* Crash-safe warm-state checkpoint/restore: the differential identity
    gate (save at step N + restore + continue is bit-identical to the
-   uninterrupted run across every policy and dispatch mode), per-section
+   uninterrupted run across every policy), per-section
    codec round-trips, corruption tolerance with graceful degradation, and
    atomic on-disk writes. *)
 
@@ -9,6 +9,7 @@ module Simulator = Regionsel_engine.Simulator
 module Params = Regionsel_engine.Params
 module Context = Regionsel_engine.Context
 module Code_cache = Regionsel_engine.Code_cache
+module Stats = Regionsel_engine.Stats
 module History_buffer = Regionsel_core.History_buffer
 module Policies = Regionsel_core.Policies
 module Telemetry = Regionsel_telemetry.Telemetry
@@ -103,9 +104,10 @@ let clean_restore ~bytes ~policy ~seed (internals : Simulator.internals) =
    metric record byte-for-byte AND on a full end-of-run snapshot
    byte-for-byte — the latter pins every PRNG stream position, telemetry
    counter and policy-private structure, not just the reported metrics. *)
-let assert_identity ?(seed = 7L) ~params ~policy ~max_steps ~mid image =
+let assert_identity ?(seed = 7L) ?(edit = Fun.id) ~params ~policy ~max_steps ~mid image =
   let full_result, full_end = capture ~at:max_int ~params ~policy ~seed ~max_steps image in
   let _, mid_bytes = capture ~at:mid ~params ~policy ~seed ~max_steps image in
+  let mid_bytes = edit mid_bytes in
   let restored_result, restored_end =
     capture
       ~restore:(clean_restore ~bytes:mid_bytes ~policy ~seed)
@@ -119,16 +121,14 @@ let assert_identity ?(seed = 7L) ~params ~policy ~max_steps ~mid image =
     Alcotest.failf "%s (mid %d): end-of-run snapshot diverged in sections [%s]" policy mid
       (String.concat "; " (diff_frames full_end restored_end))
 
-let identity_across_policies_and_dispatch_modes () =
+let identity_across_policies_and_checkpoint_steps () =
   let image = figure2 ~iters:4_000 () in
   check_int "the whole policy matrix is under test" 7 (List.length Policies.all);
   List.iter
     (fun (policy, _) ->
       List.iter
-        (fun threaded ->
-          let params = { Params.default with Params.threaded_dispatch = threaded } in
-          assert_identity ~params ~policy ~max_steps:30_000 ~mid:11_000 image)
-        [ true; false ])
+        (fun mid -> assert_identity ~params:Params.default ~policy ~max_steps:30_000 ~mid image)
+        [ 11_000; 23_000 ])
     Policies.all
 
 (* The same gate under an adversarial schedule: every fault stream firing,
@@ -148,15 +148,10 @@ let identity_under_mixed_faults_with_crashes () =
     }
   in
   let image = figure2 ~iters:20_000 () in
+  let params = { Params.default with Params.faults = Some profile } in
   List.iter
-    (fun threaded ->
-      let params =
-        { Params.default with Params.faults = Some profile; threaded_dispatch = threaded }
-      in
-      List.iter
-        (fun mid -> assert_identity ~params ~policy:"net" ~max_steps:60_000 ~mid image)
-        [ 9_500; 31_000 ])
-    [ true; false ]
+    (fun mid -> assert_identity ~params ~policy:"net" ~max_steps:60_000 ~mid image)
+    [ 9_500; 31_000 ]
 
 (* Restoring under the sanitizer: the shadow oracle fast-forwards to the
    restored position, so a checked run can resume a snapshot without
@@ -226,8 +221,9 @@ let mk_snapshot () =
   let _, bytes = capture ~at:11_000 ~params ~policy ~seed ~max_steps:30_000 image in
   (image, policy, seed, params, bytes)
 
-(* Decode [bytes] into a fresh run's state and hand back the report. *)
-let decode_fresh (image, policy, seed, params, bytes) =
+(* Decode [bytes] into a fresh run's state and hand back the report;
+   [inspect] sees the state right after the decode. *)
+let decode_fresh ?(inspect = ignore) (image, policy, seed, params, bytes) =
   let got = ref None in
   let (_ : Simulator.result) =
     Simulator.run ~params ~seed
@@ -239,6 +235,7 @@ let decode_fresh (image, policy, seed, params, bytes) =
         let cache = internals.Simulator.int_ctx.Context.cache in
         Check.audit_cache ~program:internals.Simulator.int_ctx.Context.program cache
           ~step:(Code_cache.now cache);
+        inspect internals;
         got := Some report)
       ~policy:(policy_exn policy) ~max_steps:30_000 image
   in
@@ -391,6 +388,74 @@ let header_damage_is_hard_corruption () =
   match decode_fresh (image, policy, 8L, params, bytes) with
   | (_ : Persist.report) -> Alcotest.fail "seed mismatch: expected Hard_corruption"
   | exception Persist.Hard_corruption _ -> ()
+
+(* Replace one section's payload (possibly changing its length) and
+   re-seal the frame, so only the section's own loader can object. *)
+let with_payload bytes ~tag edit =
+  let _, fpos, plen = List.find (fun (t, _, _) -> t = tag) (frames bytes) in
+  let ppos = fpos + 16 in
+  let payload = edit (Bytes.sub bytes ppos plen) in
+  let n = Bytes.length payload in
+  let mutant =
+    Bytes.concat Bytes.empty
+      [
+        Bytes.sub bytes 0 ppos;
+        payload;
+        Bytes.sub bytes (ppos + plen) (Bytes.length bytes - ppos - plen);
+      ]
+  in
+  set_u32 mutant (fpos + 8) n;
+  reseal mutant fpos n;
+  mutant
+
+(* Payload ints ride as two big-endian u32s, low word first. *)
+let get_int payload i = (get_u32 payload ((8 * i) + 4) lsl 32) lor get_u32 payload (8 * i)
+
+let set_int payload i v =
+  set_u32 payload (8 * i) (v land 0xFFFFFFFF);
+  set_u32 payload ((8 * i) + 4) ((v asr 32) land 0x7FFFFFFF)
+
+(* A damaged stats section must re-warm from scratch: degraded, with every
+   counter still at its fresh zero — never half loaded, never negative. *)
+let assert_stats_degrade_to_zero what edit =
+  let image, policy, seed, params, bytes = mk_snapshot () in
+  let counters = ref [] in
+  let report =
+    decode_fresh
+      ~inspect:(fun internals ->
+        Stats.save internals.Simulator.int_stats (fun v -> counters := v :: !counters))
+      (image, policy, seed, params, with_payload bytes ~tag:2 edit)
+  in
+  Alcotest.(check (list string))
+    (what ^ ": stats section dropped") [ "stats" ] (sections_of report);
+  Alcotest.(check (list int))
+    (what ^ ": every counter left at zero")
+    (List.init (Array.length Stats.fields) (fun _ -> 0))
+    !counters
+
+let short_stats_section_loads_nothing () =
+  assert_stats_degrade_to_zero "half payload" (fun p ->
+      check_int "stats payload is 16 ints" 128 (Bytes.length p);
+      Bytes.sub p 0 64)
+
+let negative_stats_counter_degrades () =
+  assert_stats_degrade_to_zero "steps = -1" (fun p ->
+      set_int p 0 (-1);
+      p)
+
+(* The loop section's second slot once held the region-mode block address
+   and is now written as [Addr.none].  A snapshot that still carries a
+   real address there must restore clean and continue bit-identically. *)
+let retired_loop_slot_is_ignored () =
+  let image = figure2 ~iters:4_000 () in
+  let block_addr = Regionsel_isa.Program.entry image.Image.program in
+  assert_identity ~params:Params.default ~policy:"net" ~max_steps:30_000 ~mid:11_000 image
+    ~edit:(fun bytes ->
+      with_payload bytes ~tag:11 (fun p ->
+          check_true "a region is live at the checkpoint" (get_int p 0 >= 0);
+          check_int "the slot is written as Addr.none" Regionsel_isa.Addr.none (get_int p 1);
+          set_int p 1 block_addr;
+          p))
 
 let degraded_restore_still_finishes () =
   (* Drop the cache section and run to completion: the re-warmed cache
@@ -562,7 +627,8 @@ let missing_file_raises_sys_error () =
 
 let suite =
   [
-    case "identity across policies and dispatch modes" identity_across_policies_and_dispatch_modes;
+    case "identity across policies and checkpoint steps"
+      identity_across_policies_and_checkpoint_steps;
     case "identity under mixed faults with crashes" identity_under_mixed_faults_with_crashes;
     case "checked run resumes a snapshot" checked_run_resumes_a_snapshot;
     case "restore reconciles span ledger" restore_reconciles_span_ledger;
@@ -572,6 +638,9 @@ let suite =
     case "version-skewed section degrades" version_skewed_section_degrades;
     case "truncation degrades tail sections" truncation_degrades_tail_sections;
     case "header damage is hard corruption" header_damage_is_hard_corruption;
+    case "short stats section loads nothing" short_stats_section_loads_nothing;
+    case "negative stats counter degrades" negative_stats_counter_degrades;
+    case "retired loop slot is ignored" retired_loop_slot_is_ignored;
     case "degraded restore still finishes" degraded_restore_still_finishes;
     QCheck_alcotest.to_alcotest qcheck_reencode_identity;
     QCheck_alcotest.to_alcotest qcheck_history_buffer_roundtrip;

@@ -54,14 +54,12 @@ let offsets_before_and_after_install () =
     (Region.block_offset r 16);
   check_int "non-node offset is -1" (-1) (Region.block_offset r 100);
   (* ...but cache addresses do not exist until the cache places the region. *)
-  check_int "no cache offset before install" (-1) (Region.block_cache_offset r 16);
   check_true "no cache addr before install" (Region.block_cache_addr r 16 = None);
   Region.set_cache_base r 1_000;
-  check_int "cache offset after install" (1_000 + (2 * Region.inst_bytes))
-    (Region.block_cache_offset r 16);
   check_true "cache addr after install"
-    (Region.block_cache_addr r 0 = Some 1_000);
-  check_int "non-node still -1 after install" (-1) (Region.block_cache_offset r 100)
+    (Region.block_cache_addr r 16 = Some (1_000 + (2 * Region.inst_bytes)));
+  check_true "entry cache addr after install" (Region.block_cache_addr r 0 = Some 1_000);
+  check_true "non-node still has no cache addr" (Region.block_cache_addr r 100 = None)
 
 let edge_queries_agree () =
   let nodes = [ mk 0 2 Terminator.Return; mk 16 3 Terminator.Return;

@@ -1,29 +1,62 @@
 (* Stats snapshots: immutable copies and field-wise windows, the substrate
    the bailout watchdog and windowed telemetry read instead of live
-   mutable counters. *)
+   mutable counters.  Every check loops over [Stats.fields], so a new
+   counter is covered without touching this file. *)
 
 module Stats = Regionsel_engine.Stats
 open Fixtures
 
-(* Touch every one of the 16 counters with a distinct prime so a copied or
-   swapped field shows up as a wrong delta. *)
+let primes = [| 2; 3; 5; 7; 11; 13; 17; 19; 23; 29; 31; 37; 41; 43; 47; 53 |]
+
+(* Touch every counter with a distinct prime so a copied or swapped field
+   shows up as a wrong delta. *)
 let bump (s : Stats.t) k =
-  s.Stats.steps <- s.Stats.steps + (2 * k);
-  s.Stats.interpreted_insts <- s.Stats.interpreted_insts + (3 * k);
-  s.Stats.cached_insts <- s.Stats.cached_insts + (5 * k);
-  s.Stats.taken_branches <- s.Stats.taken_branches + (7 * k);
-  s.Stats.region_transitions <- s.Stats.region_transitions + (11 * k);
-  s.Stats.dispatches <- s.Stats.dispatches + (13 * k);
-  s.Stats.cache_exits_to_interp <- s.Stats.cache_exits_to_interp + (17 * k);
-  s.Stats.installs <- s.Stats.installs + (19 * k);
-  s.Stats.links <- s.Stats.links + (23 * k);
-  s.Stats.link_hits <- s.Stats.link_hits + (29 * k);
-  s.Stats.node_steps <- s.Stats.node_steps + (31 * k);
-  s.Stats.install_rejects <- s.Stats.install_rejects + (37 * k);
-  s.Stats.faults_injected <- s.Stats.faults_injected + (41 * k);
-  s.Stats.async_exits <- s.Stats.async_exits + (43 * k);
-  s.Stats.bailouts <- s.Stats.bailouts + (47 * k);
-  s.Stats.recovery_steps <- s.Stats.recovery_steps + (53 * k)
+  Array.iteri
+    (fun i (f : Stats.field) -> f.Stats.set s (f.Stats.get s + (primes.(i) * k)))
+    Stats.fields
+
+(* [expect i f] is the value counter [i] must hold. *)
+let check_fields what (s : Stats.t) expect =
+  Array.iteri
+    (fun i (f : Stats.field) ->
+      Alcotest.(check int) (what ^ ": " ^ f.Stats.name) (expect i f) (f.Stats.get s))
+    Stats.fields
+
+(* The primes assigned by field name, independently of the table. *)
+let primed () =
+  {
+    Stats.steps = 2;
+    interpreted_insts = 3;
+    cached_insts = 5;
+    taken_branches = 7;
+    region_transitions = 11;
+    dispatches = 13;
+    cache_exits_to_interp = 17;
+    installs = 19;
+    links = 23;
+    link_hits = 29;
+    node_steps = 31;
+    install_rejects = 37;
+    faults_injected = 41;
+    async_exits = 43;
+    bailouts = 47;
+    recovery_steps = 53;
+  }
+
+let table_covers_every_counter () =
+  let s = Stats.create () in
+  bump s 1;
+  check_true "each table entry reaches its own counter" (s = primed ())
+
+(* The on-disk order: reordering the table would make every existing
+   snapshot restore into the wrong counters. *)
+let save_order_is_pinned () =
+  let saved = ref [] in
+  Stats.save (primed ()) (fun v -> saved := v :: !saved);
+  Alcotest.(check (list int))
+    "counters saved in declaration order"
+    [ 2; 3; 5; 7; 11; 13; 17; 19; 23; 29; 31; 37; 41; 43; 47; 53 ]
+    (List.rev !saved)
 
 let snapshot_is_frozen () =
   let s = Stats.create () in
@@ -31,34 +64,14 @@ let snapshot_is_frozen () =
   let snap = Stats.snapshot s in
   bump s 10;
   (* The copy must not move with the live record. *)
-  Alcotest.(check int) "steps frozen" 2 snap.Stats.Snapshot.steps;
-  Alcotest.(check int) "cached frozen" 5 snap.Stats.Snapshot.cached_insts;
-  Alcotest.(check int) "recovery frozen" 53 snap.Stats.Snapshot.recovery_steps;
+  check_fields "frozen" snap (fun i _ -> primes.(i));
   Alcotest.(check int) "live record moved" 22 s.Stats.steps
 
 let snapshot_copies_every_field () =
   let s = Stats.create () in
   bump s 1;
   let snap = Stats.snapshot s in
-  Alcotest.(check int) "steps" s.Stats.steps snap.Stats.Snapshot.steps;
-  Alcotest.(check int) "interpreted" s.Stats.interpreted_insts
-    snap.Stats.Snapshot.interpreted_insts;
-  Alcotest.(check int) "cached" s.Stats.cached_insts snap.Stats.Snapshot.cached_insts;
-  Alcotest.(check int) "branches" s.Stats.taken_branches snap.Stats.Snapshot.taken_branches;
-  Alcotest.(check int) "transitions" s.Stats.region_transitions
-    snap.Stats.Snapshot.region_transitions;
-  Alcotest.(check int) "dispatches" s.Stats.dispatches snap.Stats.Snapshot.dispatches;
-  Alcotest.(check int) "exits" s.Stats.cache_exits_to_interp
-    snap.Stats.Snapshot.cache_exits_to_interp;
-  Alcotest.(check int) "installs" s.Stats.installs snap.Stats.Snapshot.installs;
-  Alcotest.(check int) "links" s.Stats.links snap.Stats.Snapshot.links;
-  Alcotest.(check int) "link hits" s.Stats.link_hits snap.Stats.Snapshot.link_hits;
-  Alcotest.(check int) "node steps" s.Stats.node_steps snap.Stats.Snapshot.node_steps;
-  Alcotest.(check int) "rejects" s.Stats.install_rejects snap.Stats.Snapshot.install_rejects;
-  Alcotest.(check int) "faults" s.Stats.faults_injected snap.Stats.Snapshot.faults_injected;
-  Alcotest.(check int) "async exits" s.Stats.async_exits snap.Stats.Snapshot.async_exits;
-  Alcotest.(check int) "bailouts" s.Stats.bailouts snap.Stats.Snapshot.bailouts;
-  Alcotest.(check int) "recovery" s.Stats.recovery_steps snap.Stats.Snapshot.recovery_steps
+  check_fields "copied" snap (fun _ f -> f.Stats.get s)
 
 let diff_is_field_wise () =
   let s = Stats.create () in
@@ -66,33 +79,14 @@ let diff_is_field_wise () =
   let earlier = Stats.snapshot s in
   bump s 4;
   let later = Stats.snapshot s in
-  let d = Stats.diff ~earlier ~later in
   (* Each delta is prime * 4: the window's activity only. *)
-  Alcotest.(check int) "steps" (2 * 4) d.Stats.Snapshot.steps;
-  Alcotest.(check int) "interpreted" (3 * 4) d.Stats.Snapshot.interpreted_insts;
-  Alcotest.(check int) "cached" (5 * 4) d.Stats.Snapshot.cached_insts;
-  Alcotest.(check int) "branches" (7 * 4) d.Stats.Snapshot.taken_branches;
-  Alcotest.(check int) "transitions" (11 * 4) d.Stats.Snapshot.region_transitions;
-  Alcotest.(check int) "dispatches" (13 * 4) d.Stats.Snapshot.dispatches;
-  Alcotest.(check int) "exits" (17 * 4) d.Stats.Snapshot.cache_exits_to_interp;
-  Alcotest.(check int) "installs" (19 * 4) d.Stats.Snapshot.installs;
-  Alcotest.(check int) "links" (23 * 4) d.Stats.Snapshot.links;
-  Alcotest.(check int) "link hits" (29 * 4) d.Stats.Snapshot.link_hits;
-  Alcotest.(check int) "node steps" (31 * 4) d.Stats.Snapshot.node_steps;
-  Alcotest.(check int) "rejects" (37 * 4) d.Stats.Snapshot.install_rejects;
-  Alcotest.(check int) "faults" (41 * 4) d.Stats.Snapshot.faults_injected;
-  Alcotest.(check int) "async exits" (43 * 4) d.Stats.Snapshot.async_exits;
-  Alcotest.(check int) "bailouts" (47 * 4) d.Stats.Snapshot.bailouts;
-  Alcotest.(check int) "recovery" (53 * 4) d.Stats.Snapshot.recovery_steps
+  check_fields "delta" (Stats.diff ~earlier ~later) (fun i _ -> primes.(i) * 4)
 
 let diff_of_equal_snapshots_is_zero () =
   let s = Stats.create () in
   bump s 5;
   let snap = Stats.snapshot s in
-  let d = Stats.diff ~earlier:snap ~later:snap in
-  Alcotest.(check int) "steps zero" 0 d.Stats.Snapshot.steps;
-  Alcotest.(check int) "cached zero" 0 d.Stats.Snapshot.cached_insts;
-  Alcotest.(check int) "recovery zero" 0 d.Stats.Snapshot.recovery_steps
+  check_fields "zero" (Stats.diff ~earlier:snap ~later:snap) (fun _ _ -> 0)
 
 let diff_clamps_reloaded_counters () =
   (* A snapshot taken before a counter reload (checkpoint restore into a
@@ -104,24 +98,7 @@ let diff_clamps_reloaded_counters () =
   let earlier = Stats.snapshot s in
   let fresh = Stats.create () in
   bump fresh 2;
-  let later = Stats.snapshot fresh in
-  let d = Stats.diff ~earlier ~later in
-  Alcotest.(check int) "steps clamped" 0 d.Stats.Snapshot.steps;
-  Alcotest.(check int) "interpreted clamped" 0 d.Stats.Snapshot.interpreted_insts;
-  Alcotest.(check int) "cached clamped" 0 d.Stats.Snapshot.cached_insts;
-  Alcotest.(check int) "branches clamped" 0 d.Stats.Snapshot.taken_branches;
-  Alcotest.(check int) "transitions clamped" 0 d.Stats.Snapshot.region_transitions;
-  Alcotest.(check int) "dispatches clamped" 0 d.Stats.Snapshot.dispatches;
-  Alcotest.(check int) "exits clamped" 0 d.Stats.Snapshot.cache_exits_to_interp;
-  Alcotest.(check int) "installs clamped" 0 d.Stats.Snapshot.installs;
-  Alcotest.(check int) "links clamped" 0 d.Stats.Snapshot.links;
-  Alcotest.(check int) "link hits clamped" 0 d.Stats.Snapshot.link_hits;
-  Alcotest.(check int) "node steps clamped" 0 d.Stats.Snapshot.node_steps;
-  Alcotest.(check int) "rejects clamped" 0 d.Stats.Snapshot.install_rejects;
-  Alcotest.(check int) "faults clamped" 0 d.Stats.Snapshot.faults_injected;
-  Alcotest.(check int) "async exits clamped" 0 d.Stats.Snapshot.async_exits;
-  Alcotest.(check int) "bailouts clamped" 0 d.Stats.Snapshot.bailouts;
-  Alcotest.(check int) "recovery clamped" 0 d.Stats.Snapshot.recovery_steps
+  check_fields "clamped" (Stats.diff ~earlier ~later:fresh) (fun _ _ -> 0)
 
 let diff_clamps_per_field_not_per_record () =
   (* The clamp is field-wise: counters that did advance across the window
@@ -133,17 +110,25 @@ let diff_clamps_per_field_not_per_record () =
   (* One counter "reloads" below its earlier value; the rest advanced. *)
   s.Stats.recovery_steps <- 1;
   let later = Stats.snapshot s in
-  let d = Stats.diff ~earlier ~later in
-  Alcotest.(check int) "advanced field reports its window" (2 * 2) d.Stats.Snapshot.steps;
-  Alcotest.(check int) "advanced sibling unaffected" (5 * 2) d.Stats.Snapshot.cached_insts;
-  Alcotest.(check int) "reloaded field clamps to zero" 0 d.Stats.Snapshot.recovery_steps
+  check_fields "window" (Stats.diff ~earlier ~later) (fun i f ->
+      if f.Stats.name = "recovery_steps" then 0 else primes.(i) * 2)
+
+let sum_is_field_wise () =
+  let a = Stats.create () and b = Stats.create () in
+  bump a 2;
+  bump b 5;
+  check_fields "sum" (Stats.sum a b) (fun i _ -> primes.(i) * 7);
+  check_fields "operands untouched" a (fun i _ -> primes.(i) * 2)
 
 let suite =
   [
+    case "table covers every counter" table_covers_every_counter;
+    case "save order is pinned" save_order_is_pinned;
     case "snapshot is frozen" snapshot_is_frozen;
     case "snapshot copies every field" snapshot_copies_every_field;
     case "diff is field-wise" diff_is_field_wise;
     case "diff of equal snapshots is zero" diff_of_equal_snapshots_is_zero;
     case "diff clamps reloaded counters" diff_clamps_reloaded_counters;
     case "diff clamps per field, not per record" diff_clamps_per_field_not_per_record;
+    case "sum is field-wise" sum_is_field_wise;
   ]
