@@ -951,15 +951,12 @@ let restore_cells = [ "gzip", "net"; "mcf", "net"; "twolf", "lei" ]
 
 let restore_snapshot ~spec ~policy_name =
   let policy = Option.get (Policies.find policy_name) in
-  let snap = ref None in
-  ignore
-    (Regionsel_engine.Simulator.run ~seed:1L ~policy ~max_steps:(budget spec)
-       ~checkpoint:
-         ( max_int,
-           fun internals ->
-             snap := Some (Persist.encode ~seed:1L ~policy:policy_name internals) )
-       (Spec.image spec));
-  Option.get !snap
+  let sim =
+    Regionsel_engine.Simulator.create ~seed:1L ~policy ~max_steps:(budget spec)
+      (Spec.image spec)
+  in
+  Regionsel_engine.Simulator.advance sim ~upto:max_int;
+  Persist.encode ~seed:1L ~policy:policy_name (Regionsel_engine.Simulator.internals sim)
 
 (* Cached-instruction share of one [n]-step segment: from scratch, or
    continuing from [snapshot] (where the counter diff isolates the new
@@ -1162,11 +1159,11 @@ let measure_metrics_overhead () =
             ~labels:[ "tenant", "twolf"; "policy", "net"; "dispatch", "threaded" ]
             ()
         in
-        let result =
-          Regionsel_engine.Simulator.run ~seed:1L ~policy
-            ~on_window:(Metrics.hook r) ~max_steps:steps image
+        let sim =
+          Regionsel_engine.Simulator.create ~seed:1L ~policy ~max_steps:steps image
         in
-        Metrics.finalize r result)
+        Metrics.advance r sim ~upto:steps;
+        Metrics.finalize r (Regionsel_engine.Simulator.finish sim))
   in
   (off, on, Float.max 0.0 (1.0 -. (on /. off)))
 
@@ -1212,8 +1209,9 @@ let scale () =
       ignore
         (Multi_stream.run ~n_domains:(min n_domains streams) ~batch_steps:16384
            (List.init streams (fun i ->
-                Multi_stream.tenant ~seed:(Int64.of_int (i + 1)) ~policy ~max_steps:steps
-                  ~name:(Printf.sprintf "t%d" i) image)))
+                ( Printf.sprintf "t%d" i,
+                  Regionsel_engine.Simulator.create ~seed:(Int64.of_int (i + 1)) ~policy
+                    ~max_steps:steps image ))))
     in
     run () (* warm-up *);
     let best = ref infinity in

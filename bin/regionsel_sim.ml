@@ -56,7 +56,11 @@ let save_state_arg =
   Arg.(value & opt (some string) None & info [ "save-state" ] ~docv:"FILE" ~doc)
 
 let at_step_arg =
-  let doc = "Take the --save-state snapshot the first time the step count reaches $(docv)." in
+  let doc =
+    "Take the --save-state snapshot the first time the step count reaches $(docv) — at \
+     once when the run starts, or resumes with --restore-state, at or past it.  Needs \
+     --save-state; $(docv) must be non-negative."
+  in
   Arg.(value & opt (some int) None & info [ "at-step" ] ~docv:"N" ~doc)
 
 let restore_state_arg =
@@ -140,16 +144,41 @@ let params_of_faults = function
         (String.concat ", " (List.map fst Params.fault_profiles));
       exit 2)
 
-let simulate ?(check = false) ?(params = Params.default) ?(telemetry = Telemetry.none)
-    ?on_window ?checkpoint ?restore ?record ?replay spec policy steps seed =
+(* A run's handle and its finisher: the sanitized pair under [check]. *)
+let start ?(check = false) ?(params = Params.default) ?(telemetry = Telemetry.none) ?restore
+    ?record ?replay spec policy steps seed =
   let image = Spec.image spec in
   let max_steps = Option.value ~default:spec.Spec.default_steps steps in
   if check then
-    Check.checked_run ~params:{ params with Params.validate = true } ?telemetry ~seed
-      ?on_window ?checkpoint ?restore ?record ?replay ~policy ~max_steps image
+    Check.create ~params:{ params with Params.validate = true } ?telemetry ~seed ?restore
+      ?record ?replay ~policy ~max_steps image
   else
-    Simulator.run ~params ~seed ~telemetry ?on_window ?checkpoint ?restore ?record ?replay
-      ~policy ~max_steps image
+    let sim =
+      Simulator.create ~params ~seed ~telemetry ?restore ?record ?replay ~policy ~max_steps
+        image
+    in
+    (sim, fun () -> Simulator.finish sim)
+
+(* Step a started run to its end, sampling metrics windows when metered
+   and saving once at [save_point] when asked. *)
+let drive ?recorder ?save_point (sim, finish) =
+  let advance upto =
+    match recorder with
+    | None -> Simulator.advance sim ~upto
+    | Some r -> Metrics.advance r sim ~upto
+  in
+  Option.iter
+    (fun (at, save) ->
+      advance at;
+      save (Simulator.internals sim))
+    save_point;
+  advance max_int;
+  let result = finish () in
+  Option.iter (fun r -> Metrics.finalize r result) recorder;
+  result
+
+let simulate ?check ?params ?record spec policy steps seed =
+  drive (start ?check ?params ?record spec policy steps seed)
 
 (* Windowed-metrics plumbing, shared by run/matrix/replay.  All notices
    (status lines, export summaries, flight dumps) go to stderr: stdout
@@ -249,6 +278,14 @@ let run_cmd =
   let run bench policy steps seed faults trace_out check save_state at_step restore_state
       metrics_out metrics_window status json =
     with_error_reporting @@ fun () ->
+    (match (at_step, save_state) with
+    | Some n, _ when n < 0 ->
+      Printf.eprintf "--at-step must be non-negative (got %d)\n" n;
+      exit 2
+    | Some _, None ->
+      Printf.eprintf "--at-step needs --save-state\n";
+      exit 2
+    | _ -> ());
     let params = params_of_faults faults in
     let policy_name = policy in
     let recorder =
@@ -259,11 +296,11 @@ let run_cmd =
     in
     (* Save/restore notices go to stderr (like trace notices) so stdout
        stays byte-diffable between interrupted and uninterrupted runs. *)
-    let checkpoint =
+    let save_point =
       Option.map
         (fun path ->
           ( Option.value ~default:max_int at_step,
-            fun (internals : Simulator.internals) ->
+            fun internals ->
               Persist.save_file ~path ~seed ~policy:policy_name internals;
               Printf.eprintf "snapshot: warm state saved to %s\n%!" path ))
         save_state
@@ -297,15 +334,11 @@ let run_cmd =
     in
     let result =
       with_flight_dump recorder metrics_out @@ fun () ->
-      simulate ~check ~params ~telemetry
-        ?on_window:(Option.map Metrics.hook recorder)
-        ?checkpoint ?restore (lookup_bench bench) (lookup_policy policy) steps seed
+      drive ?recorder ?save_point
+        (start ~check ~params ~telemetry ?restore (lookup_bench bench)
+           (lookup_policy policy) steps seed)
     in
-    (match recorder with
-    | None -> ()
-    | Some r ->
-      Metrics.finalize r result;
-      export_metrics metrics_out (Metrics.windows r));
+    Option.iter (fun r -> export_metrics metrics_out (Metrics.windows r)) recorder;
     (* Trace notices go to stderr so stdout stays diffable against an
        untraced run (the CI trace-smoke parity check relies on this). *)
     (match telemetry, trace_out with
@@ -397,15 +430,10 @@ let replay_cmd =
       (Branch_stream.length events) events_in;
     let result =
       with_flight_dump recorder metrics_out @@ fun () ->
-      simulate ~check ~params
-        ?on_window:(Option.map Metrics.hook recorder)
-        ~replay:events spec (lookup_policy policy) steps seed
+      drive ?recorder
+        (start ~check ~params ~replay:events spec (lookup_policy policy) steps seed)
     in
-    (match recorder with
-    | None -> ()
-    | Some r ->
-      Metrics.finalize r result;
-      export_metrics metrics_out (Metrics.windows r));
+    Option.iter (fun r -> export_metrics metrics_out (Metrics.windows r)) recorder;
     print_metrics ~json result
   in
   let events_in =
@@ -510,19 +538,9 @@ let matrix_cmd =
           let recorder =
             metrics_recorder ~bench ~policy:name metrics_out metrics_window status
           in
-          let result =
-            simulate ~check ~params
-              ?on_window:(Option.map Metrics.hook recorder)
-              spec policy steps seed
-          in
+          let result = drive ?recorder (start ~check ~params spec policy steps seed) in
           let m = Run_metrics.of_result result in
-          let windows =
-            match recorder with
-            | None -> []
-            | Some r ->
-              Metrics.finalize r result;
-              Metrics.windows r
-          in
+          let windows = match recorder with None -> [] | Some r -> Metrics.windows r in
           ( windows,
             [
             name;

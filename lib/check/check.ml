@@ -145,8 +145,8 @@ let audit_cache ?telemetry ~program cache ~step =
         "telemetry has %d open spans but the cache holds %d live regions" open_spans
         !n_live
 
-let checked_run ?(params = Params.default) ?(seed = 1L) ?telemetry ?(audit_every = 64)
-    ?break_at ?on_window ?checkpoint ?restore ?record ?replay ~policy ~max_steps image =
+let create ?(params = Params.default) ?(seed = 1L) ?telemetry ?(audit_every = 64) ?break_at
+    ?restore ?record ?replay ~policy ~max_steps image =
   let params = { params with Params.validate = true } in
   let t = match telemetry with Some t -> t | None -> Telemetry.create () in
   let program = image.Image.program in
@@ -250,34 +250,46 @@ let checked_run ?(params = Params.default) ?(seed = 1L) ?telemetry ?(audit_every
               v))
       restore
   in
-  let result =
-    Simulator.run ~params ~seed ~telemetry:(Some t) ~observer ?on_window ?checkpoint
-      ?restore ?record ?replay ~policy ~max_steps image
+  let sim =
+    Simulator.create ~params ~seed ~telemetry:(Some t) ~observer ?restore ?record ?replay
+      ~policy ~max_steps image
   in
-  let stats = result.Simulator.stats in
-  let final = stats.Stats.steps in
-  let account what counter expected =
-    let counted = counter stats - counter !base in
-    if counted <> expected then
-      fail ~step:final ~rule:"insts-accounting"
-        "the run counted %d %s but its believed positions account for %d" counted what
-        expected
+  let finish () =
+    let result = Simulator.finish sim in
+    let stats = result.Simulator.stats in
+    let final = stats.Stats.steps in
+    let account what counter expected =
+      let counted = counter stats - counter !base in
+      if counted <> expected then
+        fail ~step:final ~rule:"insts-accounting"
+          "the run counted %d %s but its believed positions account for %d" counted what
+          expected
+    in
+    account "interpreted instructions" (fun s -> s.Stats.interpreted_insts) !exp_interp;
+    account "cached instructions" (fun s -> s.Stats.cached_insts) !exp_cached;
+    account "node steps" (fun s -> s.Stats.node_steps) !exp_nodes;
+    audit ~step:final;
+    Telemetry.finish t ~step:final;
+    List.iter
+      (fun (s : Telemetry.span) ->
+        if s.Telemetry.retired_at < s.Telemetry.installed_at then
+          fail ~step:final ~rule:"span-duration"
+            "region #%d's span runs backwards: installed at %d, retired at %d"
+            s.Telemetry.id s.Telemetry.installed_at s.Telemetry.retired_at)
+      (Telemetry.spans t);
+    let closed = List.length (Telemetry.spans t) in
+    if closed <> Telemetry.n_installs t then
+      fail ~step:final ~rule:"span-count"
+        "telemetry recorded %d installs but closed %d spans" (Telemetry.n_installs t)
+        closed;
+    result
   in
-  account "interpreted instructions" (fun s -> s.Stats.interpreted_insts) !exp_interp;
-  account "cached instructions" (fun s -> s.Stats.cached_insts) !exp_cached;
-  account "node steps" (fun s -> s.Stats.node_steps) !exp_nodes;
-  audit ~step:final;
-  Telemetry.finish t ~step:final;
-  List.iter
-    (fun (s : Telemetry.span) ->
-      if s.Telemetry.retired_at < s.Telemetry.installed_at then
-        fail ~step:final ~rule:"span-duration"
-          "region #%d's span runs backwards: installed at %d, retired at %d"
-          s.Telemetry.id s.Telemetry.installed_at s.Telemetry.retired_at)
-    (Telemetry.spans t);
-  let closed = List.length (Telemetry.spans t) in
-  if closed <> Telemetry.n_installs t then
-    fail ~step:final ~rule:"span-count"
-      "telemetry recorded %d installs but closed %d spans" (Telemetry.n_installs t)
-      closed;
-  result
+  (sim, finish)
+
+let checked_run ?params ?seed ?telemetry ?audit_every ?break_at ?restore ?record ?replay
+    ~policy ~max_steps image =
+  let _, finish =
+    create ?params ?seed ?telemetry ?audit_every ?break_at ?restore ?record ?replay ~policy
+      ~max_steps image
+  in
+  finish ()

@@ -12,7 +12,7 @@
       These are the DESIGN.md "Checked invariants" (see that section for
       the rule-by-rule rationale).
 
-    - {!checked_run} wraps [Simulator.run] with a differential oracle: a
+    - {!create} ({!checked_run}) wraps a run with a differential oracle: a
       second, pure interpreter shadow-steps the run with
       [Interp.step_reference] and every executed
       (block, branch outcome, target) triple must match — region dispatch,
@@ -69,22 +69,25 @@ val audit_cache :
     - ["span-open"] / ["span-ledger"] (with [telemetry]): the open
       telemetry spans are exactly the live regions. *)
 
-val checked_run :
+val create :
   ?params:Regionsel_engine.Params.t ->
   ?seed:int64 ->
   ?telemetry:Regionsel_telemetry.Telemetry.t ->
   ?audit_every:int ->
   ?break_at:int ->
-  ?on_window:Regionsel_engine.Simulator.window_hook ->
-  ?checkpoint:int * (Regionsel_engine.Simulator.internals -> unit) ->
   ?restore:(Regionsel_engine.Simulator.internals -> unit) ->
   ?record:Regionsel_engine.Branch_stream.events ->
   ?replay:Regionsel_engine.Branch_stream.events ->
   policy:(module Regionsel_engine.Policy.S) ->
   max_steps:int ->
   Regionsel_workload.Image.t ->
-  Regionsel_engine.Simulator.result
-(** [Simulator.run] under the sanitizer ([params.validate] is forced on).
+  Regionsel_engine.Simulator.t * (unit -> Regionsel_engine.Simulator.result)
+(** [Simulator.create] under the sanitizer ([params.validate] is forced
+    on): the sanitized handle plus its finisher.  Drive the handle like
+    any other ({!Simulator.advance}, metrics windows, save points through
+    {!Simulator.internals}), then call the finisher in place of
+    [Simulator.finish]: it finishes the run and applies the end-of-run
+    checks below.
     A shadow interpreter with the same image and seed is stepped in
     lockstep; any divergence in executed block, branch outcome or target
     raises (rules ["oracle-halt"], ["oracle-block"], ["oracle-branch"],
@@ -112,14 +115,29 @@ val checked_run :
     ([Code_cache.unsafe_corrupt_for_tests]) — a healthy sanitizer must
     then raise.  Never set it outside tests.
 
-    [checkpoint] and [restore] pass through to [Simulator.run]; on restore
-    the shadow oracle is fast-forwarded to the restored interpreter
+    [restore] passes through to [Simulator.create]; on restore the shadow
+    oracle is fast-forwarded to the restored interpreter
     position, so a checked run can resume a snapshot without spurious
     divergence reports, and ["insts-accounting"] compares the counters'
     growth since the restore.
 
-    [record] and [replay] pass through to [Simulator.run].  A checked
+    [record] and [replay] pass through to [Simulator.create].  A checked
     {e replay} is a strong oracle: the recorded events are cross-checked
     step by step against the shadow interpreter, so a recording that does
     not reproduce the live program's exact branch stream raises rather
     than silently skewing metrics. *)
+
+val checked_run :
+  ?params:Regionsel_engine.Params.t ->
+  ?seed:int64 ->
+  ?telemetry:Regionsel_telemetry.Telemetry.t ->
+  ?audit_every:int ->
+  ?break_at:int ->
+  ?restore:(Regionsel_engine.Simulator.internals -> unit) ->
+  ?record:Regionsel_engine.Branch_stream.events ->
+  ?replay:Regionsel_engine.Branch_stream.events ->
+  policy:(module Regionsel_engine.Policy.S) ->
+  max_steps:int ->
+  Regionsel_workload.Image.t ->
+  Regionsel_engine.Simulator.result
+(** [Simulator.run] under the sanitizer: {!create}, then its finisher. *)

@@ -139,19 +139,15 @@ type snapshot_summary = {
    emitted section owned by the restoring run.  The matrix sweep above
    already covers checkpoint-free checked runs. *)
 let snapshot_of_case c ~at =
-  let image = image_of_genome c.genome in
-  let params = params_of c in
-  let snap = ref Bytes.empty in
-  let checkpoint =
-    ( at,
-      fun (internals : Simulator.internals) ->
-        snap := Persist.encode ~seed:(Int64.of_int c.seed) ~policy:c.policy internals )
+  let sim =
+    Simulator.create ~params:(params_of c) ~seed:(Int64.of_int c.seed)
+      ~policy:(policy_exn c.policy) ~max_steps:c.max_steps (image_of_genome c.genome)
   in
-  let result =
-    Simulator.run ~params ~seed:(Int64.of_int c.seed) ~checkpoint
-      ~policy:(policy_exn c.policy) ~max_steps:c.max_steps image
+  Simulator.advance sim ~upto:at;
+  let snap =
+    Persist.encode ~seed:(Int64.of_int c.seed) ~policy:c.policy (Simulator.internals sim)
   in
-  (!snap, fingerprint result)
+  (snap, fingerprint (Simulator.finish sim))
 
 let restore_case c bytes =
   let image = image_of_genome c.genome in
@@ -327,10 +323,9 @@ let stream_cases_of_seed ?(max_steps = 3000) seed =
 let tenants_of_cases cases =
   List.mapi
     (fun i c ->
-      Multi_stream.tenant ~params:(params_of c) ~seed:(Int64.of_int c.seed)
-        ~policy:(policy_exn c.policy) ~max_steps:c.max_steps
-        ~name:(Printf.sprintf "t%d" i)
-        (image_of_genome c.genome))
+      ( Printf.sprintf "t%d" i,
+        Simulator.create ~params:(params_of c) ~seed:(Int64.of_int c.seed)
+          ~policy:(policy_exn c.policy) ~max_steps:c.max_steps (image_of_genome c.genome) ))
     cases
 
 let solo_fingerprint c =
@@ -480,9 +475,10 @@ let flight_dump ?(window = 64) ?params c (failure : Check.violation) ~path =
     Metrics.create ~window ~keep:Metrics.default_flight_keep ~labels:(flight_labels c) ()
   in
   let sim =
-    Simulator.create ~params ~seed:(Int64.of_int c.seed) ~on_window:(Metrics.hook r)
-      ~policy:(policy_exn c.policy) ~max_steps:upto (image_of_genome c.genome)
+    Simulator.create ~params ~seed:(Int64.of_int c.seed) ~policy:(policy_exn c.policy)
+      ~max_steps:upto (image_of_genome c.genome)
   in
+  Metrics.advance r sim ~upto;
   let result = Simulator.finish sim in
   Metrics.finalize r result;
   (* A failure inside the first window still ships a (possibly zero-step)

@@ -12,29 +12,6 @@
    bit-identical whatever [n_domains] — and, with no budget, bit-identical
    to running each tenant alone. *)
 
-type tenant = {
-  t_name : string;
-  t_params : Params.t option;
-  t_seed : int64 option;
-  t_telemetry : Regionsel_telemetry.Telemetry.sink option;
-  t_policy : (module Policy.S);
-  t_max_steps : int;
-  t_image : Regionsel_workload.Image.t;
-}
-
-let tenant ?params ?seed ?telemetry ~policy ~max_steps ~name image =
-  {
-    t_name = name;
-    t_params = params;
-    t_seed = seed;
-    t_telemetry = telemetry;
-    t_policy = policy;
-    t_max_steps = max_steps;
-    t_image = image;
-  }
-
-let name t = t.t_name
-
 type outcome = {
   results : (string * Simulator.result) list;
       (** One per tenant, in submission order. *)
@@ -175,13 +152,8 @@ module Engine = struct
     | Some _ | None -> ()
 
   (* Membership changes rebalance immediately: a new tenant gets its fair
-     share before its first batch (the initial split [run] used to apply
-     once up front), and a departing tenant's footprint goes back to the
-     pool at the moment it leaves, not a round later. *)
-  let push t ~name sim =
-    t.e_members <- t.e_members @ [ (name, sim) ];
-    rebalance_now t
-
+     share before its first batch, and a departing tenant's footprint goes
+     back to the pool at the moment it leaves, not a round later. *)
   let admit t ~name sim =
     let n = List.length t.e_members in
     if List.mem_assoc name t.e_members then Error (Duplicate_tenant name)
@@ -193,7 +165,8 @@ module Engine = struct
         | Some budget when t.e_quota_floor > 0 && budget / (n + 1) < t.e_quota_floor ->
           Error (Budget_saturated { budget; tenants = n; floor = t.e_quota_floor })
         | Some _ | None ->
-          push t ~name sim;
+          t.e_members <- t.e_members @ [ (name, sim) ];
+          rebalance_now t;
           Ok ())
 
   let retire t ~name =
@@ -243,42 +216,30 @@ end
 let unbounded ~name:_ ~sim:_ = max_int
 
 let run ?n_domains ?(batch_steps = 4096) ?budget_bytes ?on_barrier tenants =
-  match tenants with
-  | [] ->
-    (* Validate even the no-op outcome's arguments. *)
-    ignore (Engine.create ?n_domains ~batch_steps ?budget_bytes ?on_barrier ());
-    { results = []; rounds = 0; quota_rejects = 0; quota_evictions = 0 }
-  | tenants ->
-    let eng = Engine.create ?n_domains ~batch_steps ?budget_bytes ?on_barrier () in
-    let sims =
-      List.map
-        (fun t ->
-          let sim =
-            Simulator.create ?params:t.t_params ?seed:t.t_seed ?telemetry:t.t_telemetry
-              ~policy:t.t_policy ~max_steps:t.t_max_steps t.t_image
-          in
-          (* [push], not [admit]: a batch run has no admission policy, and
-             its contract tolerates duplicate tenant names. *)
-          Engine.push eng ~name:t.t_name sim;
-          sim)
-        tenants
-    in
-    while Engine.round eng ~limit:unbounded do
-      ()
-    done;
-    (* Finalization (end-of-run checkpoints, edge-profile flushes) happens
-       on the main domain, in tenant order. *)
-    let results = List.map2 (fun t sim -> (t.t_name, Simulator.finish sim)) tenants sims in
-    let quota_rejects =
-      List.fold_left
-        (fun acc (_, (r : Simulator.result)) ->
-          acc + Code_cache.quota_rejects r.Simulator.ctx.Context.cache)
-        0 results
-    in
-    let quota_evictions =
-      List.fold_left
-        (fun acc (_, (r : Simulator.result)) ->
-          acc + Code_cache.quota_evictions r.Simulator.ctx.Context.cache)
-        0 results
-    in
-    { results; rounds = Engine.rounds eng; quota_rejects; quota_evictions }
+  let eng = Engine.create ?n_domains ~batch_steps ?budget_bytes ?on_barrier () in
+  (* A batch engine has no slot limit or quota floor, so the only possible
+     reject is a duplicate name — which would alias two tenants in
+     [results] and in any recorder keyed by name. *)
+  List.iter
+    (fun (name, sim) ->
+      match Engine.admit eng ~name sim with
+      | Ok () -> ()
+      | Error r -> invalid_arg ("Multi_stream.run: " ^ Engine.reject_to_string r))
+    tenants;
+  while Engine.round eng ~limit:unbounded do
+    ()
+  done;
+  (* Finalization (edge-profile flushes, fault logs) happens on the main
+     domain, in tenant order. *)
+  let results = List.map (fun (name, sim) -> (name, Simulator.finish sim)) tenants in
+  let total count =
+    List.fold_left
+      (fun acc (_, (r : Simulator.result)) -> acc + count r.Simulator.ctx.Context.cache)
+      0 results
+  in
+  {
+    results;
+    rounds = Engine.rounds eng;
+    quota_rejects = total Code_cache.quota_rejects;
+    quota_evictions = total Code_cache.quota_evictions;
+  }

@@ -21,22 +21,6 @@
     between barriers it can transiently overshoot by at most the granted
     slack. *)
 
-type tenant
-
-val tenant :
-  ?params:Params.t ->
-  ?seed:int64 ->
-  ?telemetry:Regionsel_telemetry.Telemetry.sink ->
-  policy:(module Policy.S) ->
-  max_steps:int ->
-  name:string ->
-  Regionsel_workload.Image.t ->
-  tenant
-(** One independent stream: the same arguments {!Simulator.run} takes,
-    plus a [name] used to label its slot in the outcome. *)
-
-val name : tenant -> string
-
 type outcome = {
   results : (string * Simulator.result) list;
       (** One per tenant, in submission order. *)
@@ -63,11 +47,13 @@ val run :
   ?batch_steps:int ->
   ?budget_bytes:int ->
   ?on_barrier:(round:int -> (string * Simulator.t) array -> unit) ->
-  tenant list ->
+  (string * Simulator.t) list ->
   outcome
-(** [run tenants] advances every tenant to completion in [batch_steps]
+(** [run tenants] advances every [(name, handle)] tenant — fresh from
+    {!Simulator.create}, or restored — to completion in [batch_steps]
     batches (default 4096) over up to [n_domains] domains (default
-    {!Domain_pool.default_n_domains}).  An empty list is a no-op outcome.
+    {!Domain_pool.default_n_domains}), then finishes each in submission
+    order.  An empty list is a no-op outcome.
 
     [on_barrier] is the metrics observation point: called on the main
     domain at the end of every round — after the batch advance joins and
@@ -78,7 +64,8 @@ val run :
     everything it can observe is a pure function of the barrier states,
     so what it sees is bit-identical whatever [n_domains].
 
-    @raise Invalid_argument on [batch_steps <= 0] or a negative budget. *)
+    @raise Invalid_argument on [batch_steps <= 0], a negative budget, or
+    two tenants with the same name. *)
 
 (** The incremental scheduler: the same batch-barrier rounds {!run}
     performs, but driven one round at a time by a caller that admits and

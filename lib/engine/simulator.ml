@@ -33,14 +33,6 @@ type observer = {
           divergence rule. *)
 }
 
-type window_hook = {
-  win_every : int;
-      (** Window length in steps; the hook fires when the step count
-          reaches each successive multiple-of-[win_every] boundary. *)
-  win_fn : step:int -> stats:Stats.t -> ctx:Context.t -> unit;
-      (** Pure observation: reads counters, mutates nothing simulated. *)
-}
-
 (* Checkpoint plumbing.  A [section] is one independently recoverable unit
    of warm state: the persistence layer frames, checksums and versions each
    one separately, so a torn or bit-flipped section degrades alone — its
@@ -116,7 +108,7 @@ type t = {
 }
 
 let create ?(params = Params.default) ?(seed = 1L) ?(telemetry = Telemetry.none) ?observer
-    ?on_window ?checkpoint ?restore ?record ?replay ~policy ~max_steps image =
+    ?restore ?record ?replay ~policy ~max_steps image =
   let program = image.Image.program in
   let ctx = Context.create ~params ~telemetry program in
   (match observer with None -> () | Some o -> o.on_context ctx);
@@ -589,32 +581,10 @@ let create ?(params = Params.default) ?(seed = 1L) ?(telemetry = Telemetry.none)
             Telemetry.install (Some tel) ~step ~id:r.Region.id
               ~n_nodes:r.Region.n_nodes);
       Telemetry.reconcile_spans tel ~step ~live:(fun id -> Int_tbl.mem live id)));
-  let has_checkpoint = Option.is_some checkpoint in
-  let checkpoint_done = ref false in
-  let maybe_checkpoint () =
-    match checkpoint with
-    | Some (at, fn) when (not !checkpoint_done) && stats.Stats.steps >= at ->
-      checkpoint_done := true;
-      fn internals
-    | _ -> ()
-  in
   (* Bailouts, fault arrival, and watchdog windows all require a fault
      profile, so a clean run folds their four per-step compares into this
      one hoisted, always-false branch. *)
   let has_events = faults <> None in
-  (* Windowed-metrics hook: fires at each multiple-of-[win_every] step
-     boundary.  Off by default; like [has_events] and [has_checkpoint],
-     the clean path pays one always-false compare per step.  Boundaries
-     are absolute multiples of the window so a restored run samples at
-     the same steps as the uninterrupted one. *)
-  let has_window = on_window <> None in
-  let mwin_next =
-    ref
-      (match on_window with
-      | None -> max_int
-      | Some w ->
-        stats.Stats.steps - (stats.Stats.steps mod w.win_every) + w.win_every)
-  in
   (* [limit] is the current advance bound, always <= max_steps; {!run}
      sets it to the full budget once, so the uninterrupted path costs one
      extra immediate load per step over the old closed loop. *)
@@ -664,15 +634,6 @@ let create ?(params = Params.default) ?(seed = 1L) ?(telemetry = Telemetry.none)
         end;
         if stats.Stats.steps >= !next_window then watchdog ()
       end;
-      if has_window && stats.Stats.steps >= !mwin_next then begin
-        match on_window with
-        | Some w ->
-          w.win_fn ~step:stats.Stats.steps ~stats ~ctx;
-          mwin_next :=
-            stats.Stats.steps - (stats.Stats.steps mod w.win_every) + w.win_every
-        | None -> ()
-      end;
-      if has_checkpoint then maybe_checkpoint ();
       loop ()
     end
   in
@@ -688,17 +649,10 @@ let create ?(params = Params.default) ?(seed = 1L) ?(telemetry = Telemetry.none)
     | None ->
       limit := max_steps;
       loop ();
-      (* A checkpoint aimed past the run's actual length (or at [max_int],
-         the CLI's "save at end") fires here, before the final flush, so
-         the saved edge ring matches what a mid-run checkpoint at this step
-         would have seen and restore-then-finish replays the flush
-         identically. *)
-      (match checkpoint with
-      | Some (_, fn) when not !checkpoint_done ->
-        checkpoint_done := true;
-        fn internals
-      | _ -> ());
-      (* End of run is the final observation point. *)
+      (* End of run is the final observation point.  A save point at the
+         end is taken before this (advance to the budget, save, finish),
+         so the saved edge ring is what a mid-run save at this step would
+         hold and restore-then-finish replays the flush identically. *)
       Edge_profile.flush edges;
       let fault_log =
         match faults with
@@ -739,8 +693,8 @@ let cache_bytes_used t = t.h_bytes_used ()
 let sample t fn = t.h_sample fn
 let internals t = t.h_internals ()
 
-let run ?params ?seed ?telemetry ?observer ?on_window ?checkpoint ?restore ?record ?replay
-    ~policy ~max_steps image =
+let run ?params ?seed ?telemetry ?observer ?restore ?record ?replay ~policy ~max_steps
+    image =
   finish
-    (create ?params ?seed ?telemetry ?observer ?on_window ?checkpoint ?restore ?record
-       ?replay ~policy ~max_steps image)
+    (create ?params ?seed ?telemetry ?observer ?restore ?record ?replay ~policy ~max_steps
+       image)

@@ -62,23 +62,6 @@ type observer = {
     effect on the simulation.  With [observer = None] (the default) the
     loop pays one compare per step; metrics are identical either way. *)
 
-type window_hook = {
-  win_every : int;
-      (** Window length in steps.  The hook fires whenever the step count
-          reaches a multiple-of-[win_every] boundary — absolute multiples,
-          so a restored run samples at the same steps as the uninterrupted
-          one. *)
-  win_fn : step:int -> stats:Stats.t -> ctx:Context.t -> unit;
-      (** Called at each boundary with the live counters.  Pure
-          observation: the metrics recorder ([Regionsel_obs.Metrics]) reads
-          [Stats]/cache/gauge/telemetry counters here and must mutate
-          nothing simulated. *)
-}
-(** Windowed-metrics hook.  With [on_window = None] (the default) the loop
-    pays one always-false compare per step — same discipline as
-    [observer] and [checkpoint]; simulated outcomes are identical either
-    way (guarded by the parity suite). *)
-
 type section = {
   sec_name : string;  (** Stable identifier ("interp", "cache", "loop", …). *)
   sec_save : (int -> unit) -> unit;
@@ -102,12 +85,15 @@ type internals = {
           "loop" section resolves its current-region reference against the
           already-restored code cache. *)
 }
-(** The checkpoint surface handed to the [checkpoint] and [restore] hooks
-    of {!run}: everything warm about the run, as named sections. *)
+(** The checkpoint surface handed to the [restore] hook and returned by
+    {!internals}: everything warm about the run, as named sections. *)
 
 type t
 (** A resumable run: the same simulation {!run} performs, but advanced in
-    caller-bounded step batches.  The multi-stream scheduler
+    caller-bounded step batches.  This handle is the one way to drive a
+    run: metrics windows ([Regionsel_obs.Metrics.advance]) and save points
+    (advance to the step, save {!internals}, then {!finish}) are both
+    caller loops over {!advance}.  The multi-stream scheduler
     ({!Multi_stream}) multiplexes many of these over domains; a handle's
     state is owned by whichever domain is currently advancing it, with
     hand-offs only at batch boundaries. *)
@@ -117,8 +103,6 @@ val create :
   ?seed:int64 ->
   ?telemetry:Regionsel_telemetry.Telemetry.sink ->
   ?observer:observer ->
-  ?on_window:window_hook ->
-  ?checkpoint:int * (internals -> unit) ->
   ?restore:(internals -> unit) ->
   ?record:Branch_stream.events ->
   ?replay:Branch_stream.events ->
@@ -141,8 +125,8 @@ val advance : t -> upto:int -> unit
     current count is a no-op. *)
 
 val finish : t -> result
-(** Run any remaining budget, then finalize (end-of-run checkpoint, final
-    edge-profile flush, fault-log assembly).  Idempotent: further calls
+(** Run any remaining budget, then finalize (final edge-profile flush,
+    fault-log assembly).  Idempotent: further calls
     return the same result.  [run] is exactly [create] + [finish]. *)
 
 val steps : t -> int
@@ -164,23 +148,25 @@ val sample : t -> (step:int -> stats:Stats.t -> ctx:Context.t -> unit) -> unit
 (** Observe the run's live counters between advances: calls the function
     with the current step count, stats and context.  The multi-stream
     scheduler's barrier sampling and end-of-run partial-window flushes use
-    this; like the window hook, the callback must be pure observation.
+    this; the callback must be pure observation.
     Only safe from whichever domain currently owns the handle (at batch
     barriers, the scheduler's main domain). *)
 
 val internals : t -> internals
-(** The run's checkpoint surface, for on-demand snapshots between
-    advances — the daemon's disconnect/shutdown path, where the save
-    point is an external event rather than a step threshold.  Saving
-    through it is pure observation; same ownership rule as {!sample}. *)
+(** The run's checkpoint surface, for snapshots between advances.  A save
+    point at step [N] is [advance ~upto:N], a save through these
+    internals, then {!finish}: the advance is monotone, so a run restored
+    past [N] saves at once, at the step it resumed from.  [max_int]
+    saves after the last step, before end-of-run finalization.  The
+    daemon's disconnect/shutdown path saves the same way, at an external
+    event instead of a step.  Saving is pure observation; same ownership
+    rule as {!sample}. *)
 
 val run :
   ?params:Params.t ->
   ?seed:int64 ->
   ?telemetry:Regionsel_telemetry.Telemetry.sink ->
   ?observer:observer ->
-  ?on_window:window_hook ->
-  ?checkpoint:int * (internals -> unit) ->
   ?restore:(internals -> unit) ->
   ?record:Branch_stream.events ->
   ?replay:Branch_stream.events ->
@@ -197,14 +183,10 @@ val run :
     recording is pure observation — enabling it changes no simulated
     outcome (guarded by the parity suite).
 
-    [checkpoint] is [(at_step, fn)]: the first time the step count reaches
-    [at_step], [fn] is called once with the run's {!internals} — saving
-    through them is pure observation.  A threshold the run never reaches
-    (use [max_int] for "at end of run") fires once after the last step,
-    before end-of-run finalization.  [restore] is called once before the
-    first step; loading a snapshot saved at step [N] through it and
-    continuing is bit-identical — metrics, telemetry, PRNG streams — to
-    the uninterrupted run, provided params, seed, image and policy match.
+    [restore] is called once before the first step; loading a snapshot
+    saved at step [N] (see {!internals}) through it and continuing is
+    bit-identical — metrics, telemetry, PRNG streams — to the
+    uninterrupted run, provided params, seed, image and policy match.
 
     With [params.faults] naming a profile with a [crash_period], crash
     events kill the warm optimizer mid-run: the cache is flushed, the

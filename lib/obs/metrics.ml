@@ -6,12 +6,12 @@
    a baseline snapshot; each [sample] closes one window — the counter
    activity since the previous sample, the cache/gauge occupancy at the
    sample point, and (with a telemetry sink) cumulative log2-quantile
-   summaries.  Solo runs sample through the simulator's window hook at
-   deterministic step boundaries; multi-stream fleets sample at batch
-   barriers on the main domain ({!Fleet}).  Everything here is pure
-   observation and byte-deterministic: no wall clock, fixed series order,
-   fixed float formatting — two runs with the same seed produce identical
-   exports, whatever the domain count. *)
+   summaries.  Solo runs sample at absolute step boundaries as [advance]
+   drives them; multi-stream fleets sample at batch barriers on the main
+   domain ({!Fleet}).  Everything here is pure observation and
+   byte-deterministic: no wall clock, fixed series order, fixed float
+   formatting — two runs with the same seed produce identical exports,
+   whatever the domain count. *)
 
 module Stats = Regionsel_engine.Stats
 module Context = Regionsel_engine.Context
@@ -202,8 +202,17 @@ let sample r ~step ~stats ~ctx =
   let d = delta_of r ~step ~stats ~ctx in
   push r (window_of_delta r d)
 
-let hook r =
-  { Simulator.win_every = r.r_every; win_fn = (fun ~step ~stats ~ctx -> sample r ~step ~stats ~ctx) }
+let rec advance r sim ~upto =
+  let step = Simulator.steps sim in
+  let boundary = step - (step mod r.r_every) + r.r_every in
+  if boundary > upto then Simulator.advance sim ~upto
+  else begin
+    Simulator.advance sim ~upto:boundary;
+    if Simulator.steps sim = boundary then begin
+      Simulator.sample sim (sample r);
+      advance r sim ~upto
+    end
+  end
 
 let finalize r (result : Simulator.result) =
   (* Close the final partial window, if the run ended off-boundary. *)

@@ -46,7 +46,7 @@ val create :
   unit ->
   recorder
 (** A fresh recorder with a zero baseline.  [window] (default
-    {!default_window}) is the boundary period used by {!hook}; explicit
+    {!default_window}) is the boundary period used by {!advance}; explicit
     {!sample} calls (barrier sampling) ignore it.  [keep] bounds retention
     to the newest [keep] windows — flight-recorder mode; the default
     retains everything.  [notify] fires on every closed window (the
@@ -70,9 +70,12 @@ val sample : recorder -> step:int -> stats:Stats.t -> ctx:Context.t -> unit
     {!Simulator.sample}'s callback, so barrier sampling is
     [Simulator.sample sim (Metrics.sample r)]. *)
 
-val hook : recorder -> Simulator.window_hook
-(** The recorder as a simulator window hook: samples every
-    [window_size r] steps at absolute step boundaries. *)
+val advance : recorder -> Simulator.t -> upto:int -> unit
+(** Step [sim] to [upto] as {!Simulator.advance} does, calling {!sample}
+    at each absolute multiple of [window_size r] on the way (those
+    [<= upto] that the run reaches), so a restored run samples at the
+    same steps as the uninterrupted one.  Solo runs meter this way;
+    fleets sample at their batch barriers instead ({!Fleet}). *)
 
 val finalize : recorder -> Simulator.result -> unit
 (** Close the final partial window, if the run ended past the last

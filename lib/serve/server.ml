@@ -150,21 +150,11 @@ let recorder_for t ~tenant ~policy =
     t.recorder_order <- t.recorder_order @ [ tenant ];
     r
 
-let all_windows t =
-  List.concat_map
-    (fun tenant ->
-      match Hashtbl.find_opt t.recorders tenant with
-      | Some r -> Metrics.windows r
-      | None -> [])
-    t.recorder_order
-
-let flight_windows t =
-  List.concat_map
-    (fun tenant ->
-      match Hashtbl.find_opt t.recorders tenant with
-      | Some r -> Metrics.last_windows r Metrics.default_flight_keep
-      | None -> [])
-    t.recorder_order
+(* [pick] over every recorder in first-seen order: the one walk behind
+   the prom/jsonl exports and the flight dump.  Recorders are never
+   dropped, so every name in [recorder_order] has one. *)
+let windows_of t pick =
+  List.concat_map (fun tenant -> pick (Hashtbl.find t.recorders tenant)) t.recorder_order
 
 (* Barrier observation, exactly as the CLI fleet runs: one window per
    participating tenant per round. *)
@@ -172,7 +162,7 @@ let on_barrier t ~round:_ participants =
   Array.iter
     (fun (name, sim) ->
       match Hashtbl.find_opt t.recorders name with
-      | Some r -> Simulator.sample sim (fun ~step ~stats ~ctx -> Metrics.sample r ~step ~stats ~ctx)
+      | Some r -> Simulator.sample sim (Metrics.sample r)
       | None -> ())
     participants
 
@@ -268,11 +258,12 @@ let close_conn t conn =
   conn.c_closed <- true;
   detach t conn
 
-let tenant_attached t name =
-  List.exists
+let session_of_tenant t name =
+  List.find_map
     (fun c ->
-      (not c.c_closed)
-      && match c.c_session with Some s -> String.equal s.s_tenant name | None -> false)
+      match c.c_session with
+      | Some s when (not c.c_closed) && String.equal s.s_tenant name -> Some s
+      | _ -> None)
     t.conns
 
 (* Hello: admission control, session identity, snapshot restore. *)
@@ -286,7 +277,8 @@ let handle_hello t conn (h : Proto.hello) =
   | Some _ -> reject Proto.Bad_frame "second hello on a streaming connection"
   | None -> (
     let tenant = h.Proto.h_tenant in
-    if tenant_attached t tenant then reject Proto.Busy_tenant (tenant ^ " is already streaming")
+    if Option.is_some (session_of_tenant t tenant) then
+      reject Proto.Busy_tenant (tenant ^ " is already streaming")
     else
       match (Suite.find h.Proto.h_bench, Policies.find h.Proto.h_policy) with
       | None, _ -> reject Proto.Unknown_bench h.Proto.h_bench
@@ -383,14 +375,7 @@ let status_text t =
   List.iter
     (fun (name, sim) ->
       let line =
-        match
-          List.find_map
-            (fun c ->
-              match c.c_session with
-              | Some s when (not c.c_closed) && String.equal s.s_tenant name -> Some s
-              | _ -> None)
-            t.conns
-        with
+        match session_of_tenant t name with
         | Some s ->
           Printf.sprintf "tenant %s steps %d backlog %d fin %b exhausted %b\n" name
             (Simulator.steps sim) (backlog s) s.s_fin (Simulator.exhausted sim)
@@ -406,19 +391,12 @@ let handle_ctrl t conn cmd =
   match String.split_on_char ' ' (String.trim cmd) with
   | [ "ping" ] -> reply "pong"
   | [ "status" ] -> reply (status_text t)
-  | [ "prom" ] -> reply (Metrics.to_prometheus (all_windows t))
-  | [ "jsonl" ] -> reply (Metrics.to_jsonl (all_windows t))
+  | [ "prom" ] -> reply (Metrics.to_prometheus (windows_of t Metrics.windows))
+  | [ "jsonl" ] -> reply (Metrics.to_jsonl (windows_of t Metrics.windows))
   | [ "jsonl"; n ] -> (
     match int_of_string_opt n with
     | Some k when k >= 0 ->
-      reply
-        (Metrics.to_jsonl
-           (List.concat_map
-              (fun tenant ->
-                match Hashtbl.find_opt t.recorders tenant with
-                | Some r -> Metrics.last_windows r k
-                | None -> [])
-              t.recorder_order))
+      reply (Metrics.to_jsonl (windows_of t (fun r -> Metrics.last_windows r k)))
     | _ ->
       ignore
         (send t conn (Proto.Reject { code = Proto.Bad_frame; detail = "bad jsonl tail count" })))
@@ -471,14 +449,6 @@ let handle_readable t conn =
   | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> close_conn t conn
 
 (* --- Engine driving --------------------------------------------------- *)
-
-let session_of_tenant t name =
-  List.find_map
-    (fun c ->
-      match c.c_session with
-      | Some s when (not c.c_closed) && String.equal s.s_tenant name -> Some s
-      | _ -> None)
-    t.conns
 
 let step_limit t ~name ~sim:_ =
   match session_of_tenant t name with Some s -> available s | None -> 0
@@ -652,7 +622,8 @@ let serve cfg =
        let n =
          Metrics.flight_dump ~path
            ~cli:(String.concat " " (Array.to_list Sys.argv))
-           ~detail:(Check.violation_to_string v) (flight_windows t)
+           ~detail:(Check.violation_to_string v)
+           (windows_of t (fun r -> Metrics.last_windows r Metrics.default_flight_keep))
        in
        Printf.eprintf "regionsel_daemon: flight recorder: %d windows -> %s\n%!" n path
      | _ -> ());

@@ -89,11 +89,11 @@ let metrics_exports_publish_atomically () =
      published file parses completely and no .tmp residue remains. *)
   let spec = spec_exn "gzip" in
   let r = Metrics.create ~window:500 ~labels:[ ("tenant", "gzip") ] () in
-  let result =
-    Simulator.run ~seed:1L ~on_window:(Metrics.hook r) ~policy:(policy_exn "net")
-      ~max_steps:4000 (Spec.image spec)
+  let sim =
+    Simulator.create ~seed:1L ~policy:(policy_exn "net") ~max_steps:4000 (Spec.image spec)
   in
-  Metrics.finalize r result;
+  Metrics.advance r sim ~upto:max_int;
+  Metrics.finalize r (Simulator.finish sim);
   let path = Filename.temp_file "regionsel" ".jsonl" in
   Fun.protect
     ~finally:(fun () ->

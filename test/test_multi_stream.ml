@@ -38,10 +38,10 @@ let tenants () =
   List.map
     (fun (bench, pname, seed, fault) ->
       let spec = Option.get (Suite.find bench) in
-      Multi_stream.tenant ~params:(params_of fault) ~seed
-        ~policy:(Option.get (Policies.find pname))
-        ~max_steps:(budget_steps spec)
-        ~name:(bench ^ "/" ^ pname) (Spec.image spec))
+      ( bench ^ "/" ^ pname,
+        Simulator.create ~params:(params_of fault) ~seed
+          ~policy:(Option.get (Policies.find pname))
+          ~max_steps:(budget_steps spec) (Spec.image spec) ))
     fleet_specs
 
 let solo_json (bench, pname, seed, fault) =
@@ -154,6 +154,19 @@ let edge_cases () =
        false
      with Invalid_argument _ -> true)
 
+(* Results and fleet recorders are keyed by tenant name, so two tenants
+   sharing one would alias: the batch run refuses them up front. *)
+let duplicate_names_rejected () =
+  let sim () =
+    Simulator.create ~seed:1L ~policy:(Option.get (Policies.find "net")) ~max_steps:1_000
+      (Spec.image (Option.get (Suite.find "gzip")))
+  in
+  match Multi_stream.run [ ("t", sim ()); ("u", sim ()); ("t", sim ()) ] with
+  | (_ : Multi_stream.outcome) -> Alcotest.fail "a duplicate tenant name was accepted"
+  | exception Invalid_argument msg ->
+    Alcotest.(check string) "the reject names the tenant"
+      "Multi_stream.run: tenant \"t\" already admitted" msg
+
 (* The resumable handle under the scheduler's own API: advance is
    monotone and finish is idempotent. *)
 let handle_semantics () =
@@ -186,5 +199,6 @@ let suite =
     case "shared budget: pressure, determinism, quota bound" shared_budget;
     case "shared budget bounds the aggregate footprint" budget_bounds_aggregate;
     case "edge cases" edge_cases;
+    case "duplicate tenant names rejected" duplicate_names_rejected;
     case "resumable handle semantics" handle_semantics;
   ]

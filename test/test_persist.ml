@@ -25,18 +25,22 @@ let policy_exn name = Option.get (Policies.find name)
    first time the step count reaches [at] ([max_int] = after the last
    step).  [restore] decodes a snapshot before the first step. *)
 let capture ?restore ~at ~params ~policy ~seed ~max_steps image =
-  let bytes = ref None in
-  let checkpoint =
-    (at, fun internals -> bytes := Some (Persist.encode ~seed ~policy internals))
-  in
-  let result =
-    Simulator.run ~params ~seed
+  let sim =
+    Simulator.create ~params ~seed
       ~telemetry:(Some (Telemetry.create ()))
-      ~checkpoint ?restore
-      ~policy:(policy_exn policy)
-      ~max_steps image
+      ?restore ~policy:(policy_exn policy) ~max_steps image
   in
-  (result, Option.get !bytes)
+  Simulator.advance sim ~upto:at;
+  let bytes = Persist.encode ~seed ~policy (Simulator.internals sim) in
+  (Simulator.finish sim, bytes)
+
+(* [f] applied to the internals of a sink-less 30k-step run at step [at]. *)
+let with_internals_at ~at (image, policy, seed, params) f =
+  let sim =
+    Simulator.create ~params ~seed ~policy:(policy_exn policy) ~max_steps:30_000 image
+  in
+  Simulator.advance sim ~upto:at;
+  f (Simulator.internals sim)
 
 let get_u32 bytes pos =
   (Char.code (Bytes.get bytes pos) lsl 24)
@@ -128,7 +132,7 @@ let identity_across_policies_and_checkpoint_steps () =
     (fun (policy, _) ->
       List.iter
         (fun mid -> assert_identity ~params:Params.default ~policy ~max_steps:30_000 ~mid image)
-        [ 11_000; 23_000 ])
+        [ 0; 11_000; 23_000 ])
     Policies.all
 
 (* The same gate under an adversarial schedule: every fault stream firing,
@@ -152,6 +156,26 @@ let identity_under_mixed_faults_with_crashes () =
   List.iter
     (fun mid -> assert_identity ~params ~policy:"net" ~max_steps:60_000 ~mid image)
     [ 9_500; 31_000 ]
+
+(* A save point at or below the step a run starts from is taken at once,
+   at that step — not one step late: saving straight after restoring a
+   snapshot hands back its bytes, for a step-0 snapshot of a fresh run
+   too. *)
+let save_at_or_before_start_is_immediate () =
+  let image = figure2 ~iters:4_000 () in
+  let params = Params.default and policy = "net" and seed = 7L in
+  List.iter
+    (fun (mid, at) ->
+      let _, saved = capture ~at:mid ~params ~policy ~seed ~max_steps:30_000 image in
+      let _, again =
+        capture
+          ~restore:(clean_restore ~bytes:saved ~policy ~seed)
+          ~at ~params ~policy ~seed ~max_steps:30_000 image
+      in
+      if not (Bytes.equal saved again) then
+        Alcotest.failf "save at %d after a step-%d restore changed sections [%s]" at mid
+          (String.concat "; " (diff_frames saved again)))
+    [ (0, 0); (11_000, 0); (11_000, 5_000); (11_000, 11_000) ]
 
 (* Restoring under the sanitizer: the shadow oracle fast-forwards to the
    restored position, so a checked run can resume a snapshot without
@@ -255,15 +279,7 @@ let restore_reconciles_span_ledger () =
   let params = Params.default in
   (* Direction 1: saved without a telemetry sink, restored under check. *)
   let sinkless_bytes =
-    let bytes = ref None in
-    let checkpoint =
-      (11_000, fun internals -> bytes := Some (Persist.encode ~seed ~policy internals))
-    in
-    let (_ : Simulator.result) =
-      Simulator.run ~params ~seed ~checkpoint ~policy:(policy_exn policy) ~max_steps:30_000
-        image
-    in
-    Option.get !bytes
+    with_internals_at ~at:11_000 (image, policy, seed, params) (Persist.encode ~seed ~policy)
   in
   let (_ : Simulator.result) =
     Check.checked_run ~params ~seed
@@ -566,15 +582,6 @@ let snapshot_corruption_axis () =
 
 (* ---- On-disk atomicity ---- *)
 
-let with_internals_at ~at (image, policy, seed, params) f =
-  let got = ref None in
-  let (_ : Simulator.result) =
-    Simulator.run ~params ~seed
-      ~checkpoint:(at, fun internals -> got := Some (f internals))
-      ~policy:(policy_exn policy) ~max_steps:30_000 image
-  in
-  Option.get !got
-
 let torn_write_leaves_previous_snapshot_intact () =
   let image = figure2 ~iters:4_000 () in
   let cfg = (image, "net", 7L, Params.default) in
@@ -630,6 +637,8 @@ let suite =
     case "identity across policies and checkpoint steps"
       identity_across_policies_and_checkpoint_steps;
     case "identity under mixed faults with crashes" identity_under_mixed_faults_with_crashes;
+    case "save at or before the start step is immediate"
+      save_at_or_before_start_is_immediate;
     case "checked run resumes a snapshot" checked_run_resumes_a_snapshot;
     case "restore reconciles span ledger" restore_reconciles_span_ledger;
     case "flipped payload degrades only that section" flipped_payload_degrades_only_that_section;
