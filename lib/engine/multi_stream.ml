@@ -178,7 +178,6 @@ module Engine = struct
       Some sim
 
   let tenants t = t.e_members
-  let find t name = List.assoc_opt name t.e_members
   let rounds t = t.e_rounds
 
   let round t ~limit =
@@ -215,8 +214,8 @@ end
 
 let unbounded ~name:_ ~sim:_ = max_int
 
-let run ?n_domains ?(batch_steps = 4096) ?budget_bytes ?on_barrier tenants =
-  let eng = Engine.create ?n_domains ~batch_steps ?budget_bytes ?on_barrier () in
+let run ?n_domains ?(batch_steps = 4096) ?budget_bytes tenants =
+  let eng = Engine.create ?n_domains ~batch_steps ?budget_bytes () in
   (* A batch engine has no slot limit or quota floor, so the only possible
      reject is a duplicate name — which would alias two tenants in
      [results] and in any recorder keyed by name. *)

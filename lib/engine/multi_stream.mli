@@ -46,7 +46,6 @@ val run :
   ?n_domains:int ->
   ?batch_steps:int ->
   ?budget_bytes:int ->
-  ?on_barrier:(round:int -> (string * Simulator.t) array -> unit) ->
   (string * Simulator.t) list ->
   outcome
 (** [run tenants] advances every [(name, handle)] tenant — fresh from
@@ -55,21 +54,12 @@ val run :
     {!Domain_pool.default_n_domains}), then finishes each in submission
     order.  An empty list is a no-op outcome.
 
-    [on_barrier] is the metrics observation point: called on the main
-    domain at the end of every round — after the batch advance joins and
-    after any quota rebalance — with the 1-based round number and this
-    round's participants (name, handle) in submission order.  The hook
-    may read tenant state ({!Simulator.sample}, {!Simulator.steps},
-    {!Simulator.cache_bytes_used}) but must mutate nothing simulated;
-    everything it can observe is a pure function of the barrier states,
-    so what it sees is bit-identical whatever [n_domains].
-
     @raise Invalid_argument on [batch_steps <= 0], a negative budget, or
     two tenants with the same name. *)
 
 (** The incremental scheduler: the same batch-barrier rounds {!run}
     performs, but driven one round at a time by a caller that admits and
-    retires tenants while the engine runs — the daemon front end.  Two
+    retires tenants while the engine runs — the daemon front end.  Three
     additions over {!run}:
 
     - {e Typed admission}: {!Engine.admit} rejects a tenant when the
@@ -81,6 +71,8 @@ val run :
       for every tenant's current step limit, so an ingest-fed tenant
       never advances past its buffered events — running a replay stream
       dry would falsely read as a program halt.
+    - {e Barrier observation}: {!Engine.create}'s [on_barrier] sees each
+      round's participants — the daemon's metrics sampling point.
 
     Determinism carries over: admissions, retirements and limits are main
     -domain decisions between rounds, and within a round the outcome is a
@@ -108,7 +100,18 @@ module Engine : sig
     t
   (** An empty engine.  [quota_floor] (default 0: never reject on
       budget) and [max_tenants] (default unlimited) are the admission
-      knobs; the rest are {!run}'s parameters with the same defaults.
+      knobs; [n_domains], [batch_steps] and [budget_bytes] are {!run}'s
+      parameters with the same defaults.
+
+      [on_barrier] is the metrics observation point: called on the main
+      domain at the end of every {!round} — after the batch advance
+      joins and after any quota rebalance — with the 1-based round
+      number and this round's participants (name, handle) in submission
+      order.  The hook may read tenant state ({!Simulator.sample},
+      {!Simulator.steps}, {!Simulator.cache_bytes_used}) but must mutate
+      nothing simulated; everything it can observe is a pure function of
+      the barrier states, so what it sees is bit-identical whatever
+      [n_domains].
       @raise Invalid_argument as {!run}, or on a negative floor. *)
 
   val admit : t -> name:string -> Simulator.t -> (unit, admission_reject) result
@@ -124,7 +127,6 @@ module Engine : sig
   val tenants : t -> (string * Simulator.t) list
   (** Current members in submission order. *)
 
-  val find : t -> string -> Simulator.t option
   val rounds : t -> int
 
   val round : t -> limit:(name:string -> sim:Simulator.t -> int) -> bool
@@ -132,7 +134,7 @@ module Engine : sig
       not {!Simulator.exhausted} and current steps below [limit ~name
       ~sim] (an absolute step bound — the daemon passes the number of
       ingested events).  Each advances by at most [batch_steps], the
-      quotas rebalance, and [on_barrier] observes the participants, as
-      in {!run}.  [false] — with no round counted and no barrier hook —
-      when no tenant could advance. *)
+      quotas rebalance, and [on_barrier] ({!create}) observes the
+      participants.  [false] — with no round counted and no barrier
+      hook — when no tenant could advance. *)
 end

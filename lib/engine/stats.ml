@@ -80,7 +80,6 @@ let map2 fn a b =
    window opened).  A window is a measure of activity: clamp at zero so a
    baseline from a discarded future never yields negative rates. *)
 let diff ~earlier ~later = map2 (fun e l -> if l > e then l - e else 0) earlier later
-let sum a b = map2 ( + ) a b
 
 (* Checkpoint support: the counters as a flat int stream, in table order. *)
 let save t emit = Array.iter (fun f -> emit (f.get t)) fields

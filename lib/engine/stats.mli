@@ -53,9 +53,6 @@ val diff : earlier:t -> later:t -> t
     restore to an older image) reads as empty activity, never as a
     negative rate. *)
 
-val sum : t -> t -> t
-(** Field-wise sum (fleet aggregates). *)
-
 val save : t -> (int -> unit) -> unit
 (** Checkpoint support: emit every counter, in {!fields} order. *)
 

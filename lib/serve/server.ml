@@ -156,12 +156,11 @@ let recorder_for t ~tenant ~policy =
 let windows_of t pick =
   List.concat_map (fun tenant -> pick (Hashtbl.find t.recorders tenant)) t.recorder_order
 
-(* Barrier observation, exactly as the CLI fleet runs: one window per
-   participating tenant per round. *)
-let on_barrier t ~round:_ participants =
+(* Barrier observation: one window per participating tenant per round. *)
+let on_barrier recorders ~round:_ participants =
   Array.iter
     (fun (name, sim) ->
-      match Hashtbl.find_opt t.recorders name with
+      match Hashtbl.find_opt recorders name with
       | Some r -> Simulator.sample sim (Metrics.sample r)
       | None -> ())
     participants
@@ -334,7 +333,7 @@ let handle_hello t conn (h : Proto.hello) =
           reject Proto.Busy_tenant (Multi_stream.Engine.reject_to_string r)
         | Ok () ->
           let resume_step = Simulator.steps sim in
-          ignore (recorder_for t ~tenant ~policy:h.Proto.h_policy);
+          Metrics.attach (recorder_for t ~tenant ~policy:h.Proto.h_policy) sim;
           conn.c_session <-
             Some
               {
@@ -576,18 +575,11 @@ let serve cfg =
   Unix.bind listen_fd (Unix.ADDR_UNIX cfg.socket_path);
   Unix.listen listen_fd 16;
   Unix.set_nonblock listen_fd;
-  (* The barrier hook needs [t], which needs the engine: tie the knot
-     through a forward reference. *)
-  let hook_target = ref None in
+  let recorders = Hashtbl.create 8 in
   let engine =
     Multi_stream.Engine.create ?n_domains:cfg.n_domains ~batch_steps:cfg.batch_steps
       ?budget_bytes:cfg.budget_bytes ~quota_floor:cfg.quota_floor
-      ~max_tenants:cfg.max_tenants
-      ~on_barrier:(fun ~round participants ->
-        match !hook_target with
-        | Some t -> on_barrier t ~round participants
-        | None -> ())
-      ()
+      ~max_tenants:cfg.max_tenants ~on_barrier:(on_barrier recorders) ()
   in
   let t =
     {
@@ -595,13 +587,12 @@ let serve cfg =
       listen_fd;
       engine;
       conns = [];
-      recorders = Hashtbl.create 8;
+      recorders;
       recorder_order = [];
       stopping = false;
       scratch = Bytes.create (1 lsl 16);
     }
   in
-  hook_target := Some t;
   let stop = ref false in
   let old_pipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
   let old_term = Sys.signal Sys.sigterm (Sys.Signal_handle (fun _ -> stop := true)) in

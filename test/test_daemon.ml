@@ -371,47 +371,83 @@ let disconnect_then_reconnect_is_bit_identical () =
                 (Sys.readdir state)))
       | Client.Truncated _ -> Alcotest.fail "unexpected truncation")
 
-let sigterm_snapshots_and_restart_resumes () =
+let hello_alpha =
+  Proto.Hello
+    { h_tenant = "alpha"; h_bench = bench; h_policy = "net"; h_seed = seed;
+      h_max_steps = steps }
+
+(* Start a daemon over [dir], attach "alpha" and stream its first 3000
+   events, then SIGTERM the daemon with the connection still OPEN — so the
+   SIGTERM path (not the disconnect path) must snapshot the tenant. *)
+let sigterm_mid_stream ~dir =
+  let pid, socket_path = start_daemon ~dir () in
+  let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX socket_path);
+  Proto.write_msg fd hello_alpha;
+  (match Proto.read_msg fd with
+  | Some (Proto.Welcome { resume_step = 0; _ }) -> ()
+  | _ -> Alcotest.fail "expected a fresh welcome");
+  let events = Lazy.force recorded_events in
+  let body = Regionsel_persist.Event_log.encode_batch ~program:(program ()) events ~pos:0 ~len:3000 in
+  Proto.write_msg fd (Proto.Events body);
+  (* Let the engine ingest and advance a little before the kill. *)
+  Unix.sleepf 0.3;
+  let status = stop_daemon pid in
+  check_true "daemon exited cleanly on SIGTERM" (status = Unix.WEXITED 0);
+  Unix.close fd;
+  check_true "SIGTERM snapshotted the attached tenant"
+    (Array.exists
+       (fun f -> Filename.check_suffix f ".session")
+       (Sys.readdir (Filename.concat dir "state")))
+
+let with_restarted_daemon f =
   let dir = fresh_dir () in
   Fun.protect
     ~finally:(fun () -> rm_rf dir)
     (fun () ->
+      sigterm_mid_stream ~dir;
       let pid, socket_path = start_daemon ~dir () in
-      (* Attach a tenant and leave the connection OPEN mid-stream, so the
-         SIGTERM path (not the disconnect path) must snapshot it. *)
-      let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.connect fd (Unix.ADDR_UNIX socket_path);
-      Proto.write_msg fd
-        (Proto.Hello
-           { h_tenant = "alpha"; h_bench = bench; h_policy = "net"; h_seed = seed;
-             h_max_steps = steps });
-      (match Proto.read_msg fd with
-      | Some (Proto.Welcome { resume_step = 0; _ }) -> ()
-      | _ -> Alcotest.fail "expected a fresh welcome");
-      let events = Lazy.force recorded_events in
-      let body = Regionsel_persist.Event_log.encode_batch ~program:(program ()) events ~pos:0 ~len:3000 in
-      Proto.write_msg fd (Proto.Events body);
-      (* Let the engine ingest and advance a little before the kill. *)
-      Unix.sleepf 0.3;
-      let status = stop_daemon pid in
-      check_true "daemon exited cleanly on SIGTERM" (status = Unix.WEXITED 0);
-      Unix.close fd;
-      let state = Filename.concat dir "state" in
-      check_true "SIGTERM snapshotted the attached tenant"
-        (Array.exists
-           (fun f -> Filename.check_suffix f ".session")
-           (Sys.readdir state));
-      (* Restart over the same state dir; the tenant resumes and finishes
-         bit-identically to an uninterrupted run. *)
-      let pid, socket_path = start_daemon ~dir () in
-      Fun.protect
-        ~finally:(fun () -> ignore (stop_daemon pid))
-        (fun () ->
-          match stream ~socket_path ~tenant:"alpha" () with
-          | Client.Finished json ->
-            Alcotest.(check string) "restarted daemon resumes bit-identically"
-              (solo_json ()) json
-          | Client.Truncated _ -> Alcotest.fail "unexpected truncation"))
+      Fun.protect ~finally:(fun () -> ignore (stop_daemon pid)) (fun () -> f ~socket_path))
+
+let sigterm_snapshots_and_restart_resumes () =
+  (* Restart over the same state dir; the tenant resumes and finishes
+     bit-identically to an uninterrupted run. *)
+  with_restarted_daemon (fun ~socket_path ->
+      match stream ~socket_path ~tenant:"alpha" () with
+      | Client.Finished json ->
+        Alcotest.(check string) "restarted daemon resumes bit-identically" (solo_json ())
+          json
+      | Client.Truncated _ -> Alcotest.fail "unexpected truncation")
+
+let restarted_daemon_windows_start_at_resume_step () =
+  (* The restarted daemon's recorder is new, but its run is not: the first
+     window must open at the resumed step, not cover the history before. *)
+  with_restarted_daemon (fun ~socket_path ->
+      let resume_step =
+        Client.with_connection ~socket_path (fun fd ->
+            Proto.write_msg fd hello_alpha;
+            match Proto.read_msg fd with
+            | Some (Proto.Welcome { resume_step; _ }) ->
+              let body =
+                Regionsel_persist.Event_log.encode_batch ~program:(program ())
+                  (Lazy.force recorded_events) ~pos:resume_step ~len:(steps - resume_step)
+              in
+              Proto.write_msg fd (Proto.Events body);
+              Proto.write_msg fd Proto.Fin;
+              ignore (Proto.read_msg fd : Proto.msg option) (* the Result *);
+              resume_step
+            | _ -> Alcotest.fail "expected a welcome")
+      in
+      check_true "the session resumed past step 0" (resume_step > 0);
+      match Client.ctrl ~socket_path "jsonl" with
+      | Ok text ->
+        Scanf.sscanf text
+          ("{\"series\":\"steps\",\"labels\":{%_[^}]},\"window\":0,"
+          ^^ "\"start_step\":%d,\"end_step\":%d,\"value\":%d}")
+          (fun start stop steps ->
+            check_int "first window starts at the resume step" resume_step start;
+            check_int "first window's steps cover only the resumed run" (stop - start) steps)
+      | Error _ -> Alcotest.fail "jsonl export failed")
 
 let admission_rejects_are_typed () =
   with_daemon ~max_tenants:1 (fun ~dir:_ ~socket_path ->
@@ -619,6 +655,8 @@ let suite =
     case "streamed result matches the solo run" streamed_result_matches_solo_run;
     case "disconnect then reconnect is bit-identical" disconnect_then_reconnect_is_bit_identical;
     case "SIGTERM snapshots; restart resumes" sigterm_snapshots_and_restart_resumes;
+    case "restarted daemon's windows start at the resume step"
+      restarted_daemon_windows_start_at_resume_step;
     case "admission rejects are typed" admission_rejects_are_typed;
     case "backpressured tenant does not stall others" backpressured_tenant_does_not_stall_others;
     case "exhausted tenant still drains and finishes" exhausted_tenant_still_drains_and_finishes;

@@ -113,13 +113,6 @@ let diff_clamps_per_field_not_per_record () =
   check_fields "window" (Stats.diff ~earlier ~later) (fun i f ->
       if f.Stats.name = "recovery_steps" then 0 else primes.(i) * 2)
 
-let sum_is_field_wise () =
-  let a = Stats.create () and b = Stats.create () in
-  bump a 2;
-  bump b 5;
-  check_fields "sum" (Stats.sum a b) (fun i _ -> primes.(i) * 7);
-  check_fields "operands untouched" a (fun i _ -> primes.(i) * 2)
-
 let suite =
   [
     case "table covers every counter" table_covers_every_counter;
@@ -130,5 +123,4 @@ let suite =
     case "diff of equal snapshots is zero" diff_of_equal_snapshots_is_zero;
     case "diff clamps reloaded counters" diff_clamps_reloaded_counters;
     case "diff clamps per field, not per record" diff_clamps_per_field_not_per_record;
-    case "sum is field-wise" sum_is_field_wise;
   ]
