@@ -69,7 +69,10 @@ let domains_arg =
   Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc)
 
 let metrics_keep_arg =
-  let doc = "Metrics windows retained per tenant recorder." in
+  let doc =
+    "Metrics windows retained per live tenant recorder, and in total by the ring that \
+     keeps finished tenants' windows (oldest evicted first)."
+  in
   Arg.(value & opt int 256 & info [ "metrics-keep" ] ~docv:"N" ~doc)
 
 let verbose_arg =

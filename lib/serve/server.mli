@@ -6,7 +6,12 @@
     the loop runs batch-barrier rounds, each tenant's advance bounded by
     the events its connection has ingested so far.  Control connections
     serve live exports (Prometheus snapshot, JSONL tail) from per-tenant
-    metrics recorders sampled at every barrier.
+    metrics recorders sampled at every barrier.  A tenant's recorder
+    lives until its Result is sent; its windows then move into one
+    daemon-wide ring of retired tenants' windows, and every export
+    renders that ring first, oldest first, then the live recorders in
+    first-seen order.  A detached session has not finished: it keeps its
+    recorder and resumes through it.
 
     Admission control answers Hello with a typed Reject when tenant slots
     or the shared cache budget saturate.  Backpressure bounds each
@@ -41,7 +46,10 @@ type config = {
   batch_steps : int;
   ingest_max : int;  (** Per-tenant unconsumed-event bound (backpressure). *)
   n_domains : int option;
-  metrics_keep : int;  (** Windows retained per tenant recorder. *)
+  metrics_keep : int;
+      (** Windows retained per live tenant recorder, and in total (not per
+          tenant) by the ring of finished tenants' windows, which evicts
+          its oldest windows first. *)
   verbose : bool;
 }
 
