@@ -228,7 +228,7 @@ let with_flight_dump recorder metrics_out f =
          Metrics.flight_dump ~path:fpath
            ~cli:(String.concat " " (Array.to_list Sys.argv))
            ~detail
-           (Metrics.last_windows r Metrics.default_flight_keep)
+           (Metrics.newest Metrics.default_flight_keep (Metrics.windows r))
        in
        Printf.eprintf "flight recorder: %d windows -> %s\n%!" n fpath;
        raise e)

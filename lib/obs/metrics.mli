@@ -62,8 +62,8 @@ val n_windows : recorder -> int
 val windows : recorder -> window list
 (** Retained windows, oldest first. *)
 
-val last_windows : recorder -> int -> window list
-(** The newest [k] retained windows, oldest first. *)
+val newest : int -> window list -> window list
+(** The newest [k] of [ws] (oldest first), in their order. *)
 
 val attach : recorder -> Simulator.t -> unit
 (** Take [sim]'s current counters as the baseline, unless the recorder
