@@ -50,7 +50,10 @@ let quota_floor_arg =
   Arg.(value & opt int 4096 & info [ "quota-floor" ] ~docv:"N" ~doc)
 
 let max_tenants_arg =
-  let doc = "Admission limit on concurrently attached tenants." in
+  let doc =
+    "Admission limit on concurrently attached tenants; also the most spare ingest buffers \
+     the daemon keeps for reuse."
+  in
   Arg.(value & opt int 64 & info [ "max-tenants" ] ~docv:"N" ~doc)
 
 let batch_steps_arg =

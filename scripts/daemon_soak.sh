@@ -1,10 +1,12 @@
 #!/bin/sh
 # Daemon soak: one regionsel_daemon serves many short sessions under
 # unique tenants, every 4th dropped mid-stream and resumed.  The script
-# reads the daemon's memory high-water mark (VmHWM in /proc/<pid>/status)
-# and the size of its `prom` reply after session 100 and after the last
-# session, and fails if either grew by more than 10%.  Every Result is
-# also byte-compared with a solo replay of the same recording.
+# reads the daemon's memory high-water mark (VmHWM in /proc/<pid>/status),
+# the size of its `prom` reply and the ingest buffers' total capacity
+# (`slots` on the `status` reply's `ingest` line) after session 100 and
+# after the last session, and fails if any of them grew by more than 10%.
+# Every Result is also byte-compared with a solo replay of the same
+# recording.
 #
 #   sh scripts/daemon_soak.sh
 #
@@ -72,8 +74,11 @@ await_snapshot() {
 # Scrape before reading VmHWM, so both readings include a scrape's peak.
 probe_daemon() {
   prom=$("$bin/regionsel_client.exe" ctrl --socket "$sock" prom | wc -c)
+  slots=$("$bin/regionsel_client.exe" ctrl --socket "$sock" status \
+    | awk '$1 == "ingest" && $6 == "slots" { print $7 }')
+  [ -n "$slots" ] || { echo "status lacks the ingest line" >&2; exit 1; }
   hwm=$(awk '/^VmHWM:/ { print $2 }' "/proc/$daemon/status")
-  echo "after session $1: VmHWM $hwm kB, prom reply $prom bytes"
+  echo "after session $1: VmHWM $hwm kB, prom reply $prom bytes, ingest slots $slots"
 }
 
 i=1
@@ -88,11 +93,12 @@ while [ "$i" -le "$sessions" ]; do
     probe_daemon "$i"
     hwm0=$hwm
     prom0=$prom
+    slots0=$slots
   fi
   i=$((i + 1))
 done
 probe_daemon "$sessions"
-"$bin/regionsel_client.exe" ctrl --socket "$sock" status | head -n 2
+"$bin/regionsel_client.exe" ctrl --socket "$sock" status | head -n 3
 
 left=$(find "$state" -name '*.session' | wc -l)
 failed=0
@@ -106,6 +112,10 @@ if [ $((hwm * 100)) -gt $((hwm0 * 110)) ]; then
 fi
 if [ $((prom * 100)) -gt $((prom0 * 110)) ]; then
   echo "prom reply grew more than 10%: $prom0 -> $prom bytes" >&2
+  failed=1
+fi
+if [ $((slots * 100)) -gt $((slots0 * 110)) ]; then
+  echo "ingest slots grew more than 10%: $slots0 -> $slots" >&2
   failed=1
 fi
 "$bin/regionsel_client.exe" ctrl --socket "$sock" shutdown > /dev/null
