@@ -49,6 +49,8 @@ let codec program =
   let kn = bits_for n_blocks in
   { n_blocks; kn; width = bits_for (n_blocks - 1) + 1 + kn }
 
+let event_bits program = (codec program).width
+
 (* Events [pos .. pos+len-1] as the payload, zero-padded to a whole byte,
    followed by a zero placeholder for its checksum. *)
 let add_payload c w ~program events ~pos ~len =

@@ -37,6 +37,10 @@ val read_file :
     version, checksum mismatch, truncation, out-of-range ids, or an
     identity mismatch (different program shape or seed). *)
 
+val event_bits : Regionsel_isa.Program.t -> int
+(** The bits one event takes in a payload (file or batch) for this
+    program: block id, taken bit and successor code. *)
+
 (** {1 In-memory codec} — the file body, for tests and corruption drills. *)
 
 val encode :
@@ -63,8 +67,8 @@ val encode_batch :
   len:int ->
   bytes
 (** Encode events [pos .. pos+len-1].
-    @raise Invalid_argument on a range outside the recording or an event
-    that does not fit the program. *)
+    @raise Invalid_argument on a range outside the recording or its
+    released prefix, or an event that does not fit the program. *)
 
 val decode_batch :
   bytes ->
