@@ -48,60 +48,65 @@ let rec lru_way stamps base ways best i =
     let best = if Array.get stamps (base + i) < Array.get stamps (base + best) then i else best in
     lru_way stamps base ways best (i + 1)
 
-let touch_line t line =
-  t.accesses <- t.accesses + 1;
-  t.clock <- t.clock + 1;
-  let set = line land (t.n_sets - 1) in
-  let base = set * t.ways in
-  if t.ways = 2 then begin
-    (* The default geometry, on the per-step path: both ways checked
-       inline, no way-scan calls.  [base + 1] is in bounds because [set <
-       n_sets] and the arrays hold [n_sets * ways] slots.  Tie-breaking
-       matches [lru_way]: way 1 is the victim only when strictly older. *)
-    let tags = t.tags and stamps = t.stamps in
-    if Array.unsafe_get tags base = line then Array.unsafe_set stamps base t.clock
-    else if Array.unsafe_get tags (base + 1) = line then
-      Array.unsafe_set stamps (base + 1) t.clock
-    else begin
-      t.misses <- t.misses + 1;
-      let victim =
-        if Array.unsafe_get stamps (base + 1) < Array.unsafe_get stamps base then base + 1
-        else base
-      in
-      Array.unsafe_set tags victim line;
-      Array.unsafe_set stamps victim t.clock
-    end
+(* Look up [line] at time [clock] in a cache of any associativity, filling
+   it over the least-recently-used way on a miss.  [true] on a miss. *)
+let touch_line t line clock =
+  let base = (line land (t.n_sets - 1)) * t.ways in
+  let i = find_way t.tags base line t.ways 0 in
+  if i >= 0 then begin
+    t.stamps.(base + i) <- clock;
+    false
   end
   else begin
-    let i = find_way t.tags base line t.ways 0 in
-    if i >= 0 then t.stamps.(base + i) <- t.clock
-    else begin
-      t.misses <- t.misses + 1;
-      (* Evict the least-recently-used way. *)
-      let victim = lru_way t.stamps base t.ways 0 1 in
-      t.tags.(base + victim) <- line;
-      t.stamps.(base + victim) <- t.clock
-    end
+    let victim = lru_way t.stamps base t.ways 0 1 in
+    t.tags.(base + victim) <- line;
+    t.stamps.(base + victim) <- clock;
+    true
   end
 
 let access t ~addr ~bytes =
-  if bytes > 0 then
-    if t.line_shift >= 0 then begin
-      (* Power-of-two lines: shift instead of two integer divisions, which
-         are the single most expensive ALU ops on this per-step path. *)
-      let first = addr lsr t.line_shift in
-      let last = (addr + bytes - 1) lsr t.line_shift in
+  if bytes > 0 then begin
+    (* Power-of-two lines: shift instead of two integer divisions, which
+       are the single most expensive ALU ops on this per-step path. *)
+    let shift = t.line_shift and stop = addr + bytes - 1 in
+    let first = if shift >= 0 then addr lsr shift else addr / t.line_bytes in
+    let last = if shift >= 0 then stop lsr shift else stop / t.line_bytes in
+    (* [clock] and [misses] live in locals for the whole range and are
+       stored back once. *)
+    let clock = ref t.clock and misses = ref t.misses in
+    if t.ways = 2 then begin
+      (* The default geometry, on the per-step path: both ways checked
+         inline, no way-scan calls.  [base + 1] is in bounds because the
+         set index is below [n_sets] and the arrays hold [n_sets * ways]
+         slots.  Tie-breaking matches [lru_way]: way 1 is the victim only
+         when strictly older. *)
+      let tags = t.tags and stamps = t.stamps and set_mask = t.n_sets - 1 in
       for line = first to last do
-        touch_line t line
+        incr clock;
+        let base = (line land set_mask) * 2 in
+        if Array.unsafe_get tags base = line then Array.unsafe_set stamps base !clock
+        else if Array.unsafe_get tags (base + 1) = line then
+          Array.unsafe_set stamps (base + 1) !clock
+        else begin
+          incr misses;
+          let victim =
+            if Array.unsafe_get stamps (base + 1) < Array.unsafe_get stamps base then base + 1
+            else base
+          in
+          Array.unsafe_set tags victim line;
+          Array.unsafe_set stamps victim !clock
+        end
       done
     end
-    else begin
-      let first = addr / t.line_bytes in
-      let last = (addr + bytes - 1) / t.line_bytes in
+    else
       for line = first to last do
-        touch_line t line
-      done
-    end
+        incr clock;
+        if touch_line t line !clock then incr misses
+      done;
+    t.clock <- !clock;
+    t.misses <- !misses;
+    t.accesses <- t.accesses + (last - first + 1)
+  end
 
 let accesses t = t.accesses
 let misses t = t.misses

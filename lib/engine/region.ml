@@ -68,8 +68,11 @@ type t = {
   hot_succ_addr : int array;  (* node id -> first internal successor address, -1 if none *)
   hot_succ_node : int array;  (* node id -> that successor's node id *)
   node_by_addr : Flat_tbl.t;  (* block start address -> node id *)
-  node_of_block : int array;  (* Program block_id -> node id, -1 elsewhere; [||] without program *)
-  link_slots : t option array;  (* Program block_id -> linked exit target; [||] without program *)
+  node_base : int;  (* smallest Program block_id among the nodes *)
+  node_of_block : int array;  (* block_id - node_base -> node id, -1 elsewhere; [||] without program *)
+  n_link_slots : int;  (* Program block count; 0 without program *)
+  mutable link_base : int;
+  mutable link_slots : t option array;  (* slot - link_base -> linked exit target *)
   copied_insts : int;
   n_stubs : int;
   spans_cycle : bool;
@@ -185,18 +188,32 @@ let of_spec ~id ~selected_at ?program spec =
         hot_succ_node.(s) <- d
       end)
     spec.edges;
-  let node_of_block, link_slots =
+  (* Both block-indexed tables cover only the ids they need: the
+     translation the span of the nodes' ids, the link slots the span of
+     the linked ones (grown by [set_link]).  A region has a few nodes and
+     links; two program-sized tables per region would be most of what a
+     run allocates on the major heap. *)
+  let node_base, node_of_block, n_link_slots =
     match program with
-    | None -> ([||], [||])
+    | None -> (0, [||], 0)
     | Some p ->
-      let nb = max 1 (Program.n_blocks p) in
-      let translate = Array.make nb (-1) in
+      let lo = ref max_int and hi = ref (-1) in
+      Array.iter
+        (fun (b : Block.t) ->
+          let bid = Program.block_id p b.Block.start in
+          if bid >= 0 then begin
+            lo := min !lo bid;
+            hi := max !hi bid
+          end)
+        node_blocks;
+      let base = if !hi < 0 then 0 else !lo in
+      let translate = Array.make (max 0 (!hi - base + 1)) (-1) in
       Array.iteri
         (fun i (b : Block.t) ->
           let bid = Program.block_id p b.Block.start in
-          if bid >= 0 then translate.(bid) <- i)
+          if bid >= 0 then translate.(bid - base) <- i)
         node_blocks;
-      (translate, Array.make nb None)
+      (base, translate, max 1 (Program.n_blocks p))
   in
   {
     id;
@@ -211,8 +228,11 @@ let of_spec ~id ~selected_at ?program spec =
     hot_succ_addr;
     hot_succ_node;
     node_by_addr;
+    node_base;
     node_of_block;
-    link_slots;
+    n_link_slots;
+    link_base = 0;
+    link_slots = [||];
     copied_insts = spec.copied_insts;
     n_stubs;
     spans_cycle;
@@ -244,7 +264,10 @@ let dummy =
     hot_succ_addr = [||];
     hot_succ_node = [||];
     node_by_addr = Flat_tbl.create 1;
+    node_base = 0;
     node_of_block = [||];
+    n_link_slots = 0;
+    link_base = 0;
     link_slots = [||];
     copied_insts = 0;
     n_stubs = 0;
@@ -315,13 +338,32 @@ let block_cache_addr t a =
     let off = block_offset t a in
     if off < 0 then None else Some (t.cache_base + off)
 
-let n_link_slots t = Array.length t.link_slots
+let node_of_block_id t id =
+  let k = id - t.node_base and translate = t.node_of_block in
+  if k >= 0 && k < Array.length translate then Array.unsafe_get translate k else -1
+
+let n_link_slots t = t.n_link_slots
 
 let link_target t slot =
-  let ls = t.link_slots in
-  if slot >= 0 && slot < Array.length ls then Array.unsafe_get ls slot else None
+  let k = slot - t.link_base and ls = t.link_slots in
+  if k >= 0 && k < Array.length ls then Array.unsafe_get ls k else None
 
-let set_link t ~slot target = t.link_slots.(slot) <- target
+let set_link t ~slot target =
+  if slot < 0 || slot >= t.n_link_slots then invalid_arg "Region.set_link: slot out of range";
+  let k = slot - t.link_base and ls = t.link_slots in
+  if k >= 0 && k < Array.length ls then ls.(k) <- target
+  else
+    match target with
+    | None -> ()
+    | Some _ ->
+      let n = Array.length ls in
+      let lo = if n = 0 then slot else min t.link_base slot in
+      let hi = if n = 0 then slot else max (t.link_base + n - 1) slot in
+      let grown = Array.make (hi - lo + 1) None in
+      if n > 0 then Array.blit ls 0 grown (t.link_base - lo) n;
+      grown.(slot - lo) <- target;
+      t.link_base <- lo;
+      t.link_slots <- grown
 
 let clear_links t =
   let ls = t.link_slots in

@@ -88,12 +88,17 @@ type t = private {
           stay-in-region step is a single compare. *)
   hot_succ_node : int array;  (** Node id of that successor. *)
   node_by_addr : Flat_tbl.t;  (** Block start address -> node id. *)
+  node_base : int;  (** Smallest [Program.block_id] among the nodes. *)
   node_of_block : int array;
-      (** [Program.block_id] -> node id ([-1] for blocks outside the
-          region); [[||]] when built without [~program]. *)
-  link_slots : t option array;
-      (** [Program.block_id] -> region this region's exit to that block is
-          linked to (the patched exit stub); [[||]] without [~program].
+      (** [Program.block_id - node_base] -> node id ([-1] for blocks
+          outside the region), covering the nodes' ids; [[||]] when built
+          without [~program].  Read it through {!node_of_block_id}. *)
+  n_link_slots : int;  (** See {!n_link_slots}. *)
+  mutable link_base : int;
+  mutable link_slots : t option array;
+      (** [slot - link_base] -> region this region's exit to block id
+          [slot] is linked to (the patched exit stub), covering the linked
+          slots; grown by {!set_link}.  Read it through {!link_target}.
           Invariant, maintained by [Code_cache]: a link never outlives its
           target region, and always agrees with the dispatch array. *)
   copied_insts : int;
@@ -187,8 +192,13 @@ val block_cache_addr : t -> Addr.t -> int option
     block starts, once the region is installed ([None] for non-nodes or
     before installation). *)
 
+val node_of_block_id : t -> int -> int
+(** The node id of the block with the given [Program.block_id], [-1] for
+    blocks outside the region and for any id without [~program]. *)
+
 val n_link_slots : t -> int
-(** Length of [link_slots] (0 when built without [~program]). *)
+(** The number of link slots, one per program block (0 when built
+    without [~program]). *)
 
 val link_target : t -> int -> t option
 (** The region this region's exit to the given block id is linked to
@@ -196,7 +206,8 @@ val link_target : t -> int -> t option
 
 val set_link : t -> slot:int -> t option -> unit
 (** Patch (or unpatch) one exit link.  Callers other than [Code_cache]
-    must not use this: the cache owns the no-stale-links invariant. *)
+    must not use this: the cache owns the no-stale-links invariant.
+    @raise Invalid_argument if the slot is not below {!n_link_slots}. *)
 
 val clear_links : t -> int
 (** Unpatch every outgoing link, returning how many were live (used when

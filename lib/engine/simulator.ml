@@ -227,7 +227,7 @@ let create ?(params = Params.default) ?(seed = 1L) ?(telemetry = Telemetry.none)
         cur_region := region;
         (* A dispatch hit is at the region's entry or an aux entry, both
            nodes of the region, so the translation is never -1. *)
-        cur_node := Array.unsafe_get region.Region.node_of_block id
+        cur_node := Region.node_of_block_id region id
       | None -> ()
     end
   in
@@ -255,10 +255,7 @@ let create ?(params = Params.default) ?(seed = 1L) ?(telemetry = Telemetry.none)
     end
     else begin
       let id = Program.block_id program a in
-      let nid =
-        let translate = region.Region.node_of_block in
-        if id >= 0 && id < Array.length translate then Array.unsafe_get translate id else -1
-      in
+      let nid = Region.node_of_block_id region id in
       if nid >= 0 && Region.has_edge_nodes region ~src:node ~dst:nid then begin
         if nid = 0 then Region.record_cycle region;
         cur_node := nid
@@ -274,7 +271,7 @@ let create ?(params = Params.default) ?(seed = 1L) ?(telemetry = Telemetry.none)
           stats.Stats.region_transitions <- stats.Stats.region_transitions + 1;
           Region.record_entry other;
           cur_region := other;
-          cur_node := Array.unsafe_get other.Region.node_of_block id
+          cur_node := Region.node_of_block_id other id
         | None -> (
           match Code_cache.dispatch cache id with
           | Some other when other == region ->
@@ -282,7 +279,7 @@ let create ?(params = Params.default) ?(seed = 1L) ?(telemetry = Telemetry.none)
                stays put, and the paper's executed-cycle metric counts it as
                a completed cycle, not an exit. *)
             Region.record_cycle region;
-            cur_node := Array.unsafe_get region.Region.node_of_block id
+            cur_node := Region.node_of_block_id region id
           | Some other ->
             Region.record_exit region ~from:cur ~tgt:a;
             stats.Stats.region_transitions <- stats.Stats.region_transitions + 1;
@@ -291,7 +288,7 @@ let create ?(params = Params.default) ?(seed = 1L) ?(telemetry = Telemetry.none)
             Gauges.set_links ctx.Context.gauges (Code_cache.n_links cache);
             Region.record_entry other;
             cur_region := other;
-            cur_node := Array.unsafe_get other.Region.node_of_block id
+            cur_node := Region.node_of_block_id other id
           | None ->
             Region.record_exit region ~from:cur ~tgt:a;
             stats.Stats.cache_exits_to_interp <- stats.Stats.cache_exits_to_interp + 1;
@@ -311,7 +308,7 @@ let create ?(params = Params.default) ?(seed = 1L) ?(telemetry = Telemetry.none)
               Telemetry.dispatch telemetry ~step:stats.Stats.steps ~id:fresh.Region.id;
               Region.record_entry fresh;
               cur_region := fresh;
-              cur_node := Array.unsafe_get fresh.Region.node_of_block id
+              cur_node := Region.node_of_block_id fresh id
             | None -> cur_region := Region.dummy))
       end
     end

@@ -1,91 +1,47 @@
-(* SplitMix64 with the 64-bit state held as two 32-bit limbs in native
-   ints.  OCaml boxes every [Int64] intermediate (without flambda, one
-   [next_int64] allocated ~10 boxes), and the generator runs on the
-   simulator's per-branch hot path — so the stepping arithmetic is done
-   limb-wise in (untagged-immediate) native ints instead, bit-for-bit
-   equal to the reference 64-bit implementation.  [mhi]/[mlo] are scratch
-   cells holding the last mixed output, avoiding a tuple per draw. *)
+(* SplitMix64 (Steele, Lea & Flood, OOPSLA 2014), the textbook 64-bit
+   arithmetic.  The state is an 8-byte [Bytes] read and written with the
+   unboxed 64-bit load and store primitives, so a draw keeps every [Int64]
+   intermediate in a register: the generator runs on the simulator's
+   per-branch hot path, and a mutable [int64] record field would box a
+   fresh state on every draw.  [state]/[set_state] speak in 32-bit limbs,
+   the layout snapshots store. *)
 
-type t = {
-  mutable hi : int; (* state bits 63..32, in [0, 2^32) *)
-  mutable lo : int; (* state bits 31..0 *)
-  mutable mhi : int; (* last mixed output, high/low limbs *)
-  mutable mlo : int;
-}
+type t = Bytes.t (* 8 bytes: the 64-bit state *)
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let mask32 = 0xFFFF_FFFF
+let golden_gamma = 0x9E3779B97F4A7C15L
 
-(* golden gamma 0x9E3779B97F4A7C15 *)
-let gamma_hi = 0x9E3779B9
-let gamma_lo = 0x7F4A7C15
+let of_state s =
+  let g = Bytes.create 8 in
+  set64 g 0 s;
+  g
 
-let create ~seed =
-  {
-    hi = Int64.to_int (Int64.shift_right_logical seed 32);
-    lo = Int64.to_int (Int64.logand seed 0xFFFF_FFFFL);
-    mhi = 0;
-    mlo = 0;
-  }
+let create ~seed = of_state seed
+let copy = Bytes.copy
 
-let copy g = { hi = g.hi; lo = g.lo; mhi = 0; mlo = 0 }
-
-(* The full generator state is the two state limbs: [mhi]/[mlo] are
-   scratch (the last mixed output) and are never read across draws, so a
-   saved-and-restored generator reproduces the exact remaining stream. *)
-let state g = g.hi, g.lo
+let state g =
+  let s = get64 g 0 in
+  Int64.to_int (Int64.shift_right_logical s 32), Int64.to_int s land mask32
 
 let set_state g ~hi ~lo =
   if hi < 0 || hi > mask32 || lo < 0 || lo > mask32 then
     invalid_arg "Splitmix.set_state: limbs must lie in [0, 2^32)";
-  g.hi <- hi;
-  g.lo <- lo;
-  g.mhi <- 0;
-  g.mlo <- 0
+  set64 g 0 (Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo))
 
-(* Low 64 bits of the product (xh:xl) * (yh:yl), into mhi:mlo.  The cross
-   terms enter shifted left by 32, so only their low 32 bits matter, and
-   native multiplication is exact mod 2^63, so those bits survive; the
-   xl*yl term needs all 64 bits and is built from 16-bit partials. *)
-let mul_into t xh xl yh yl =
-  let a0 = xl land 0xFFFF and a1 = xl lsr 16 in
-  let b0 = yl land 0xFFFF and b1 = yl lsr 16 in
-  let t1 = (a1 * b0) + (a0 * b1) in
-  let u = (a0 * b0) + ((t1 land 0xFFFF) lsl 16) in
-  let cross = ((xl * yh) + (xh * yl)) land mask32 in
-  t.mlo <- u land mask32;
-  t.mhi <- ((a1 * b1) + (t1 lsr 16) + (u lsr 32) + cross) land mask32
+(* Advance the state by the golden gamma and return mix64 of the new
+   state, the reference finalizer.  Inlined so that callers unbox it. *)
+let[@inline] next_int64 g =
+  let s = Int64.add (get64 g 0) golden_gamma in
+  set64 g 0 s;
+  let z = Int64.mul (Int64.logxor s (Int64.shift_right_logical s 30)) 0xBF58476D1CE4E5B9L in
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+  Int64.logxor z (Int64.shift_right_logical z 31)
 
-(* Advance the state by gamma and leave mix64(state) in mhi:mlo.
-   Finalization mix from the SplitMix64 reference implementation. *)
-let next_mixed t =
-  let slo = t.lo + gamma_lo in
-  let lo = slo land mask32 in
-  let hi = (t.hi + gamma_hi + (slo lsr 32)) land mask32 in
-  t.lo <- lo;
-  t.hi <- hi;
-  (* z ^= z >>> 30; z *= 0xBF58476D1CE4E5B9 *)
-  let lo1 = lo lxor ((lo lsr 30) lor ((hi lsl 2) land mask32))
-  and hi1 = hi lxor (hi lsr 30) in
-  mul_into t hi1 lo1 0xBF58476D 0x1CE4E5B9;
-  (* z ^= z >>> 27; z *= 0x94D049BB133111EB *)
-  let lo3 = t.mlo lxor ((t.mlo lsr 27) lor ((t.mhi lsl 5) land mask32))
-  and hi3 = t.mhi lxor (t.mhi lsr 27) in
-  mul_into t hi3 lo3 0x94D049BB 0x133111EB;
-  (* z ^= z >>> 31 *)
-  t.mlo <- t.mlo lxor ((t.mlo lsr 31) lor ((t.mhi lsl 1) land mask32));
-  t.mhi <- t.mhi lxor (t.mhi lsr 31)
-
-let next_int64 t =
-  next_mixed t;
-  Int64.logor (Int64.shift_left (Int64.of_int t.mhi) 32) (Int64.of_int t.mlo)
-
-let split g =
-  next_mixed g;
-  { hi = g.mhi; lo = g.mlo; mhi = 0; mlo = 0 }
-
-let bits30 g =
-  next_mixed g;
-  g.mhi lsr 2
+let split g = of_state (next_int64 g)
+let bits30 g = Int64.to_int (Int64.shift_right_logical (next_int64 g) 34)
 
 let int g bound =
   assert (bound > 0);
@@ -99,17 +55,13 @@ let int g bound =
     in
     draw ()
 
-let bits53 g =
-  next_mixed g;
-  (g.mhi lsl 21) lor (g.mlo lsr 11)
+let bits53 g = Int64.to_int (Int64.shift_right_logical (next_int64 g) 11)
 
 let float g =
   (* 53 uniform bits, as in the reference double generator. *)
   float_of_int (bits53 g) *. (1.0 /. 9007199254740992.0)
 
-let bool g =
-  next_mixed g;
-  g.mlo land 1 = 1
+let bool g = Int64.to_int (next_int64 g) land 1 = 1
 
 let bernoulli g ~p = if p >= 1.0 then true else if p <= 0.0 then false else float g < p
 

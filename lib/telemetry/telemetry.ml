@@ -108,7 +108,7 @@ type span = { id : int; installed_at : int; retired_at : int; cause : cause; n_n
 let slots = 4
 
 type t = {
-  buf : int array;
+  mutable buf : int array;  (** [min cap initial_events] events, doubled up to [cap] *)
   cap : int;  (** events; power of two *)
   mutable head : int;  (** events ever emitted; next write = head mod cap *)
   hist_residency : Hist.h;
@@ -134,10 +134,15 @@ let round_pow2 n =
   let rec go p = if p >= n then p else go (p * 2) in
   go 1
 
+(* The ring starts this small and doubles as events arrive, up to [cap]:
+   a short run never pays for (nor makes the GC scan) a 2 MiB ring it
+   does not fill. *)
+let initial_events = 1024
+
 let create ?(capacity = 65536) () =
   let cap = round_pow2 (max 1 capacity) in
   {
-    buf = Array.make (cap * slots) 0;
+    buf = Array.make (min cap initial_events * slots) 0;
     cap;
     head = 0;
     hist_residency = Hist.create ();
@@ -152,9 +157,19 @@ let create ?(capacity = 65536) () =
     finished = false;
   }
 
-(* The hot emission path: four unchecked writes into the ring. [cap] is a
-   power of two, so the modulo is a mask. *)
+(* Until the ring first wraps its events sit in order at [0, head), so a
+   prefix copy keeps them. *)
+let grow t =
+  let n = Array.length t.buf in
+  let buf = Array.make (2 * n) 0 in
+  Array.blit t.buf 0 buf 0 n;
+  t.buf <- buf
+
+(* The hot emission path: four unchecked writes into the ring, after a
+   doubling when a ring smaller than [cap] is full.  [cap] is a power of
+   two, so the modulo is a mask. *)
 let push t ~step ~kind ~a ~b =
+  if t.head < t.cap && t.head * slots = Array.length t.buf then grow t;
   let base = (t.head land (t.cap - 1)) * slots in
   Array.unsafe_set t.buf base step;
   Array.unsafe_set t.buf (base + 1) kind;
@@ -394,7 +409,7 @@ let load t read =
   let head = read () in
   if head < 0 then failwith "Telemetry.load: negative head";
   let live_slots = min head cap * slots in
-  Array.fill t.buf 0 (Array.length t.buf) 0;
+  t.buf <- Array.make (max (min cap initial_events) (round_pow2 (min head cap)) * slots) 0;
   for i = 0 to live_slots - 1 do
     t.buf.(i) <- read ()
   done;

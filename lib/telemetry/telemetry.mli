@@ -1,18 +1,20 @@
 (** Region-lifecycle event tracing and histogram telemetry.
 
-    A fixed-size ring buffer of packed-int lifecycle events emitted from
+    A bounded ring buffer of packed-int lifecycle events emitted from
     the hot paths of the engine (region install/evict/invalidate, link
     patch/sever, dispatch, bailout enter/exit, fault delivery, blacklist
     add/expire), each stamped with the step count at which it happened,
     plus log2-bucketed histograms for region residency, time-to-first-link,
     selected-trace length and blacklist cooldown duration.
 
-    The buffer never grows: when full, the oldest events are overwritten
-    ({!n_dropped} counts the casualties).  Emission writes four ints into a
-    preallocated array — no allocation, no branching beyond the sink check —
-    so a tracer-on run stays inside the bench-smoke regression gate, and a
-    tracer-off run ([sink = None], the default everywhere) costs one
-    immediate-value compare per emission site.
+    The buffer starts at 1024 events and doubles as events arrive, up to
+    its capacity; from then on the oldest events are overwritten
+    ({!n_dropped} counts the casualties).  Emission writes four ints into
+    the array — no allocation beyond those few doublings, no branching
+    beyond the sink and growth checks — so a tracer-on run stays inside
+    the bench-smoke regression gate, and a tracer-off run
+    ([sink = None], the default everywhere) costs one immediate-value
+    compare per emission site.
 
     Region install/retire events additionally feed a {e span ledger} kept
     outside the ring, so per-region lifetime spans survive ring overwrite
@@ -34,7 +36,8 @@ val none : sink
 
 val create : ?capacity:int -> unit -> t
 (** A fresh recorder.  [capacity] is the maximum number of buffered events
-    (default 65536), rounded up to a power of two. *)
+    (default 65536), rounded up to a power of two.  The buffer is
+    allocated as it fills, so a short run never pays for all of it. *)
 
 (** {1 Event kinds}
 

@@ -101,6 +101,94 @@ let combination_lowers_misses_on_figure4 () =
   check_true "combined region is denser than split traces"
     (rate Policies.combined_net <= rate Policies.net)
 
+(* The reference: one list per set, the ways in slot order, each a
+   [(tag, last use)] pair; invalid ways hold tag -1 and time 0.  A miss
+   fills the first way with the oldest last use, as an LRU cache that
+   fills its ways in order does. *)
+module Reference = struct
+  type t = {
+    line_bytes : int;
+    ways : int;
+    sets : (int * int) list array;
+    mutable clock : int;
+    mutable accesses : int;
+    mutable misses : int;
+  }
+
+  let create ~n_sets ~line_bytes ~ways =
+    {
+      line_bytes;
+      ways;
+      sets = Array.make n_sets (List.init ways (fun _ -> -1, 0));
+      clock = 0;
+      accesses = 0;
+      misses = 0;
+    }
+
+  let touch c line =
+    c.clock <- c.clock + 1;
+    c.accesses <- c.accesses + 1;
+    let set = line mod Array.length c.sets in
+    let ways = c.sets.(set) in
+    let replace victim = List.mapi (fun i w -> if i = victim then line, c.clock else w) ways in
+    match List.find_index (fun (tag, _) -> tag = line) ways with
+    | Some i -> c.sets.(set) <- replace i
+    | None ->
+        c.misses <- c.misses + 1;
+        let oldest = List.fold_left (fun m (_, used) -> min m used) max_int ways in
+        c.sets.(set) <- replace (Option.get (List.find_index (fun (_, u) -> u = oldest) ways))
+
+  let access c ~addr ~bytes =
+    for line = addr / c.line_bytes to (addr + bytes - 1) / c.line_bytes do
+      touch c line
+    done
+
+  (* [Icache.save]'s stream: slot count, every tag, every stamp, then
+     the counters. *)
+  let save c =
+    let slots = List.concat (Array.to_list c.sets) in
+    (List.length slots :: List.map fst slots)
+    @ List.map snd slots
+    @ [ c.clock; c.accesses; c.misses ]
+end
+
+let saved c =
+  let out = ref [] in
+  Icache.save c (fun v -> out := v :: !out);
+  List.rev !out
+
+(* 1, 2 and 4 ways; 16- and 64-byte lines (the shift path) and 24- and
+   48-byte lines (the division path); 1 to 8 sets.  Addresses span a few
+   times the cache so sets conflict, and a fetch covers up to 3 lines. *)
+let qcheck_reference =
+  let geometry =
+    QCheck.Gen.(triple (oneofl [ 1; 2; 4 ]) (oneofl [ 16; 24; 48; 64 ]) (oneofl [ 1; 2; 4; 8 ]))
+  in
+  let gen =
+    QCheck.Gen.(
+      geometry >>= fun (ways, line_bytes, n_sets) ->
+      let span = 4 * ways * line_bytes * n_sets in
+      map
+        (fun fetches -> (ways, line_bytes, n_sets), fetches)
+        (list_size (int_range 1 300) (pair (int_bound span) (int_range 1 (3 * line_bytes)))))
+  in
+  let print ((ways, line_bytes, n_sets), fetches) =
+    Printf.sprintf "ways %d, %d-byte lines, %d sets: %s" ways line_bytes n_sets
+      (QCheck.Print.(list (pair int int)) fetches)
+  in
+  QCheck.Test.make ~name:"accesses, misses and save stream match a list-per-set LRU" ~count:500
+    (QCheck.make ~print gen)
+    (fun ((ways, line_bytes, n_sets), fetches) ->
+      let c = Icache.create ~size_bytes:(n_sets * ways * line_bytes) ~line_bytes ~ways () in
+      let r = Reference.create ~n_sets ~line_bytes ~ways in
+      List.for_all
+        (fun (addr, bytes) ->
+          Icache.access c ~addr ~bytes;
+          Reference.access r ~addr ~bytes;
+          Icache.accesses c = r.Reference.accesses && Icache.misses c = r.Reference.misses)
+        fetches
+      && saved c = Reference.save r)
+
 let suite =
   [
     case "cold miss then hit" cold_miss_then_hit;
@@ -113,4 +201,5 @@ let suite =
     case "uninstalled region has no layout" uninstalled_region_has_no_layout;
     case "simulator drives icache" simulator_drives_icache;
     case "combination lowers misses" combination_lowers_misses_on_figure4;
+    QCheck_alcotest.to_alcotest qcheck_reference;
   ]

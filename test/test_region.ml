@@ -110,12 +110,29 @@ let block_translation_requires_program () =
   let s = spec ~entry:16 [ mk 16 3 Terminator.Return; mk 32 4 Terminator.Return ] in
   let r = Region.of_spec ~id:0 ~selected_at:0 ~program s in
   check_int "member block translates to its node" 0
-    r.Region.node_of_block.(Program.block_id program 16);
-  check_int "other member block" 1 r.Region.node_of_block.(Program.block_id program 32);
+    (Region.node_of_block_id r (Program.block_id program 16));
+  check_int "other member block" 1
+    (Region.node_of_block_id r (Program.block_id program 32));
   check_int "non-member block translates to -1" (-1)
-    r.Region.node_of_block.(Program.block_id program 0);
+    (Region.node_of_block_id r (Program.block_id program 0));
   check_int "one link slot per program block" 3 (Region.n_link_slots r);
   check_true "slots start unlinked" (Region.link_target r 0 = None);
+  (* Links are stored over the span of the linked slots, grown on
+     demand; every slot below [n_link_slots] can be linked. *)
+  let other = Region.of_spec ~id:2 ~selected_at:2 ~program s in
+  let linked slot = match Region.link_target r slot with Some t -> t == other | None -> false in
+  Region.set_link r ~slot:2 (Some other);
+  check_true "slot 2 linked, 0 not" (linked 2 && not (linked 0));
+  Region.set_link r ~slot:0 (Some other);
+  check_true "slots 0 and 2 linked, 1 not" (linked 0 && linked 2 && not (linked 1));
+  Region.set_link r ~slot:2 None;
+  check_true "unlinked again" (linked 0 && not (linked 2));
+  check_int "clear_links counts the live link" 1 (Region.clear_links r);
+  check_true "slot past the program rejected"
+    (try
+       Region.set_link r ~slot:3 (Some other);
+       false
+     with Invalid_argument _ -> true);
   (* Without the program the dense structures are absent, not sized 0..n. *)
   let bare = Region.of_spec ~id:1 ~selected_at:1 s in
   check_int "no link slots without program" 0 (Region.n_link_slots bare);

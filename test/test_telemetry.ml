@@ -133,6 +133,36 @@ let no_drops_with_room () =
   Alcotest.(check int) "everything survives" (Telemetry.n_emitted t)
     (List.length (Telemetry.events t))
 
+(* The ring grows from a small start to its capacity as events arrive.
+   At every fill, below, across and past a doubling and past the first
+   wrap, the survivors are the newest [capacity] events in order, and a
+   saved-and-loaded recorder continues exactly as the original. *)
+let ring_grows_then_wraps () =
+  let capacity = 4096 in
+  let emit t ~from ~upto =
+    for i = from to upto - 1 do
+      Telemetry.dispatch (Some t) ~step:i ~id:(i land 0xFF)
+    done
+  in
+  let steps t = List.map (fun (e : Telemetry.event) -> e.Telemetry.step) (Telemetry.events t) in
+  let newest n = List.init (min n capacity) (fun k -> max 0 (n - capacity) + k) in
+  List.iter
+    (fun n ->
+      let t = Telemetry.create ~capacity () in
+      emit t ~from:0 ~upto:n;
+      let name what = Printf.sprintf "%d events: %s" n what in
+      Alcotest.(check (list int)) (name "newest survive, oldest first") (newest n) (steps t);
+      Alcotest.(check int) (name "dropped") (max 0 (n - capacity)) (Telemetry.n_dropped t);
+      let saved = Queue.create () in
+      Telemetry.save t (fun v -> Queue.push v saved);
+      let u = Telemetry.create ~capacity () in
+      Telemetry.load u (fun () -> Queue.pop saved);
+      emit t ~from:n ~upto:(n + 3000);
+      emit u ~from:n ~upto:(n + 3000);
+      Alcotest.(check (list int)) (name "restored recorder continues alike") (steps t) (steps u);
+      Alcotest.(check (list int)) (name "and keeps the newest") (newest (n + 3000)) (steps u))
+    [ 0; 1; 1023; 1024; 1025; 2048; 3000; 4095; 4096; 4097; 9000 ]
+
 let hist_bucketing () =
   let h = Telemetry.Hist.create () in
   List.iter (Telemetry.Hist.observe h) [ 0; 1; 2; 3; 4; 7; 8; 100 ];
@@ -287,6 +317,7 @@ let suite =
     case "residency counts genuine retirements" residency_counts_genuine_retirements;
     case "ring overwrites oldest" ring_overwrites_oldest;
     case "no drops with room" no_drops_with_room;
+    case "ring grows then wraps" ring_grows_then_wraps;
     case "hist bucketing" hist_bucketing;
     case "selection and cooldown histograms" selection_and_cooldown_histograms;
     case "event stream coherent" event_stream_is_coherent;
