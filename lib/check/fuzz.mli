@@ -69,18 +69,14 @@ val run_snapshot_seed :
     diverges after a clean restore is returned as [(case, detail)].
     [max_steps] (default 3000) bounds each run. *)
 
-val stream_cases_of_seed : ?max_steps:int -> int -> case list
-(** The tenant fleet the multi-stream axis derives from a seed: 2-4
-    tenants with their own genomes, cycling through the policy and fault
-    tables ([max_steps] defaults to 3000 per tenant). *)
-
 val run_streams_seed : ?max_steps:int -> int -> (case list * string) option * int
-(** The multi-stream axis for one seed.  Each tenant of
-    {!stream_cases_of_seed} first runs solo under the full sanitizer (a
-    solo violation shrinks through {!shrink} and is reported as a
-    one-tenant fleet); then the fleet is multiplexed through
-    [Multi_stream.run] (batch 512) and checked against the scheduler's
-    contracts: without a budget every tenant's result must be
+(** The multi-stream axis for one seed: a fleet of 2-4 tenants with
+    their own genomes, cycling through the policy and fault tables
+    ([max_steps] defaults to 3000 per tenant).  Each tenant first runs
+    solo under the full sanitizer (a solo violation shrinks through
+    {!shrink} and is reported as a one-tenant fleet); then the fleet is
+    multiplexed through [Multi_stream.run] (batch 512) and checked
+    against the scheduler's contracts: without a budget every tenant's result must be
     bit-identical to its solo run, and with a shared budget (derived from
     the fleet's unconstrained footprint) the outcome — every tenant's
     counters and region entries, the quota counters, the round count —

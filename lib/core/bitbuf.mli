@@ -1,5 +1,5 @@
 (** Growable bit buffers: the substrate of the Figure 14 compact trace
-    encoding, snapshot sections and branch-event recordings.
+    encoding and of snapshot sections.
 
     Bits are written most-significant-first within each byte, so the
     serialized form is deterministic and the reader consumes bits in write

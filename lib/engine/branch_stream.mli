@@ -17,7 +17,7 @@
     (the persist layer owns framing and checksums). *)
 
 type events
-(** A compact in-memory recording: packed int arrays, ~2 words per event.
+(** A compact in-memory recording: one int per event.
 
     Positions are absolute: event [i] is the [i]th event ever appended
     since the recording was created or last {!recycle}d, whatever storage
@@ -36,8 +36,12 @@ val append : events -> Interp.step -> unit
 (** Append the event a filled step record describes.  Amortized O(1). *)
 
 val append_event : events -> block_id:int -> taken:bool -> next:Regionsel_isa.Addr.t -> unit
-(** Append one event by parts.
-    @raise Invalid_argument on a negative block id. *)
+(** Append one event by parts.  An event must fit its one-word slot: a
+    block id in [[0, 2^31)] and a successor address in [[0, 2^30 - 2]]
+    or {!Regionsel_isa.Addr.none}.  A program would need about 8 GiB of
+    address table ([Program.block_id]) to reach either limit.
+    @raise Invalid_argument on a block id or successor outside those
+    ranges, leaving the recording unchanged. *)
 
 (** {2 All-or-nothing appends}
 
@@ -49,7 +53,7 @@ val append_event : events -> block_id:int -> taken:bool -> next:Regionsel_isa.Ad
 val reserve : events -> int -> unit
 (** [reserve ev n] makes room for [n] slots past the current length
     without changing it.  Released storage is reused first: the retained
-    events slide to the front of the arrays, and the arrays grow (to twice
+    events slide to the front of the array, and the array grows (to twice
     their capacity, or to the room needed if that is more) only if that
     is not enough.  So a recording's capacity stays below twice the most
     it ever had to hold at once: its retained events plus one
@@ -57,8 +61,8 @@ val reserve : events -> int -> unit
 
 val set_pending : events -> int -> block_id:int -> taken:bool -> next:Regionsel_isa.Addr.t -> unit
 (** [set_pending ev i ...] writes slot [length ev + i] of the reserved room.
-    @raise Invalid_argument on a negative block id or a slot past the
-    recording's capacity. *)
+    @raise Invalid_argument on a block id or successor outside the ranges
+    of {!append_event}, or a slot past the recording's capacity. *)
 
 val commit : events -> int -> unit
 (** [commit ev n] appends the [n] pending slots to the recording.
@@ -100,7 +104,7 @@ val recycle : events -> unit
 
 val capacity : events -> int
 (** Slots allocated, retained and free: the recording's memory in events
-    (two words each). *)
+    (one word each). *)
 
 val get_block_id : events -> int -> int
 val get_taken : events -> int -> bool

@@ -7,12 +7,11 @@ type t = {
 
 let entry t = t.entry
 
-let addr_limit t = Array.length t.addr_to_id
-
 (* The hot-path primitive: an O(1) bounds-checked array read, no hashing. *)
-let block_id t a = if a < 0 || a >= Array.length t.addr_to_id then -1 else t.addr_to_id.(a)
+let[@inline] block_id t a =
+  if a < 0 || a >= Array.length t.addr_to_id then -1 else t.addr_to_id.(a)
 
-let block_of_id t id = t.blocks.(id)
+let[@inline] block_of_id t id = t.blocks.(id)
 
 let block_at t a =
   let id = block_id t a in

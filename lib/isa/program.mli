@@ -40,11 +40,6 @@ val block_of_id : t -> int -> Block.t
 (** The block with the given dense id.  Ids come from {!block_id}; passing
     anything outside [0 .. n_blocks - 1] is a programming error. *)
 
-val addr_limit : t -> int
-(** Exclusive upper bound on the addresses the program can ever transfer
-    to (one past the last block's fall-through address).  Useful for sizing
-    flat per-address tables. *)
-
 val n_insts : t -> int
 (** Total static instruction count, the denominator used when reporting code
     expansion as a fraction of program size. *)

@@ -23,7 +23,8 @@ val write_file :
 (** Encode and write atomically (tmp + fsync + rename), returning the
     file's size in bytes.
     @raise Invalid_argument if an event does not fit the program (block id
-    out of range, successor not a block start).
+    out of range, successor not a block start), or the payload's bit count
+    does not fit the header's u32 field.
     @raise Unix.Unix_error when the file cannot be written. *)
 
 val read_file :
@@ -68,7 +69,8 @@ val encode_batch :
   bytes
 (** Encode events [pos .. pos+len-1].
     @raise Invalid_argument on a range outside the recording or its
-    released prefix, or an event that does not fit the program. *)
+    released prefix, an event that does not fit the program, or a batch
+    whose count or bit count does not fit a u32. *)
 
 val decode_batch :
   bytes ->

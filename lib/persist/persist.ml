@@ -10,13 +10,14 @@ type report = { restored : string list; degraded : degraded list; skipped : int 
 
 let clean r = r.degraded = []
 
-(* CRC32 (IEEE 802.3, reflected polynomial 0xEDB88320), sliced by four:
+(* CRC32 (IEEE 802.3, reflected polynomial 0xEDB88320), sliced by eight:
    table [k] (entries [256k .. 256k+255]) maps a byte to its contribution
-   [k] bytes further on, so a 32-bit word folds into the register with
-   four independent lookups instead of a chain of four dependent ones. *)
+   [k] bytes further on, so eight bytes, read in one little-endian 64-bit
+   load, fold into the register with eight independent lookups instead of
+   a chain of eight dependent ones. *)
 let crc_tables =
   lazy
-    (let t = Array.make 1024 0 in
+    (let t = Array.make 2048 0 in
      for n = 0 to 255 do
        let c = ref n in
        for _ = 0 to 7 do
@@ -24,24 +25,34 @@ let crc_tables =
        done;
        t.(n) <- !c
      done;
-     for i = 256 to 1023 do
+     for i = 256 to 2047 do
        let p = t.(i - 256) in
        t.(i) <- (p lsr 8) lxor t.(p land 0xFF)
      done;
      t)
 
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external bswap64 : int64 -> int64 = "%bswap_int64"
+
 let crc_update c bytes ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length bytes then invalid_arg "Persist.crc32";
   let t = Lazy.force crc_tables in
   let c = ref c and i = ref pos and stop = pos + len in
-  while !i + 4 <= stop do
-    let x = !c lxor (Int32.to_int (Bytes.get_int32_le bytes !i) land 0xFFFFFFFF) in
+  while !i + 8 <= stop do
+    let w = get64u bytes !i in
+    let w = if Sys.big_endian then bswap64 w else w in
+    let x = !c lxor (Int64.to_int w land 0xFFFFFFFF) in
+    let y = Int64.to_int (Int64.shift_right_logical w 32) in
     c :=
-      Array.unsafe_get t (768 + (x land 0xFF))
-      lxor Array.unsafe_get t (512 + ((x lsr 8) land 0xFF))
-      lxor Array.unsafe_get t (256 + ((x lsr 16) land 0xFF))
-      lxor Array.unsafe_get t (x lsr 24);
-    i := !i + 4
+      Array.unsafe_get t (1792 + (x land 0xFF))
+      lxor Array.unsafe_get t (1536 + ((x lsr 8) land 0xFF))
+      lxor Array.unsafe_get t (1280 + ((x lsr 16) land 0xFF))
+      lxor Array.unsafe_get t (1024 + (x lsr 24))
+      lxor Array.unsafe_get t (768 + (y land 0xFF))
+      lxor Array.unsafe_get t (512 + ((y lsr 8) land 0xFF))
+      lxor Array.unsafe_get t (256 + ((y lsr 16) land 0xFF))
+      lxor Array.unsafe_get t (y lsr 24);
+    i := !i + 8
   done;
   while !i < stop do
     let b = Char.code (Bytes.unsafe_get bytes !i) in

@@ -30,11 +30,6 @@ val max_frame : int
 val max_string : int
 (** Upper bound on identity strings (tenant, bench, policy, ...). *)
 
-val max_text : int
-(** Upper bound on export-reply bodies ([Data], [Result]) — the whole
-    frame budget minus framing, since a Prometheus/JSONL snapshot over
-    many tenants runs far past {!max_string}. *)
-
 type hello = {
   h_tenant : string;  (** Session identity stem; non-empty. *)
   h_bench : string;

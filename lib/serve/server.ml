@@ -536,7 +536,7 @@ let drain_frames t conn =
 (* A streaming tenant's read takes only what its headroom below
    [ingest_max] is worth in encoded events (at least 4 KiB, so a tenant
    near the bound still makes progress); the rest waits in the kernel,
-   a couple of bytes an event rather than the sixteen it takes decoded.
+   a couple of bytes an event rather than the eight it takes decoded.
    An exhausted tenant's batches are dropped as they arrive, so it reads
    in full.  A connection without a session reads 4 KiB: its first frame
    is a Hello or a control command, and events pipelined behind a Hello

@@ -321,15 +321,7 @@ let n_installs t = t.installs
 
 let span_open t ~id = id >= 0 && id < Array.length t.open_at && t.open_at.(id) >= 0
 
-let iter_open_spans t f =
-  for id = 0 to Array.length t.open_at - 1 do
-    if t.open_at.(id) >= 0 then f ~id ~installed_at:t.open_at.(id)
-  done
-
-let n_open_spans t =
-  let n = ref 0 in
-  iter_open_spans t (fun ~id:_ ~installed_at:_ -> incr n);
-  !n
+let n_open_spans t = Array.fold_left (fun n at -> if at >= 0 then n + 1 else n) 0 t.open_at
 
 (* Close any open span whose region id is not in [live].  Restore uses
    this when the ledger survived a snapshot but the cache section did

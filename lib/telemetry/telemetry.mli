@@ -127,9 +127,6 @@ val span_open : t -> id:int -> bool
     retired).  Sanitizer rule: before {!finish}, the open spans are exactly
     the cache's live regions. *)
 
-val iter_open_spans : t -> (id:int -> installed_at:int -> unit) -> unit
-(** Iterate the ledger's open spans, increasing region id. *)
-
 val n_open_spans : t -> int
 (** Open spans (regions installed and not yet retired). *)
 

@@ -20,8 +20,3 @@ val write_chrome : ?name:string -> Telemetry.t -> path:string -> unit
 (** [name] labels the Perfetto process track (default ["regionsel"]). *)
 
 val write_jsonl : Telemetry.t -> path:string -> unit
-
-val histograms_json : Telemetry.t -> string
-(** The four histograms as one JSON object (also embedded in the JSONL
-    summary record): [{"residency": {"count": ..., "sum": ..., "max": ...,
-    "buckets": [{"lo": ..., "hi": ..., "count": ...}, ...]}, ...}]. *)

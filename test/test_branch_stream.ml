@@ -271,7 +271,7 @@ let golden_bytes () =
 let qcheck_codec_round_trip =
   let gen =
     QCheck.Gen.(
-      oneofl [ 1; 2; 3; 127; 128; 129; 4096 ] >>= fun n_blocks ->
+      oneofl [ 1; 2; 3; 127; 128; 129; 4096; 32767; 32768; 32769 ] >>= fun n_blocks ->
       list_size (int_range 0 60) (triple (int_bound (n_blocks - 1)) bool (int_bound n_blocks))
       >>= fun evs -> map (fun cut -> (n_blocks, evs, cut)) (int_bound 60))
   in
@@ -517,10 +517,60 @@ let reader_before_recycle_raises () =
   check_true "a new reader replays the new session"
     (pull_opt (Branch_stream.of_events ev) = Some (synth 100))
 
+(* The extreme values one slot holds round-trip through every writer and
+   reader; one past them raises and leaves the recording as it was. *)
+let slot_limits () =
+  let max_block = (1 lsl 31) - 1 and max_next = (1 lsl 30) - 2 in
+  let legal =
+    [ (max_block, true, max_next); (max_block, false, Addr.none); (0, true, max_next);
+      (0, false, 0); (max_block, true, 0) ]
+  in
+  let ev = of_list legal in
+  let pending = of_list [] in
+  Branch_stream.reserve pending (List.length legal);
+  List.iteri
+    (fun i (block_id, taken, next) -> Branch_stream.set_pending pending i ~block_id ~taken ~next)
+    legal;
+  Branch_stream.commit pending (List.length legal);
+  let stream = Branch_stream.of_events ev in
+  List.iteri
+    (fun i ((block_id, taken, next) as e) ->
+      check_int "block id" block_id (Branch_stream.get_block_id ev i);
+      check_true "taken" (Branch_stream.get_taken ev i = taken);
+      check_int "next" next (Branch_stream.get_next ev i);
+      check_true "replayed" (pull_opt stream = Some e))
+    legal;
+  check_true "replay ends" (pull_opt stream = None);
+  check_true "set_pending writes what append_event does" (Branch_stream.equal ev pending);
+  let before = of_list legal in
+  Branch_stream.reserve ev 1;
+  List.iter
+    (fun (what, block_id, next) ->
+      expect_invalid ("append_event: " ^ what) (fun () ->
+          Branch_stream.append_event ev ~block_id ~taken:true ~next);
+      expect_invalid ("set_pending: " ^ what) (fun () ->
+          Branch_stream.set_pending ev 0 ~block_id ~taken:true ~next);
+      check_int (what ^ ": length unchanged") (List.length legal) (Branch_stream.length ev);
+      check_true (what ^ ": contents unchanged") (Branch_stream.equal before ev))
+    [ ("block id 2^31", max_block + 1, 0); ("block id -1", -1, 0);
+      ("successor 2^30 - 1", 0, max_next + 1); ("successor -2", 0, -2);
+      ("successor max_int", 0, max_int) ]
+
+(* One word per event: a recording sized to its events is its slots plus
+   a few words of record. *)
+let one_word_per_event () =
+  let n = 100_000 in
+  let ev = Branch_stream.recorder ~capacity:n () in
+  for j = 0 to n - 1 do append_synth ev j done;
+  let words = Obj.reachable_words (Obj.repr ev) in
+  if words > n + 16 then Alcotest.failf "%d events take %d words" n words
+
 let suite =
   [
     case "recorder basics" recorder_basics;
     case "recorder pending slots commit atomically" pending_slots;
+    case "slot limits round-trip and guard" slot_limits;
+    case "one word per recorded event" one_word_per_event;
     QCheck_alcotest.to_alcotest qcheck_release_replays_the_same;
     case "reader behind released storage raises" reader_behind_release_raises;
     case "reader from before a recycle raises" reader_before_recycle_raises;

@@ -234,6 +234,21 @@ let crc32_frame bytes ~hpos ~ppos ~plen =
   crc_update (crc_update 0xFFFFFFFF bytes ~pos:hpos ~len:12) bytes ~pos:ppos ~len:plen
   lxor 0xFFFFFFFF
 
+(* The word-at-a-time CRC against the bytewise reference above, at every
+   start offset modulo 8 and every tail length of its 8-byte loop. *)
+let qcheck_crc32_matches_bytewise =
+  let gen =
+    QCheck.Gen.(
+      triple (int_range 0 15) (int_range 0 300) (int_range 0 15) >>= fun (off, len, extra) ->
+      map (fun s -> (off, len, s)) (string_size ~gen:char (return (off + len + extra))))
+  in
+  let print (off, len, _) = Printf.sprintf "offset %d, length %d" off len in
+  QCheck.Test.make ~name:"crc32 matches a bytewise reference" ~count:1000
+    (QCheck.make ~print gen)
+    (fun (pos, len, s) ->
+      let bytes = Bytes.of_string s in
+      Persist.crc32 bytes ~pos ~len = crc_update 0xFFFFFFFF bytes ~pos ~len lxor 0xFFFFFFFF)
+
 (* Re-seal a frame whose header or payload the test just edited. *)
 let reseal bytes fpos plen =
   set_u32 bytes (fpos + 12) (crc32_frame bytes ~hpos:fpos ~ppos:(fpos + 16) ~plen)
@@ -653,6 +668,7 @@ let suite =
     case "degraded restore still finishes" degraded_restore_still_finishes;
     QCheck_alcotest.to_alcotest qcheck_reencode_identity;
     QCheck_alcotest.to_alcotest qcheck_history_buffer_roundtrip;
+    QCheck_alcotest.to_alcotest qcheck_crc32_matches_bytewise;
     case "snapshot corruption axis" snapshot_corruption_axis;
     case "torn write leaves previous snapshot intact" torn_write_leaves_previous_snapshot_intact;
     case "missing file raises Sys_error" missing_file_raises_sys_error;
