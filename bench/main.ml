@@ -1110,8 +1110,11 @@ let measure_steps_per_sec () = measure_throughput ~image_name:"twolf" ~policy_na
 
 (* Link-cache counters from one region-dominated run, surfaced in the JSON
    so regressions in fragment linking are visible alongside throughput —
-   plus the edge profiler's ring-drain count from the same run (a sudden
-   jump would mean edges are falling out of the batching window). *)
+   plus the edge profiler's ring-drain count from the same run.  The ring
+   holds only returns and indirect transfers (static edges are counted in
+   dense per-successor slots), and the simulator drains it at watchdog
+   windows, at reads and at the end of the run, not at cache exits: on a
+   clean run this is at most a handful of drains. *)
 let measure_link_counters () =
   let image = Spec.image (Option.get (Suite.find "twolf")) in
   let policy = Option.get (Policies.find "net") in

@@ -48,6 +48,7 @@ type t = {
   eviction : Params.eviction;
   evicted_entries : unit Int_tbl.t;
   program : Program.t option;
+  line_bytes : int;  (* icache line size the regions' node spans are computed for *)
   dispatch : Region.t option array;
       (* block_id -> live region claiming that block as entry or aux entry.
          Present only when [create] was given the program; mirrors
@@ -98,7 +99,8 @@ type t = {
 let create ?capacity_bytes ?(eviction = Params.Flush_all)
     ?(blacklist_base_cooldown = Params.default.Params.blacklist_base_cooldown)
     ?(blacklist_max_shift = Params.default.Params.blacklist_max_shift)
-    ?(telemetry = Telemetry.none) ?program () =
+    ?(telemetry = Telemetry.none) ?program
+    ?(icache_line_bytes = Params.default.Params.icache_line_bytes) () =
   {
     by_entry = Int_tbl.create 256;
     by_aux_entry = Int_tbl.create 64;
@@ -115,6 +117,7 @@ let create ?capacity_bytes ?(eviction = Params.Flush_all)
     eviction;
     evicted_entries = Int_tbl.create 64;
     program;
+    line_bytes = icache_line_bytes;
     dispatch =
       (match program with
       | Some p -> Array.make (max 1 (Program.n_blocks p)) None
@@ -427,7 +430,7 @@ let install t (spec : Region.spec) =
             region.Region.aux_entries;
           Queue.add region t.fifo;
           t.bytes_used <- t.bytes_used + bytes;
-          Region.set_cache_base region t.alloc_cursor;
+          Region.set_cache_base region ~line_bytes:t.line_bytes t.alloc_cursor;
           t.alloc_cursor <- t.alloc_cursor + bytes;
           Telemetry.install t.telemetry ~step:t.now ~id:region.Region.id
             ~n_nodes:region.Region.n_nodes;
@@ -530,6 +533,7 @@ let by_selection rs =
 let regions t = Queue.fold (fun acc r -> if is_live t r then r :: acc else acc) [] t.fifo |> List.rev
 let all_regions t = by_selection (t.retired @ regions t)
 let bytes_used t = t.bytes_used
+let icache_line_bytes t = t.line_bytes
 let now t = t.now
 let clock_regressions t = t.clock_regressions
 let fifo_length t = Queue.length t.fifo
@@ -666,7 +670,7 @@ let load t read =
   let n_all = read_len read "region" in
   let by_id = Int_tbl.create (max 16 (2 * n_all)) in
   for _ = 1 to n_all do
-    let r = Region.load ~program read in
+    let r = Region.load ~program ~line_bytes:t.line_bytes read in
     if r.Region.id < 0 || Int_tbl.mem by_id r.Region.id then
       failwith "Code_cache.load: duplicate or negative region id";
     Int_tbl.replace by_id r.Region.id r

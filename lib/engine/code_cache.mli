@@ -37,11 +37,14 @@ val create :
   ?blacklist_max_shift:int ->
   ?telemetry:Regionsel_telemetry.Telemetry.sink ->
   ?program:Program.t ->
+  ?icache_line_bytes:int ->
   unit ->
   t
 (** [create ()] is unbounded; pass [capacity_bytes] to bound it.  Pass
     [program] to enable the flat dispatch array behind {!dispatch} (and the
-    O(1) fast path of {!mem}).  Pass [telemetry] to emit lifecycle events
+    O(1) fast path of {!mem}).  [icache_line_bytes] (default
+    [Params.default]'s) sizes the icache line spans each placed region
+    precomputes ({!Region.set_cache_base}).  Pass [telemetry] to emit lifecycle events
     (install, evict/flush, invalidate, link patch/sever, blacklist
     add/expire) stamped with the {!set_now} step; the default sink is a
     no-op and the events are pure observation — no cache decision ever
@@ -171,6 +174,11 @@ val n_regions : t -> int
 
 val bytes_used : t -> int
 (** Live footprint under the cost model. *)
+
+val icache_line_bytes : t -> int
+(** The icache line size the placed regions' node spans are computed for.
+    The simulator builds its icache with this size, so the two cannot
+    disagree. *)
 
 val evictions : t -> int
 (** Regions retired by capacity pressure (including flushes and shocks). *)

@@ -18,7 +18,8 @@ let create ?(params = Params.default) ?(telemetry = Telemetry.none) program =
       Code_cache.create ?capacity_bytes:params.Params.cache_capacity_bytes
         ~eviction:params.Params.cache_eviction
         ~blacklist_base_cooldown:params.Params.blacklist_base_cooldown
-        ~blacklist_max_shift:params.Params.blacklist_max_shift ~telemetry ~program ();
+        ~blacklist_max_shift:params.Params.blacklist_max_shift ~telemetry ~program
+        ~icache_line_bytes:params.Params.icache_line_bytes ();
     counters = Counters.create ();
     gauges = Gauges.create ();
     telemetry;

@@ -47,13 +47,18 @@ let save t emit =
   emit t.total_allocations
 
 let load t read =
-  Int_tbl.reset t.table;
   let n = read () in
   if n < 0 then failwith "Counters.load: negative table length";
-  for _ = 1 to n do
-    let a = read () in
-    let c = read () in
-    Int_tbl.replace t.table a c
-  done;
-  t.high_water <- read ();
-  t.total_allocations <- read ()
+  let pairs =
+    List.init n (fun _ ->
+        let a = read () in
+        let c = read () in
+        (a, c))
+  in
+  let high_water = read () in
+  let total_allocations = read () in
+  (* Commit only once the whole stream has parsed. *)
+  Int_tbl.reset t.table;
+  List.iter (fun (a, c) -> Int_tbl.replace t.table a c) pairs;
+  t.high_water <- high_water;
+  t.total_allocations <- total_allocations

@@ -44,4 +44,6 @@ val save : t -> (int -> unit) -> unit
     statistics as a flat int stream. *)
 
 val load : t -> (unit -> int) -> unit
-(** Replace the pool's contents from a {!save} stream. *)
+(** Replace the pool's contents from a {!save} stream.  Raises [Failure]
+    on a structurally invalid stream; nothing is written unless the whole
+    stream parses. *)

@@ -48,9 +48,16 @@ let save t emit =
   emit t.links_high_water
 
 let load t read =
-  t.observed_bytes <- read ();
-  t.high_water <- read ();
-  t.blacklisted <- read ();
-  t.blacklisted_high_water <- read ();
-  t.links <- read ();
-  t.links_high_water <- read ()
+  let observed_bytes = read () in
+  let high_water = read () in
+  let blacklisted = read () in
+  let blacklisted_high_water = read () in
+  let links = read () in
+  let links_high_water = read () in
+  (* Commit only once the whole stream has parsed. *)
+  t.observed_bytes <- observed_bytes;
+  t.high_water <- high_water;
+  t.blacklisted <- blacklisted;
+  t.blacklisted_high_water <- blacklisted_high_water;
+  t.links <- links;
+  t.links_high_water <- links_high_water

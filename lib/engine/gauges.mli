@@ -41,4 +41,5 @@ val save : t -> (int -> unit) -> unit
     marks) as a flat int stream. *)
 
 val load : t -> (unit -> int) -> unit
-(** Overwrite every gauge from a {!save} stream. *)
+(** Overwrite every gauge from a {!save} stream.  Nothing is written
+    unless the whole stream reads. *)

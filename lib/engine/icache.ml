@@ -64,48 +64,54 @@ let touch_line t line clock =
     true
   end
 
+(* The span kernel: fetch lines [first .. last] (line numbers, byte
+   address / [line_bytes]).  Cached steps call it with the span their
+   node computed once at placement ({!Region.set_cache_base}), so the
+   per-step path does no address arithmetic at all. *)
+let[@inline] access_lines t ~first ~last =
+  (* [clock] and [misses] live in locals for the whole range and are
+     stored back once. *)
+  let clock = ref t.clock and misses = ref t.misses in
+  if t.ways = 2 then begin
+    (* The default geometry, on the per-step path: both ways checked
+       inline, no way-scan calls.  [base + 1] is in bounds because the
+       set index is below [n_sets] and the arrays hold [n_sets * ways]
+       slots.  Tie-breaking matches [lru_way]: way 1 is the victim only
+       when strictly older. *)
+    let tags = t.tags and stamps = t.stamps and set_mask = t.n_sets - 1 in
+    for line = first to last do
+      incr clock;
+      let base = (line land set_mask) * 2 in
+      if Array.unsafe_get tags base = line then Array.unsafe_set stamps base !clock
+      else if Array.unsafe_get tags (base + 1) = line then
+        Array.unsafe_set stamps (base + 1) !clock
+      else begin
+        incr misses;
+        let victim =
+          if Array.unsafe_get stamps (base + 1) < Array.unsafe_get stamps base then base + 1
+          else base
+        in
+        Array.unsafe_set tags victim line;
+        Array.unsafe_set stamps victim !clock
+      end
+    done
+  end
+  else
+    for line = first to last do
+      incr clock;
+      if touch_line t line !clock then incr misses
+    done;
+  t.clock <- !clock;
+  t.misses <- !misses;
+  t.accesses <- t.accesses + (last - first + 1)
+
 let access t ~addr ~bytes =
   if bytes > 0 then begin
-    (* Power-of-two lines: shift instead of two integer divisions, which
-       are the single most expensive ALU ops on this per-step path. *)
+    (* Power-of-two lines: shift instead of two integer divisions. *)
     let shift = t.line_shift and stop = addr + bytes - 1 in
     let first = if shift >= 0 then addr lsr shift else addr / t.line_bytes in
     let last = if shift >= 0 then stop lsr shift else stop / t.line_bytes in
-    (* [clock] and [misses] live in locals for the whole range and are
-       stored back once. *)
-    let clock = ref t.clock and misses = ref t.misses in
-    if t.ways = 2 then begin
-      (* The default geometry, on the per-step path: both ways checked
-         inline, no way-scan calls.  [base + 1] is in bounds because the
-         set index is below [n_sets] and the arrays hold [n_sets * ways]
-         slots.  Tie-breaking matches [lru_way]: way 1 is the victim only
-         when strictly older. *)
-      let tags = t.tags and stamps = t.stamps and set_mask = t.n_sets - 1 in
-      for line = first to last do
-        incr clock;
-        let base = (line land set_mask) * 2 in
-        if Array.unsafe_get tags base = line then Array.unsafe_set stamps base !clock
-        else if Array.unsafe_get tags (base + 1) = line then
-          Array.unsafe_set stamps (base + 1) !clock
-        else begin
-          incr misses;
-          let victim =
-            if Array.unsafe_get stamps (base + 1) < Array.unsafe_get stamps base then base + 1
-            else base
-          in
-          Array.unsafe_set tags victim line;
-          Array.unsafe_set stamps victim !clock
-        end
-      done
-    end
-    else
-      for line = first to last do
-        incr clock;
-        if touch_line t line !clock then incr misses
-      done;
-    t.clock <- !clock;
-    t.misses <- !misses;
-    t.accesses <- t.accesses + (last - first + 1)
+    access_lines t ~first ~last
   end
 
 let accesses t = t.accesses
@@ -133,12 +139,14 @@ let save t emit =
 let load t read =
   let n = read () in
   if n <> Array.length t.tags then failwith "Icache.load: geometry mismatch";
-  for i = 0 to n - 1 do
-    t.tags.(i) <- read ()
-  done;
-  for i = 0 to n - 1 do
-    t.stamps.(i) <- read ()
-  done;
-  t.clock <- read ();
-  t.accesses <- read ();
-  t.misses <- read ()
+  let tags = Array.init n (fun _ -> read ()) in
+  let stamps = Array.init n (fun _ -> read ()) in
+  let clock = read () in
+  let accesses = read () in
+  let misses = read () in
+  (* Commit only once the whole stream has parsed. *)
+  Array.blit tags 0 t.tags 0 n;
+  Array.blit stamps 0 t.stamps 0 n;
+  t.clock <- clock;
+  t.accesses <- accesses;
+  t.misses <- misses

@@ -21,6 +21,12 @@ val access : t -> addr:int -> bytes:int -> unit
 (** Fetch [bytes] starting at byte address [addr], touching every line the
     range covers. *)
 
+val access_lines : t -> first:int -> last:int -> unit
+(** Fetch lines [first] to [last] inclusive, where a line number is a byte
+    address divided by the line size [l]: {!access} over a precomputed
+    span.  [access t ~addr ~bytes] is [access_lines t ~first:(addr / l)
+    ~last:((addr + bytes - 1) / l)] for [bytes > 0]. *)
+
 val accesses : t -> int
 (** Line-granularity accesses so far. *)
 
@@ -38,4 +44,5 @@ val save : t -> (int -> unit) -> unit
 
 val load : t -> (unit -> int) -> unit
 (** Restore a {!save} stream into a cache created with the same geometry.
-    Raises [Failure] if the slot counts differ. *)
+    Raises [Failure] if the slot counts differ or the stream is short, and
+    then leaves the cache as it was. *)

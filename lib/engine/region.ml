@@ -82,8 +82,11 @@ type t = {
   mutable exits : int;
   mutable insts_executed : int;
   exit_log : Flat_tbl.t; (* key [(from lsl 32) lor tgt] -> count *)
+  exit_succ : int array;  (* [node * 2 + taken] -> static successor address, -1 if dynamic *)
+  exit_pending : int array;  (* exits per [exit_succ] slot not yet in [exit_log]; -1 = key absent *)
   aux_entries : Addr.Set.t;
   mutable cache_base : int;
+  mutable node_lines : int array;  (* [node * 2] first, [node * 2 + 1] last icache line *)
 }
 
 let pack_edge ~src ~dst = (src lsl 32) lor dst
@@ -242,8 +245,13 @@ let of_spec ~id ~selected_at ?program spec =
     exits = 0;
     insts_executed = 0;
     exit_log = Flat_tbl.create 8;
+    exit_succ =
+      Array.init (2 * n) (fun slot ->
+          Block.static_succ node_blocks.(slot lsr 1) ~taken:(slot land 1 = 1));
+    exit_pending = Array.make (2 * n) (-1);
     aux_entries;
     cache_base = -1;
+    node_lines = [||];
   }
 
 (* A sentinel for "no region": the simulator's current-region cell is a
@@ -278,13 +286,16 @@ let dummy =
     exits = 0;
     insts_executed = 0;
     exit_log = Flat_tbl.create 1;
+    exit_succ = [||];
+    exit_pending = [||];
     aux_entries = Addr.Set.empty;
     cache_base = -1;
+    node_lines = [||];
   }
 
 let node_id t a = if a < 0 then -1 else Flat_tbl.find t.node_by_addr a
 
-let has_edge_nodes t ~src ~dst =
+let[@inline] has_edge_nodes t ~src ~dst =
   Array.unsafe_get t.succ_bits ((src * t.succ_stride) + (dst lsr 5)) land (1 lsl (dst land 31))
   <> 0
 
@@ -312,21 +323,69 @@ let record_exit t ~from ~tgt =
   t.exits <- t.exits + 1;
   Flat_tbl.bump t.exit_log (pack_edge ~src:from ~dst:tgt)
 
+(* An exit along a direction whose target the terminator names is counted
+   in its [(node, taken)] slot.  Only the slot's first exit touches
+   [exit_log], so the log's keys arrive in the order per-exit bumps would
+   insert them; the counts wait in [exit_pending] until [sync_exits]. *)
+let[@inline] record_exit_at t ~node ~taken ~from ~tgt =
+  let slot = (node lsl 1) lor Bool.to_int taken in
+  if Array.unsafe_get t.exit_succ slot = tgt then begin
+    t.exits <- t.exits + 1;
+    let c = Array.unsafe_get t.exit_pending slot in
+    if c >= 0 then Array.unsafe_set t.exit_pending slot (c + 1)
+    else begin
+      Flat_tbl.bump t.exit_log (pack_edge ~src:from ~dst:tgt);
+      Array.unsafe_set t.exit_pending slot 0
+    end
+  end
+  else record_exit t ~from ~tgt
+
+let sync_exits t =
+  let pending = t.exit_pending in
+  for slot = 0 to Array.length pending - 1 do
+    let c = Array.unsafe_get pending slot in
+    if c > 0 then begin
+      let from = t.node_blocks.(slot lsr 1).Block.start in
+      ignore
+        (Flat_tbl.add_fresh t.exit_log (pack_edge ~src:from ~dst:t.exit_succ.(slot)) c : bool);
+      pending.(slot) <- 0
+    end
+  done
+
+let fold_exits f t init =
+  sync_exits t;
+  Flat_tbl.fold f t.exit_log init
+
 let exit_src key = key lsr 32
 let exit_tgt key = key land 0xFFFF_FFFF
 
 let exit_targets t =
-  Flat_tbl.fold (fun key _ acc -> Addr.Set.add (exit_tgt key) acc) t.exit_log Addr.Set.empty
+  fold_exits (fun key _ acc -> Addr.Set.add (exit_tgt key) acc) t Addr.Set.empty
 
 let exited_to t ~tgt =
-  Flat_tbl.fold
+  fold_exits
     (fun key _ acc ->
       if Addr.equal tgt (exit_tgt key) then Addr.Set.add (exit_src key) acc else acc)
-    t.exit_log Addr.Set.empty
+    t Addr.Set.empty
 
 let cache_bytes t = (t.copied_insts * inst_bytes) + (t.n_stubs * stub_bytes)
 
-let set_cache_base t base = t.cache_base <- base
+(* Each node's line span is fixed once the region has an address, so it
+   is computed here, once, rather than per cached step. *)
+let set_cache_base t ~line_bytes base =
+  if line_bytes <= 0 then invalid_arg "Region.set_cache_base: line_bytes must be positive";
+  t.cache_base <- base;
+  t.node_lines <-
+    (if base < 0 then [||]
+     else
+       Array.init (2 * t.n_nodes) (fun i ->
+           let node = i lsr 1 in
+           let addr = base + t.node_offsets.(node) in
+           let addr =
+             if i land 1 = 0 then addr
+             else addr + (t.node_blocks.(node).Block.size * inst_bytes) - 1
+           in
+           addr / line_bytes))
 
 let block_offset t a =
   let i = node_id t a in
@@ -338,13 +397,13 @@ let block_cache_addr t a =
     let off = block_offset t a in
     if off < 0 then None else Some (t.cache_base + off)
 
-let node_of_block_id t id =
+let[@inline] node_of_block_id t id =
   let k = id - t.node_base and translate = t.node_of_block in
   if k >= 0 && k < Array.length translate then Array.unsafe_get translate k else -1
 
 let n_link_slots t = t.n_link_slots
 
-let link_target t slot =
+let[@inline] link_target t slot =
   let k = slot - t.link_base and ls = t.link_slots in
   if k >= 0 && k < Array.length ls then Array.unsafe_get ls k else None
 
@@ -421,6 +480,7 @@ let save t emit =
   emit t.cycle_iters;
   emit t.exits;
   emit t.insts_executed;
+  sync_exits t;
   emit (Flat_tbl.length t.exit_log);
   List.iter
     (fun (key, count) ->
@@ -429,7 +489,7 @@ let save t emit =
     (Flat_tbl.sorted_pairs t.exit_log);
   emit t.cache_base
 
-let load ~program read =
+let load ~program ~line_bytes read =
   let id = read () in
   let selected_at = read () in
   let kind =
@@ -487,7 +547,16 @@ let load ~program read =
     let count = read () in
     Flat_tbl.set t.exit_log key count
   done;
-  t.cache_base <- read ();
+  (* A slot whose key is already logged counts its next exit as pending. *)
+  Array.iteri
+    (fun slot tgt ->
+      if
+        tgt >= 0
+        && Flat_tbl.mem t.exit_log
+             (pack_edge ~src:t.node_blocks.(slot lsr 1).Block.start ~dst:tgt)
+      then t.exit_pending.(slot) <- 0)
+    t.exit_succ;
+  set_cache_base t ~line_bytes (read ());
   t
 
 let pp ppf t =

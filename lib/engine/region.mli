@@ -44,8 +44,8 @@ type spec = {
   edges : (Addr.t * Addr.t) list;
       (** Internal edges between node start addresses. *)
   copied_insts : int;
-      (** Instructions copied into the cache for this region (counts
-          duplicated blocks, unlike [nodes]). *)
+      (** Instructions copied into the cache for this region: the sizes of
+          the distinct nodes, each counted once. *)
   kind : kind;
   aux_entries : Addr.t list;
       (** Additional dispatchable entry points (must be nodes).  Traces and
@@ -110,13 +110,25 @@ type t = private {
   mutable exits : int;  (** Times control left the region. *)
   mutable insts_executed : int;
   exit_log : Flat_tbl.t;
-      (** [(exit block start lsl 32) lor target] -> count.  Packed so the
-          per-transition update is one inline probe; unpack keys with
-          {!exit_src} / {!exit_tgt}. *)
+      (** [(exit block start lsl 32) lor target] -> count.  Counts
+          {!record_exit_at} keeps in [exit_pending] are folded in only by
+          the readers below; read it through {!fold_exits}.  Unpack keys with {!exit_src} /
+          {!exit_tgt}. *)
+  exit_succ : int array;
+      (** Slot [node * 2 + taken] -> the successor the node's terminator
+          names in that direction, or [-1] when the target is dynamic
+          (returns, indirect transfers) or the direction does not exist. *)
+  exit_pending : int array;
+      (** Slot -> exits along it not yet folded into [exit_log]; [-1]
+          while the slot's key is absent from [exit_log]. *)
   aux_entries : Addr.Set.t;
   mutable cache_base : int;
       (** Byte address of the region in the code cache; -1 until
           installed. *)
+  mutable node_lines : int array;
+      (** Icache line span of each node's copy: slot [node * 2] holds the
+          first line, [node * 2 + 1] the last.  Set by {!set_cache_base};
+          [[||]] until the region is placed. *)
 }
 
 val of_spec : id:int -> selected_at:int -> ?program:Program.t -> spec -> t
@@ -158,7 +170,20 @@ val record_cycle : t -> unit
 val record_exec : t -> int -> unit
 
 val record_exit : t -> from:Addr.t -> tgt:Addr.t -> unit
-(** Log a dynamic exit for the exit-domination analysis. *)
+(** Log a dynamic exit for the exit-domination analysis: one probe of
+    [exit_log]. *)
+
+val record_exit_at : t -> node:int -> taken:bool -> from:Addr.t -> tgt:Addr.t -> unit
+(** {!record_exit} for an exit from node [node] (whose block starts at
+    [from]) in direction [taken].  When [tgt] is the slot's static
+    successor the exit is counted in [exit_pending], touching [exit_log]
+    only on the slot's first exit; other targets take {!record_exit}.  The
+    log's keys and their insertion order are those of per-exit
+    {!record_exit} calls. *)
+
+val fold_exits : (int -> int -> 'a -> 'a) -> t -> 'a -> 'a
+(** Fold over [exit_log]'s [(key, count)] bindings, after folding the
+    pending slot counts in. *)
 
 val exit_src : int -> Addr.t
 val exit_tgt : int -> Addr.t
@@ -180,8 +205,10 @@ val stub_bytes : int
 val cache_bytes : t -> int
 (** The region's footprint in the code cache under the cost model. *)
 
-val set_cache_base : t -> int -> unit
-(** Called by the code cache when the region is placed. *)
+val set_cache_base : t -> line_bytes:int -> int -> unit
+(** Called by the code cache when the region is placed: records the base
+    address and computes [node_lines] for icache lines of [line_bytes].
+    @raise Invalid_argument unless [line_bytes > 0]. *)
 
 val block_offset : t -> Addr.t -> int
 (** Byte offset of the block's copy within the region ([-1] for
@@ -218,11 +245,11 @@ val save : t -> (int -> unit) -> unit
     counters, exit log, cache placement — as a flat int stream.  Link
     slots are not saved; the code cache re-registers links on restore. *)
 
-val load : program:Program.t -> (unit -> int) -> t
+val load : program:Program.t -> line_bytes:int -> (unit -> int) -> t
 (** Rebuild a saved region through {!of_spec} over the same program, so
     the compiled automaton (node numbering, offsets, adjacency, stub
     count) is recomputed and revalidated rather than trusted from the
-    stream.  Raises [Failure] or [Invalid_argument] on a corrupt
-    stream. *)
+    stream, and the node line spans are computed for [line_bytes].  Raises
+    [Failure] or [Invalid_argument] on a corrupt stream. *)
 
 val pp : Format.formatter -> t -> unit

@@ -120,10 +120,12 @@ let create ?(params = Params.default) ?(seed = 1L) ?(telemetry = Telemetry.none)
   let policy = ref (Policy.instantiate policy_mod ctx) in
   let interp = Interp.create image ~seed in
   let stats = Stats.create () in
-  let edges = Edge_profile.create () in
+  let edges = Edge_profile.create ~program () in
+  (* The line size comes from the code cache, which computes each placed
+     node's line span with it. *)
   let icache =
     Icache.create ~size_bytes:params.Params.icache_size_bytes
-      ~line_bytes:params.Params.icache_line_bytes ~ways:params.Params.icache_ways ()
+      ~line_bytes:(Code_cache.icache_line_bytes cache) ~ways:params.Params.icache_ways ()
   in
   let cur_region = ref Region.dummy in (* dummy = interpreting *)
   let cur_node = ref 0 in (* node id within !cur_region *)
@@ -232,20 +234,23 @@ let create ?(params = Params.default) ?(seed = 1L) ?(telemetry = Telemetry.none)
     end
   in
   (* Region-mode stepping: [!cur_node] is the node id (within [region])
-     of the block just executed, [block].  The common stay-in-region step
-     is one compare against the node's precompiled hot successor; the
-     general internal edge is a bitset word read; an exit consults the
-     region's patched link slot before the dispatch array. *)
+     of the block just executed, [block].  The fetch is the node's icache
+     line span, computed when the region was placed.  The common
+     stay-in-region step is one compare against the node's precompiled hot
+     successor; the general internal edge is a bitset word read; an exit
+     is counted in the node's exit slot, then consults the region's
+     patched link slot before the dispatch array. *)
   let region_step (region : Region.t) (block : Block.t) (s : Interp.step) =
     stats.Stats.cached_insts <- stats.Stats.cached_insts + block.Block.size;
     stats.Stats.node_steps <- stats.Stats.node_steps + 1;
     Region.record_exec region block.Block.size;
     let node = !cur_node in
-    let base = region.Region.cache_base in
-    if base >= 0 then
-      Icache.access icache
-        ~addr:(base + Array.unsafe_get region.Region.node_offsets node)
-        ~bytes:(block.Block.size * Region.inst_bytes);
+    if region.Region.cache_base >= 0 then begin
+      let lines = region.Region.node_lines in
+      Icache.access_lines icache
+        ~first:(Array.unsafe_get lines (node lsl 1))
+        ~last:(Array.unsafe_get lines ((node lsl 1) + 1))
+    end;
     let a = s.Interp.next in
     if Addr.is_none a then halted := true
     else if a = Array.unsafe_get region.Region.hot_succ_addr node then begin
@@ -261,13 +266,13 @@ let create ?(params = Params.default) ?(seed = 1L) ?(telemetry = Telemetry.none)
         cur_node := nid
       end
       else begin
-        let cur = block.Block.start in
+        let taken = s.Interp.taken and from = block.Block.start in
         match Region.link_target region id with
         | Some other ->
           (* Linked exit stub: jump region-to-region without dispatching.
              The (from, into) pair was recorded when the link was made. *)
           stats.Stats.link_hits <- stats.Stats.link_hits + 1;
-          Region.record_exit region ~from:cur ~tgt:a;
+          Region.record_exit_at region ~node ~taken ~from ~tgt:a;
           stats.Stats.region_transitions <- stats.Stats.region_transitions + 1;
           Region.record_entry other;
           cur_region := other;
@@ -281,7 +286,7 @@ let create ?(params = Params.default) ?(seed = 1L) ?(telemetry = Telemetry.none)
             Region.record_cycle region;
             cur_node := Region.node_of_block_id region id
           | Some other ->
-            Region.record_exit region ~from:cur ~tgt:a;
+            Region.record_exit_at region ~node ~taken ~from ~tgt:a;
             stats.Stats.region_transitions <- stats.Stats.region_transitions + 1;
             record_link ~from:region ~into:other;
             Code_cache.add_link cache ~from:region ~slot:id ~target:other;
@@ -290,12 +295,8 @@ let create ?(params = Params.default) ?(seed = 1L) ?(telemetry = Telemetry.none)
             cur_region := other;
             cur_node := Region.node_of_block_id other id
           | None ->
-            Region.record_exit region ~from:cur ~tgt:a;
+            Region.record_exit_at region ~node ~taken ~from ~tgt:a;
             stats.Stats.cache_exits_to_interp <- stats.Stats.cache_exits_to_interp + 1;
-            (* Leaving cached execution is an edge-profile drain point: any
-               observer that runs while the system interprets sees counts
-               as exact as the unbatched profile's. *)
-            Edge_profile.flush edges;
             install_if_any
               (Policy.handle !policy
                  (Policy.Cache_exited
@@ -601,7 +602,8 @@ let create ?(params = Params.default) ?(seed = 1L) ?(telemetry = Telemetry.none)
       let block = Program.block_of_id program sbuf.Interp.block_id in
       let next = sbuf.Interp.next in
       if not (Addr.is_none next) then
-        Edge_profile.record edges ~src:block.Block.start ~dst:next;
+        Edge_profile.record_step edges ~block_id:sbuf.Interp.block_id ~taken:sbuf.Interp.taken
+          ~src:block.Block.start ~dst:next;
       (match observer with
       | None -> ()
       | Some o ->

@@ -16,5 +16,12 @@ val last : t -> Addr.t
 val fall_addr : t -> Addr.t
 (** Address immediately after the block: the not-taken / return-to target. *)
 
+val static_succ : t -> taken:bool -> Addr.t
+(** The block the terminator names as the successor in direction [taken]:
+    the target of a [Jump], [Call] or taken [Cond], or the fall-through of
+    a [Fallthrough] or not-taken [Cond].  [Addr.none] when the target is
+    only known at run time (returns, indirect transfers) or the direction
+    does not exist. *)
+
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -17,10 +17,10 @@ type t = {
 
 let routes_of (r : Region.t) =
   let all =
-    Regionsel_engine.Flat_tbl.fold
+    Region.fold_exits
       (fun key count acc ->
         { from_block = Region.exit_src key; target = Region.exit_tgt key; count } :: acc)
-      r.Region.exit_log []
+      r []
   in
   List.sort (fun a b -> compare b.count a.count) all
 

@@ -28,6 +28,12 @@ let figure2 ?(iters = 5_000) () =
   Builder.block b ~label:"c" ~size:3 (Builder.Jump "bd");
   Builder.compile b ~name:"figure2" ~entry:"main"
 
+(* An empty edge profile over the Figure 2 program, for tests that record
+   edges by address ({!Regionsel_engine.Edge_profile.record}), which any
+   program's profile takes. *)
+let edge_profile () =
+  Regionsel_engine.Edge_profile.create ~program:(figure2 ()).Image.program ()
+
 (* The Figure 3 program: simple nested loops.  A is the outer-loop header
    falling into the inner loop B, which exits to C, which branches back to
    A. *)
@@ -81,3 +87,29 @@ let contains ~sub s =
 let check_true msg b = Alcotest.(check bool) msg true b
 let check_int = Alcotest.(check int)
 let case name f = Alcotest.test_case name `Quick f
+
+(* A checkpoint [save] function's int stream, and a [load] reader over one
+   that fails when the stream runs out, as a short snapshot section does. *)
+let saved_ints save =
+  let acc = ref [] in
+  save (fun v -> acc := v :: !acc);
+  List.rev !acc
+
+let reader_of_ints ints =
+  let rest = ref ints in
+  fun () ->
+    match !rest with
+    | v :: tl ->
+      rest := tl;
+      v
+    | [] -> failwith "stream ended"
+
+(* A section loader either parses its whole stream or changes nothing:
+   [load] must raise [Failure] on [malformed] and leave [save]'s stream as
+   it was. *)
+let check_load_is_atomic ~what ~save ~load malformed =
+  let before = saved_ints save in
+  (match load (reader_of_ints malformed) with
+  | () -> Alcotest.failf "%s: a malformed stream loaded" what
+  | exception Failure _ -> ());
+  Alcotest.(check (list int)) (what ^ ": state unchanged") before (saved_ints save)

@@ -51,7 +51,7 @@ let gauge_high_water () =
 (* Edge profile *)
 
 let edge_profile_counts () =
-  let e = Edge_profile.create () in
+  let e = edge_profile () in
   Edge_profile.record e ~src:1 ~dst:2;
   Edge_profile.record e ~src:1 ~dst:2;
   Edge_profile.record e ~src:3 ~dst:2;
@@ -61,12 +61,86 @@ let edge_profile_counts () =
   check_true "no preds for unknown block" (Addr.Set.is_empty (Edge_profile.preds e 9))
 
 let edge_profile_index_invalidation () =
-  let e = Edge_profile.create () in
+  let e = edge_profile () in
   Edge_profile.record e ~src:1 ~dst:2;
   ignore (Edge_profile.preds e 2);
   Edge_profile.record e ~src:5 ~dst:2;
   Alcotest.(check (list int)) "index rebuilt after new edge" [ 1; 5 ]
     (Addr.Set.elements (Edge_profile.preds e 2))
+
+(* The figure 2 program's conditional loop branch and its return: the
+   first has both a taken and a fall-through successor the terminator
+   names, the second a target known only at run time. *)
+let figure2_edges () =
+  let program = (figure2 ()).Regionsel_workload.Image.program in
+  let blocks = Array.to_list (Program.blocks program) in
+  let cond =
+    List.find
+      (fun (b : Block.t) -> match b.Block.term with Terminator.Cond _ -> true | _ -> false)
+      blocks
+  in
+  let ret = List.find (fun (b : Block.t) -> b.Block.term = Terminator.Return) blocks in
+  (program, cond, ret)
+
+(* Before the dense tier every edge went through the ring, so an older
+   snapshot's ring can hold static edges.  Such a stream, built by hand in
+   that layout, must load to the counts it describes, and keep counting on
+   top of them. *)
+let edge_profile_loads_ring_held_static_edges () =
+  let program, cond, ret = figure2_edges () in
+  let id = Program.block_id program cond.Block.start in
+  let taken_dst = Block.static_succ cond ~taken:true in
+  let fall_dst = Block.static_succ cond ~taken:false in
+  let key src dst = (src lsl 32) lor dst in
+  let slot k = (k * 0x9E3779B97F4A7C1) lsr (63 - 9) in
+  let ring_keys = Array.make 512 (-1) and ring_counts = Array.make 512 0 in
+  let put k c =
+    ring_keys.(slot k) <- k;
+    ring_counts.(slot k) <- c
+  in
+  put (key cond.Block.start taken_dst) 5;
+  put (key ret.Block.start 77) 2;
+  let table = List.sort compare [ (key cond.Block.start taken_dst, 3); (key cond.Block.start fall_dst, 4) ] in
+  let stream =
+    (512 :: Array.to_list ring_keys)
+    @ Array.to_list ring_counts
+    @ [ 2; 6; List.length table ]
+    @ List.concat_map (fun (k, c) -> [ k; c ]) table
+  in
+  let e = Edge_profile.create ~program () in
+  Edge_profile.load e (reader_of_ints stream);
+  check_int "ring plus table" 8 (Edge_profile.count e ~src:cond.Block.start ~dst:taken_dst);
+  check_int "table only" 4 (Edge_profile.count e ~src:cond.Block.start ~dst:fall_dst);
+  check_int "dynamic edge from the ring" 2 (Edge_profile.count e ~src:ret.Block.start ~dst:77);
+  check_int "flushes carried over, plus the read's drain" 7 (Edge_profile.flushes e);
+  Edge_profile.record_step e ~block_id:id ~taken:true ~src:cond.Block.start ~dst:taken_dst;
+  Edge_profile.record_step e ~block_id:id ~taken:false ~src:cond.Block.start ~dst:fall_dst;
+  check_int "dense counts add on" 9 (Edge_profile.count e ~src:cond.Block.start ~dst:taken_dst);
+  check_int "dense counts add on, fall-through" 5
+    (Edge_profile.count e ~src:cond.Block.start ~dst:fall_dst);
+  check_int "three edges" 3 (Edge_profile.n_edges e)
+
+(* The loader used to overwrite the ring before rejecting an out-of-range
+   occupancy, leaving the ring and [ring_live] out of step. *)
+let edge_profile_load_is_atomic () =
+  let program, cond, ret = figure2_edges () in
+  let e = Edge_profile.create ~program () in
+  Edge_profile.record e ~src:ret.Block.start ~dst:40;
+  Edge_profile.record_step e
+    ~block_id:(Program.block_id program cond.Block.start)
+    ~taken:true ~src:cond.Block.start
+    ~dst:(Block.static_succ cond ~taken:true);
+  let other = edge_profile () in
+  Edge_profile.record other ~src:ret.Block.start ~dst:50;
+  Edge_profile.record other ~src:3 ~dst:4;
+  let stream = Array.of_list (saved_ints (Edge_profile.save other)) in
+  (* [ring_size], the keys, the counts, then [ring_live]. *)
+  stream.(1 + 512 + 512) <- 513;
+  check_load_is_atomic ~what:"ring occupancy out of range" ~save:(Edge_profile.save e)
+    ~load:(Edge_profile.load e) (Array.to_list stream);
+  check_load_is_atomic ~what:"short edges stream" ~save:(Edge_profile.save e)
+    ~load:(Edge_profile.load e)
+    (List.filteri (fun i _ -> i < 600) (saved_ints (Edge_profile.save other)))
 
 (* Regions *)
 
@@ -210,6 +284,8 @@ let suite =
     case "gauge high water" gauge_high_water;
     case "edge profile counts" edge_profile_counts;
     case "edge profile index invalidation" edge_profile_index_invalidation;
+    case "edge profile loads ring-held static edges" edge_profile_loads_ring_held_static_edges;
+    case "edge profile load is atomic" edge_profile_load_is_atomic;
     case "spec_of_path cycle" spec_of_path_cycle;
     case "spec_of_path duplicates" spec_of_path_duplicates;
     case "spec_of_path no cycle" spec_of_path_no_cycle;

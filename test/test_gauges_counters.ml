@@ -99,6 +99,32 @@ let live_entries_match () =
   Alcotest.(check bool) "counts match" true
     (entries = List.sort compare [ a1, 2; a2, 1 ])
 
+(* Both loaders used to commit field by field: a short stream left a
+   gauge (or, for the pool, an emptied table) half restored. *)
+let gauges_load_is_atomic () =
+  let g = Gauges.create () in
+  Gauges.add_observed_bytes g 70;
+  Gauges.set_links g 3;
+  let other = Gauges.create () in
+  Gauges.add_observed_bytes other 500;
+  Gauges.set_blacklisted other 9;
+  let stream = saved_ints (Gauges.save other) in
+  check_load_is_atomic ~what:"short gauges stream" ~save:(Gauges.save g) ~load:(Gauges.load g)
+    (List.filteri (fun i _ -> i < List.length stream - 1) stream)
+
+let counters_load_is_atomic () =
+  let c = Counters.create () in
+  ignore (Counters.incr c 10 : int);
+  ignore (Counters.incr c 20 : int);
+  let other = Counters.create () in
+  ignore (Counters.incr other 30 : int);
+  let stream = saved_ints (Counters.save other) in
+  check_load_is_atomic ~what:"short counter-pool stream" ~save:(Counters.save c)
+    ~load:(Counters.load c)
+    (List.filteri (fun i _ -> i < List.length stream - 1) stream);
+  check_load_is_atomic ~what:"negative table length" ~save:(Counters.save c)
+    ~load:(Counters.load c) [ -1; 0; 0 ]
+
 let suite =
   [
     case "observed-bytes high water" observed_bytes_high_water;
@@ -106,4 +132,6 @@ let suite =
     case "counter pool recycles" counter_pool_recycles;
     case "counter pool high water is peak" counter_pool_high_water_is_peak;
     case "live entries match" live_entries_match;
+    case "gauges load is atomic" gauges_load_is_atomic;
+    case "counters load is atomic" counters_load_is_atomic;
   ]

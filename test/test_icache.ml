@@ -189,6 +189,82 @@ let qcheck_reference =
         fetches
       && saved c = Reference.save r)
 
+(* The span path: a region placed at [base] (any alignment) fetches each
+   node through the line span [Region.set_cache_base] computed, via
+   [Icache.access_lines].  It must agree with [Icache.access] over the
+   node's byte range and with the reference, fetch by fetch, and end with
+   the same save stream. *)
+let qcheck_span_path =
+  let geometry =
+    QCheck.Gen.(triple (oneofl [ 1; 2; 4 ]) (oneofl [ 16; 24; 48; 64 ]) (oneofl [ 1; 2; 4; 8 ]))
+  in
+  let gen =
+    QCheck.Gen.(
+      geometry >>= fun (ways, line_bytes, n_sets) ->
+      int_bound (4 * ways * line_bytes * n_sets) >>= fun base ->
+      list_size (int_range 1 6) (int_range 1 12) >>= fun sizes ->
+      map
+        (fun fetches -> ((ways, line_bytes, n_sets), base, sizes, fetches))
+        (list_size (int_range 1 200) (int_bound (List.length sizes - 1))))
+  in
+  let print ((ways, line_bytes, n_sets), base, sizes, fetches) =
+    Printf.sprintf "ways %d, %d-byte lines, %d sets, base %d, block sizes %s: nodes %s" ways
+      line_bytes n_sets base
+      (QCheck.Print.(list int) sizes)
+      (QCheck.Print.(list int) fetches)
+  in
+  QCheck.Test.make ~name:"span path matches access and the reference" ~count:500
+    (QCheck.make ~print gen)
+    (fun ((ways, line_bytes, n_sets), base, sizes, fetches) ->
+      let blocks, _ =
+        List.fold_left
+          (fun (acc, start) size -> (mk start size Terminator.Return :: acc, start + size))
+          ([], 0) sizes
+      in
+      let blocks = List.rev blocks in
+      let r =
+        Region.of_spec ~id:0 ~selected_at:0
+          {
+            Region.entry = 0;
+            nodes = blocks;
+            edges = [];
+            copied_insts = List.fold_left ( + ) 0 sizes;
+            kind = Region.Combined;
+            aux_entries = [];
+            layout_hint = [];
+          }
+      in
+      Region.set_cache_base r ~line_bytes base;
+      let make () = Icache.create ~size_bytes:(n_sets * ways * line_bytes) ~line_bytes ~ways () in
+      let by_span = make () and by_addr = make () in
+      let reference = Reference.create ~n_sets ~line_bytes ~ways in
+      List.for_all
+        (fun node ->
+          let lines = r.Region.node_lines in
+          Icache.access_lines by_span ~first:lines.(2 * node) ~last:lines.((2 * node) + 1);
+          let addr = base + r.Region.node_offsets.(node)
+          and bytes = r.Region.node_blocks.(node).Block.size * Region.inst_bytes in
+          Icache.access by_addr ~addr ~bytes;
+          Reference.access reference ~addr ~bytes;
+          Icache.accesses by_span = Icache.accesses by_addr
+          && Icache.misses by_span = Icache.misses by_addr
+          && Icache.accesses by_span = reference.Reference.accesses
+          && Icache.misses by_span = reference.Reference.misses)
+        fetches
+      && saved by_span = saved by_addr
+      && saved by_span = Reference.save reference)
+
+(* The loader used to store tags, stamps and counters as it read them: a
+   short stream left the cache half overwritten. *)
+let load_is_atomic () =
+  let c = Icache.create ~size_bytes:256 ~line_bytes:16 ~ways:2 () in
+  Icache.access c ~addr:0 ~bytes:40;
+  let other = Icache.create ~size_bytes:256 ~line_bytes:16 ~ways:2 () in
+  Icache.access other ~addr:1_000 ~bytes:100;
+  let stream = saved other in
+  check_load_is_atomic ~what:"short icache stream" ~save:(Icache.save c) ~load:(Icache.load c)
+    (List.filteri (fun i _ -> i < List.length stream - 1) stream)
+
 let suite =
   [
     case "cold miss then hit" cold_miss_then_hit;
@@ -202,4 +278,6 @@ let suite =
     case "simulator drives icache" simulator_drives_icache;
     case "combination lowers misses" combination_lowers_misses_on_figure4;
     QCheck_alcotest.to_alcotest qcheck_reference;
+    QCheck_alcotest.to_alcotest qcheck_span_path;
+    case "load is atomic" load_is_atomic;
   ]

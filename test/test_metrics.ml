@@ -87,7 +87,7 @@ let domination_scenario () =
       (Region.spec_of_path ~kind:Region.Trace { Region.blocks = [ s ]; final_next = None })
   in
   Region.record_exit r ~from:0 ~tgt:10;
-  let edges = Edge_profile.create () in
+  let edges = edge_profile () in
   Edge_profile.record edges ~src:0 ~dst:10;
   let summary =
     Exit_domination.analyze ~regions:[ r; s_region ] ~preds:(Edge_profile.preds edges)
@@ -114,7 +114,7 @@ let domination_needs_selection_order () =
       (Region.spec_of_path ~kind:Region.Trace { Region.blocks = [ s ]; final_next = None })
   in
   Region.record_exit r ~from:0 ~tgt:10;
-  let edges = Edge_profile.create () in
+  let edges = edge_profile () in
   Edge_profile.record edges ~src:0 ~dst:10;
   let summary =
     Exit_domination.analyze ~regions:[ r; s_region ] ~preds:(Edge_profile.preds edges)
@@ -133,7 +133,7 @@ let domination_blocked_by_second_pred () =
       (Region.spec_of_path ~kind:Region.Trace { Region.blocks = [ s ]; final_next = None })
   in
   Region.record_exit r ~from:0 ~tgt:10;
-  let edges = Edge_profile.create () in
+  let edges = edge_profile () in
   Edge_profile.record edges ~src:0 ~dst:10;
   Edge_profile.record edges ~src:50 ~dst:10;
   let summary =
@@ -158,7 +158,7 @@ let domination_counts_duplication () =
          { Region.blocks = [ s; sh2; shared ]; final_next = None })
   in
   Region.record_exit r ~from:0 ~tgt:10;
-  let edges = Edge_profile.create () in
+  let edges = edge_profile () in
   Edge_profile.record edges ~src:0 ~dst:10;
   let summary =
     Exit_domination.analyze ~regions:[ r; s_region ] ~preds:(Edge_profile.preds edges)

@@ -117,12 +117,12 @@ let batched_profile_matches_per_step () =
     {
       Simulator.on_context = (fun _ -> ());
       on_step =
-        (fun ~step:_ ~block ~taken:_ ~next ~believed:_ ->
+        (fun ~step:_ ~block ~taken ~next ~believed:_ ->
           if not (Addr.is_none next) then begin
             let key = (block.Block.start, next) in
             Hashtbl.replace reference key
               (1 + Option.value ~default:0 (Hashtbl.find_opt reference key));
-            stream := key :: !stream
+            stream := (taken, key) :: !stream
           end);
     }
   in
@@ -148,42 +148,67 @@ let batched_profile_matches_per_step () =
       edges 0
   in
   check_int "profile holds exactly the observed edge set" (Hashtbl.length reference) n;
-  !stream
+  ((Spec.image spec).Regionsel_workload.Image.program, List.rev !stream)
 
 (* Part two: replay that same step stream into fresh profiles, forcing a
    flush-and-read at every [k]th step for several boundary spacings.  Every
    boundary must see counts identical to the per-step reference — exactness
-   at *every* observation point, not just the end of the run. *)
+   at *every* observation point, not just the end of the run.  Two profiles
+   take the stream: one through the ring alone ([record]), one through the
+   dense per-successor tier ([record_step] over the program).  The dense
+   one is also saved and loaded into a fresh profile halfway through, and
+   the copy must end with the uninterrupted profile's counts and save
+   stream. *)
 let batched_profile_exact_at_every_boundary () =
-  let stream = List.rev (batched_profile_matches_per_step ()) in
+  let program, stream = batched_profile_matches_per_step () in
+  let half = List.length stream / 2 in
   List.iter
     (fun k ->
-      let e = Edge_profile.create () in
+      let ring = Edge_profile.create ~program () in
+      let dense = Edge_profile.create ~program () in
+      let resumed = ref (Edge_profile.create ~program ()) in
       let reference : (int * int, int) Hashtbl.t = Hashtbl.create 256 in
+      let check what e ~src ~dst r =
+        if Edge_profile.count e ~src ~dst <> r then
+          Alcotest.failf "%s, boundary spacing %d: edge %s->%s counts %d, expected %d" what k
+            (Addr.to_string src) (Addr.to_string dst)
+            (Edge_profile.count e ~src ~dst)
+            r
+      in
       List.iteri
-        (fun i ((src, dst) as key) ->
-          Edge_profile.record e ~src ~dst;
+        (fun i (taken, ((src, dst) as key)) ->
+          if i = half then begin
+            let copy = Edge_profile.create ~program () in
+            Edge_profile.load copy (reader_of_ints (saved_ints (Edge_profile.save dense)));
+            resumed := copy
+          end;
+          let block_id = Regionsel_isa.Program.block_id program src in
+          Edge_profile.record ring ~src ~dst;
+          Edge_profile.record_step dense ~block_id ~taken ~src ~dst;
+          if i >= half then Edge_profile.record_step !resumed ~block_id ~taken ~src ~dst;
           Hashtbl.replace reference key
             (1 + Option.value ~default:0 (Hashtbl.find_opt reference key));
           if (i + 1) mod k = 0 then begin
-            Edge_profile.flush e;
-            if Edge_profile.count e ~src ~dst <> Hashtbl.find reference key then
-              Alcotest.failf
-                "boundary spacing %d, step %d: edge %s->%s flushed to %d but the \
-                 per-step count is %d"
-                k (i + 1) (Addr.to_string src) (Addr.to_string dst)
-                (Edge_profile.count e ~src ~dst)
-                (Hashtbl.find reference key)
+            let r = Hashtbl.find reference key in
+            Edge_profile.flush ring;
+            check "ring" ring ~src ~dst r;
+            check "dense" dense ~src ~dst r;
+            if i >= half then check "resumed" !resumed ~src ~dst r
           end)
         stream;
       Hashtbl.iter
         (fun (src, dst) r ->
-          if Edge_profile.count e ~src ~dst <> r then
-            Alcotest.failf "boundary spacing %d: edge %s->%s ends at %d, expected %d" k
-              (Addr.to_string src) (Addr.to_string dst)
-              (Edge_profile.count e ~src ~dst)
-              r)
-        reference)
+          check "ring, at the end" ring ~src ~dst r;
+          check "dense, at the end" dense ~src ~dst r;
+          check "resumed, at the end" !resumed ~src ~dst r)
+        reference;
+      List.iter
+        (fun e -> check_int "no unobserved edges" (Hashtbl.length reference) (Edge_profile.n_edges e))
+        [ ring; dense; !resumed ];
+      Alcotest.(check (list int))
+        (Printf.sprintf "boundary spacing %d: the resumed profile saves as the uninterrupted one" k)
+        (saved_ints (Edge_profile.save dense))
+        (saved_ints (Edge_profile.save !resumed)))
     [ 1; 7; 64; 1000 ]
 
 let suite =

@@ -55,7 +55,9 @@ let offsets_before_and_after_install () =
   check_int "non-node offset is -1" (-1) (Region.block_offset r 100);
   (* ...but cache addresses do not exist until the cache places the region. *)
   check_true "no cache addr before install" (Region.block_cache_addr r 16 = None);
-  Region.set_cache_base r 1_000;
+  Region.set_cache_base r ~line_bytes:16 1_000;
+  (* 1_000 .. 1_007 and 1_008 .. 1_019 in 16-byte lines. *)
+  Alcotest.(check (array int)) "node line spans" [| 62; 62; 63; 63 |] r.Region.node_lines;
   check_true "cache addr after install"
     (Region.block_cache_addr r 16 = Some (1_000 + (2 * Region.inst_bytes)));
   check_true "entry cache addr after install" (Region.block_cache_addr r 0 = Some 1_000);
@@ -147,6 +149,61 @@ let duplicate_nodes_deduped () =
   check_int "distinct nodes only" 2 r.Region.n_nodes;
   check_starts "each block placed once" [ 0; 16 ] (starts r)
 
+(* Exit slots.  A region over a conditional (both directions leave it),
+   an indirect jump and a return, counted through [record_exit_at], must
+   read exactly as one whose every exit is a [record_exit] probe: the same
+   [exit_log] bindings in the same fold order, the same [exit_targets],
+   [exited_to] and [save] stream — before and after [Region.load]. *)
+let exit_slots_match_per_exit_bumps () =
+  let a = mk 0 2 (Terminator.Cond 10) and b = mk 2 2 Terminator.Indirect_jump in
+  let c = mk 4 2 Terminator.Return in
+  let program =
+    Program.of_blocks_exn ~entry:0 [ a; b; c; mk 6 4 (Terminator.Jump 0); mk 10 2 Terminator.Halt ]
+  in
+  let s = spec ~entry:0 ~edges:[ (2, 4) ] [ a; b; c ] in
+  let slotted = Region.of_spec ~id:0 ~selected_at:0 ~program s in
+  let bumped = Region.of_spec ~id:0 ~selected_at:0 ~program s in
+  (* (node, taken, target): both directions of [a], then the indirect jump
+     and the return to two targets each. *)
+  let exits =
+    [ (0, true, 10); (0, false, 2); (0, true, 10); (1, true, 6); (2, true, 10); (0, false, 2);
+      (1, true, 0); (2, true, 10); (0, true, 10); (2, true, 6); (1, true, 6); (0, false, 2) ]
+  in
+  let take slotted bumped =
+    List.iter
+      (fun (node, taken, tgt) ->
+        let from = slotted.Region.node_blocks.(node).Block.start in
+        Region.record_exit_at slotted ~node ~taken ~from ~tgt;
+        Region.record_exit bumped ~from ~tgt)
+      exits
+  in
+  let agree what slotted bumped =
+    (* The save first: it must fold pending counts in by itself. *)
+    Alcotest.(check (list int)) (what ^ ": save") (saved_ints (Region.save bumped))
+      (saved_ints (Region.save slotted));
+    let bindings r = Region.fold_exits (fun k c acc -> (k, c) :: acc) r [] in
+    Alcotest.(check (list (pair int int))) (what ^ ": exit_log") (bindings bumped) (bindings slotted);
+    Alcotest.(check (list int))
+      (what ^ ": exit_targets")
+      (Addr.Set.elements (Region.exit_targets bumped))
+      (Addr.Set.elements (Region.exit_targets slotted));
+    List.iter
+      (fun tgt ->
+        Alcotest.(check (list int))
+          (Printf.sprintf "%s: exited_to %d" what tgt)
+          (Addr.Set.elements (Region.exited_to bumped ~tgt))
+          (Addr.Set.elements (Region.exited_to slotted ~tgt)))
+      [ 0; 2; 6; 10 ]
+  in
+  take slotted bumped;
+  check_int "every exit counted" (List.length exits) slotted.Region.exits;
+  agree "live" slotted bumped;
+  let reload r = Region.load ~program ~line_bytes:16 (reader_of_ints (saved_ints (Region.save r))) in
+  let slotted = reload slotted and bumped = reload bumped in
+  agree "loaded" slotted bumped;
+  take slotted bumped;
+  agree "loaded, then exited again" slotted bumped
+
 let suite =
   [
     case "layout hint ordering" layout_hint_ordering;
@@ -156,4 +213,5 @@ let suite =
     case "wide region uses multiword rows" wide_region_uses_multiword_rows;
     case "block translation requires program" block_translation_requires_program;
     case "duplicate nodes deduped" duplicate_nodes_deduped;
+    case "exit slots match per-exit bumps" exit_slots_match_per_exit_bumps;
   ]
