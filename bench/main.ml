@@ -1052,11 +1052,7 @@ let restore_section () =
    results come back in submission order, making the cache contents — and
    everything printed from them — independent of domain scheduling. *)
 let prefill_matrix () =
-  let pairs =
-    List.concat_map
-      (fun (spec : Spec.t) -> List.map (fun (pname, _) -> spec, pname) Policies.all)
-      benches
-  in
+  let pairs = Suite.grid (List.map fst Policies.all) in
   let todo =
     List.filter
       (fun ((spec : Spec.t), pname) -> not (Hashtbl.mem cache (spec.Spec.name, pname)))

@@ -603,11 +603,7 @@ let suite_cmd =
   let run steps seed =
     let module Aggregate = Regionsel_metrics.Aggregate in
     let policies = [ "net"; "lei"; "combined-net"; "combined-lei" ] in
-    let tasks =
-      List.concat_map
-        (fun (spec : Spec.t) -> List.map (fun p -> spec, p) policies)
-        Suite.all
-    in
+    let tasks = Suite.grid policies in
     let metrics =
       parallel_map_specs
         (fun spec p -> Run_metrics.of_result (simulate spec (lookup_policy p) steps seed))
@@ -729,11 +725,7 @@ let export_cmd =
       ]
     in
     print_endline (String.concat "," cols);
-    let tasks =
-      List.concat_map
-        (fun (spec : Spec.t) -> List.map (fun p -> spec, p) Policies.all)
-        Suite.all
-    in
+    let tasks = Suite.grid Policies.all in
     let rows =
       parallel_map_specs
         (fun spec (pname, policy) ->

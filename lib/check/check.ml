@@ -25,8 +25,8 @@ let fail ~step ~rule fmt =
   Printf.ksprintf (fun detail -> raise (Check_violation { step; rule; detail })) fmt
 
 let audit_cache ?telemetry ~program cache ~step =
-  (* Dispatch array -> indices: every slot holds a live region that claims
-     the slot's block. *)
+  (* Dispatch array: every slot holds a live region that claims the
+     slot's block. *)
   for id = 0 to Program.n_blocks program - 1 do
     match Code_cache.dispatch cache id with
     | None -> ()
@@ -42,50 +42,24 @@ let audit_cache ?telemetry ~program cache ~step =
           id (Addr.to_string a) r.Region.id
           (Addr.to_string r.Region.entry)
   done;
-  (* Indices -> dispatch array: every binding routes its address back to
-     the same physical region, so [find] and [dispatch] cannot disagree. *)
-  let expect_dispatch ~what a (r : Region.t) =
-    let id = Program.block_id program a in
-    if id < 0 then
-      fail ~step ~rule:"index-block" "%s index holds %s, which is not a block start" what
-        (Addr.to_string a);
-    match Code_cache.dispatch cache id with
-    | Some r' when r' == r -> ()
-    | Some r' ->
-      fail ~step ~rule:"index-dispatch"
-        "%s index routes %s to region #%d but dispatch slot %d holds region #%d" what
-        (Addr.to_string a) r.Region.id id r'.Region.id
-    | None ->
-      fail ~step ~rule:"index-dispatch"
-        "%s index routes %s to region #%d but its dispatch slot is empty" what
-        (Addr.to_string a) r.Region.id
-  in
-  let n_live = ref 0 in
-  let live_bytes = ref 0 in
-  Code_cache.iter_entries cache (fun a r ->
-      incr n_live;
-      live_bytes := !live_bytes + Region.cache_bytes r;
-      if not (Addr.equal a r.Region.entry) then
-        fail ~step ~rule:"entry-key" "entry index binds %s to region #%d whose entry is %s"
-          (Addr.to_string a) r.Region.id
-          (Addr.to_string r.Region.entry);
-      expect_dispatch ~what:"entry" a r);
-  if !n_live <> Code_cache.n_regions cache then
-    fail ~step ~rule:"live-count" "entry index holds %d regions but n_regions reports %d"
-      !n_live (Code_cache.n_regions cache);
-  Code_cache.iter_aux_entries cache (fun a r ->
-      if not (Code_cache.is_live cache r) then
-        fail ~step ~rule:"aux-live" "aux index binds %s to retired region #%d"
-          (Addr.to_string a) r.Region.id;
-      if not (Addr.Set.mem a r.Region.aux_entries) then
-        fail ~step ~rule:"aux-key"
-          "aux index binds %s to region #%d, which does not claim it as an aux entry"
-          (Addr.to_string a) r.Region.id;
-      expect_dispatch ~what:"aux" a r);
+  (* FIFO tombstone accounting (the compaction bound): the live elements,
+     counted by walking the FIFO, are the FIFO minus its tombstones. *)
+  let live = Code_cache.regions cache in
+  let n_live = List.length live in
+  let fifo_len = Code_cache.fifo_length cache in
+  let tombstones = Code_cache.fifo_tombstones cache in
+  if fifo_len - tombstones <> n_live then
+    fail ~step ~rule:"fifo-accounting"
+      "FIFO holds %d entries with %d tombstones but %d regions are live" fifo_len
+      tombstones n_live;
+  if tombstones > max 8 n_live then
+    fail ~step ~rule:"fifo-tombstones" "%d tombstones against %d live regions (bound %d)"
+      tombstones n_live (max 8 n_live);
   (* Link slots: no link outlives its target, and a link always agrees
      with the dispatch array (a linked jump lands exactly where a dispatch
      would have). *)
-  Code_cache.iter_entries cache (fun _ r ->
+  List.iter
+    (fun (r : Region.t) ->
       for slot = 0 to Region.n_link_slots r - 1 do
         match Region.link_target r slot with
         | None -> ()
@@ -103,22 +77,14 @@ let audit_cache ?telemetry ~program cache ~step =
             fail ~step ~rule:"link-dispatch"
               "region #%d slot %d links to region #%d but the slot dispatches nowhere"
               r.Region.id slot tgt.Region.id)
-      done);
-  (* FIFO tombstone accounting (the compaction bound). *)
-  let fifo_len = Code_cache.fifo_length cache in
-  let tombstones = Code_cache.fifo_tombstones cache in
-  if fifo_len - tombstones <> !n_live then
-    fail ~step ~rule:"fifo-accounting"
-      "FIFO holds %d entries with %d tombstones but %d regions are live" fifo_len
-      tombstones !n_live;
-  if tombstones > max 8 !n_live then
-    fail ~step ~rule:"fifo-tombstones" "%d tombstones against %d live regions (bound %d)"
-      tombstones !n_live (max 8 !n_live);
+      done)
+    live;
   (* Byte ledger. *)
-  if Code_cache.bytes_used cache <> !live_bytes then
+  let live_bytes = List.fold_left (fun acc r -> acc + Region.cache_bytes r) 0 live in
+  if Code_cache.bytes_used cache <> live_bytes then
     fail ~step ~rule:"bytes-accounting"
       "cache reports %d bytes used but the live regions sum to %d"
-      (Code_cache.bytes_used cache) !live_bytes;
+      (Code_cache.bytes_used cache) live_bytes;
   (* Step clock. *)
   if Code_cache.clock_regressions cache <> 0 then
     fail ~step ~rule:"clock-monotone" "set_now was handed a stale step %d time(s)"
@@ -135,15 +101,17 @@ let audit_cache ?telemetry ~program cache ~step =
   match telemetry with
   | None -> ()
   | Some t ->
-    Code_cache.iter_entries cache (fun _ r ->
+    List.iter
+      (fun (r : Region.t) ->
         if not (Telemetry.span_open t ~id:r.Region.id) then
           fail ~step ~rule:"span-open" "live region #%d has no open telemetry span"
-            r.Region.id);
+            r.Region.id)
+      live;
     let open_spans = Telemetry.n_open_spans t in
-    if open_spans <> !n_live then
+    if open_spans <> n_live then
       fail ~step ~rule:"span-ledger"
         "telemetry has %d open spans but the cache holds %d live regions" open_spans
-        !n_live
+        n_live
 
 let create ?(params = Params.default) ?(seed = 1L) ?telemetry ?(audit_every = 64) ?break_at
     ?restore ?record ?replay ~policy ~max_steps image =
@@ -174,8 +142,8 @@ let create ?(params = Params.default) ?(seed = 1L) ?telemetry ?(audit_every = 64
           Code_cache.set_auditor cache (fun _op -> audit ~step:(Code_cache.now cache)));
       on_step =
         (fun ~step ~block ~taken ~next ~believed ->
-          (* Self-test corruption: desynchronize the indices once a live
-             region exists, then let the audit below convict it. *)
+          (* Self-test corruption: clear a live region's dispatch slot
+             once one exists, then let the audit below convict it. *)
           (match break_at with
           | Some at when (not !broken) && step >= at -> (
             match !cache_ref with

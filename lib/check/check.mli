@@ -5,9 +5,10 @@
     the structures disagree):
 
     - {!audit_cache} walks the code cache and cross-checks every redundant
-      structure against every other: the flat dispatch array against the
-      entry/aux-entry hash indices, the per-region link slots against the
-      dispatch array and target liveness, the FIFO tombstone accounting,
+      structure against every other: the dispatch array's claims and
+      liveness, the FIFO against the dispatch array (tombstone
+      accounting), the per-region link slots against the dispatch array
+      and target liveness,
       the byte ledger, the telemetry span ledger, and the step clock.
       These are the DESIGN.md "Checked invariants" (see that section for
       the rule-by-rule rationale).
@@ -48,18 +49,12 @@ val audit_cache :
     - ["dispatch-live"]: every dispatch slot holds a live region.
     - ["dispatch-claim"]: that region claims the slot's block as its entry
       or one of its aux entries.
-    - ["live-count"]: the entry index holds exactly [n_regions] regions.
-    - ["entry-key"]: each entry-index key is its region's entry address.
-    - ["aux-key"]: each aux-index key is in its region's aux-entry set.
-    - ["aux-live"]: each aux-index region is live.
-    - ["index-block"] / ["index-dispatch"]: each index binding routes
-      through a block-start address whose dispatch slot holds that exact
-      region — [find] and [dispatch] can never disagree.
+    - ["fifo-accounting"]: the live FIFO elements, counted by walking the
+      FIFO, number [fifo_length - fifo_tombstones].
+    - ["fifo-tombstones"]: tombstones never exceed [max 8] live regions.
     - ["link-live"] / ["link-dispatch"]: a patched link slot targets a live
       region and agrees with the dispatch array ({e no link outlives its
       target}).
-    - ["fifo-accounting"]: [fifo_length - fifo_tombstones = n_regions].
-    - ["fifo-tombstones"]: tombstones never exceed [max 8 n_regions].
     - ["bytes-accounting"]: [bytes_used] equals the summed
       [Region.cache_bytes] of the live regions.
     - ["clock-monotone"]: [Code_cache.set_now] was never handed a stale
@@ -111,8 +106,8 @@ val create :
     caller exporting traces audits the very recorder it exports.
 
     [break_at] is the fuzz driver's self-test hook: from that step on, the
-    first live region is deliberately desynchronized from the entry index
-    ([Code_cache.unsafe_corrupt_for_tests]) — a healthy sanitizer must
+    first live region's entry slot is deliberately cleared from the
+    dispatch array ([Code_cache.unsafe_corrupt_for_tests]) — a healthy sanitizer must
     then raise.  Never set it outside tests.
 
     [restore] passes through to [Simulator.create]; on restore the shadow

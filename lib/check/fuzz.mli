@@ -112,9 +112,10 @@ val flight_dump :
 val self_test : ?flight:string -> unit -> (int, string) result
 (** Prove the sanitizer catches real corruption: run a tiny hot loop with
     a low selection threshold and [break_at = 1], so the first installed
-    region is silently dropped from the entry index, then shrink the step
-    budget of the resulting violation.  [Ok budget] is the minimal budget
-    that still reproduces (the acceptance bound is 20); [Error] means the
-    corruption went uncaught — the sanitizer is broken.  With [flight], a
-    {!flight_dump} of the shrunk reproducer is written there — the CI
-    assertion that crash dumps actually appear on the failure path. *)
+    region's entry slot is silently cleared from the dispatch array, then
+    shrink the step budget of the resulting violation.  [Ok budget] is the
+    minimal budget that still reproduces (the acceptance bound is 20);
+    [Error] means the corruption went uncaught — the sanitizer is broken.
+    With [flight], a {!flight_dump} of the shrunk reproducer is written
+    there — the CI assertion that crash dumps actually appear on the
+    failure path. *)

@@ -93,12 +93,10 @@ let spec_of_extent entry blocks =
         List.iter (fun (c : Block.t) -> add_edge s c.Block.start) blocks
       | Terminator.Return | Terminator.Halt -> ())
     blocks;
-  let copied_insts = List.fold_left (fun acc b -> acc + b.Block.size) 0 blocks in
   {
     Region.entry;
     nodes = blocks;
     edges = List.sort_uniq compare !edges;
-    copied_insts;
     kind = Region.Method;
     aux_entries = List.sort_uniq compare !aux;
     layout_hint = [];

@@ -132,7 +132,6 @@ let to_spec ?(layout = `Hot_first) t =
     t.nodes;
   List.iter (fun (src, dst) -> if surviving src && surviving dst then add_edge src dst) t.finals;
   let nodes = List.sort (fun a b -> Addr.compare a.Block.start b.Block.start) !nodes in
-  let copied_insts = List.fold_left (fun acc b -> acc + b.Block.size) 0 nodes in
   let layout_hint =
     match layout with
     | `Address_order -> []
@@ -150,7 +149,6 @@ let to_spec ?(layout = `Hot_first) t =
     Region.entry = t.entry;
     nodes;
     edges = List.sort_uniq compare !edges;
-    copied_insts;
     kind = Region.Combined;
     aux_entries = [];
     layout_hint;

@@ -20,8 +20,6 @@ type blacklist_entry = {
 }
 
 type t = {
-  by_entry : Region.t Int_tbl.t;
-  by_aux_entry : Region.t Int_tbl.t;
   mutable fifo : Region.t Queue.t;
       (* Install order.  Retired regions are left in place as tombstones and
          skipped lazily, so eviction pops each element at most once:
@@ -46,27 +44,28 @@ type t = {
   mutable quota_rejects : int;
   mutable quota_evictions : int;
   eviction : Params.eviction;
-  evicted_entries : unit Int_tbl.t;
-  program : Program.t option;
+  program : Program.t;
   line_bytes : int;  (* icache line size the regions' node spans are computed for *)
   dispatch : Region.t option array;
-      (* block_id -> live region claiming that block as entry or aux entry.
-         Present only when [create] was given the program; mirrors
-         by_entry/by_aux_entry exactly so the simulator's per-transition
-         probe is one array read instead of up to two hash probes. *)
-  incoming_links : (Region.t * int) list Int_tbl.t;
+      (* block id -> live region claiming that block as entry or aux entry:
+         the cache's only index of live regions.  A live region always
+         owns its entry's slot (an install whose entry is claimed is a
+         [Duplicate_entry]), so liveness and [find] are one array read. *)
+  evicted : bool array;  (* block id -> an entry that was ever retired *)
+  mutable incoming_links : (Region.t * int) list array;
       (* target region id -> (source region, slot) pairs whose exit stub is
          patched to jump to the target, so retiring a region severs every
-         link into it in O(links).  Entries are cleaned lazily: a recorded
-         pair whose slot no longer points at the target is ignored. *)
-  slot_links : Region.t list Int_tbl.t;
+         link into it in O(links); grown as linked ids appear.  Entries are
+         cleaned lazily: a recorded pair whose slot no longer points at the
+         target is ignored. *)
+  slot_links : Region.t list array;
       (* block id -> source regions holding a live link through that slot,
          so an install that (re)claims the block id can sever links that
          would otherwise disagree with the dispatch array. *)
   mutable links_created : int;
   mutable link_severs : int;
   mutable live_links : int;
-  blacklist : blacklist_entry Int_tbl.t;
+  blacklist : blacklist_entry option array;  (* block id -> entry's failure record *)
   blacklist_base_cooldown : int;
   blacklist_max_shift : int;
   mutable fail_installs_until : int;
@@ -99,11 +98,9 @@ type t = {
 let create ?capacity_bytes ?(eviction = Params.Flush_all)
     ?(blacklist_base_cooldown = Params.default.Params.blacklist_base_cooldown)
     ?(blacklist_max_shift = Params.default.Params.blacklist_max_shift)
-    ?(telemetry = Telemetry.none) ?program
-    ?(icache_line_bytes = Params.default.Params.icache_line_bytes) () =
+    ?(telemetry = Telemetry.none) ~program ~icache_line_bytes () =
+  let n_blocks = Program.n_blocks program in
   {
-    by_entry = Int_tbl.create 256;
-    by_aux_entry = Int_tbl.create 64;
     fifo = Queue.create ();
     fifo_tombstones = 0;
     retired = [];
@@ -115,19 +112,16 @@ let create ?capacity_bytes ?(eviction = Params.Flush_all)
     quota_rejects = 0;
     quota_evictions = 0;
     eviction;
-    evicted_entries = Int_tbl.create 64;
     program;
     line_bytes = icache_line_bytes;
-    dispatch =
-      (match program with
-      | Some p -> Array.make (max 1 (Program.n_blocks p)) None
-      | None -> [||]);
-    incoming_links = Int_tbl.create 64;
-    slot_links = Int_tbl.create 64;
+    dispatch = Array.make n_blocks None;
+    evicted = Array.make n_blocks false;
+    incoming_links = [||];
+    slot_links = Array.make n_blocks [];
     links_created = 0;
     link_severs = 0;
     live_links = 0;
-    blacklist = Int_tbl.create 16;
+    blacklist = Array.make n_blocks None;
     blacklist_base_cooldown;
     blacklist_max_shift;
     fail_installs_until = -1;
@@ -158,10 +152,10 @@ let dispatch t id =
    dispatch array (the simulator consults the link slot *instead of*
    dispatching). *)
 let sever_slot t id =
-  match Int_tbl.find_opt t.slot_links id with
-  | None -> ()
-  | Some sources ->
-    Int_tbl.remove t.slot_links id;
+  match t.slot_links.(id) with
+  | [] -> ()
+  | sources ->
+    t.slot_links.(id) <- [];
     List.iter
       (fun (src : Region.t) ->
         match Region.link_target src id with
@@ -174,43 +168,24 @@ let sever_slot t id =
         | None -> ())
       sources
 
-let dispatch_set t a region =
-  match t.program with
-  | None -> ()
-  | Some p ->
-    let id = Program.block_id p a in
-    if id >= 0 then begin
-      sever_slot t id;
-      t.dispatch.(id) <- Some region
-    end
+(* Addresses the cache stores are block starts: [install] checks the
+   entry and [Region.of_spec] the nodes, so these ids are never -1. *)
+let id_of t a = Program.block_id t.program a
 
-let dispatch_clear t a region =
-  match t.program with
-  | None -> ()
-  | Some p ->
-    let id = Program.block_id p a in
-    if id >= 0 then begin
-      match t.dispatch.(id) with
-      | Some r when r == region -> t.dispatch.(id) <- None
-      | Some _ | None -> ()
-    end
+let dispatch_set t id region =
+  sever_slot t id;
+  t.dispatch.(id) <- Some region
 
-let find t a =
-  match Int_tbl.find_opt t.by_entry a with
-  | Some _ as hit -> hit
-  | None -> Int_tbl.find_opt t.by_aux_entry a
+let dispatch_clear t id region =
+  match t.dispatch.(id) with
+  | Some r when r == region -> t.dispatch.(id) <- None
+  | Some _ | None -> ()
 
-let mem t a =
-  match t.program with
-  | Some p ->
-    let id = Program.block_id p a in
-    id >= 0 && (match t.dispatch.(id) with Some _ -> true | None -> false)
-  | None -> Int_tbl.mem t.by_entry a || Int_tbl.mem t.by_aux_entry a
+let find t a = dispatch t (id_of t a)
+let mem t a = Option.is_some (find t a)
 
 let is_live t (region : Region.t) =
-  match Int_tbl.find_opt t.by_entry region.Region.entry with
-  | Some r -> r == region
-  | None -> false
+  match find t region.Region.entry with Some r -> r == region | None -> false
 
 (* Sever every link into the retiring region — the link-cache invariant is
    "no link may outlive its target region" — and drop its own outgoing
@@ -218,10 +193,11 @@ let is_live t (region : Region.t) =
    consults a retired region's slots on the hot path, they are cleared so
    retired regions cannot pin their former neighbours live). *)
 let sever_links_into t (region : Region.t) =
-  (match Int_tbl.find_opt t.incoming_links region.Region.id with
-  | None -> ()
-  | Some sources ->
-    Int_tbl.remove t.incoming_links region.Region.id;
+  let id = region.Region.id in
+  (match if id < Array.length t.incoming_links then t.incoming_links.(id) else [] with
+  | [] -> ()
+  | sources ->
+    t.incoming_links.(id) <- [];
     List.iter
       (fun ((src : Region.t), slot) ->
         match Region.link_target src slot with
@@ -240,16 +216,10 @@ let sever_links_into t (region : Region.t) =
    invalidations. *)
 let retire t (region : Region.t) =
   sever_links_into t region;
-  Int_tbl.remove t.by_entry region.Region.entry;
-  dispatch_clear t region.Region.entry region;
-  Addr.Set.iter
-    (fun a ->
-      (match Int_tbl.find_opt t.by_aux_entry a with
-      | Some r when r == region -> Int_tbl.remove t.by_aux_entry a
-      | Some _ | None -> ());
-      dispatch_clear t a region)
-    region.Region.aux_entries;
-  Int_tbl.replace t.evicted_entries region.Region.entry ();
+  let entry = id_of t region.Region.entry in
+  dispatch_clear t entry region;
+  Addr.Set.iter (fun a -> dispatch_clear t (id_of t a) region) region.Region.aux_entries;
+  t.evicted.(entry) <- true;
   t.retired <- region :: t.retired;
   t.bytes_used <- t.bytes_used - Region.cache_bytes region
 
@@ -257,23 +227,25 @@ let retire t (region : Region.t) =
    straight to [target] from now on, skipping dispatch.  First link wins;
    callers only attempt it right after a dispatch probe returned [target],
    so the link and the dispatch array agree by construction. *)
+let register_link t ~(from : Region.t) ~slot ~(target : Region.t) =
+  Region.set_link from ~slot (Some target);
+  let id = target.Region.id in
+  let n = Array.length t.incoming_links in
+  if id >= n then begin
+    let grown = Array.make (max (id + 1) (2 * n)) [] in
+    Array.blit t.incoming_links 0 grown 0 n;
+    t.incoming_links <- grown
+  end;
+  t.incoming_links.(id) <- (from, slot) :: t.incoming_links.(id);
+  t.slot_links.(slot) <- from :: t.slot_links.(slot)
+
 let add_link t ~(from : Region.t) ~slot ~(target : Region.t) =
   if
     slot >= 0
     && slot < Region.n_link_slots from
     && (match Region.link_target from slot with None -> true | Some _ -> false)
   then begin
-    Region.set_link from ~slot (Some target);
-    let incoming =
-      match Int_tbl.find_opt t.incoming_links target.Region.id with
-      | Some l -> l
-      | None -> []
-    in
-    Int_tbl.replace t.incoming_links target.Region.id ((from, slot) :: incoming);
-    let through =
-      match Int_tbl.find_opt t.slot_links slot with Some l -> l | None -> []
-    in
-    Int_tbl.replace t.slot_links slot (from :: through);
+    register_link t ~from ~slot ~target;
     t.links_created <- t.links_created + 1;
     t.live_links <- t.live_links + 1;
     Telemetry.link_patch t.telemetry ~step:t.now ~from_id:from.Region.id
@@ -315,7 +287,7 @@ let flush_all t =
   audited t "flush";
   List.rev !flushed
 
-let n_regions t = Int_tbl.length t.by_entry
+let n_regions t = Queue.length t.fifo - t.fifo_tombstones
 
 (* The byte bound installs must respect: the static capacity tightened by
    the runtime quota, whichever is smaller. *)
@@ -349,12 +321,13 @@ let set_now t step =
   end
 
 let record_failure t entry =
+  let id = id_of t entry in
   let b =
-    match Int_tbl.find_opt t.blacklist entry with
+    match t.blacklist.(id) with
     | Some b -> b
     | None ->
       let b = { fails = 0; until = 0; expire_traced = false } in
-      Int_tbl.replace t.blacklist entry b;
+      t.blacklist.(id) <- Some b;
       b
   in
   b.fails <- b.fails + 1;
@@ -365,20 +338,28 @@ let record_failure t entry =
   Telemetry.blacklist_add t.telemetry ~step:t.now ~entry ~cooldown
 
 let blacklisted_until t entry =
-  match Int_tbl.find_opt t.blacklist entry with Some b -> b.until | None -> 0
+  let id = id_of t entry in
+  if id < 0 then 0 else match t.blacklist.(id) with Some b -> b.until | None -> 0
 
 let n_blacklisted t =
-  Int_tbl.fold (fun _ b acc -> if b.until > t.now then acc + 1 else acc) t.blacklist 0
+  Array.fold_left
+    (fun acc -> function Some b when b.until > t.now -> acc + 1 | Some _ | None -> acc)
+    0 t.blacklist
 
 let arm_translation_failures t ~window =
   let until = t.now + window in
   if until > t.fail_installs_until then t.fail_installs_until <- until
 
 let install t (spec : Region.spec) =
+  let entry = id_of t spec.Region.entry in
+  if entry < 0 then
+    invalid_arg
+      (Printf.sprintf "Code_cache.install: entry %s is not a block start"
+         (Addr.to_string spec.Region.entry));
   (* Blacklist before the translation window: an entry already in cooldown
      must not record a fresh failure (and a doubled cooldown) for installs
      it was never eligible to attempt. *)
-  match Int_tbl.find_opt t.blacklist spec.Region.entry with
+  match t.blacklist.(entry) with
   | Some b when b.until > t.now ->
     t.blacklist_hits <- t.blacklist_hits + 1;
     Error Blacklisted
@@ -394,12 +375,12 @@ let install t (spec : Region.spec) =
       Error Translation_failed
     end
     else
-      if mem t spec.Region.entry then begin
+      if Option.is_some t.dispatch.(entry) then begin
         t.duplicate_installs <- t.duplicate_installs + 1;
         Error Duplicate_entry
       end
       else begin
-        let region = Region.of_spec ~id:t.next_id ~selected_at:t.next_id ?program:t.program spec in
+        let region = Region.of_spec ~id:t.next_id ~selected_at:t.next_id ~program:t.program spec in
         let bytes = Region.cache_bytes region in
         match t.quota_bytes with
         | Some quota when bytes > quota ->
@@ -411,22 +392,18 @@ let install t (spec : Region.spec) =
         | Some _ | None ->
           make_room t bytes;
           t.next_id <- t.next_id + 1;
-          if Int_tbl.mem t.evicted_entries spec.Region.entry then
-            t.regenerations <- t.regenerations + 1;
-          Int_tbl.replace t.by_entry spec.Region.entry region;
-          dispatch_set t spec.Region.entry region;
+          if t.evicted.(entry) then t.regenerations <- t.regenerations + 1;
+          dispatch_set t entry region;
           Addr.Set.iter
             (fun a ->
               (* An aux entry must not steal an address another live region
-                 already claims: overwriting its index slot would leave that
+                 already claims: overwriting its slot would leave that
                  region live-but-undispatchable (and, once this region
                  retires, a permanently dead dispatch slot).  The colliding
                  aux entry simply is not dispatchable — the owning region
                  still executes through it via its internal edges. *)
-              if not (mem t a) then begin
-                Int_tbl.replace t.by_aux_entry a region;
-                dispatch_set t a region
-              end)
+              let id = id_of t a in
+              if Option.is_none t.dispatch.(id) then dispatch_set t id region)
             region.Region.aux_entries;
           Queue.add region t.fifo;
           t.bytes_used <- t.bytes_used + bytes;
@@ -530,7 +507,8 @@ let quota_evictions t = t.quota_evictions
 let by_selection rs =
   List.sort (fun (a : Region.t) b -> compare a.Region.selected_at b.Region.selected_at) rs
 
-let regions t = Queue.fold (fun acc r -> if is_live t r then r :: acc else acc) [] t.fifo |> List.rev
+let regions t =
+  List.rev (Queue.fold (fun acc r -> if is_live t r then r :: acc else acc) [] t.fifo)
 let all_regions t = by_selection (t.retired @ regions t)
 let bytes_used t = t.bytes_used
 let icache_line_bytes t = t.line_bytes
@@ -538,11 +516,9 @@ let now t = t.now
 let clock_regressions t = t.clock_regressions
 let fifo_length t = Queue.length t.fifo
 let fifo_tombstones t = t.fifo_tombstones
-let iter_entries t f = Int_tbl.iter f t.by_entry
-let iter_aux_entries t f = Int_tbl.iter f t.by_aux_entry
 
-(* Deliberately break the dispatch ↔ index agreement: drop one live region
-   from [by_entry] while leaving its dispatch slot and FIFO element in
+(* Deliberately break the FIFO ↔ dispatch agreement: clear one live
+   region's entry slot while leaving its FIFO element, bytes and links in
    place.  Exists only so the sanitizer's self-test (regionsel_fuzz
    --self-test-break) has a real corruption to catch; never called by the
    engine. *)
@@ -550,7 +526,7 @@ let unsafe_corrupt_for_tests t =
   match Queue.fold (fun acc r -> if acc = None && is_live t r then Some r else acc) None t.fifo with
   | None -> false
   | Some r ->
-    Int_tbl.remove t.by_entry r.Region.entry;
+    t.dispatch.(id_of t r.Region.entry) <- None;
     true
 
 let region_by_id t id =
@@ -567,15 +543,16 @@ let region_by_id t id =
    retired — retired regions still feed the post-run metrics), then the
    structural state as region-id references: the live set, the FIFO with
    its tombstones, the retirement list in its original order, the
-   aux-entry index, the evicted-entry set, and the live link graph as
-   (from, slot, target) triples.  The dispatch array is not saved: it
-   mirrors by_entry/by_aux_entry exactly, so restore rebuilds it from
-   them (and the post-restore audit re-proves the agreement).
+   aux-entry claims, the evicted-entry set, and the live link graph as
+   (from, slot, target) triples.  Block-indexed tables are written as
+   ascending addresses (block ids increase with address), so the bytes do
+   not depend on the table layout.  The dispatch array itself is not
+   saved: restore rebuilds it from the live set and the aux claims.
 
-   The aux-entry index IS saved explicitly rather than rebuilt by
-   replaying installs: an aux entry only claims a dispatch slot that was
-   free at its own install time, so the index depends on install order
-   and interleaved retirements — replay would have to re-run history.
+   The aux claims ARE saved explicitly rather than rebuilt by replaying
+   installs: an aux entry only claims a dispatch slot that was free at its
+   own install time, so the claims depend on install order and
+   interleaved retirements — replay would have to re-run history.
 
    [load] is decode-then-commit: the entire stream is parsed and
    cross-validated into local structures first, and the cache is only
@@ -583,6 +560,24 @@ let region_by_id t id =
    cache exactly as it was (empty, for a fresh restore target).  Import
    emits no telemetry and fires no auditor — restoring is not a lifecycle
    event. *)
+
+(* [(address, v)] for each slot of a block-indexed table that [keep]
+   maps to [Some v], in ascending address order. *)
+let block_pairs t table keep =
+  let acc = ref [] in
+  for id = Array.length table - 1 downto 0 do
+    let a = (Program.block_of_id t.program id).Block.start in
+    match keep a table.(id) with Some v -> acc := (a, v) :: !acc | None -> ()
+  done;
+  !acc
+
+let emit_pairs emit pairs emit_value =
+  emit (List.length pairs);
+  List.iter
+    (fun (a, v) ->
+      emit a;
+      emit_value v)
+    pairs
 
 let save t emit =
   emit t.next_id;
@@ -611,27 +606,25 @@ let save t emit =
   Queue.iter (fun (r : Region.t) -> emit r.Region.id) t.fifo;
   emit (List.length t.retired);
   List.iter (fun (r : Region.t) -> emit r.Region.id) t.retired;
-  emit (Int_tbl.length t.by_aux_entry);
-  List.iter
-    (fun (a, (r : Region.t)) ->
-      emit a;
-      emit r.Region.id)
-    (Int_tbl.sorted_pairs t.by_aux_entry);
-  emit (Int_tbl.length t.evicted_entries);
-  List.iter (fun (a, ()) -> emit a) (Int_tbl.sorted_pairs t.evicted_entries);
+  (* Dispatch slots claimed by a region other than at its own entry. *)
+  emit_pairs emit
+    (block_pairs t t.dispatch (fun a -> function
+       | Some (r : Region.t) when not (Addr.equal a r.Region.entry) -> Some r.Region.id
+       | Some _ | None -> None))
+    emit;
+  emit_pairs emit (block_pairs t t.evicted (fun _ e -> if e then Some () else None)) ignore;
   let triples = ref [] in
   let n_triples = ref 0 in
-  Queue.iter
+  List.iter
     (fun (r : Region.t) ->
-      if is_live t r then
-        for slot = 0 to Region.n_link_slots r - 1 do
-          match Region.link_target r slot with
-          | Some (tgt : Region.t) ->
-            incr n_triples;
-            triples := (r.Region.id, slot, tgt.Region.id) :: !triples
-          | None -> ()
-        done)
-    t.fifo;
+      for slot = 0 to Region.n_link_slots r - 1 do
+        match Region.link_target r slot with
+        | Some (tgt : Region.t) ->
+          incr n_triples;
+          triples := (r.Region.id, slot, tgt.Region.id) :: !triples
+        | None -> ()
+      done)
+    live;
   emit !n_triples;
   List.iter
     (fun (from, slot, tgt) ->
@@ -645,12 +638,13 @@ let read_len read what =
   if n < 0 then failwith (Printf.sprintf "Code_cache.load: negative %s length" what);
   n
 
+(* The block id of a loaded address, which must be a block start. *)
+let loaded_id t what a =
+  let id = id_of t a in
+  if id < 0 then failwith (Printf.sprintf "Code_cache.load: %s is not a block start" what);
+  id
+
 let load t read =
-  let program =
-    match t.program with
-    | Some p -> p
-    | None -> failwith "Code_cache.load: cache was created without a program"
-  in
   let next_id = read () in
   let bytes_used = read () in
   let alloc_cursor = read () in
@@ -667,18 +661,20 @@ let load t read =
   let link_severs = read () in
   let live_links = read () in
   let fifo_tombstones = read () in
+  (* Ids are issued densely and every region ever created is saved, so
+     the ids are exactly [0, n_all). *)
   let n_all = read_len read "region" in
-  let by_id = Int_tbl.create (max 16 (2 * n_all)) in
+  let by_id = Array.make n_all Region.dummy in
   for _ = 1 to n_all do
-    let r = Region.load ~program ~line_bytes:t.line_bytes read in
-    if r.Region.id < 0 || Int_tbl.mem by_id r.Region.id then
-      failwith "Code_cache.load: duplicate or negative region id";
-    Int_tbl.replace by_id r.Region.id r
+    let r = Region.load ~program:t.program ~line_bytes:t.line_bytes read in
+    let id = r.Region.id in
+    if id < 0 || id >= n_all || by_id.(id) != Region.dummy then
+      failwith "Code_cache.load: duplicate or out-of-range region id";
+    by_id.(id) <- r
   done;
   let resolve id =
-    match Int_tbl.find_opt by_id id with
-    | Some r -> r
-    | None -> failwith "Code_cache.load: unresolved region id"
+    if id < 0 || id >= n_all then failwith "Code_cache.load: unresolved region id";
+    by_id.(id)
   in
   let n_live = read_len read "live-set" in
   let live = List.init n_live (fun _ -> resolve (read ())) in
@@ -686,15 +682,33 @@ let load t read =
   let fifo_regions = List.init n_fifo (fun _ -> resolve (read ())) in
   let n_retired = read_len read "retired" in
   let retired = List.init n_retired (fun _ -> resolve (read ())) in
+  let dispatch = Array.make (Array.length t.dispatch) None in
+  List.iter
+    (fun (r : Region.t) ->
+      let id = id_of t r.Region.entry in
+      if Option.is_some dispatch.(id) then
+        failwith "Code_cache.load: two live regions share an entry";
+      dispatch.(id) <- Some r)
+    live;
   let n_aux = read_len read "aux-entry" in
-  let aux =
-    List.init n_aux (fun _ ->
-        let a = read () in
-        let r = resolve (read ()) in
-        (a, r))
-  in
+  for _ = 1 to n_aux do
+    let a = read () in
+    let r = resolve (read ()) in
+    let id = loaded_id t "aux entry" a in
+    (* The claimant must be live, claim [a], and find the slot free. *)
+    if not (Addr.Set.mem a r.Region.aux_entries) then
+      failwith "Code_cache.load: aux entry not claimed by its region";
+    (match dispatch.(id_of t r.Region.entry) with
+    | Some r' when r' == r -> ()
+    | Some _ | None -> failwith "Code_cache.load: aux entry held by a retired region");
+    if Option.is_some dispatch.(id) then failwith "Code_cache.load: aux entry slot already claimed";
+    dispatch.(id) <- Some r
+  done;
   let n_evicted = read_len read "evicted-entry" in
-  let evicted = List.init n_evicted (fun _ -> read ()) in
+  let evicted = Array.make (Array.length t.evicted) false in
+  for _ = 1 to n_evicted do
+    evicted.(loaded_id t "evicted entry" (read ())) <- true
+  done;
   let n_links = read_len read "link" in
   let links =
     List.init n_links (fun _ ->
@@ -706,13 +720,6 @@ let load t read =
         (from, slot, tgt))
   in
   if live_links <> n_links then failwith "Code_cache.load: live-link count mismatch";
-  let entry_seen = Int_tbl.create (max 16 (2 * n_live)) in
-  List.iter
-    (fun (r : Region.t) ->
-      if Int_tbl.mem entry_seen r.Region.entry then
-        failwith "Code_cache.load: two live regions share an entry";
-      Int_tbl.replace entry_seen r.Region.entry ())
-    live;
   (* Everything decoded and cross-checked: commit. *)
   t.next_id <- next_id;
   t.bytes_used <- bytes_used;
@@ -729,77 +736,50 @@ let load t read =
   t.links_created <- links_created;
   t.link_severs <- link_severs;
   t.live_links <- live_links;
-  Int_tbl.reset t.by_entry;
-  Int_tbl.reset t.by_aux_entry;
-  Int_tbl.reset t.evicted_entries;
-  Int_tbl.reset t.incoming_links;
-  Int_tbl.reset t.slot_links;
-  if Array.length t.dispatch > 0 then Array.fill t.dispatch 0 (Array.length t.dispatch) None;
-  List.iter
-    (fun (r : Region.t) ->
-      Int_tbl.replace t.by_entry r.Region.entry r;
-      let id = Program.block_id program r.Region.entry in
-      if id >= 0 then t.dispatch.(id) <- Some r)
-    live;
-  List.iter
-    (fun (a, (r : Region.t)) ->
-      Int_tbl.replace t.by_aux_entry a r;
-      let id = Program.block_id program a in
-      if id >= 0 then t.dispatch.(id) <- Some r)
-    aux;
+  Array.blit dispatch 0 t.dispatch 0 (Array.length dispatch);
+  Array.blit evicted 0 t.evicted 0 (Array.length evicted);
+  t.incoming_links <- [||];
+  Array.fill t.slot_links 0 (Array.length t.slot_links) [];
   let q = Queue.create () in
   List.iter (fun r -> Queue.add r q) fifo_regions;
   t.fifo <- q;
   t.fifo_tombstones <- fifo_tombstones;
   t.retired <- retired;
-  List.iter (fun a -> Int_tbl.replace t.evicted_entries a ()) evicted;
-  List.iter
-    (fun ((from : Region.t), slot, (tgt : Region.t)) ->
-      Region.set_link from ~slot (Some tgt);
-      let incoming =
-        match Int_tbl.find_opt t.incoming_links tgt.Region.id with Some l -> l | None -> []
-      in
-      Int_tbl.replace t.incoming_links tgt.Region.id ((from, slot) :: incoming);
-      let through =
-        match Int_tbl.find_opt t.slot_links slot with Some l -> l | None -> []
-      in
-      Int_tbl.replace t.slot_links slot (from :: through))
-    links
+  List.iter (fun (from, slot, target) -> register_link t ~from ~slot ~target) links
 
 let save_blacklist t emit =
   emit t.fail_installs_until;
-  emit (Int_tbl.length t.blacklist);
-  List.iter
-    (fun (entry, b) ->
-      emit entry;
+  emit_pairs emit
+    (block_pairs t t.blacklist (fun _ b -> b))
+    (fun b ->
       emit b.fails;
       emit b.until;
       emit (if b.expire_traced then 1 else 0))
-    (Int_tbl.sorted_pairs t.blacklist)
 
 let load_blacklist t read =
   let fail_installs_until = read () in
   let n = read_len read "blacklist" in
-  let entries =
-    List.init n (fun _ ->
-        let entry = read () in
-        let fails = read () in
-        let until = read () in
-        let expire_traced =
-          match read () with
-          | 0 -> false
-          | 1 -> true
-          | _ -> failwith "Code_cache.load_blacklist: bad flag"
-        in
-        if fails < 0 then failwith "Code_cache.load_blacklist: negative failure count";
-        (entry, { fails; until; expire_traced }))
-  in
-  Int_tbl.reset t.blacklist;
-  List.iter (fun (e, b) -> Int_tbl.replace t.blacklist e b) entries;
+  let blacklist = Array.make (Array.length t.blacklist) None in
+  for _ = 1 to n do
+    let entry = read () in
+    let fails = read () in
+    let until = read () in
+    let expire_traced =
+      match read () with
+      | 0 -> false
+      | 1 -> true
+      | _ -> failwith "Code_cache.load_blacklist: bad flag"
+    in
+    if fails < 0 then failwith "Code_cache.load_blacklist: negative failure count";
+    let id = id_of t entry in
+    if id < 0 then failwith "Code_cache.load_blacklist: entry is not a block start";
+    blacklist.(id) <- Some { fails; until; expire_traced }
+  done;
+  Array.blit blacklist 0 t.blacklist 0 (Array.length blacklist);
   t.fail_installs_until <- fail_installs_until
 
 let reset_blacklist t =
-  Int_tbl.reset t.blacklist;
+  Array.fill t.blacklist 0 (Array.length t.blacklist) None;
   t.fail_installs_until <- -1
 
 let evictions t = t.evictions

@@ -1,4 +1,4 @@
-(** The code cache: installed regions, indexed by entry address.
+(** The code cache: installed regions, indexed by the program's block ids.
 
     As in the paper's framework (Section 2.3) the cache is unbounded by
     default.  A capacity (under the {!Region.cache_bytes} cost model) can
@@ -36,32 +36,34 @@ val create :
   ?blacklist_base_cooldown:int ->
   ?blacklist_max_shift:int ->
   ?telemetry:Regionsel_telemetry.Telemetry.sink ->
-  ?program:Program.t ->
-  ?icache_line_bytes:int ->
+  program:Program.t ->
+  icache_line_bytes:int ->
   unit ->
   t
-(** [create ()] is unbounded; pass [capacity_bytes] to bound it.  Pass
-    [program] to enable the flat dispatch array behind {!dispatch} (and the
-    O(1) fast path of {!mem}).  [icache_line_bytes] (default
-    [Params.default]'s) sizes the icache line spans each placed region
-    precomputes ({!Region.set_cache_base}).  Pass [telemetry] to emit lifecycle events
-    (install, evict/flush, invalidate, link patch/sever, blacklist
-    add/expire) stamped with the {!set_now} step; the default sink is a
-    no-op and the events are pure observation — no cache decision ever
-    depends on the sink. *)
+(** An empty cache for the regions of [program].  Every table it keeps —
+    the dispatch array, the evicted-entry set, the blacklist, the link
+    registry — is an array indexed by [Program.block_id] (or, for links
+    into a region, by region id).  It is unbounded unless
+    [capacity_bytes] is given.  [icache_line_bytes] sizes the icache line
+    spans each placed region precomputes ({!Region.set_cache_base}).  Pass
+    [telemetry] to emit lifecycle events (install, evict/flush,
+    invalidate, link patch/sever, blacklist add/expire) stamped with the
+    {!set_now} step; the default sink is a no-op and the events are pure
+    observation — no cache decision ever depends on the sink. *)
 
 val find : t -> Addr.t -> Region.t option
-(** The live region whose {e entry} is the given address, if any.  Regions
-    are single-entry: an address inside a region's body is not a hit. *)
+(** The live region dispatchable at the given address: the region whose
+    entry it is, or the region claiming it as an aux entry.  An address
+    inside a region's body (and one that is not a block start) is not a
+    hit.  One read of the dispatch array. *)
 
 val dispatch : t -> int -> Region.t option
-(** [dispatch t block_id] is the live region claiming that block as its
-    entry (or an aux entry) — the simulator's per-transition probe: a
-    single flat-array read, no hash table.  Returns [None] for negative
-    ids ([Program.block_id] of a non-start address) and on caches created
-    without [~program]. *)
+(** [dispatch t block_id] is {!find} by block id — the simulator's
+    per-transition probe.  Returns [None] for out-of-range ids (such as
+    [Program.block_id]'s [-1] for a non-start address). *)
 
 val mem : t -> Addr.t -> bool
+(** Whether {!find} has a hit. *)
 
 val add_link : t -> from:Region.t -> slot:int -> target:Region.t -> unit
 (** Patch [from]'s exit stub for block id [slot] to jump straight to
@@ -84,14 +86,17 @@ val link_severs : t -> int
     id was reclaimed by a new install. *)
 
 val is_live : t -> Region.t -> bool
-(** Whether this exact region (physical identity) is still dispatchable. *)
+(** Whether this exact region (physical identity) still owns its entry's
+    dispatch slot. *)
 
 val install : t -> Region.spec -> (Region.t, reject) result
 (** Install a region, assigning it the next id and selection sequence
     number, evicting under the configured policy if the cache would
-    overflow.  Total: a duplicate entry, a blacklisted entry, or an armed
+    overflow.  A duplicate entry, a blacklisted entry, or an armed
     translation-failure window yields [Error] instead of raising, so
-    invalidation/regeneration races surface as policy-visible outcomes. *)
+    invalidation/regeneration races surface as policy-visible outcomes.
+    @raise Invalid_argument if the spec's entry or one of its nodes is not
+    a block start of the program (see {!Region.of_spec}). *)
 
 val install_exn : t -> Region.spec -> Region.t
 (** {!install}, raising on rejection — for tests and harnesses where
@@ -101,7 +106,7 @@ val install_exn : t -> Region.spec -> Region.t
 val invalidate_range : t -> lo:Addr.t -> hi:Addr.t -> Region.t list
 (** Retire every live region one of whose constituent blocks intersects
     the address range [[lo, hi]] (a self-modifying-code write), including
-    their aux-entry index slots, and blacklist each retired entry.  Returns
+    their aux-entry dispatch slots, and blacklist each retired entry.  Returns
     the retired regions in selection order. *)
 
 val shock : t -> bytes:int -> Region.t list
@@ -170,7 +175,7 @@ val all_regions : t -> Region.t list
     should be computed over. *)
 
 val n_regions : t -> int
-(** Live regions. *)
+(** Live regions: FIFO elements minus tombstones. *)
 
 val bytes_used : t -> int
 (** Live footprint under the cost model. *)
@@ -209,7 +214,7 @@ val region_by_id : t -> int -> Region.t option
 
 val save : t -> (int -> unit) -> unit
 (** Serialize every region ever created (live and retired), the FIFO with
-    its tombstones, the aux-entry index, the evicted-entry set, the live
+    its tombstones, the aux-entry claims, the evicted-entry set, the live
     link graph and all counters — everything except the blacklist, which
     has its own section (see {!save_blacklist}) so it can degrade
     independently. *)
@@ -218,15 +223,19 @@ val load : t -> (unit -> int) -> unit
 (** Restore a {!save} stream into a freshly created cache over the same
     program.  Decode-then-commit: the stream is fully parsed and
     cross-validated before the first mutation, so on [Failure] /
-    [Invalid_argument] the cache is untouched.  Emits no telemetry and
-    fires no auditor. *)
+    [Invalid_argument] the cache is untouched.  Rejected, among others: an
+    aux or evicted entry that is not a block start, an aux claim by a
+    retired region or on a claimed slot, and two live regions sharing an
+    entry.  Emits no telemetry and fires no auditor. *)
 
 val save_blacklist : t -> (int -> unit) -> unit
 (** Serialize the blacklist (per-entry failure counts, backoff deadlines)
     and the translation-failure window. *)
 
 val load_blacklist : t -> (unit -> int) -> unit
-(** Restore a {!save_blacklist} stream, replacing the current blacklist. *)
+(** Restore a {!save_blacklist} stream, replacing the current blacklist.
+    Raises [Failure], changing nothing, on a malformed stream (including
+    an entry that is not a block start). *)
 
 val reset_blacklist : t -> unit
 (** Forget every blacklist entry and any armed translation-failure window
@@ -254,17 +263,13 @@ val fifo_length : t -> int
 val fifo_tombstones : t -> int
 (** Retired regions still occupying FIFO slots.  Bounded: the queue is
     compacted once tombstones outnumber live regions (above a small floor),
-    so [fifo_length t - fifo_tombstones t = n_regions t] always, and
-    tombstones never exceed [max 8 (n_regions t)] between operations. *)
-
-val iter_entries : t -> (Addr.t -> Region.t -> unit) -> unit
-(** Iterate the live entry index (order unspecified). *)
-
-val iter_aux_entries : t -> (Addr.t -> Region.t -> unit) -> unit
-(** Iterate the live aux-entry index (order unspecified). *)
+    so tombstones never exceed [max 8 (n_regions t)] between operations.
+    The FIFO elements that are live ({!is_live}) number exactly
+    [fifo_length t - fifo_tombstones t]. *)
 
 val unsafe_corrupt_for_tests : t -> bool
-(** Deliberately desynchronize the indices (drop one live region from the
-    entry index, leaving its dispatch slot in place) so tests can prove the
-    sanitizer fires.  [false] if the cache had no live region to corrupt.
-    Never call this outside a test or the fuzz driver's self-test mode. *)
+(** Deliberately desynchronize the FIFO and the dispatch array (clear one
+    live region's entry slot, leaving its FIFO element in place) so tests
+    can prove the sanitizer fires.  [false] if the cache had no live
+    region to corrupt.  Never call this outside a test or the fuzz
+    driver's self-test mode. *)

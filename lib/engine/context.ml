@@ -20,7 +20,7 @@ let create ?(params = Params.default) ?(telemetry = Telemetry.none) program =
         ~blacklist_base_cooldown:params.Params.blacklist_base_cooldown
         ~blacklist_max_shift:params.Params.blacklist_max_shift ~telemetry ~program
         ~icache_line_bytes:params.Params.icache_line_bytes ();
-    counters = Counters.create ();
+    counters = Counters.create program;
     gauges = Gauges.create ();
     telemetry;
   }

@@ -10,14 +10,18 @@ open Regionsel_isa
 
 type t
 
-val create : unit -> t
+val create : Program.t -> t
+(** An empty pool over the program's blocks: one counter slot per block,
+    indexed by {!Program.block_id}. *)
 
 val incr : t -> Addr.t -> int
 (** [incr t a] allocates a counter for [a] if none is live and increments
-    it, returning the new count. *)
+    it, returning the new count.
+    @raise Invalid_argument if [a] is not a block start of the program. *)
 
 val peek : t -> Addr.t -> int
-(** Current count for [a]; 0 if no counter is live. *)
+(** Current count for [a]; 0 if no counter is live (or [a] is not a block
+    start). *)
 
 val release : t -> Addr.t -> unit
 (** Recycle the counter for [a] (no-op if none is live). *)
@@ -32,7 +36,8 @@ val total_allocations : t -> int
 (** Number of allocations performed, counting re-allocations after release. *)
 
 val live_entries : t -> (Addr.t * int) list
-(** Currently live counters with their counts, unordered. *)
+(** Currently live counters with their counts, in ascending address
+    order. *)
 
 val reset : t -> unit
 (** Forget every live counter (a simulated optimizer crash loses them) while
@@ -45,5 +50,6 @@ val save : t -> (int -> unit) -> unit
 
 val load : t -> (unit -> int) -> unit
 (** Replace the pool's contents from a {!save} stream.  Raises [Failure]
-    on a structurally invalid stream; nothing is written unless the whole
-    stream parses. *)
+    on a structurally invalid stream (including an address that is not a
+    block start, a duplicate address or a count below 1); nothing is
+    written unless the whole stream parses. *)

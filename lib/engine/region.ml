@@ -10,7 +10,6 @@ type spec = {
   entry : Addr.t;
   nodes : Block.t list;
   edges : (Addr.t * Addr.t) list;
-  copied_insts : int;
   kind : kind;
   aux_entries : Addr.t list;
   layout_hint : Addr.t list;
@@ -43,12 +42,7 @@ let spec_of_path ~kind path =
     let edges = List.sort_uniq compare (consecutive [] path.blocks) in
     let nodes = List.rev !nodes in
     let layout_hint = List.map (fun (b : Block.t) -> b.Block.start) nodes in
-    (* A block revisited within one path (possible for LEI's cyclic paths)
-       is stored once: the region is an automaton over distinct blocks, so
-       its cache footprint counts each selected block once.  Cross-region
-       duplication — the paper's code-expansion signal — is unaffected. *)
-    let copied_insts = List.fold_left (fun acc (b : Block.t) -> acc + b.Block.size) 0 nodes in
-    { entry; nodes; edges; copied_insts; kind; aux_entries = []; layout_hint }
+    { entry; nodes; edges; kind; aux_entries = []; layout_hint }
 
 (* The compiled automaton: nodes are numbered 0..n-1 in cache layout order
    (the entry is always node 0), and every structure the hot loop touches
@@ -69,8 +63,8 @@ type t = {
   hot_succ_node : int array;  (* node id -> that successor's node id *)
   node_by_addr : Flat_tbl.t;  (* block start address -> node id *)
   node_base : int;  (* smallest Program block_id among the nodes *)
-  node_of_block : int array;  (* block_id - node_base -> node id, -1 elsewhere; [||] without program *)
-  n_link_slots : int;  (* Program block count; 0 without program *)
+  node_of_block : int array;  (* block_id - node_base -> node id, -1 elsewhere *)
+  n_link_slots : int;  (* Program block count *)
   mutable link_base : int;
   mutable link_slots : t option array;  (* slot - link_base -> linked exit target *)
   copied_insts : int;
@@ -111,7 +105,7 @@ let count_stubs ~edge_index nodes =
   in
   List.fold_left (fun acc b -> acc + stub_count b) 0 nodes
 
-let of_spec ~id ~selected_at ?program spec =
+let of_spec ~id ~selected_at ~program spec =
   (* Distinct nodes, first occurrence wins (LEI's cyclic paths may revisit). *)
   let seen = Flat_tbl.create (List.length spec.nodes * 2) in
   let nodes =
@@ -196,28 +190,25 @@ let of_spec ~id ~selected_at ?program spec =
      the linked ones (grown by [set_link]).  A region has a few nodes and
      links; two program-sized tables per region would be most of what a
      run allocates on the major heap. *)
-  let node_base, node_of_block, n_link_slots =
-    match program with
-    | None -> (0, [||], 0)
-    | Some p ->
-      let lo = ref max_int and hi = ref (-1) in
-      Array.iter
-        (fun (b : Block.t) ->
-          let bid = Program.block_id p b.Block.start in
-          if bid >= 0 then begin
-            lo := min !lo bid;
-            hi := max !hi bid
-          end)
-        node_blocks;
-      let base = if !hi < 0 then 0 else !lo in
-      let translate = Array.make (max 0 (!hi - base + 1)) (-1) in
-      Array.iteri
-        (fun i (b : Block.t) ->
-          let bid = Program.block_id p b.Block.start in
-          if bid >= 0 then translate.(bid - base) <- i)
-        node_blocks;
-      (base, translate, max 1 (Program.n_blocks p))
+  let bids =
+    Array.map
+      (fun (b : Block.t) ->
+        let bid = Program.block_id program b.Block.start in
+        if bid < 0 then
+          invalid_arg
+            (Printf.sprintf "Region.of_spec: node %s is not a block start of the program"
+               (Addr.to_string b.Block.start));
+        bid)
+      node_blocks
   in
+  let node_base = Array.fold_left min max_int bids in
+  let node_of_block = Array.make (Array.fold_left max 0 bids - node_base + 1) (-1) in
+  Array.iteri (fun i bid -> node_of_block.(bid - node_base) <- i) bids;
+  (* A block revisited within one path (possible for LEI's cyclic paths)
+     is stored once: the region is an automaton over distinct blocks, so
+     its cache footprint counts each selected block once.  Cross-region
+     duplication — the paper's code-expansion signal — is unaffected. *)
+  let copied_insts = List.fold_left (fun acc (b : Block.t) -> acc + b.Block.size) 0 nodes in
   {
     id;
     entry = spec.entry;
@@ -233,10 +224,10 @@ let of_spec ~id ~selected_at ?program spec =
     node_by_addr;
     node_base;
     node_of_block;
-    n_link_slots;
+    n_link_slots = Program.n_blocks program;
     link_base = 0;
     link_slots = [||];
-    copied_insts = spec.copied_insts;
+    copied_insts;
     n_stubs;
     spans_cycle;
     selected_at;
@@ -511,7 +502,6 @@ let load ~program ~line_bytes read =
       node_addrs
   in
   let copied_insts = read () in
-  if copied_insts < 0 then failwith "Region.load: negative copied_insts";
   let n_edges = read () in
   if n_edges < 0 then failwith "Region.load: negative edge count";
   let edges =
@@ -529,13 +519,14 @@ let load ~program ~line_bytes read =
       entry = node_addrs.(0);
       nodes = Array.to_list blocks;
       edges;
-      copied_insts;
       kind;
       aux_entries;
       layout_hint = Array.to_list node_addrs;
     }
   in
   let t = of_spec ~id ~selected_at ~program spec in
+  if t.copied_insts <> copied_insts then
+    failwith "Region.load: copied_insts does not match the nodes' sizes";
   t.entries <- read ();
   t.cycle_iters <- read ();
   t.exits <- read ();

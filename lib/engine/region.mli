@@ -43,9 +43,6 @@ type spec = {
   nodes : Block.t list;  (** Distinct blocks; must include [entry]. *)
   edges : (Addr.t * Addr.t) list;
       (** Internal edges between node start addresses. *)
-  copied_insts : int;
-      (** Instructions copied into the cache for this region: the sizes of
-          the distinct nodes, each counted once. *)
   kind : kind;
   aux_entries : Addr.t list;
       (** Additional dispatchable entry points (must be nodes).  Traces and
@@ -91,8 +88,8 @@ type t = private {
   node_base : int;  (** Smallest [Program.block_id] among the nodes. *)
   node_of_block : int array;
       (** [Program.block_id - node_base] -> node id ([-1] for blocks
-          outside the region), covering the nodes' ids; [[||]] when built
-          without [~program].  Read it through {!node_of_block_id}. *)
+          outside the region), covering the nodes' ids.  Read it through
+          {!node_of_block_id}. *)
   n_link_slots : int;  (** See {!n_link_slots}. *)
   mutable link_base : int;
   mutable link_slots : t option array;
@@ -102,6 +99,8 @@ type t = private {
           Invariant, maintained by [Code_cache]: a link never outlives its
           target region, and always agrees with the dispatch array. *)
   copied_insts : int;
+      (** Instructions copied into the cache for this region: the sizes of
+          the distinct nodes, each counted once. *)
   n_stubs : int;
   spans_cycle : bool;  (** Region contains an edge back to its entry. *)
   selected_at : int;  (** Selection sequence number (0-based). *)
@@ -131,17 +130,19 @@ type t = private {
           [[||]] until the region is placed. *)
 }
 
-val of_spec : id:int -> selected_at:int -> ?program:Program.t -> spec -> t
-(** Freeze a spec into an installed region, compiling the intra-region
-    automaton and computing its exit-stub count: one stub per static
-    successor direction (taken and fall-through of conditionals, targets of
-    jumps and calls, the continuation of fall-through blocks) not covered
-    by an internal edge, and always one stub per indirect branch or return
-    (the mispredict path).  Pass [program] to enable the dense
-    [node_of_block] translation and the [link_slots] the simulator steps
-    cached code through.
-    @raise Invalid_argument if the spec is malformed (entry not a node, or
-    an edge endpoint that is not a node). *)
+val of_spec : id:int -> selected_at:int -> program:Program.t -> spec -> t
+(** Freeze a spec into an installed region of [program], compiling the
+    intra-region automaton (including the dense [node_of_block]
+    translation and the [link_slots] the simulator steps cached code
+    through), summing [copied_insts] over the distinct nodes, and
+    computing its exit-stub count: one stub per static successor direction
+    (taken and fall-through of conditionals, targets of jumps and calls,
+    the continuation of fall-through blocks) not covered by an internal
+    edge, and always one stub per indirect branch or return (the
+    mispredict path).
+    @raise Invalid_argument if the spec is malformed (entry not a node, an
+    edge endpoint or aux entry that is not a node, or a node that is not a
+    block start of [program]). *)
 
 val dummy : t
 (** A zero-node sentinel for "no region", compared by physical equality.
@@ -221,11 +222,10 @@ val block_cache_addr : t -> Addr.t -> int option
 
 val node_of_block_id : t -> int -> int
 (** The node id of the block with the given [Program.block_id], [-1] for
-    blocks outside the region and for any id without [~program]. *)
+    blocks outside the region. *)
 
 val n_link_slots : t -> int
-(** The number of link slots, one per program block (0 when built
-    without [~program]). *)
+(** The number of link slots, one per program block. *)
 
 val link_target : t -> int -> t option
 (** The region this region's exit to the given block id is linked to
@@ -248,8 +248,9 @@ val save : t -> (int -> unit) -> unit
 val load : program:Program.t -> line_bytes:int -> (unit -> int) -> t
 (** Rebuild a saved region through {!of_spec} over the same program, so
     the compiled automaton (node numbering, offsets, adjacency, stub
-    count) is recomputed and revalidated rather than trusted from the
-    stream, and the node line spans are computed for [line_bytes].  Raises
-    [Failure] or [Invalid_argument] on a corrupt stream. *)
+    count, copied instructions) is recomputed and revalidated rather than
+    trusted from the stream, and the node line spans are computed for
+    [line_bytes].  The stored [copied_insts] must equal the nodes' sum.
+    Raises [Failure] or [Invalid_argument] on a corrupt stream. *)
 
 val pp : Format.formatter -> t -> unit

@@ -164,8 +164,9 @@ let create ?(params = Params.default) ?(seed = 1L) ?(telemetry = Telemetry.none)
     match telemetry with
     | None -> ()
     | Some _ ->
-      Telemetry.select telemetry ~step:stats.Stats.steps
-        ~n_blocks:(List.length spec.Region.nodes) ~n_insts:spec.Region.copied_insts
+      let nodes = spec.Region.nodes in
+      Telemetry.select telemetry ~step:stats.Stats.steps ~n_blocks:(List.length nodes)
+        ~n_insts:(List.fold_left (fun acc (b : Block.t) -> acc + b.Block.size) 0 nodes)
   in
   let links = Flat_tbl.create 64 in
   let record_link ~(from : Region.t) ~(into : Region.t) =
@@ -572,13 +573,16 @@ let create ?(params = Params.default) ?(seed = 1L) ?(telemetry = Telemetry.none)
     | None -> ()
     | Some tel ->
       let step = stats.Stats.steps in
-      let live = Int_tbl.create 64 in
-      Code_cache.iter_entries cache (fun _ r ->
-          Int_tbl.replace live r.Region.id ();
+      let live = Code_cache.regions cache in
+      List.iter
+        (fun (r : Region.t) ->
           if not (Telemetry.span_open tel ~id:r.Region.id) then
-            Telemetry.install (Some tel) ~step ~id:r.Region.id
-              ~n_nodes:r.Region.n_nodes);
-      Telemetry.reconcile_spans tel ~step ~live:(fun id -> Int_tbl.mem live id)));
+            Telemetry.install (Some tel) ~step ~id:r.Region.id ~n_nodes:r.Region.n_nodes)
+        live;
+      (* Open spans are at most the live regions plus a few: a scan is
+         cheap on this restore-only path. *)
+      Telemetry.reconcile_spans tel ~step ~live:(fun id ->
+          List.exists (fun (r : Region.t) -> r.Region.id = id) live)));
   (* Bailouts, fault arrival, and watchdog windows all require a fault
      profile, so a clean run folds their four per-step compares into this
      one hoisted, always-false branch. *)

@@ -15,4 +15,5 @@ let all =
   ]
 
 let find name = List.find_opt (fun (s : Spec.t) -> String.equal s.Spec.name name) all
+let grid xs = List.concat_map (fun spec -> List.map (fun x -> (spec, x)) xs) all
 let names = List.map (fun (s : Spec.t) -> s.Spec.name) all

@@ -72,6 +72,27 @@ let simple_loop ?(trip = 10_000) ?(body_size = 5) () =
   Builder.block b ~size:1 Builder.Halt;
   Builder.compile b ~name:"simple_loop" ~entry:"main"
 
+(* A program in which every address below 16384 starts a one-instruction
+   Halt block.  Regions, caches and counter pools are built for a program;
+   tests that assemble blocks by hand, at whatever addresses they like,
+   build them for this one, where each of their blocks starts on a block
+   start. *)
+let grid_program =
+  let p =
+    lazy
+      (Regionsel_isa.Program.of_blocks_exn ~entry:0
+         (List.init 16_384 (fun start ->
+              Regionsel_isa.Block.make ~start ~size:1 ~term:Regionsel_isa.Terminator.Halt)))
+  in
+  fun () -> Lazy.force p
+
+(* A code cache over {!grid_program}, with the default icache line size. *)
+let grid_cache ?capacity_bytes ?eviction ?blacklist_base_cooldown ?blacklist_max_shift
+    ?telemetry () =
+  Code_cache.create ?capacity_bytes ?eviction ?blacklist_base_cooldown ?blacklist_max_shift
+    ?telemetry ~program:(grid_program ())
+    ~icache_line_bytes:Params.default.Params.icache_line_bytes ()
+
 let run ?params ?(seed = 7L) ?(max_steps = 200_000) policy image =
   Simulator.run ?params ~seed ~policy ~max_steps image
 

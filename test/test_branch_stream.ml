@@ -20,10 +20,7 @@ open Fixtures
 
 let budget (spec : Spec.t) = min spec.Spec.default_steps 30_000
 
-let tasks =
-  List.concat_map
-    (fun (spec : Spec.t) -> List.map (fun (p, _) -> spec, p) Policies.all)
-    Suite.all
+let tasks = Suite.grid (List.map fst Policies.all)
 
 (* Live run recording its stream, then a replayed run over the recording:
    the two metric JSONs (fixed field order, lossless floats) must be

@@ -10,7 +10,7 @@ module Params = Regionsel_engine.Params
 module Policies = Regionsel_core.Policies
 open Fixtures
 
-(* Acceptance: the sanitizer's self-test — a deliberate index
+(* Acceptance: the sanitizer's self-test — a deliberate FIFO/dispatch
    desynchronization behind the hidden [break_at] hook — is caught, and
    greedy shrinking lands the reproducing step budget at or under 20. *)
 let self_test_catches_and_shrinks () =
@@ -75,9 +75,9 @@ let fuzz_matrix_clean () =
       | None, n -> check_true "cases ran" (n > 0))
     [ 1; 2 ]
 
-(* [audit_cache] directly: a healthy post-run cache passes, and dropping
-   one live region from the entry index (leaving its dispatch slot in
-   place) is convicted by the dispatch-liveness rule. *)
+(* [audit_cache] directly: a healthy post-run cache passes, and clearing
+   one live region's entry slot from the dispatch array (leaving its FIFO
+   element in place) is convicted by the FIFO accounting rule. *)
 let audit_convicts_desynced_index () =
   let module Code_cache = Regionsel_engine.Code_cache in
   let module Context = Regionsel_engine.Context in
@@ -93,7 +93,7 @@ let audit_convicts_desynced_index () =
   | () -> Alcotest.fail "audit passed a desynchronized cache"
   | exception Check.Check_violation v ->
     check_int "violation carries the audit step" 42 v.Check.step;
-    check_true "convicted by the dispatch-liveness rule" (v.Check.rule = "dispatch-live")
+    Alcotest.(check string) "convicted by the FIFO accounting rule" "fifo-accounting" v.Check.rule
 
 let suite =
   [

@@ -5,6 +5,7 @@
 open Regionsel_isa
 module Region = Regionsel_engine.Region
 module Code_cache = Regionsel_engine.Code_cache
+module Counters = Regionsel_engine.Counters
 module Params = Regionsel_engine.Params
 open Fixtures
 
@@ -17,8 +18,9 @@ let spec_at ?(size = 10) start =
 let region_cost = (10 * Region.inst_bytes) + Region.stub_bytes
 
 (* A cache whose blacklist never bites, for tests about other machinery. *)
-let plain_cache ?capacity_bytes ?eviction ?program () =
-  Code_cache.create ?capacity_bytes ?eviction ~blacklist_base_cooldown:0 ?program ()
+let plain_cache ?capacity_bytes ?eviction ?(program = grid_program ()) () =
+  Code_cache.create ?capacity_bytes ?eviction ~blacklist_base_cooldown:0 ~program
+    ~icache_line_bytes:Params.default.Params.icache_line_bytes ()
 
 let entry_of (r : Region.t) = r.Region.entry
 
@@ -102,7 +104,6 @@ let aux_spec ~entry ~aux =
     Region.entry;
     nodes = [ mk entry 4 Terminator.Return; mk aux 4 Terminator.Return ];
     edges = [];
-    copied_insts = 8;
     kind = Region.Method;
     aux_entries = [ aux ];
     layout_hint = [];
@@ -136,7 +137,7 @@ let invalidate_range_is_span_based () =
 (* Blacklisting *)
 
 let blacklist_backoff_and_expiry () =
-  let cache = Code_cache.create ~blacklist_base_cooldown:100 ~blacklist_max_shift:2 () in
+  let cache = grid_cache ~blacklist_base_cooldown:100 ~blacklist_max_shift:2 () in
   Code_cache.set_now cache 1_000;
   ignore (Code_cache.invalidate_range cache ~lo:0 ~hi:0) (* nothing live: no fail *);
   ignore (Code_cache.install_exn cache (spec_at 0));
@@ -162,7 +163,7 @@ let blacklist_backoff_and_expiry () =
   check_int "backoff capped" (3_000 + 400) (Code_cache.blacklisted_until cache 0)
 
 let translation_failures_fail_next_installs () =
-  let cache = Code_cache.create ~blacklist_base_cooldown:500 () in
+  let cache = grid_cache ~blacklist_base_cooldown:500 () in
   Code_cache.arm_translation_failures cache ~window:50;
   check_true "first armed install fails"
     (Code_cache.install cache (spec_at 0) = Error Code_cache.Translation_failed);
@@ -263,7 +264,8 @@ let invalidation_severs_links () =
 let eviction_severs_links () =
   (* r1 -> r0; evicting r0 (the FIFO-oldest) must unpatch r1's slot. *)
   let program =
-    Program.of_blocks_exn ~entry:0 [ mk 0 10 Terminator.Return; mk 16 10 Terminator.Return ]
+    Program.of_blocks_exn ~entry:0
+      [ mk 0 10 Terminator.Return; mk 16 10 Terminator.Return; mk 32 10 Terminator.Return ]
   in
   let cache =
     plain_cache ~program ~capacity_bytes:(2 * region_cost) ~eviction:Params.Evict_oldest ()
@@ -479,6 +481,75 @@ let clearing_quota_lifts_the_bound () =
        false
      with Invalid_argument _ -> true)
 
+(* Input checks.  Every table the cache and the counter pool keep is
+   indexed by block id, so an address that is not a block start of the
+   program is refused: installs and bumps raise, loaders fail without
+   touching the target. *)
+
+let small_program () =
+  Program.of_blocks_exn ~entry:0 (List.init 4 (fun i -> mk (i * 16) 4 Terminator.Return))
+
+let installs_and_bumps_reject_non_block_addresses () =
+  let program = small_program () in
+  let raises f = try ignore (f ()); false with Invalid_argument _ -> true in
+  let cache = plain_cache ~program () in
+  check_true "install at a non-block entry raises"
+    (raises (fun () -> Code_cache.install cache (spec_at ~size:4 2)));
+  check_true "install with a non-block node raises"
+    (raises (fun () -> Code_cache.install cache (aux_spec ~entry:0 ~aux:20)));
+  check_int "nothing installed" 0 (Code_cache.n_regions cache);
+  let counters = Counters.create program in
+  check_true "bump at a non-block address raises" (raises (fun () -> Counters.incr counters 2));
+  check_int "no counter allocated" 0 (Counters.live counters)
+
+(* Replace the [i]th int of a saved stream. *)
+let with_nth ints i v = List.mapi (fun j x -> if j = i then v else x) ints
+
+let loaders_reject_non_block_addresses () =
+  let program = small_program () in
+  (* Source: two method regions with an aux entry at 48.  The first is
+     retired by an invalidation (entry 0 evicted and blacklisted), so the
+     second, live one holds the aux slot. *)
+  let source = plain_cache ~program () in
+  let retired = Code_cache.install_exn source (aux_spec ~entry:0 ~aux:48) in
+  ignore (Code_cache.invalidate_range source ~lo:0 ~hi:0);
+  let live = Code_cache.install_exn source (aux_spec ~entry:32 ~aux:48) in
+  let stream = saved_ints (Code_cache.save source) in
+  (* With no links the stream ends: aux claims, evicted entries, links. *)
+  let n = List.length stream in
+  Alcotest.(check (list int)) "stream tail" [ 1; 48; live.Region.id; 1; 0; 0 ]
+    (List.filteri (fun i _ -> i >= n - 6) stream);
+  let target = plain_cache ~program () in
+  ignore (Code_cache.install_exn target (spec_at ~size:4 16));
+  let cache_rejects what malformed =
+    check_load_is_atomic ~what ~save:(Code_cache.save target) ~load:(Code_cache.load target)
+      malformed
+  in
+  cache_rejects "aux entry off a block start" (with_nth stream (n - 5) 50);
+  cache_rejects "evicted entry off a block start" (with_nth stream (n - 2) 2);
+  cache_rejects "aux entry its region does not claim" (with_nth stream (n - 5) 32);
+  cache_rejects "aux entry held by a retired region"
+    (with_nth stream (n - 4) retired.Region.id);
+  (* The untouched stream restores the source exactly. *)
+  let copy = plain_cache ~program () in
+  Code_cache.load copy (reader_of_ints stream);
+  Alcotest.(check (list int)) "round trip" stream (saved_ints (Code_cache.save copy));
+  (* Blacklist: [fail_installs_until; n; entry; fails; until; flag]. *)
+  let blacklist = saved_ints (Code_cache.save_blacklist source) in
+  check_int "one blacklisted entry" 0 (List.nth blacklist 2);
+  check_load_is_atomic ~what:"blacklist entry off a block start"
+    ~save:(Code_cache.save_blacklist target) ~load:(Code_cache.load_blacklist target)
+    (with_nth blacklist 2 2);
+  (* Counters: [n; address; count; high_water; total_allocations]. *)
+  let counters = Counters.create program in
+  ignore (Counters.incr counters 16 : int);
+  let pool = Counters.create program in
+  ignore (Counters.incr pool 48 : int);
+  let counts = saved_ints (Counters.save counters) in
+  Alcotest.(check (list int)) "counter stream" [ 1; 16; 1; 1; 1 ] counts;
+  check_load_is_atomic ~what:"counter address off a block start" ~save:(Counters.save pool)
+    ~load:(Counters.load pool) (with_nth counts 1 20)
+
 let suite =
   [
     case "flush_all returns victims" flush_all_returns_victims;
@@ -505,4 +576,7 @@ let suite =
     case "quota bounds admission" quota_bounds_admission;
     case "oversized spec is a typed reject" oversized_spec_is_typed_reject;
     case "clearing quota lifts the bound" clearing_quota_lifts_the_bound;
+    case "installs and bumps reject non-block addresses"
+      installs_and_bumps_reject_non_block_addresses;
+    case "loaders reject non-block addresses" loaders_reject_non_block_addresses;
   ]

@@ -12,7 +12,7 @@ let mk start size term = Block.make ~start ~size ~term
 
 let emit_path ?(kind = Region.Trace) blocks final_next =
   let spec = Region.spec_of_path ~kind { Region.blocks; final_next } in
-  Emitter.emit (Region.of_spec ~id:0 ~selected_at:0 spec)
+  Emitter.emit (Region.of_spec ~id:0 ~selected_at:0 ~program:(grid_program ()) spec)
 
 let simple_cycle () =
   let e =

@@ -12,7 +12,7 @@ open Fixtures
 (* Counters *)
 
 let counter_lifecycle () =
-  let c = Counters.create () in
+  let c = Counters.create (grid_program ()) in
   check_int "first increment" 1 (Counters.incr c 10);
   check_int "second increment" 2 (Counters.incr c 10);
   check_int "peek" 2 (Counters.peek c 10);
@@ -23,7 +23,7 @@ let counter_lifecycle () =
   check_int "high water persists" 1 (Counters.high_water c)
 
 let counter_high_water () =
-  let c = Counters.create () in
+  let c = Counters.create (grid_program ()) in
   for a = 1 to 5 do
     ignore (Counters.incr c a)
   done;
@@ -34,7 +34,7 @@ let counter_high_water () =
   check_int "total allocations count reuse" 6 (Counters.total_allocations c)
 
 let counter_release_unknown () =
-  let c = Counters.create () in
+  let c = Counters.create (grid_program ()) in
   Counters.release c 42;
   check_int "releasing unknown is a no-op" 0 (Counters.live c)
 
@@ -146,6 +146,8 @@ let edge_profile_load_is_atomic () =
 
 let mk start size term = Block.make ~start ~size ~term
 
+let compiled spec = Region.of_spec ~id:0 ~selected_at:0 ~program:(grid_program ()) spec
+
 let trace_path () =
   (* A three-block path closing a cycle back to its entry. *)
   let b0 = mk 0 3 (Terminator.Cond 100) in
@@ -157,7 +159,7 @@ let spec_of_path_cycle () =
   let spec = Region.spec_of_path ~kind:Region.Trace (trace_path ()) in
   check_int "entry is first block" 0 spec.Region.entry;
   check_int "three nodes" 3 (List.length spec.Region.nodes);
-  check_int "seven instructions" 7 spec.Region.copied_insts;
+  check_int "seven instructions" 7 (compiled spec).Region.copied_insts;
   check_true "cycle edge present" (List.mem (5, 0) spec.Region.edges);
   check_int "three edges" 3 (List.length spec.Region.edges)
 
@@ -167,7 +169,7 @@ let spec_of_path_duplicates () =
   let path = { Region.blocks = [ b0; b1; b0; b1 ]; final_next = Some 0 } in
   let spec = Region.spec_of_path ~kind:Region.Trace path in
   check_int "nodes deduplicated" 2 (List.length spec.Region.nodes);
-  check_int "copied instructions count each block once" 5 spec.Region.copied_insts
+  check_int "copied instructions count each block once" 5 (compiled spec).Region.copied_insts
 
 let spec_of_path_no_cycle () =
   let path =
@@ -177,7 +179,7 @@ let spec_of_path_no_cycle () =
   check_int "only the two path edges" 2 (List.length spec.Region.edges)
 
 let region_cyclic_detection () =
-  let r = Region.of_spec ~id:0 ~selected_at:0 (Region.spec_of_path ~kind:Region.Trace (trace_path ())) in
+  let r = Region.of_spec ~id:0 ~selected_at:0 ~program:(grid_program ()) (Region.spec_of_path ~kind:Region.Trace (trace_path ())) in
   check_true "spans a cycle" r.Region.spans_cycle;
   check_true "has the internal edge" (Region.has_edge r ~src:5 ~dst:0);
   check_true "no phantom edge" (not (Region.has_edge r ~src:0 ~dst:5))
@@ -186,14 +188,14 @@ let region_stub_counts () =
   (* b0: Cond, taken side (100) leaves, fall side (3) internal -> 1 stub.
      b1: Fallthrough internal -> 0 stubs.
      b2: Cond, taken side (0) internal, fall side (7) leaves -> 1 stub. *)
-  let r = Region.of_spec ~id:0 ~selected_at:0 (Region.spec_of_path ~kind:Region.Trace (trace_path ())) in
+  let r = Region.of_spec ~id:0 ~selected_at:0 ~program:(grid_program ()) (Region.spec_of_path ~kind:Region.Trace (trace_path ())) in
   check_int "two stubs" 2 r.Region.n_stubs
 
 let region_stub_indirect () =
   let b0 = mk 0 2 Terminator.Fallthrough in
   let b1 = mk 2 2 Terminator.Return in
   let path = { Region.blocks = [ b0; b1 ]; final_next = Some 50 } in
-  let r = Region.of_spec ~id:0 ~selected_at:0 (Region.spec_of_path ~kind:Region.Trace path) in
+  let r = Region.of_spec ~id:0 ~selected_at:0 ~program:(grid_program ()) (Region.spec_of_path ~kind:Region.Trace path) in
   (* Fallthrough internal; the return always needs its mispredict stub. *)
   check_int "return keeps one stub" 1 r.Region.n_stubs
 
@@ -202,22 +204,22 @@ let region_bad_spec () =
   check_true "edge endpoint must be a node"
     (try
        ignore
-         (Region.of_spec ~id:0 ~selected_at:0
-            { Region.entry = 0; nodes = [ b0 ]; edges = [ 0, 99 ]; copied_insts = 2;
+         (Region.of_spec ~id:0 ~selected_at:0 ~program:(grid_program ())
+            { Region.entry = 0; nodes = [ b0 ]; edges = [ 0, 99 ];
               kind = Region.Trace; aux_entries = []; layout_hint = [] });
        false
      with Invalid_argument _ -> true);
   check_true "entry must be a node"
     (try
        ignore
-         (Region.of_spec ~id:0 ~selected_at:0
-            { Region.entry = 9; nodes = [ b0 ]; edges = []; copied_insts = 2;
+         (Region.of_spec ~id:0 ~selected_at:0 ~program:(grid_program ())
+            { Region.entry = 9; nodes = [ b0 ]; edges = [];
               kind = Region.Trace; aux_entries = []; layout_hint = [] });
        false
      with Invalid_argument _ -> true)
 
 let region_exit_log () =
-  let r = Region.of_spec ~id:0 ~selected_at:0 (Region.spec_of_path ~kind:Region.Trace (trace_path ())) in
+  let r = Region.of_spec ~id:0 ~selected_at:0 ~program:(grid_program ()) (Region.spec_of_path ~kind:Region.Trace (trace_path ())) in
   Region.record_exit r ~from:0 ~tgt:100;
   Region.record_exit r ~from:0 ~tgt:100;
   Region.record_exit r ~from:5 ~tgt:7;
@@ -230,7 +232,7 @@ let region_exit_log () =
 (* Code cache *)
 
 let cache_basics () =
-  let cache = Code_cache.create () in
+  let cache = grid_cache () in
   let spec = Region.spec_of_path ~kind:Region.Trace (trace_path ()) in
   let r = Code_cache.install_exn cache spec in
   check_int "region id assigned" 0 r.Region.id;
@@ -239,7 +241,7 @@ let cache_basics () =
   check_int "one region" 1 (Code_cache.n_regions cache)
 
 let cache_duplicate_rejected () =
-  let cache = Code_cache.create () in
+  let cache = grid_cache () in
   let spec = Region.spec_of_path ~kind:Region.Trace (trace_path ()) in
   ignore (Code_cache.install_exn cache spec);
   check_true "duplicate entry reported as typed rejection"
@@ -252,7 +254,7 @@ let cache_duplicate_rejected () =
      with Invalid_argument _ -> true)
 
 let cache_selection_order () =
-  let cache = Code_cache.create () in
+  let cache = grid_cache () in
   let spec1 = Region.spec_of_path ~kind:Region.Trace (trace_path ()) in
   let b = mk 100 2 Terminator.Halt in
   let spec2 =
@@ -273,7 +275,7 @@ let qcheck_stub_bound =
         List.init n (fun i -> mk (i * 3) 3 (if i = n - 1 then Terminator.Return else Terminator.Fallthrough))
       in
       let path = { Region.blocks; final_next = None } in
-      let r = Region.of_spec ~id:0 ~selected_at:0 (Region.spec_of_path ~kind:Region.Trace path) in
+      let r = Region.of_spec ~id:0 ~selected_at:0 ~program:(grid_program ()) (Region.spec_of_path ~kind:Region.Trace path) in
       r.Region.n_stubs <= 2 * n && r.Region.n_stubs >= 1)
 
 let suite =

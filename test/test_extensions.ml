@@ -25,7 +25,7 @@ let region_cost = (10 * Region.inst_bytes) + Region.stub_bytes
 (* Bounded cache, unit level *)
 
 let unbounded_never_evicts () =
-  let cache = Code_cache.create () in
+  let cache = grid_cache () in
   for i = 0 to 99 do
     ignore (Code_cache.install cache (spec_at (i * 16)))
   done;
@@ -33,7 +33,7 @@ let unbounded_never_evicts () =
   check_int "no evictions" 0 (Code_cache.evictions cache)
 
 let flush_all_on_overflow () =
-  let cache = Code_cache.create ~capacity_bytes:(3 * region_cost) ~eviction:Params.Flush_all () in
+  let cache = grid_cache ~capacity_bytes:(3 * region_cost) ~eviction:Params.Flush_all () in
   for i = 0 to 2 do
     ignore (Code_cache.install cache (spec_at (i * 16)))
   done;
@@ -47,7 +47,7 @@ let flush_all_on_overflow () =
 
 let fifo_evicts_oldest () =
   let cache =
-    Code_cache.create ~capacity_bytes:(3 * region_cost) ~eviction:Params.Evict_oldest ()
+    grid_cache ~capacity_bytes:(3 * region_cost) ~eviction:Params.Evict_oldest ()
   in
   for i = 0 to 3 do
     ignore (Code_cache.install cache (spec_at (i * 16)))
@@ -58,14 +58,14 @@ let fifo_evicts_oldest () =
   check_int "one eviction" 1 (Code_cache.evictions cache)
 
 let regeneration_counted () =
-  let cache = Code_cache.create ~capacity_bytes:region_cost ~eviction:Params.Evict_oldest () in
+  let cache = grid_cache ~capacity_bytes:region_cost ~eviction:Params.Evict_oldest () in
   ignore (Code_cache.install cache (spec_at 0));
   ignore (Code_cache.install cache (spec_at 16)) (* evicts 0 *);
   ignore (Code_cache.install cache (spec_at 0)) (* re-selects 0 *);
   check_int "one regeneration" 1 (Code_cache.regenerations cache)
 
 let bytes_accounting () =
-  let cache = Code_cache.create ~capacity_bytes:(2 * region_cost) ~eviction:Params.Evict_oldest () in
+  let cache = grid_cache ~capacity_bytes:(2 * region_cost) ~eviction:Params.Evict_oldest () in
   ignore (Code_cache.install cache (spec_at 0));
   check_int "one region's bytes" region_cost (Code_cache.bytes_used cache);
   ignore (Code_cache.install cache (spec_at 16));
@@ -73,7 +73,7 @@ let bytes_accounting () =
   check_true "capacity respected" (Code_cache.bytes_used cache <= 2 * region_cost)
 
 let oversized_region_still_installs () =
-  let cache = Code_cache.create ~capacity_bytes:10 ~eviction:Params.Evict_oldest () in
+  let cache = grid_cache ~capacity_bytes:10 ~eviction:Params.Evict_oldest () in
   ignore (Code_cache.install cache (spec_at 0));
   check_int "installed despite exceeding capacity" 1 (Code_cache.n_regions cache)
 
@@ -103,7 +103,7 @@ let aux_entries_rejected_when_not_nodes () =
   check_true "aux entry must be a node"
     (try
        ignore
-         (Region.of_spec ~id:0 ~selected_at:0
+         (Region.of_spec ~id:0 ~selected_at:0 ~program:(grid_program ())
             { (spec_at 0) with Region.aux_entries = [ 999 ] });
        false
      with Invalid_argument _ -> true)

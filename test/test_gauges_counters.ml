@@ -42,7 +42,7 @@ let set_gauges_interleaved () =
   Alcotest.(check int) "observed untouched" 0 (Gauges.observed_bytes_high_water g)
 
 let counter_pool_recycles () =
-  let c = Counters.create () in
+  let c = Counters.create (grid_program ()) in
   let a1 = 100 and a2 = 200 and a3 = 300 in
   Alcotest.(check int) "first incr" 1 (Counters.incr c a1);
   Alcotest.(check int) "second incr" 2 (Counters.incr c a1);
@@ -67,7 +67,7 @@ let counter_pool_recycles () =
   Alcotest.(check int) "high water unchanged" 2 (Counters.high_water c)
 
 let counter_pool_high_water_is_peak () =
-  let c = Counters.create () in
+  let c = Counters.create (grid_program ()) in
   let addr i = 1000 + i in
   for i = 1 to 5 do
     ignore (Counters.incr c (addr i))
@@ -89,7 +89,7 @@ let counter_pool_high_water_is_peak () =
   Alcotest.(check int) "allocations all counted" 19 (Counters.total_allocations c)
 
 let live_entries_match () =
-  let c = Counters.create () in
+  let c = Counters.create (grid_program ()) in
   let a1 = 7 and a2 = 8 in
   ignore (Counters.incr c a1);
   ignore (Counters.incr c a1);
@@ -113,10 +113,10 @@ let gauges_load_is_atomic () =
     (List.filteri (fun i _ -> i < List.length stream - 1) stream)
 
 let counters_load_is_atomic () =
-  let c = Counters.create () in
+  let c = Counters.create (grid_program ()) in
   ignore (Counters.incr c 10 : int);
   ignore (Counters.incr c 20 : int);
-  let other = Counters.create () in
+  let other = Counters.create (grid_program ()) in
   ignore (Counters.incr other 30 : int);
   let stream = saved_ints (Counters.save other) in
   check_load_is_atomic ~what:"short counter-pool stream" ~save:(Counters.save c)
@@ -124,6 +124,83 @@ let counters_load_is_atomic () =
     (List.filteri (fun i _ -> i < List.length stream - 1) stream);
   check_load_is_atomic ~what:"negative table length" ~save:(Counters.save c)
     ~load:(Counters.load c) [ -1; 0; 0 ]
+
+(* The dense pool against a hash-table model: random bumps, releases,
+   peeks, crashes ([reset]) and save/load round trips over a program with
+   16 blocks.  Live count, high water, allocations and the save stream
+   must match the model's after every operation. *)
+type op = Incr of int | Release of int | Peek of int | Reset | Reload
+
+let qcheck_counters_match_model =
+  let program =
+    Regionsel_isa.Program.of_blocks_exn ~entry:0
+      (List.init 16 (fun i ->
+           Regionsel_isa.Block.make ~start:(i * 8) ~size:8 ~term:Regionsel_isa.Terminator.Halt))
+  in
+  let addr = QCheck.Gen.map (fun i -> i * 8) (QCheck.Gen.int_bound 15) in
+  let gen =
+    QCheck.Gen.(
+      list_size (int_range 1 200)
+        (frequency
+           [
+             (6, map (fun a -> Incr a) addr);
+             (3, map (fun a -> Release a) addr);
+             (2, map (fun a -> Peek a) addr);
+             (1, return Reset);
+             (1, return Reload);
+           ]))
+  in
+  let print =
+    QCheck.Print.list (function
+      | Incr a -> Printf.sprintf "incr %d" a
+      | Release a -> Printf.sprintf "release %d" a
+      | Peek a -> Printf.sprintf "peek %d" a
+      | Reset -> "reset"
+      | Reload -> "reload")
+  in
+  QCheck.Test.make ~name:"dense counters match a hash-table model" ~count:300
+    (QCheck.make ~print gen)
+    (fun ops ->
+      let model = Hashtbl.create 16 in
+      let high_water = ref 0 and allocations = ref 0 in
+      let model_stream () =
+        let pairs = List.sort compare (Hashtbl.fold (fun a c acc -> (a, c) :: acc) model []) in
+        (Hashtbl.length model :: List.concat_map (fun (a, c) -> [ a; c ]) pairs)
+        @ [ !high_water; !allocations ]
+      in
+      let pool = ref (Counters.create program) in
+      List.for_all
+        (fun op ->
+          let agrees =
+            match op with
+            | Incr a ->
+              let c = 1 + Option.value (Hashtbl.find_opt model a) ~default:0 in
+              if c = 1 then incr allocations;
+              Hashtbl.replace model a c;
+              high_water := max !high_water (Hashtbl.length model);
+              Counters.incr !pool a = c
+            | Release a ->
+              Hashtbl.remove model a;
+              Counters.release !pool a;
+              true
+            | Peek a ->
+              Counters.peek !pool a = Option.value (Hashtbl.find_opt model a) ~default:0
+            | Reset ->
+              Hashtbl.reset model;
+              Counters.reset !pool;
+              true
+            | Reload ->
+              let fresh = Counters.create program in
+              Counters.load fresh (reader_of_ints (saved_ints (Counters.save !pool)));
+              pool := fresh;
+              true
+          in
+          agrees
+          && Counters.live !pool = Hashtbl.length model
+          && Counters.high_water !pool = !high_water
+          && Counters.total_allocations !pool = !allocations
+          && saved_ints (Counters.save !pool) = model_stream ())
+        ops)
 
 let suite =
   [
@@ -134,4 +211,5 @@ let suite =
     case "live entries match" live_entries_match;
     case "gauges load is atomic" gauges_load_is_atomic;
     case "counters load is atomic" counters_load_is_atomic;
+    QCheck_alcotest.to_alcotest qcheck_counters_match_model;
   ]

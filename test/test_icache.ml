@@ -57,7 +57,7 @@ let bad_geometry_rejected () =
      with Invalid_argument _ -> true)
 
 let layout_assigned_at_install () =
-  let cache = Code_cache.create () in
+  let cache = grid_cache () in
   let spec b = Region.spec_of_path ~kind:Region.Trace { Region.blocks = [ b ]; final_next = None } in
   let r1 = Code_cache.install_exn cache (spec (mk 0 10 Terminator.Return)) in
   let r2 = Code_cache.install_exn cache (spec (mk 100 5 Terminator.Return)) in
@@ -72,7 +72,7 @@ let layout_entry_first () =
      first in the region. *)
   let low = mk 0 4 (Terminator.Jump 100) in
   let high = mk 100 4 (Terminator.Jump 0) in
-  let cache = Code_cache.create () in
+  let cache = grid_cache () in
   let r =
     Code_cache.install_exn cache
       (Region.spec_of_path ~kind:Region.Trace
@@ -83,7 +83,7 @@ let layout_entry_first () =
 
 let uninstalled_region_has_no_layout () =
   let r =
-    Region.of_spec ~id:0 ~selected_at:0
+    Region.of_spec ~id:0 ~selected_at:0 ~program:(grid_program ())
       (Region.spec_of_path ~kind:Region.Trace
          { Region.blocks = [ mk 0 4 Terminator.Return ]; final_next = None })
   in
@@ -223,12 +223,11 @@ let qcheck_span_path =
       in
       let blocks = List.rev blocks in
       let r =
-        Region.of_spec ~id:0 ~selected_at:0
+        Region.of_spec ~id:0 ~selected_at:0 ~program:(grid_program ())
           {
             Region.entry = 0;
             nodes = blocks;
             edges = [];
-            copied_insts = List.fold_left ( + ) 0 sizes;
             kind = Region.Combined;
             aux_entries = [];
             layout_hint = [];

@@ -13,7 +13,7 @@ let mk start size term = Block.make ~start ~size ~term
 let region_with_execution ~id ~start ~executed =
   let b = mk start 4 Terminator.Return in
   let r =
-    Region.of_spec ~id ~selected_at:id
+    Region.of_spec ~id ~selected_at:id ~program:(grid_program ())
       (Region.spec_of_path ~kind:Region.Trace { Region.blocks = [ b ]; final_next = None })
   in
   Region.record_exec r executed;
@@ -79,11 +79,11 @@ let domination_scenario () =
   let a = mk 0 4 (Terminator.Cond 10) in
   let s = mk 10 6 Terminator.Return in
   let r =
-    Region.of_spec ~id:0 ~selected_at:0
+    Region.of_spec ~id:0 ~selected_at:0 ~program:(grid_program ())
       (Region.spec_of_path ~kind:Region.Trace { Region.blocks = [ a ]; final_next = None })
   in
   let s_region =
-    Region.of_spec ~id:1 ~selected_at:1
+    Region.of_spec ~id:1 ~selected_at:1 ~program:(grid_program ())
       (Region.spec_of_path ~kind:Region.Trace { Region.blocks = [ s ]; final_next = None })
   in
   Region.record_exit r ~from:0 ~tgt:10;
@@ -106,11 +106,11 @@ let domination_needs_selection_order () =
   let a = mk 0 4 (Terminator.Cond 10) in
   let s = mk 10 6 Terminator.Return in
   let r =
-    Region.of_spec ~id:1 ~selected_at:1
+    Region.of_spec ~id:1 ~selected_at:1 ~program:(grid_program ())
       (Region.spec_of_path ~kind:Region.Trace { Region.blocks = [ a ]; final_next = None })
   in
   let s_region =
-    Region.of_spec ~id:0 ~selected_at:0
+    Region.of_spec ~id:0 ~selected_at:0 ~program:(grid_program ())
       (Region.spec_of_path ~kind:Region.Trace { Region.blocks = [ s ]; final_next = None })
   in
   Region.record_exit r ~from:0 ~tgt:10;
@@ -125,11 +125,11 @@ let domination_blocked_by_second_pred () =
   let a = mk 0 4 (Terminator.Cond 10) in
   let s = mk 10 6 Terminator.Return in
   let r =
-    Region.of_spec ~id:0 ~selected_at:0
+    Region.of_spec ~id:0 ~selected_at:0 ~program:(grid_program ())
       (Region.spec_of_path ~kind:Region.Trace { Region.blocks = [ a ]; final_next = None })
   in
   let s_region =
-    Region.of_spec ~id:1 ~selected_at:1
+    Region.of_spec ~id:1 ~selected_at:1 ~program:(grid_program ())
       (Region.spec_of_path ~kind:Region.Trace { Region.blocks = [ s ]; final_next = None })
   in
   Region.record_exit r ~from:0 ~tgt:10;
@@ -148,12 +148,12 @@ let domination_counts_duplication () =
   let s = mk 10 6 Terminator.Fallthrough in
   let sh2 = mk 16 1 (Terminator.Jump 20) in
   let r =
-    Region.of_spec ~id:0 ~selected_at:0
+    Region.of_spec ~id:0 ~selected_at:0 ~program:(grid_program ())
       (Region.spec_of_path ~kind:Region.Trace
          { Region.blocks = [ a; shared ]; final_next = None })
   in
   let s_region =
-    Region.of_spec ~id:1 ~selected_at:1
+    Region.of_spec ~id:1 ~selected_at:1 ~program:(grid_program ())
       (Region.spec_of_path ~kind:Region.Trace
          { Region.blocks = [ s; sh2; shared ]; final_next = None })
   in

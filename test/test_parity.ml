@@ -25,10 +25,7 @@ let run ?params (spec : Spec.t) policy_name =
   Run_metrics.of_result
     (Simulator.run ?params ~seed:1L ~policy ~max_steps:(budget spec) (Spec.image spec))
 
-let tasks =
-  List.concat_map
-    (fun (spec : Spec.t) -> List.map (fun (p, _) -> spec, p) Policies.all)
-    Suite.all
+let tasks = Suite.grid (List.map fst Policies.all)
 
 let check_pairwise ~what reference candidate =
   List.iter2

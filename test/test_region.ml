@@ -13,7 +13,6 @@ let spec ?(kind = Region.Combined) ?(edges = []) ?(aux = []) ?(hint = []) ~entry
     Region.entry;
     nodes;
     edges;
-    copied_insts = List.fold_left (fun acc (b : Block.t) -> acc + b.Block.size) 0 nodes;
     kind;
     aux_entries = aux;
     layout_hint = hint;
@@ -27,7 +26,7 @@ let check_starts = Alcotest.(check (list int))
 let layout_hint_ordering () =
   let nodes = [ mk 0 2 Terminator.Return; mk 16 3 Terminator.Return;
                 mk 32 4 Terminator.Return; mk 48 5 Terminator.Return ] in
-  let r = Region.of_spec ~id:0 ~selected_at:0 (spec ~entry:32 ~hint:[ 48; 16 ] nodes) in
+  let r = Region.of_spec ~id:0 ~selected_at:0 ~program:(grid_program ()) (spec ~entry:32 ~hint:[ 48; 16 ] nodes) in
   check_starts "entry, hint order, then address order" [ 32; 48; 16; 0 ] (starts r);
   check_int "entry is node 0" 0 (Region.node_id r 32);
   check_int "first hinted block is node 1" 1 (Region.node_id r 48);
@@ -40,14 +39,14 @@ let layout_hint_ordering () =
 let entry_first_even_when_hinted_late () =
   (* A hint listing the entry late must not displace it from node 0. *)
   let nodes = [ mk 0 2 Terminator.Return; mk 16 3 Terminator.Return ] in
-  let r = Region.of_spec ~id:0 ~selected_at:0 (spec ~entry:0 ~hint:[ 16; 0 ] nodes) in
+  let r = Region.of_spec ~id:0 ~selected_at:0 ~program:(grid_program ()) (spec ~entry:0 ~hint:[ 16; 0 ] nodes) in
   check_starts "entry stays first" [ 0; 16 ] (starts r);
   check_true "entry node is dispatchable" r.Region.node_is_entry.(0);
   check_true "interior node is not" (not r.Region.node_is_entry.(1))
 
 let offsets_before_and_after_install () =
   let nodes = [ mk 0 2 Terminator.Return; mk 16 3 Terminator.Return ] in
-  let r = Region.of_spec ~id:0 ~selected_at:0 (spec ~entry:0 nodes) in
+  let r = Region.of_spec ~id:0 ~selected_at:0 ~program:(grid_program ()) (spec ~entry:0 nodes) in
   (* Layout offsets exist independently of installation... *)
   check_int "entry at offset 0" 0 (Region.block_offset r 0);
   check_int "second block follows the entry's copy" (2 * Region.inst_bytes)
@@ -67,7 +66,7 @@ let edge_queries_agree () =
   let nodes = [ mk 0 2 Terminator.Return; mk 16 3 Terminator.Return;
                 mk 32 4 Terminator.Return ] in
   let edges = [ 0, 16; 16, 32; 32, 0; 0, 32 ] in
-  let r = Region.of_spec ~id:0 ~selected_at:0 (spec ~entry:0 ~edges nodes) in
+  let r = Region.of_spec ~id:0 ~selected_at:0 ~program:(grid_program ()) (spec ~entry:0 ~edges nodes) in
   check_true "spans cycle via edge to entry" r.Region.spans_cycle;
   List.iter
     (fun src ->
@@ -93,7 +92,7 @@ let wide_region_uses_multiword_rows () =
   let n = 40 in
   let nodes = List.init n (fun i -> mk (i * 16) 2 Terminator.Return) in
   let edges = [ 0, (n - 1) * 16; (n - 1) * 16, 0 ] in
-  let r = Region.of_spec ~id:0 ~selected_at:0 (spec ~entry:0 ~edges nodes) in
+  let r = Region.of_spec ~id:0 ~selected_at:0 ~program:(grid_program ()) (spec ~entry:0 ~edges nodes) in
   check_int "two words per row" 2 r.Region.succ_stride;
   check_int "node count" n r.Region.n_nodes;
   (* No hint: node ids follow address order, so node (n-1) sits past bit 31. *)
@@ -135,17 +134,19 @@ let block_translation_requires_program () =
        Region.set_link r ~slot:3 (Some other);
        false
      with Invalid_argument _ -> true);
-  (* Without the program the dense structures are absent, not sized 0..n. *)
-  let bare = Region.of_spec ~id:1 ~selected_at:1 s in
-  check_int "no link slots without program" 0 (Region.n_link_slots bare);
-  check_int "no translation without program" 0 (Array.length bare.Region.node_of_block);
-  check_true "out-of-range link query is None" (Region.link_target bare 0 = None)
+  check_true "out-of-range link query is None" (Region.link_target r 9_999 = None);
+  (* A node that is not a block start of the program is rejected. *)
+  check_true "node off the program rejected"
+    (try
+       ignore (Region.of_spec ~id:1 ~selected_at:1 ~program (spec ~entry:16 [ mk 16 3 Terminator.Return; mk 20 4 Terminator.Return ]));
+       false
+     with Invalid_argument _ -> true)
 
 let duplicate_nodes_deduped () =
   (* A spec listing a block twice compiles it once; node count and layout
      reflect the distinct set. *)
   let b0 = mk 0 2 Terminator.Return and b1 = mk 16 3 Terminator.Return in
-  let r = Region.of_spec ~id:0 ~selected_at:0 (spec ~entry:0 [ b0; b1; b0 ]) in
+  let r = Region.of_spec ~id:0 ~selected_at:0 ~program:(grid_program ()) (spec ~entry:0 [ b0; b1; b0 ]) in
   check_int "distinct nodes only" 2 r.Region.n_nodes;
   check_starts "each block placed once" [ 0; 16 ] (starts r)
 
@@ -204,6 +205,24 @@ let exit_slots_match_per_exit_bumps () =
   take slotted bumped;
   agree "loaded, then exited again" slotted bumped
 
+(* [copied_insts] is derived from the nodes; a saved value that disagrees
+   with their sum marks a corrupt stream.  Stream layout: id, selected_at,
+   kind, node count, node addresses, copied_insts, ... *)
+let load_checks_copied_insts () =
+  let blocks = [ mk 0 2 Terminator.Return; mk 16 3 Terminator.Return ] in
+  let program = Program.of_blocks_exn ~entry:0 blocks in
+  let r = Region.of_spec ~id:0 ~selected_at:0 ~program (spec ~entry:0 blocks) in
+  check_int "copied_insts sums the nodes" 5 r.Region.copied_insts;
+  let stream = saved_ints (Region.save r) in
+  check_int "stored value" 5 (List.nth stream 6);
+  let load ints = Region.load ~program ~line_bytes:16 (reader_of_ints ints) in
+  Alcotest.(check (list int)) "round trip" stream (saved_ints (Region.save (load stream)));
+  check_true "a wrong copied_insts is rejected"
+    (try
+       ignore (load (List.mapi (fun i v -> if i = 6 then 6 else v) stream));
+       false
+     with Failure _ -> true)
+
 let suite =
   [
     case "layout hint ordering" layout_hint_ordering;
@@ -214,4 +233,5 @@ let suite =
     case "block translation requires program" block_translation_requires_program;
     case "duplicate nodes deduped" duplicate_nodes_deduped;
     case "exit slots match per-exit bumps" exit_slots_match_per_exit_bumps;
+    case "load checks copied_insts" load_checks_copied_insts;
   ]

@@ -281,7 +281,7 @@ let span_durations_never_negative () =
       }
   in
   let t = Telemetry.create () in
-  let cache = Code_cache.create ~telemetry:(Some t) () in
+  let cache = grid_cache ~telemetry:(Some t) () in
   Code_cache.set_now cache 100;
   ignore (Code_cache.install_exn cache (spec 0));
   (* A stale stamp must clamp, not rewind the clock under the open span. *)

@@ -66,7 +66,8 @@ let to_spec_prunes () =
   let spec = Trace_cfg.to_spec cfg in
   check_int "unmarked block pruned" 3 (List.length spec.Region.nodes);
   check_true "kind is combined" (spec.Region.kind = Region.Combined);
-  check_int "copied insts equal surviving sizes" 6 spec.Region.copied_insts
+  check_int "copied insts equal surviving sizes" 6
+    (Region.of_spec ~id:0 ~selected_at:0 ~program:(grid_program ()) spec).Region.copied_insts
 
 let to_spec_internal_edges () =
   let cfg = build [ path_b; path_c ] in
