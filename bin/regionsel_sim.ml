@@ -305,6 +305,7 @@ let run_cmd =
               Printf.eprintf "snapshot: warm state saved to %s\n%!" path ))
         save_state
     in
+    let restored = ref None in
     let restore =
       Option.map
         (fun path (internals : Simulator.internals) ->
@@ -317,11 +318,20 @@ let run_cmd =
           if report.Persist.skipped > 0 then
             Printf.eprintf "snapshot: %d unknown/homeless sections skipped\n%!"
               report.Persist.skipped;
-          (* The auditor vouches for the restored cache before the first
-             step, whether or not --check is on for the rest of the run.
-             The span rules only apply to a clean restore: a degraded one
-             may legitimately pair a warm cache with a re-warmed (empty)
-             recorder or vice versa. *)
+          restored := Some (path, report))
+        restore_state
+    in
+    (* The auditor vouches for the restored cache before the first step,
+       whether or not --check is on for the rest of the run.  It runs once
+       the run exists, because creating it is what reconciles the span
+       ledger with the restored cache (a snapshot saved without a trace
+       sink has no telemetry section).  The span rules only apply to a
+       clean restore: a degraded one may legitimately pair a warm cache
+       with a re-warmed (empty) recorder or vice versa. *)
+    let audit_restore sim =
+      Option.iter
+        (fun (path, report) ->
+          let internals = Simulator.internals sim in
           let cache = internals.Simulator.int_ctx.Context.cache in
           let telemetry = if Persist.clean report then telemetry else None in
           Check.audit_cache ?telemetry ~program:internals.Simulator.int_ctx.Context.program
@@ -330,13 +340,16 @@ let run_cmd =
             (List.length report.Persist.restored)
             path
             (if Persist.clean report then "" else " (degraded)"))
-        restore_state
+        !restored
     in
     let result =
       with_flight_dump recorder metrics_out @@ fun () ->
-      drive ?recorder ?save_point
-        (start ~check ~params ~telemetry ?restore (lookup_bench bench)
-           (lookup_policy policy) steps seed)
+      let ((sim, _) as run) =
+        start ~check ~params ~telemetry ?restore (lookup_bench bench) (lookup_policy policy)
+          steps seed
+      in
+      audit_restore sim;
+      drive ?recorder ?save_point run
     in
     Option.iter (fun r -> export_metrics metrics_out (Metrics.windows r)) recorder;
     (* Trace notices go to stderr so stdout stays diffable against an

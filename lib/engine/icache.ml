@@ -65,13 +65,14 @@ let touch_line t line clock =
   end
 
 (* The span kernel: fetch lines [first .. last] (line numbers, byte
-   address / [line_bytes]).  Cached steps call it with the span their
-   node computed once at placement ({!Region.set_cache_base}), so the
-   per-step path does no address arithmetic at all. *)
-let[@inline] access_lines t ~first ~last =
-  (* [clock] and [misses] live in locals for the whole range and are
-     stored back once. *)
-  let clock = ref t.clock and misses = ref t.misses in
+   address / [line_bytes]) at times [clock + 1 ..], and return how many
+   missed.  The counters are the caller's: [access_lines] stores them
+   per call, and the simulator's cached-mode loop carries them across
+   steps in its locals.  Cached steps pass the span their node computed
+   once at placement ({!Region.set_cache_base}), so the per-step path
+   does no address arithmetic at all. *)
+let[@inline] fetch_span t ~clock ~first ~last =
+  let clock = ref clock and misses = ref 0 in
   if t.ways = 2 then begin
     (* The default geometry, on the per-step path: both ways checked
        inline, no way-scan calls.  [base + 1] is in bounds because the
@@ -101,9 +102,13 @@ let[@inline] access_lines t ~first ~last =
       incr clock;
       if touch_line t line !clock then incr misses
     done;
-  t.clock <- !clock;
-  t.misses <- !misses;
-  t.accesses <- t.accesses + (last - first + 1)
+  !misses
+
+let[@inline] access_lines t ~first ~last =
+  let n = last - first + 1 in
+  t.misses <- t.misses + fetch_span t ~clock:t.clock ~first ~last;
+  t.clock <- t.clock + n;
+  t.accesses <- t.accesses + n
 
 let access t ~addr ~bytes =
   if bytes > 0 then begin
@@ -114,8 +119,15 @@ let access t ~addr ~bytes =
     access_lines t ~first ~last
   end
 
+let clock t = t.clock
 let accesses t = t.accesses
 let misses t = t.misses
+
+let store_counters t ~clock ~accesses ~misses =
+  t.clock <- clock;
+  t.accesses <- accesses;
+  t.misses <- misses
+
 let miss_rate t = if t.accesses = 0 then 0.0 else float_of_int t.misses /. float_of_int t.accesses
 let reset t =
   Array.fill t.tags 0 (Array.length t.tags) (-1);

@@ -8,8 +8,13 @@
     instruction fetched from a region touches the cache, and the miss rate
     compares selection policies on the locality axis directly.
 
-    Geometry defaults to a typical 2005-era L1 I-cache: 32 KiB, 64-byte
-    lines, 4-way set-associative, LRU replacement. *)
+    Replacement is LRU.  Every simulator run builds its cache from
+    {!Params.t}'s [icache_*] fields, 256 B, 16-byte lines, 2-way by
+    default: a geometry scaled down with the synthetic workloads' code
+    caches, and the one the kernel's inline 2-way path serves.
+    {!create}'s own defaults (32 KiB, 64-byte lines, 4-way, a typical
+    2005-era L1 I-cache) apply only to callers that build a cache
+    directly. *)
 
 type t
 
@@ -26,6 +31,20 @@ val access_lines : t -> first:int -> last:int -> unit
     address divided by the line size [l]: {!access} over a precomputed
     span.  [access t ~addr ~bytes] is [access_lines t ~first:(addr / l)
     ~last:((addr + bytes - 1) / l)] for [bytes > 0]. *)
+
+val fetch_span : t -> clock:int -> first:int -> last:int -> int
+(** {!access_lines} for a caller that carries the counters itself: fetch
+    lines [first] to [last] as the accesses at times [clock + 1],
+    [clock + 2], ..., and return how many missed, leaving the counters
+    alone.  The caller adds [last - first + 1] to its clock and its
+    accesses, adds the result to its misses, and stores all three with
+    {!store_counters} before anything else reads or fetches. *)
+
+val clock : t -> int
+(** The LRU clock: one tick per line fetched. *)
+
+val store_counters : t -> clock:int -> accesses:int -> misses:int -> unit
+(** Store the counters a {!fetch_span} caller carried. *)
 
 val accesses : t -> int
 (** Line-granularity accesses so far. *)

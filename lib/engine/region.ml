@@ -307,8 +307,10 @@ let nodes t =
 let layout_blocks t = Array.to_list t.node_blocks
 
 let record_entry t = t.entries <- t.entries + 1
-let record_cycle t = t.cycle_iters <- t.cycle_iters + 1
-let record_exec t n = t.insts_executed <- t.insts_executed + n
+
+let record_run t ~insts ~cycles =
+  t.insts_executed <- t.insts_executed + insts;
+  t.cycle_iters <- t.cycle_iters + cycles
 
 let record_exit t ~from ~tgt =
   t.exits <- t.exits + 1;

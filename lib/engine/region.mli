@@ -167,8 +167,12 @@ val layout_blocks : t -> Block.t list
 (** Distinct blocks in cache-layout (node-id) order. *)
 
 val record_entry : t -> unit
-val record_cycle : t -> unit
-val record_exec : t -> int -> unit
+
+val record_run : t -> insts:int -> cycles:int -> unit
+(** Add a stretch of cached execution to the run-time counters: [insts]
+    instructions executed and [cycles] completed cycles back to the
+    entry.  The simulator's cached-mode loop counts both in locals and
+    stores them through this when it stops or switches region. *)
 
 val record_exit : t -> from:Addr.t -> tgt:Addr.t -> unit
 (** Log a dynamic exit for the exit-domination analysis: one probe of

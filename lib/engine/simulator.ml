@@ -86,10 +86,11 @@ let ev_label_of_code c =
 (* The execution mode is a [Region.t ref] holding [Region.dummy] while
    interpreting, plus an int cell for the node id within the region
    ([cur_node]).  Physical equality against the sentinel replaces an
-   option match, and — the point — entering or
-   crossing regions is a plain store: with [Region.t option ref] every one
-   of the ~100k region-to-region transitions of a cache-friendly run
-   allocated a [Some], the last allocation on the steady-state path. *)
+   option match, so entering or crossing regions is a plain store and
+   never allocates.  The cached-mode loop keeps its own copies of both in
+   locals and stores them back when it stops, so the refs are exact
+   wherever anything else reads them: exits, faults, the watchdog,
+   invalidations and saves. *)
 
 (* A resumable run: the hot loop bounded by a step limit instead of owning
    the whole budget, so a scheduler can multiplex many runs in bounded
@@ -106,6 +107,12 @@ type t = {
   h_sample : (step:int -> stats:Stats.t -> ctx:Context.t -> unit) -> unit;
   h_internals : unit -> internals;
 }
+
+(* How the cached-mode loop stopped. *)
+let cached_running = 0
+let cached_done = 1 (* a step completed in the cache; the caller ends it *)
+let cached_exit = 2 (* a step took an unlinked exit; the caller leaves the region *)
+let cached_dry = 3 (* the event source is dry; no step was taken *)
 
 let create ?(params = Params.default) ?(seed = 1L) ?(telemetry = Telemetry.none) ?observer
     ?restore ?record ?replay ~policy ~max_steps image =
@@ -234,86 +241,44 @@ let create ?(params = Params.default) ?(seed = 1L) ?(telemetry = Telemetry.none)
       | None -> ()
     end
   in
-  (* Region-mode stepping: [!cur_node] is the node id (within [region])
-     of the block just executed, [block].  The fetch is the node's icache
-     line span, computed when the region was placed.  The common
-     stay-in-region step is one compare against the node's precompiled hot
-     successor; the general internal edge is a bitset word read; an exit
-     is counted in the node's exit slot, then consults the region's
-     patched link slot before the dispatch array. *)
-  let region_step (region : Region.t) (block : Block.t) (s : Interp.step) =
-    stats.Stats.cached_insts <- stats.Stats.cached_insts + block.Block.size;
-    stats.Stats.node_steps <- stats.Stats.node_steps + 1;
-    Region.record_exec region block.Block.size;
-    let node = !cur_node in
-    if region.Region.cache_base >= 0 then begin
-      let lines = region.Region.node_lines in
-      Icache.access_lines icache
-        ~first:(Array.unsafe_get lines (node lsl 1))
-        ~last:(Array.unsafe_get lines ((node lsl 1) + 1))
-    end;
-    let a = s.Interp.next in
-    if Addr.is_none a then halted := true
-    else if a = Array.unsafe_get region.Region.hot_succ_addr node then begin
-      let nid = Array.unsafe_get region.Region.hot_succ_node node in
-      if nid = 0 then Region.record_cycle region;
-      cur_node := nid
-    end
-    else begin
-      let id = Program.block_id program a in
-      let nid = Region.node_of_block_id region id in
-      if nid >= 0 && Region.has_edge_nodes region ~src:node ~dst:nid then begin
-        if nid = 0 then Region.record_cycle region;
-        cur_node := nid
-      end
-      else begin
-        let taken = s.Interp.taken and from = block.Block.start in
-        match Region.link_target region id with
-        | Some other ->
-          (* Linked exit stub: jump region-to-region without dispatching.
-             The (from, into) pair was recorded when the link was made. *)
-          stats.Stats.link_hits <- stats.Stats.link_hits + 1;
-          Region.record_exit_at region ~node ~taken ~from ~tgt:a;
-          stats.Stats.region_transitions <- stats.Stats.region_transitions + 1;
-          Region.record_entry other;
-          cur_region := other;
-          cur_node := Region.node_of_block_id other id
-        | None -> (
-          match Code_cache.dispatch cache id with
-          | Some other when other == region ->
-            (* A side exit linked back to this region's own entry: execution
-               stays put, and the paper's executed-cycle metric counts it as
-               a completed cycle, not an exit. *)
-            Region.record_cycle region;
-            cur_node := Region.node_of_block_id region id
-          | Some other ->
-            Region.record_exit_at region ~node ~taken ~from ~tgt:a;
-            stats.Stats.region_transitions <- stats.Stats.region_transitions + 1;
-            record_link ~from:region ~into:other;
-            Code_cache.add_link cache ~from:region ~slot:id ~target:other;
-            Gauges.set_links ctx.Context.gauges (Code_cache.n_links cache);
-            Region.record_entry other;
-            cur_region := other;
-            cur_node := Region.node_of_block_id other id
-          | None ->
-            Region.record_exit_at region ~node ~taken ~from ~tgt:a;
-            stats.Stats.cache_exits_to_interp <- stats.Stats.cache_exits_to_interp + 1;
-            install_if_any
-              (Policy.handle !policy
-                 (Policy.Cache_exited
-                    { from_entry = region.Region.entry; src = Block.last block; tgt = a }));
-            (* The paper's "jump newT": if the policy just installed a region
-               at the pending target, enter it without interpreting. *)
-            (match Code_cache.dispatch cache id with
-            | Some fresh ->
-              stats.Stats.dispatches <- stats.Stats.dispatches + 1;
-              Telemetry.dispatch telemetry ~step:stats.Stats.steps ~id:fresh.Region.id;
-              Region.record_entry fresh;
-              cur_region := fresh;
-              cur_node := Region.node_of_block_id fresh id
-            | None -> cur_region := Region.dummy))
-      end
-    end
+  (* An unlinked exit from cached code, taken from node [!cur_node] of
+     [!cur_region] on the step in [sbuf] (the cached-mode loop stopped
+     there and stored its counters back).  The exit is counted in the
+     node's exit slot; the dispatch array decides where control goes: a
+     hit is a region transition, and patches the exit's link slot so the
+     next exit along it stays in the loop; a miss returns to the
+     interpreter through the policy. *)
+  let leave_region () =
+    let region = !cur_region and node = !cur_node in
+    let block = Program.block_of_id program sbuf.Interp.block_id in
+    let a = sbuf.Interp.next in
+    let id = Program.block_id program a in
+    Region.record_exit_at region ~node ~taken:sbuf.Interp.taken ~from:block.Block.start ~tgt:a;
+    match Code_cache.dispatch cache id with
+    | Some other ->
+      stats.Stats.region_transitions <- stats.Stats.region_transitions + 1;
+      record_link ~from:region ~into:other;
+      Code_cache.add_link cache ~from:region ~slot:id ~target:other;
+      Gauges.set_links ctx.Context.gauges (Code_cache.n_links cache);
+      Region.record_entry other;
+      cur_region := other;
+      cur_node := Region.node_of_block_id other id
+    | None -> (
+      stats.Stats.cache_exits_to_interp <- stats.Stats.cache_exits_to_interp + 1;
+      install_if_any
+        (Policy.handle !policy
+           (Policy.Cache_exited
+              { from_entry = region.Region.entry; src = Block.last block; tgt = a }));
+      (* The paper's "jump newT": if the policy just installed a region
+         at the pending target, enter it without interpreting. *)
+      match Code_cache.dispatch cache id with
+      | Some fresh ->
+        stats.Stats.dispatches <- stats.Stats.dispatches + 1;
+        Telemetry.dispatch telemetry ~step:stats.Stats.steps ~id:fresh.Region.id;
+        Region.record_entry fresh;
+        cur_region := fresh;
+        cur_node := Region.node_of_block_id fresh id
+      | None -> cur_region := Region.dummy)
   in
   (* Retired regions are reported to the policy so it drops stale
      observation state; the region being executed loses its claim to the
@@ -587,55 +552,206 @@ let create ?(params = Params.default) ?(seed = 1L) ?(telemetry = Telemetry.none)
      profile, so a clean run folds their four per-step compares into this
      one hoisted, always-false branch. *)
   let has_events = faults <> None in
+  (* The end of a step on a fault run: recovery accounting, the bailout's
+     end, fault arrival and the watchdog, all at exact step indices. *)
+  let after_step () =
+    if stats.Stats.steps <= !bail_until then
+      stats.Stats.recovery_steps <- stats.Stats.recovery_steps + 1
+    else if !bail_exit_pending then begin
+      bail_exit_pending := false;
+      Telemetry.bailout_exit telemetry ~step:stats.Stats.steps
+    end;
+    if stats.Stats.steps >= !fault_next then begin
+      (match faults with
+      | Some f ->
+        while Faults.next_step f <= stats.Stats.steps do
+          apply_fault (Faults.pop f)
+        done;
+        fault_next := Faults.next_step f
+      | None -> ())
+    end;
+    if stats.Stats.steps >= !next_window then watchdog ()
+  in
   (* [limit] is the current advance bound, always <= max_steps; {!run}
-     sets it to the full budget once, so the uninterrupted path costs one
-     extra immediate load per step over the old closed loop. *)
+     sets it to the full budget once, {!advance} raises it batch by
+     batch. *)
   let limit = ref 0 in
+  (* Cached mode: code in the cache runs on its own, as in the paper's
+     Figure 1.  Starting at node [node0] of [region0], the loop follows
+     the hot successor, any other internal edge, a self-dispatching side
+     exit (a completed cycle) and linked exits (switching region in the
+     loop), and stops only when control leaves the code cache or someone
+     else must see the state:
+     - an unlinked exit ([cached_exit]): the caller finishes the step in
+       [leave_region];
+     - a halt ([cached_done], [halted] set);
+     - the step that reaches [bound] ([cached_done]): the advance limit,
+       and on fault runs the next fault step or watchdog window, so the
+       caller's [after_step] runs on each of those steps.  On the steps
+       between, [after_step] has nothing to do: a bailout flushes the
+       cache and no region is entered until the step after its cooldown,
+       whose [after_step] (an interpreted step's) ends the bailout;
+     - a dry event source ([cached_dry], [halted] set, no step taken).
+     The loop-carried counters live in locals (registers or stack slots,
+     never the heap records) and are stored back once, when the loop
+     stops: the [Stats] counters the loop bumps, the icache's clock and
+     counters, and the current region's executed instructions and
+     completed cycles, which are kept as deltas and stored back at each
+     region switch too.  Nothing the loop calls reads them: the observer
+     is handed the exact step index, the icache kernel is handed the
+     clock, and the link path touches only the exit slots and entry
+     counts, which it updates in place. *)
+  let run_cached (region0 : Region.t) node0 =
+    let bound = if has_events then min !limit (min !fault_next !next_window) else !limit in
+    let steps = ref stats.Stats.steps
+    and taken_branches = ref stats.Stats.taken_branches
+    and cached_insts = ref stats.Stats.cached_insts
+    and node_steps = ref stats.Stats.node_steps
+    and link_hits = ref stats.Stats.link_hits
+    and transitions = ref stats.Stats.region_transitions in
+    let region = ref region0 and node = ref node0 in
+    let insts = ref 0 and cycles = ref 0 in
+    let icache_clock = ref (Icache.clock icache)
+    and icache_accesses = ref (Icache.accesses icache)
+    and icache_misses = ref (Icache.misses icache) in
+    let status = ref cached_running in
+    while !status = cached_running do
+      if
+        not
+          (match replay_stream with
+          | None -> Interp.step_into interp sbuf
+          | Some stream -> Branch_stream.next_into stream sbuf)
+      then begin
+        halted := true;
+        status := cached_dry
+      end
+      else begin
+        let step = !steps + 1 in
+        steps := step;
+        if has_record then Branch_stream.append rec_events sbuf;
+        let taken = sbuf.Interp.taken in
+        if taken then incr taken_branches;
+        let block = Program.block_of_id program sbuf.Interp.block_id in
+        let a = sbuf.Interp.next in
+        if not (Addr.is_none a) then
+          Edge_profile.record_step edges ~block_id:sbuf.Interp.block_id ~taken
+            ~src:block.Block.start ~dst:a;
+        let r = !region and nd = !node in
+        (match observer with
+        | None -> ()
+        | Some o ->
+          o.on_step ~step ~block ~taken ~next:a
+            ~believed:(Array.unsafe_get r.Region.node_blocks nd).Block.start);
+        let size = block.Block.size in
+        cached_insts := !cached_insts + size;
+        incr node_steps;
+        insts := !insts + size;
+        (* The fetch: the node's icache line span, computed when the
+           region was placed. *)
+        if r.Region.cache_base >= 0 then begin
+          let lines = r.Region.node_lines in
+          let first = Array.unsafe_get lines (nd lsl 1)
+          and last = Array.unsafe_get lines ((nd lsl 1) + 1) in
+          icache_misses :=
+            !icache_misses + Icache.fetch_span icache ~clock:!icache_clock ~first ~last;
+          let n = last - first + 1 in
+          icache_clock := !icache_clock + n;
+          icache_accesses := !icache_accesses + n
+        end;
+        if Addr.is_none a then begin
+          halted := true;
+          status := cached_done
+        end
+        else begin
+          (* The common step is one compare against the node's compiled
+             hot successor; the general internal edge is a bitset read. *)
+          if a = Array.unsafe_get r.Region.hot_succ_addr nd then begin
+            let nid = Array.unsafe_get r.Region.hot_succ_node nd in
+            if nid = 0 then incr cycles;
+            node := nid
+          end
+          else begin
+            let id = Program.block_id program a in
+            let nid = Region.node_of_block_id r id in
+            if nid >= 0 && Region.has_edge_nodes r ~src:nd ~dst:nid then begin
+              if nid = 0 then incr cycles;
+              node := nid
+            end
+            else
+              match Region.link_target r id with
+              | Some other ->
+                (* Linked exit stub: jump region-to-region without
+                   dispatching.  The (from, into) pair was recorded when
+                   the link was made. *)
+                incr link_hits;
+                Region.record_exit_at r ~node:nd ~taken ~from:block.Block.start ~tgt:a;
+                incr transitions;
+                Region.record_run r ~insts:!insts ~cycles:!cycles;
+                insts := 0;
+                cycles := 0;
+                Region.record_entry other;
+                region := other;
+                node := Region.node_of_block_id other id
+              | None -> (
+                match Code_cache.dispatch cache id with
+                | Some other when other == r ->
+                  (* A side exit linked back to this region's own entry:
+                     execution stays put, and the paper's executed-cycle
+                     metric counts it as a completed cycle, not an exit. *)
+                  incr cycles;
+                  node := Region.node_of_block_id r id
+                | Some _ | None -> status := cached_exit)
+          end;
+          if step >= bound && !status = cached_running then status := cached_done
+        end
+      end
+    done;
+    Icache.store_counters icache ~clock:!icache_clock ~accesses:!icache_accesses
+      ~misses:!icache_misses;
+    stats.Stats.steps <- !steps;
+    stats.Stats.taken_branches <- !taken_branches;
+    stats.Stats.cached_insts <- !cached_insts;
+    stats.Stats.node_steps <- !node_steps;
+    stats.Stats.link_hits <- !link_hits;
+    stats.Stats.region_transitions <- !transitions;
+    Region.record_run !region ~insts:!insts ~cycles:!cycles;
+    cur_region := !region;
+    cur_node := !node;
+    !status
+  in
+  (* The step loop.  An interpreted step runs here: the event, the shared
+     profiling, the observer, then the policy and the dispatch probe.
+     Cached steps run in [run_cached] until it stops. *)
   let rec loop () =
     if stats.Stats.steps >= !limit || !halted then ()
-    else if
-      not
-        (match replay_stream with
-        | None -> Interp.step_into interp sbuf
-        | Some stream -> Branch_stream.next_into stream sbuf)
-    then halted := true
     else begin
-      stats.Stats.steps <- stats.Stats.steps + 1;
-      if has_record then Branch_stream.append rec_events sbuf;
-      if sbuf.Interp.taken then stats.Stats.taken_branches <- stats.Stats.taken_branches + 1;
-      let block = Program.block_of_id program sbuf.Interp.block_id in
-      let next = sbuf.Interp.next in
-      if not (Addr.is_none next) then
-        Edge_profile.record_step edges ~block_id:sbuf.Interp.block_id ~taken:sbuf.Interp.taken
-          ~src:block.Block.start ~dst:next;
-      (match observer with
-      | None -> ()
-      | Some o ->
-        let r = !cur_region in
-        let believed =
-          if r == Region.dummy then Addr.none
-          else (Array.unsafe_get r.Region.node_blocks !cur_node).Block.start
-        in
-        o.on_step ~step:stats.Stats.steps ~block ~taken:sbuf.Interp.taken ~next ~believed);
-      (let r = !cur_region in
-       if r == Region.dummy then interpret_step block sbuf else region_step r block sbuf);
-      if has_events then begin
-        if stats.Stats.steps <= !bail_until then
-          stats.Stats.recovery_steps <- stats.Stats.recovery_steps + 1
-        else if !bail_exit_pending then begin
-          bail_exit_pending := false;
-          Telemetry.bailout_exit telemetry ~step:stats.Stats.steps
-        end;
-        if stats.Stats.steps >= !fault_next then begin
-          (match faults with
-          | Some f ->
-            while Faults.next_step f <= stats.Stats.steps do
-              apply_fault (Faults.pop f)
-            done;
-            fault_next := Faults.next_step f
-          | None -> ())
-        end;
-        if stats.Stats.steps >= !next_window then watchdog ()
+      let r = !cur_region in
+      if r != Region.dummy then begin
+        let status = run_cached r !cur_node in
+        if status = cached_exit then leave_region ();
+        if has_events && status <> cached_dry then after_step ()
+      end
+      else if
+        not
+          (match replay_stream with
+          | None -> Interp.step_into interp sbuf
+          | Some stream -> Branch_stream.next_into stream sbuf)
+      then halted := true
+      else begin
+        stats.Stats.steps <- stats.Stats.steps + 1;
+        if has_record then Branch_stream.append rec_events sbuf;
+        let taken = sbuf.Interp.taken in
+        if taken then stats.Stats.taken_branches <- stats.Stats.taken_branches + 1;
+        let block = Program.block_of_id program sbuf.Interp.block_id in
+        let next = sbuf.Interp.next in
+        if not (Addr.is_none next) then
+          Edge_profile.record_step edges ~block_id:sbuf.Interp.block_id ~taken
+            ~src:block.Block.start ~dst:next;
+        (match observer with
+        | None -> ()
+        | Some o -> o.on_step ~step:stats.Stats.steps ~block ~taken ~next ~believed:Addr.none);
+        interpret_step block sbuf;
+        if has_events then after_step ()
       end;
       loop ()
     end

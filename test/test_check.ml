@@ -95,11 +95,29 @@ let audit_convicts_desynced_index () =
     check_int "violation carries the audit step" 42 v.Check.step;
     Alcotest.(check string) "convicted by the FIFO accounting rule" "fifo-accounting" v.Check.rule
 
+(* Cached code that links: perlbmk under BOA forms a score of regions
+   within a few thousand steps and then runs mostly from the cache,
+   crossing from region to region through linked exits without leaving
+   the cached-mode loop.  The observer runs inside that loop, so the
+   "region-position" rule checks the believed node at every step across
+   every linked exit, and "insts-accounting" checks the counters the
+   loop stores back. *)
+let checked_run_follows_linked_exits () =
+  let spec = Option.get (Regionsel_workload.Suite.find "perlbmk") in
+  let image = Regionsel_workload.Spec.image spec in
+  let plain = Simulator.run ~seed:1L ~policy:Policies.boa ~max_steps:30_000 image in
+  let checked = Check.checked_run ~seed:1L ~policy:Policies.boa ~max_steps:30_000 image in
+  let s = checked.Simulator.stats in
+  check_true "linked exits taken" (s.Stats.link_hits > 1_000);
+  check_true "most steps cached" (2 * s.Stats.node_steps > s.Stats.steps);
+  check_true "checked counters identical" (plain.Simulator.stats = s)
+
 let suite =
   [
     case "self-test break caught and shrunk" self_test_catches_and_shrinks;
     case "checked run preserves metrics" checked_run_preserves_metrics;
     case "checked run survives bounded cache" checked_run_survives_bounded_cache;
+    case "checked run follows linked exits" checked_run_follows_linked_exits;
     case "fuzz matrix clean" fuzz_matrix_clean;
     case "audit convicts desynced index" audit_convicts_desynced_index;
   ]

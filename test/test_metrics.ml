@@ -16,7 +16,7 @@ let region_with_execution ~id ~start ~executed =
     Region.of_spec ~id ~selected_at:id ~program:(grid_program ())
       (Region.spec_of_path ~kind:Region.Trace { Region.blocks = [ b ]; final_next = None })
   in
-  Region.record_exec r executed;
+  Region.record_run r ~insts:executed ~cycles:0;
   r
 
 (* Cover sets *)

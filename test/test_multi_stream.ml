@@ -11,6 +11,8 @@ module Multi_stream = Regionsel_engine.Multi_stream
 module Code_cache = Regionsel_engine.Code_cache
 module Context = Regionsel_engine.Context
 module Params = Regionsel_engine.Params
+module Stats = Regionsel_engine.Stats
+module Splitmix = Regionsel_prng.Splitmix
 module Run_metrics = Regionsel_metrics.Run_metrics
 module Policies = Regionsel_core.Policies
 module Check = Regionsel_check.Check
@@ -189,7 +191,46 @@ let handle_semantics () =
   Alcotest.(check string) "batched == one-shot"
     (Run_metrics.to_json
        (Run_metrics.of_result (Simulator.run ~seed:1L ~policy ~max_steps:5_000 image)))
-    (Run_metrics.to_json (Run_metrics.of_result a))
+    (Run_metrics.to_json (Run_metrics.of_result a));
+  (* Every advance limit is a stop point of the cached-mode loop, which
+     stores its counters back there and picks them up again on the next
+     advance.  Chunked runs — one step at a time, three, 64, and a seeded
+     random mix — must equal the one-shot run for every policy, clean and
+     under mixed faults (whose fault steps and watchdog windows are stop
+     points too), on a cell where regions form and link. *)
+  let image = Spec.image (Option.get (Suite.find "perlbmk")) in
+  let max_steps = 30_000 in
+  let chunkings =
+    [
+      ("chunks of 1", fun () -> 1);
+      ("chunks of 3", fun () -> 3);
+      ("chunks of 64", fun () -> 64);
+      (let prng = Splitmix.create ~seed:0x5EEDL in
+       ("seeded random chunks", fun () -> 1 + Splitmix.int prng 200));
+    ]
+  in
+  List.iter
+    (fun (fault, params) ->
+      List.iter
+        (fun (pname, policy) ->
+          let json r = Run_metrics.to_json (Run_metrics.of_result r) in
+          let one_shot = Simulator.run ~params ~seed:1L ~policy ~max_steps image in
+          check_true
+            (Printf.sprintf "%s/%s: cached code links" fault pname)
+            (one_shot.Simulator.stats.Stats.link_hits > 0);
+          List.iter
+            (fun (chunking, next_chunk) ->
+              let t = Simulator.create ~params ~seed:1L ~policy ~max_steps image in
+              while not (Simulator.exhausted t) do
+                Simulator.advance t ~upto:(Simulator.steps t + next_chunk ())
+              done;
+              Alcotest.(check string)
+                (Printf.sprintf "%s/%s: %s == one-shot" fault pname chunking)
+                (json one_shot)
+                (json (Simulator.finish t)))
+            chunkings)
+        Policies.all)
+    [ ("clean", Params.default); ("mixed", params_of (Some "mixed")) ]
 
 let suite =
   [

@@ -647,6 +647,44 @@ let missing_file_raises_sys_error () =
   | (_ : Simulator.result) -> Alcotest.fail "expected Sys_error"
   | exception Sys_error _ -> ()
 
+(* The command-line restore path, end to end: a snapshot saved by a run
+   without a trace sink, restored into a run with --trace-out.  The
+   restore audit must run after the new run has reconciled its span
+   ledger with the restored cache, or it reports the live regions as
+   missing their spans ("span-open", exit 3) although the restore is
+   sound.  The restored run must print the uninterrupted run's report. *)
+let cli_restore_sinkless_snapshot_with_trace () =
+  let exe =
+    List.fold_left Filename.concat
+      (Filename.dirname Sys.executable_name)
+      [ Filename.parent_dir_name; "bin"; "regionsel_sim.exe" ]
+  in
+  let tmp suffix = Filename.temp_file "regionsel_cli" suffix in
+  let snap = tmp ".snap" and trace = tmp ".json" in
+  let sim args ~out =
+    let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+    let fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
+    let argv = [ exe; "run"; "-b"; "gcc"; "-p"; "boa"; "-n"; "120000" ] @ args in
+    let pid = Unix.create_process exe (Array.of_list argv) Unix.stdin fd null in
+    Unix.close fd;
+    Unix.close null;
+    match Unix.waitpid [] pid with
+    | _, Unix.WEXITED code -> code
+    | _, (Unix.WSIGNALED _ | Unix.WSTOPPED _) -> -1
+  in
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  let saved = tmp ".txt" and restored = tmp ".txt" in
+  check_int "save run exits 0" 0
+    (sim [ "--save-state"; snap; "--at-step"; "60000" ] ~out:saved);
+  check_int "traced restore exits 0" 0
+    (sim [ "--restore-state"; snap; "--trace-out"; trace ] ~out:restored);
+  Alcotest.(check string) "restored run reports the uninterrupted metrics" (read saved)
+    (read restored);
+  check_true "trace written" (String.length (read trace) > 0);
+  List.iter
+    (fun p -> try Sys.remove p with Sys_error _ -> ())
+    [ snap; trace; trace ^ ".jsonl"; saved; restored ]
+
 let suite =
   [
     case "identity across policies and checkpoint steps"
@@ -656,6 +694,8 @@ let suite =
       save_at_or_before_start_is_immediate;
     case "checked run resumes a snapshot" checked_run_resumes_a_snapshot;
     case "restore reconciles span ledger" restore_reconciles_span_ledger;
+    case "cli: sink-less snapshot restores into a traced run"
+      cli_restore_sinkless_snapshot_with_trace;
     case "flipped payload degrades only that section" flipped_payload_degrades_only_that_section;
     case "flipped tag is checksummed, not skipped" flipped_tag_is_checksummed_not_skipped;
     case "unknown tag with valid seal is skipped" unknown_tag_with_valid_seal_is_skipped;
