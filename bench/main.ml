@@ -1166,17 +1166,21 @@ let measure_metrics_overhead () =
   in
   (off, on, Float.max 0.0 (1.0 -. (on /. off)))
 
-(* Steady-state allocation of the headline loop, in minor-heap words per
-   executed block: two runs differing only in length cancel the per-run
-   setup costs (the interpreter's op table, policy state, region installs
-   during warm-up), leaving the marginal per-step slope.  ~0.0 is the
-   contract — the step loop itself allocates nothing; the tolerance gated
-   in CI only absorbs rare growth events (table doublings, late
-   installs). *)
-let measure_minor_words_per_step () =
-  let image = Spec.image (Option.get (Suite.find "twolf")) in
+(* Steady-state allocation of the headline loop on one bench under NET, in
+   minor-heap words per executed block: two runs differing only in length
+   cancel the per-run setup costs (the interpreter's op table, policy
+   state, region installs during warm-up), leaving the marginal per-step
+   slope.  ~0.0 is the contract — the step loop itself allocates nothing;
+   the tolerance gated in CI only absorbs rare growth events (table
+   doublings, late installs).  Every bench is measured, since each
+   exercises its own mix of behaviour kinds: perlbmk and vortex are the
+   weighted indirect-dispatch benches.  The window is 400k -> 800k steps
+   in quick mode too: at 100k some benches are still forming regions,
+   and the slope would measure the policies' warm-up, not the loop. *)
+let measure_minor_words_per_step name =
+  let image = Spec.image (Option.get (Suite.find name)) in
   let policy = Option.get (Policies.find "net") in
-  let n = if quick then 100_000 else 400_000 in
+  let n = 400_000 in
   let alloc steps =
     let mw0 = Gc.minor_words () in
     ignore (Simulator.run ~seed:1L ~policy ~max_steps:steps image);
@@ -1253,7 +1257,10 @@ let emit_json path =
   let links, link_hits, link_severs, links_hw, node_steps, profiler_flushes =
     measure_link_counters ()
   in
-  let minor_words_per_step = measure_minor_words_per_step () in
+  let words_by_bench =
+    List.map (fun name -> (name, measure_minor_words_per_step name)) bench_names
+  in
+  let minor_words_per_step = List.assoc "twolf" words_by_bench in
   let metrics_off, metrics_on, metrics_overhead = measure_metrics_overhead () in
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\n";
@@ -1272,6 +1279,12 @@ let emit_json path =
     (Printf.sprintf "  \"steps_per_sec_hot\": %s,\n" (json_float steps_per_sec_hot));
   Buffer.add_string b
     (Printf.sprintf "  \"minor_words_per_step\": %s,\n" (json_float minor_words_per_step));
+  Buffer.add_string b
+    (Printf.sprintf "  \"minor_words_per_step_by_bench\": {%s},\n"
+       (String.concat ", "
+          (List.map
+             (fun (name, w) -> Printf.sprintf "\"%s\": %s" (json_escape name) (json_float w))
+             words_by_bench)));
   Buffer.add_string b
     (Printf.sprintf
        "  \"metrics_overhead\": {\"steps_per_sec_off\": %s, \"steps_per_sec_on\": %s, \

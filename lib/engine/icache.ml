@@ -5,8 +5,7 @@ type t = {
   ways : int;
   tags : int array; (* n_sets * ways, -1 = invalid *)
   stamps : int array; (* LRU timestamps *)
-  mutable clock : int;
-  mutable accesses : int;
+  mutable clock : int; (* one tick per line fetched: also the access count *)
   mutable misses : int;
 }
 
@@ -33,7 +32,6 @@ let create ?(size_bytes = 32 * 1024) ?(line_bytes = 64) ?(ways = 4) () =
     tags = Array.make (n_sets * ways) (-1);
     stamps = Array.make (n_sets * ways) 0;
     clock = 0;
-    accesses = 0;
     misses = 0;
   }
 
@@ -105,10 +103,8 @@ let[@inline] fetch_span t ~clock ~first ~last =
   !misses
 
 let[@inline] access_lines t ~first ~last =
-  let n = last - first + 1 in
   t.misses <- t.misses + fetch_span t ~clock:t.clock ~first ~last;
-  t.clock <- t.clock + n;
-  t.accesses <- t.accesses + n
+  t.clock <- t.clock + (last - first + 1)
 
 let access t ~addr ~bytes =
   if bytes > 0 then begin
@@ -120,32 +116,33 @@ let access t ~addr ~bytes =
   end
 
 let clock t = t.clock
-let accesses t = t.accesses
+let accesses t = t.clock
 let misses t = t.misses
 
-let store_counters t ~clock ~accesses ~misses =
+let store_counters t ~clock ~misses =
   t.clock <- clock;
-  t.accesses <- accesses;
   t.misses <- misses
 
-let miss_rate t = if t.accesses = 0 then 0.0 else float_of_int t.misses /. float_of_int t.accesses
+let miss_rate t = if t.clock = 0 then 0.0 else float_of_int t.misses /. float_of_int t.clock
 let reset t =
   Array.fill t.tags 0 (Array.length t.tags) (-1);
   Array.fill t.stamps 0 (Array.length t.stamps) 0;
   t.clock <- 0;
-  t.accesses <- 0;
   t.misses <- 0
 
 (* Checkpoint support.  Geometry is not saved — the restored cache must be
    created with the same parameters; the slot count is emitted as a guard
-   so a geometry mismatch is caught instead of silently misfiling lines. *)
+   so a geometry mismatch is caught instead of silently misfiling lines.
+   The access count is the clock; the stream carries it twice, which
+   keeps the snapshot layout, and a stream where the two differ was not
+   written by [save]. *)
 
 let save t emit =
   emit (Array.length t.tags);
   Array.iter emit t.tags;
   Array.iter emit t.stamps;
   emit t.clock;
-  emit t.accesses;
+  emit t.clock;
   emit t.misses
 
 let load t read =
@@ -156,9 +153,9 @@ let load t read =
   let clock = read () in
   let accesses = read () in
   let misses = read () in
+  if accesses <> clock then failwith "Icache.load: access count differs from the clock";
   (* Commit only once the whole stream has parsed. *)
   Array.blit tags 0 t.tags 0 n;
   Array.blit stamps 0 t.stamps 0 n;
   t.clock <- clock;
-  t.accesses <- accesses;
   t.misses <- misses

@@ -36,18 +36,19 @@ val fetch_span : t -> clock:int -> first:int -> last:int -> int
 (** {!access_lines} for a caller that carries the counters itself: fetch
     lines [first] to [last] as the accesses at times [clock + 1],
     [clock + 2], ..., and return how many missed, leaving the counters
-    alone.  The caller adds [last - first + 1] to its clock and its
-    accesses, adds the result to its misses, and stores all three with
-    {!store_counters} before anything else reads or fetches. *)
+    alone.  The caller adds [last - first + 1] to its clock, adds the
+    result to its misses, and stores both with {!store_counters} before
+    anything else reads or fetches. *)
 
 val clock : t -> int
 (** The LRU clock: one tick per line fetched. *)
 
-val store_counters : t -> clock:int -> accesses:int -> misses:int -> unit
+val store_counters : t -> clock:int -> misses:int -> unit
 (** Store the counters a {!fetch_span} caller carried. *)
 
 val accesses : t -> int
-(** Line-granularity accesses so far. *)
+(** Line-granularity accesses so far: every fetched line ticks the clock
+    once, so this is {!clock}. *)
 
 val misses : t -> int
 
@@ -63,5 +64,6 @@ val save : t -> (int -> unit) -> unit
 
 val load : t -> (unit -> int) -> unit
 (** Restore a {!save} stream into a cache created with the same geometry.
-    Raises [Failure] if the slot counts differ or the stream is short, and
-    then leaves the cache as it was. *)
+    Raises [Failure] if the slot counts differ, the stream is short, or
+    its access count differs from its clock, and then leaves the cache as
+    it was. *)

@@ -20,13 +20,13 @@ let make_step () = { block_id = -1; taken = false; next = Addr.none }
 type t = {
   image : Image.t;
   program : Program.t;
-  mutable pc : Addr.t; (* Addr.none once halted *)
+  mutable cur : int; (* dense id of the next block; -1 once halted *)
   mutable stack : Addr.t array;
   mutable stack_len : int;
   cond_states : Behavior.state option array; (* keyed by dense block id *)
   indirect_states : Behavior.indirect_state option array;
   prng : Splitmix.t;
-  mutable ops : (step -> unit) array; (* dense block id -> terminator op *)
+  mutable ops : (step -> int) array; (* dense block id -> terminator op *)
 }
 
 (* Branch-behaviour states are keyed by the branch block's dense id, so the
@@ -59,12 +59,21 @@ let push_return t addr =
   t.stack.(t.stack_len) <- addr;
   t.stack_len <- t.stack_len + 1
 
+(* A return pops its target and returns the target's id, or -1 (halt)
+   on an empty stack.  Every pushed address is a validated [Call] or
+   [Indirect_call] fall-through, or a return address [load_warm] checked,
+   so the id is never -1 for a non-empty stack. *)
 let pop_return t (s : step) =
   s.taken <- true;
-  if t.stack_len = 0 then s.next <- Addr.none
+  if t.stack_len = 0 then begin
+    s.next <- Addr.none;
+    -1
+  end
   else begin
     t.stack_len <- t.stack_len - 1;
-    s.next <- Array.unsafe_get t.stack t.stack_len
+    let next = Array.unsafe_get t.stack t.stack_len in
+    s.next <- next;
+    Program.block_id t.program next
   end
 
 let bad_transfer site next =
@@ -72,66 +81,118 @@ let bad_transfer site next =
     (Printf.sprintf "Interp.step: transfer from %s to %s, which is not a block start"
        (Addr.to_string site) (Addr.to_string next))
 
+(* Both arms of a conditional branch, with their ids resolved at compile
+   time. *)
+let[@inline] branch (s : step) taken ~tgt ~tgt_id ~fall ~fall_id =
+  s.taken <- taken;
+  if taken then begin
+    s.next <- tgt;
+    tgt_id
+  end
+  else begin
+    s.next <- fall;
+    fall_id
+  end
+
+(* A [Cond] op specialised to its site's behaviour state: the state's kind
+   is matched once, here, instead of at every execution. *)
+let cond_op (st : Behavior.state) ~tgt ~tgt_id ~fall ~fall_id : step -> int =
+  match st with
+  | Behavior.S_const true ->
+    fun s ->
+      s.taken <- true;
+      s.next <- tgt;
+      tgt_id
+  | Behavior.S_const false ->
+    fun s ->
+      s.taken <- false;
+      s.next <- fall;
+      fall_id
+  | Behavior.S_bernoulli b ->
+    fun s -> branch s (Behavior.bernoulli_decide b) ~tgt ~tgt_id ~fall ~fall_id
+  | Behavior.S_loop l -> fun s -> branch s (Behavior.loop_decide l) ~tgt ~tgt_id ~fall ~fall_id
+  | Behavior.S_pattern _ | Behavior.S_phased _ ->
+    fun s -> branch s (Behavior.decide st) ~tgt ~tgt_id ~fall ~fall_id
+
+(* An indirect op bound to its site's state.  The target comes from a
+   behaviour spec, which the program proof does not reach, so its id
+   lookup is also the block-start check. *)
+let indirect_op t st ~site ~ret : step -> int =
+ fun s ->
+  let next = Behavior.choose st in
+  let nid = Program.block_id t.program next in
+  if nid < 0 then bad_transfer site next;
+  if not (Addr.is_none ret) then push_return t ret;
+  s.taken <- true;
+  s.next <- next;
+  nid
+
+let quicken_indirect t id site ~ret : step -> int =
+ fun s ->
+  let op = indirect_op t (indirect_state t id site) ~site ~ret in
+  t.ops.(id) <- op;
+  op s
+
 (* Threaded-code dispatch: each block's terminator is compiled once, at
    interpreter creation, into a closure indexed by the block's dense id —
-   the same flat-array shape [Region.of_spec] gives compiled automata.  A
-   step is then an array load and one indirect call; the closure has the
-   fall-through and target addresses pre-resolved as captured ints, so the
-   per-variant [match], the [Block.last] site recomputation, and the
-   per-step target validation all disappear from the hot path.
+   the same flat-array shape [Region.of_spec] gives compiled automata.  An
+   op fills the step record and returns the dense id of the next block
+   (-1 for a halt), so a step is an array load and one indirect call: no
+   terminator [match], no address-to-id lookup for a static transfer, no
+   [Block.last] site recomputation and no per-step target validation.
 
    Dropping the validation is sound for statically-addressed terminators:
    [Program.validate] is the only constructor of [Program.t] and proves
    every Jump/Cond/Call target and every fall-through address is a block
-   start — and return addresses are pushed Call fall-throughs, so they are
-   covered too.  Only the two indirect terminators take targets from
-   behaviour specs, which the program proof does not reach; their ops keep
-   the per-step check. *)
-let compile_op t (block : Block.t) id =
+   start, so their ids are resolved here once — and return addresses are
+   pushed Call fall-throughs, so they are covered too.  Only the two
+   indirect terminators take targets from behaviour specs, which the
+   program proof does not reach; their ops look the target's id up per
+   step, and the lookup is the check.
+
+   Ops that need a behaviour state quicken: the first execution creates
+   the state through the same lazy constructor [step_reference] uses (so
+   states are still created in first-execution order), then overwrites
+   its own slot with an op bound to that state — for a [Cond], one
+   specialised to the state's kind. *)
+let compile_op t (block : Block.t) id : step -> int =
+  let program = t.program in
   let fall = Block.fall_addr block in
   let site = Block.last block in
   match block.Block.term with
   | Terminator.Fallthrough ->
+    let fall_id = Program.block_id program fall in
     fun s ->
       s.taken <- false;
-      s.next <- fall
+      s.next <- fall;
+      fall_id
   | Terminator.Jump tgt ->
+    let tgt_id = Program.block_id program tgt in
     fun s ->
       s.taken <- true;
-      s.next <- tgt
+      s.next <- tgt;
+      tgt_id
   | Terminator.Cond tgt ->
+    let tgt_id = Program.block_id program tgt and fall_id = Program.block_id program fall in
     fun s ->
-      if Behavior.decide (cond_state t id site) then begin
-        s.taken <- true;
-        s.next <- tgt
-      end
-      else begin
-        s.taken <- false;
-        s.next <- fall
-      end
+      let op = cond_op (cond_state t id site) ~tgt ~tgt_id ~fall ~fall_id in
+      t.ops.(id) <- op;
+      op s
   | Terminator.Call tgt ->
+    let tgt_id = Program.block_id program tgt in
     fun s ->
       push_return t fall;
       s.taken <- true;
-      s.next <- tgt
-  | Terminator.Indirect_jump ->
-    fun s ->
-      let next = Behavior.choose (indirect_state t id site) in
-      if not (Program.is_block_start t.program next) then bad_transfer site next;
-      s.taken <- true;
-      s.next <- next
-  | Terminator.Indirect_call ->
-    fun s ->
-      let next = Behavior.choose (indirect_state t id site) in
-      if not (Program.is_block_start t.program next) then bad_transfer site next;
-      push_return t fall;
-      s.taken <- true;
-      s.next <- next
+      s.next <- tgt;
+      tgt_id
+  | Terminator.Indirect_jump -> quicken_indirect t id site ~ret:Addr.none
+  | Terminator.Indirect_call -> quicken_indirect t id site ~ret:fall
   | Terminator.Return -> fun s -> pop_return t s
   | Terminator.Halt ->
     fun s ->
       s.taken <- false;
-      s.next <- Addr.none
+      s.next <- Addr.none;
+      -1
 
 let create image ~seed =
   let program = image.Image.program in
@@ -140,7 +201,7 @@ let create image ~seed =
     {
       image;
       program;
-      pc = Program.entry program;
+      cur = Program.block_id program (Program.entry program);
       stack = Array.make 64 0;
       stack_len = 0;
       cond_states = Array.make n None;
@@ -153,28 +214,25 @@ let create image ~seed =
   t
 
 let[@inline] step_into t (s : step) =
-  let pc = t.pc in
-  if Addr.is_none pc then false
+  let id = t.cur in
+  if id < 0 then false
   else begin
-    (* [pc] is always a validated block start, so the id is in range. *)
-    let id = Program.block_id t.program pc in
     s.block_id <- id;
-    (Array.unsafe_get t.ops id) s;
-    t.pc <- s.next;
+    t.cur <- (Array.unsafe_get t.ops id) s;
     true
   end
 
 (* The reference stepper: a [match] over terminator variants with the
    fall-through, site, and validation recomputed per step — the plain
-   reading of the terminators the threaded ops are compiled from.  The
-   sanitizer steps its shadow interpreter with it, so every checked run is
-   a step-by-step differential of the threaded path against this one. *)
+   reading of the terminators the threaded ops are compiled from, deciding
+   through the generic [Behavior.decide].  The sanitizer steps its shadow
+   interpreter with it, so every checked run is a step-by-step
+   differential of the threaded path against this one. *)
 let step_reference t (s : step) =
-  let pc = t.pc in
-  if Addr.is_none pc then false
+  let id = t.cur in
+  if id < 0 then false
   else begin
     let program = t.program in
-    let id = Program.block_id program pc in
     let block = Program.block_of_id program id in
     let site = Block.last block in
     s.block_id <- id;
@@ -205,21 +263,28 @@ let step_reference t (s : step) =
       push_return t (Block.fall_addr block);
       s.taken <- true;
       s.next <- Behavior.choose (indirect_state t id site)
-    | Terminator.Return -> pop_return t s
+    | Terminator.Return -> ignore (pop_return t s)
     | Terminator.Halt ->
       s.taken <- false;
       s.next <- Addr.none);
     let next = s.next in
-    if (not (Addr.is_none next)) && not (Program.is_block_start program next) then
-      bad_transfer site next;
-    t.pc <- next;
+    if Addr.is_none next then t.cur <- -1
+    else begin
+      let nid = Program.block_id program next in
+      if nid < 0 then bad_transfer site next;
+      t.cur <- nid
+    end;
     true
   end
 
 (* Checkpoint support.  The warm state of an interpreter is the program
    counter, the shadow-stack prefix, the root PRNG limbs, and every
-   branch-behaviour state created so far.  The op table is a pure function
-   of the image and is recompiled by [create].
+   branch-behaviour state created so far.  The pc travels as the next
+   block's address, not its id, so the stream does not depend on the id
+   numbering.  The op table is not saved: [create] compiles it from the
+   image, and a restored interpreter's ops quicken at their first
+   execution, binding the states restored here — [load_warm] mutates
+   states in place, so an op that captured one keeps seeing it.
 
    Restore materializes the saved behaviour states through the same lazy
    constructors the step path uses — each creation splits the root PRNG,
@@ -229,8 +294,11 @@ let step_reference t (s : step) =
    saved, and sites that had not yet executed at the checkpoint will split
    identical streams at their (unchanged) first execution. *)
 
+let pc_addr t =
+  if t.cur < 0 then Addr.none else (Program.block_of_id t.program t.cur).Block.start
+
 let save_warm t emit =
-  emit t.pc;
+  emit (pc_addr t);
   emit t.stack_len;
   for i = 0 to t.stack_len - 1 do
     emit t.stack.(i)
@@ -289,10 +357,10 @@ let load_warm t read =
   done;
   (* Only after every lazy materialization has drawn its split. *)
   Splitmix.set_state t.prng ~hi ~lo;
-  t.pc <- pc;
+  t.cur <- (if Addr.is_none pc then -1 else Program.block_id t.program pc);
   t.stack <- stack;
   t.stack_len <- stack_len
 
 let block t (s : step) = Program.block_of_id t.program s.block_id
-let pc t = if Addr.is_none t.pc then None else Some t.pc
+let pc t = if t.cur < 0 then None else Some (pc_addr t)
 let stack_depth t = t.stack_len

@@ -7,17 +7,26 @@
     real shadow stack, so return addresses — and hence interprocedural
     cycles — behave exactly as in native execution.
 
-    Dispatch is threaded code: {!create} precompiles every block's
-    terminator into a closure indexed by the block's dense id, so a step is
-    an array load and one call — no terminator [match], no per-step target
+    Dispatch is threaded code on dense block ids: {!create} precompiles
+    every block's terminator into a closure indexed by the block's id, and
+    the interpreter holds the next block's id, not its address.  An op
+    fills the step record and returns the id of its successor, captured
+    when the op was built for a static transfer and looked up for a return
+    or an indirect target, so a step is an array load and one call — no
+    terminator [match], no address lookup and no per-step target
     validation for statically-checked transfers (the program constructor
-    already proved them).  {!step_reference} is the plain match-based
-    reading of the same terminators, kept as the sanitizer's differential
-    reference; the two produce bit-identical steps (same PRNG streams, same
-    step sequence).
+    already proved them).  An op that needs a branch-behaviour state
+    quickens: its first execution creates the state and replaces the op
+    with one bound to it, for a conditional branch one specialised to the
+    state's kind.  {!step_reference} is the plain match-based reading of
+    the same terminators, deciding through the generic
+    [Behavior.decide], kept as the sanitizer's differential reference;
+    the two produce bit-identical steps (same PRNG streams, same step
+    sequence).
 
     The stepping API is built for the simulator's hot loop: {!step_into}
-    fills a caller-owned mutable {!step} record and performs no allocation.
+    fills a caller-owned mutable {!step} record and performs no allocation
+    once every op has quickened.
     The record holds only immediates (the executed block's dense id, the
     taken flag, the next address); use {!block} — or
     [Program.block_of_id] directly — to recover the [Block.t]. *)
@@ -51,16 +60,17 @@ val block : t -> step -> Block.t
 (** The block a filled step record refers to. *)
 
 val save_warm : t -> (int -> unit) -> unit
-(** Serialize the warm state — pc, shadow-stack prefix, root PRNG limbs,
-    and every branch-behaviour state created so far — as an int stream.
-    The threaded-op table is not saved; it is a pure function of the
-    image. *)
+(** Serialize the warm state — pc (as an address), shadow-stack prefix,
+    root PRNG limbs, and every branch-behaviour state created so far — as
+    an int stream.  The threaded-op table is not saved; it is compiled
+    from the image, and quickens again as it runs. *)
 
 val load_warm : t -> (unit -> int) -> unit
 (** Restore a {!save_warm} stream into a freshly created interpreter over
     the same image.  Every PRNG position (root and per-site) ends up
     exactly as saved, so the restored interpreter reproduces the original
-    run's remaining step stream bit for bit.  Raises [Failure] on a
+    run's remaining step stream bit for bit.  Its ops start unquickened
+    and bind the restored states at their first execution.  Raises [Failure] on a
     structurally invalid stream. *)
 
 val pc : t -> Addr.t option

@@ -595,24 +595,28 @@ let create ?(params = Params.default) ?(seed = 1L) ?(telemetry = Telemetry.none)
      The loop-carried counters live in locals (registers or stack slots,
      never the heap records) and are stored back once, when the loop
      stops: the [Stats] counters the loop bumps, the icache's clock and
-     counters, and the current region's executed instructions and
+     misses, and the current region's executed instructions and
      completed cycles, which are kept as deltas and stored back at each
-     region switch too.  Nothing the loop calls reads them: the observer
-     is handed the exact step index, the icache kernel is handed the
-     clock, and the link path touches only the exit slots and entry
-     counts, which it updates in place. *)
+     region switch too.  Counters that move in step with another are
+     derived from it, not carried.  Nothing the loop calls reads them:
+     the observer is handed the exact step index, the icache kernel is
+     handed the clock, and the link path touches only the exit slots and
+     entry counts, which it updates in place. *)
   let run_cached (region0 : Region.t) node0 =
     let bound = if has_events then min !limit (min !fault_next !next_window) else !limit in
-    let steps = ref stats.Stats.steps
+    let steps0 = stats.Stats.steps in
+    let steps = ref steps0
     and taken_branches = ref stats.Stats.taken_branches
-    and cached_insts = ref stats.Stats.cached_insts
-    and node_steps = ref stats.Stats.node_steps
     and link_hits = ref stats.Stats.link_hits
     and transitions = ref stats.Stats.region_transitions in
     let region = ref region0 and node = ref node0 in
-    let insts = ref 0 and cycles = ref 0 in
+    (* Every cached step adds its block's instructions to [insts], which
+       is never reset: the loop's [cached_insts] share at the end, and
+       minus [region_mark] (its value when the current region was entered)
+       the current region's.  Every cached step is a node step, so
+       [node_steps] grows by the steps taken. *)
+    let insts = ref 0 and region_mark = ref 0 and cycles = ref 0 in
     let icache_clock = ref (Icache.clock icache)
-    and icache_accesses = ref (Icache.accesses icache)
     and icache_misses = ref (Icache.misses icache) in
     let status = ref cached_running in
     while !status = cached_running do
@@ -642,10 +646,7 @@ let create ?(params = Params.default) ?(seed = 1L) ?(telemetry = Telemetry.none)
         | Some o ->
           o.on_step ~step ~block ~taken ~next:a
             ~believed:(Array.unsafe_get r.Region.node_blocks nd).Block.start);
-        let size = block.Block.size in
-        cached_insts := !cached_insts + size;
-        incr node_steps;
-        insts := !insts + size;
+        insts := !insts + block.Block.size;
         (* The fetch: the node's icache line span, computed when the
            region was placed. *)
         if r.Region.cache_base >= 0 then begin
@@ -654,9 +655,7 @@ let create ?(params = Params.default) ?(seed = 1L) ?(telemetry = Telemetry.none)
           and last = Array.unsafe_get lines ((nd lsl 1) + 1) in
           icache_misses :=
             !icache_misses + Icache.fetch_span icache ~clock:!icache_clock ~first ~last;
-          let n = last - first + 1 in
-          icache_clock := !icache_clock + n;
-          icache_accesses := !icache_accesses + n
+          icache_clock := !icache_clock + (last - first + 1)
         end;
         if Addr.is_none a then begin
           halted := true;
@@ -686,8 +685,8 @@ let create ?(params = Params.default) ?(seed = 1L) ?(telemetry = Telemetry.none)
                 incr link_hits;
                 Region.record_exit_at r ~node:nd ~taken ~from:block.Block.start ~tgt:a;
                 incr transitions;
-                Region.record_run r ~insts:!insts ~cycles:!cycles;
-                insts := 0;
+                Region.record_run r ~insts:(!insts - !region_mark) ~cycles:!cycles;
+                region_mark := !insts;
                 cycles := 0;
                 Region.record_entry other;
                 region := other;
@@ -706,15 +705,14 @@ let create ?(params = Params.default) ?(seed = 1L) ?(telemetry = Telemetry.none)
         end
       end
     done;
-    Icache.store_counters icache ~clock:!icache_clock ~accesses:!icache_accesses
-      ~misses:!icache_misses;
+    Icache.store_counters icache ~clock:!icache_clock ~misses:!icache_misses;
     stats.Stats.steps <- !steps;
     stats.Stats.taken_branches <- !taken_branches;
-    stats.Stats.cached_insts <- !cached_insts;
-    stats.Stats.node_steps <- !node_steps;
+    stats.Stats.cached_insts <- stats.Stats.cached_insts + !insts;
+    stats.Stats.node_steps <- stats.Stats.node_steps + (!steps - steps0);
     stats.Stats.link_hits <- !link_hits;
     stats.Stats.region_transitions <- !transitions;
-    Region.record_run !region ~insts:!insts ~cycles:!cycles;
+    Region.record_run !region ~insts:(!insts - !region_mark) ~cycles:!cycles;
     cur_region := !region;
     cur_node := !node;
     !status

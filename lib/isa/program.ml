@@ -7,9 +7,11 @@ type t = {
 
 let entry t = t.entry
 
-(* The hot-path primitive: an O(1) bounds-checked array read, no hashing. *)
+(* The hot-path primitive: an O(1) array read behind one explicit range
+   test, no hashing.  The test is the bounds check, so the read skips the
+   array's own. *)
 let[@inline] block_id t a =
-  if a < 0 || a >= Array.length t.addr_to_id then -1 else t.addr_to_id.(a)
+  if a < 0 || a >= Array.length t.addr_to_id then -1 else Array.unsafe_get t.addr_to_id a
 
 let[@inline] block_of_id t id = t.blocks.(id)
 

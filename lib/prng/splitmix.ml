@@ -65,15 +65,28 @@ let bool g = Int64.to_int (next_int64 g) land 1 = 1
 
 let bernoulli g ~p = if p >= 1.0 then true else if p <= 0.0 then false else float g < p
 
-let categorical g ~weights =
-  let total = Array.fold_left ( +. ) 0.0 weights in
-  assert (Array.length weights > 0 && total > 0.0);
-  let x = float g *. total in
-  let n = Array.length weights in
-  let rec scan i acc =
-    if i = n - 1 then i
-    else
-      let acc = acc +. weights.(i) in
-      if x < acc then i else scan (i + 1) acc
-  in
-  scan 0 0.0
+(* Running sums added left to right from 0.0, the order
+   [Array.fold_left ( +. ) 0.0] adds them in: the last is that fold's
+   total, bit for bit. *)
+let prefix_sums weights =
+  let acc = ref 0.0 in
+  Array.map
+    (fun w ->
+      acc := !acc +. w;
+      !acc)
+    weights
+
+(* [x] is [float g *. total], computed in place so it stays an unboxed
+   local, and the scan is a loop rather than a recursive helper, which
+   would box [x] at every call. *)
+let categorical g ~prefix =
+  let n = Array.length prefix in
+  assert (n > 0);
+  let total = prefix.(n - 1) in
+  assert (total > 0.0);
+  let x = float_of_int (bits53 g) *. (1.0 /. 9007199254740992.0) *. total in
+  let i = ref 0 in
+  while !i < n - 1 && not (x < Array.unsafe_get prefix !i) do
+    incr i
+  done;
+  !i

@@ -55,6 +55,15 @@ val bool : t -> bool
 val bernoulli : t -> p:float -> bool
 (** [bernoulli g ~p] is [true] with probability [p]. *)
 
-val categorical : t -> weights:float array -> int
-(** [categorical g ~weights] samples an index with probability proportional
-    to its weight. Requires a non-empty array with positive total weight. *)
+val prefix_sums : float array -> float array
+(** [prefix_sums weights] is the array of running sums [w0], [w0 + w1],
+    ..., added left to right: the form {!categorical} draws from.  Build
+    it once per distribution. *)
+
+val categorical : t -> prefix:float array -> int
+(** [categorical g ~prefix] samples an index with probability proportional
+    to its weight, where [prefix] is {!prefix_sums} of the weights: it
+    draws [x = float g *. total], for [total] the last sum, and returns
+    the first index whose sum exceeds [x] (the last index if none does).
+    Requires a non-empty array with positive total weight.
+    Allocation-free. *)

@@ -13,15 +13,24 @@ type indirect_spec =
   | Weighted_targets of (Addr.t * float) array
   | Round_robin of Addr.t array
 
-type state =
+(* Each kind carries its own record, so an interpreter op specialised to
+   a kind captures the record and runs that kind's decision directly, with
+   no variant match.  [thr] = ceil (p * 2^53): [bits53 < thr] iff
+   [float < p], exactly — scaling by a power of two and the ceil are both
+   exact on doubles — so each Bernoulli decision is an int compare instead
+   of a boxed float. *)
+type bernoulli = { thr : int; prng : Splitmix.t }
+
+type loop = { trip : int; mutable left : int }
+type pattern = { pattern : bool array; mutable pos : int }
+type phased = { phases : (int * state) array; mutable phase : int; mutable phase_left : int }
+
+and state =
   | S_const of bool
-  | S_bernoulli of { thr : int; prng : Splitmix.t }
-      (* [thr] = ceil (p * 2^53): [bits53 < thr] iff [float < p], exactly —
-         scaling by a power of two and the ceil are both exact on doubles —
-         so each decision is an int compare instead of a boxed float. *)
-  | S_loop of { trip : int; mutable left : int }
-  | S_pattern of { pattern : bool array; mutable pos : int }
-  | S_phased of { phases : (int * state) array; mutable phase : int; mutable left : int }
+  | S_bernoulli of bernoulli
+  | S_loop of loop
+  | S_pattern of pattern
+  | S_phased of phased
 
 let rec make_state spec prng =
   match spec with
@@ -41,20 +50,24 @@ let rec make_state spec prng =
     List.iter (fun (k, _) -> if k < 1 then invalid_arg "Behavior: phase length must be >= 1") phases;
     let phases = Array.of_list (List.map (fun (k, s) -> k, make_state s prng) phases) in
     let first_len, _ = phases.(0) in
-    S_phased { phases; phase = 0; left = first_len }
+    S_phased { phases; phase = 0; phase_left = first_len }
+
+let[@inline] bernoulli_decide b = Splitmix.bits53 b.prng < b.thr
+
+let[@inline] loop_decide l =
+  if l.left > 0 then begin
+    l.left <- l.left - 1;
+    true
+  end
+  else begin
+    l.left <- l.trip - 1;
+    false
+  end
 
 let rec decide = function
   | S_const b -> b
-  | S_bernoulli s -> Splitmix.bits53 s.prng < s.thr
-  | S_loop s ->
-    if s.left > 0 then begin
-      s.left <- s.left - 1;
-      true
-    end
-    else begin
-      s.left <- s.trip - 1;
-      false
-    end
+  | S_bernoulli b -> bernoulli_decide b
+  | S_loop l -> loop_decide l
   | S_pattern s ->
     let outcome = s.pattern.(s.pos) in
     (* [pos] is always in range, so wrap-around is a compare, not a div. *)
@@ -64,17 +77,19 @@ let rec decide = function
   | S_phased s ->
     let _, inner = s.phases.(s.phase) in
     let outcome = decide inner in
-    s.left <- s.left - 1;
-    if s.left = 0 then begin
+    s.phase_left <- s.phase_left - 1;
+    if s.phase_left = 0 then begin
       let p = s.phase + 1 in
       s.phase <- (if p = Array.length s.phases then 0 else p);
       let len, _ = s.phases.(s.phase) in
-      s.left <- len
+      s.phase_left <- len
     end;
     outcome
 
 type indirect_state =
-  | I_weighted of { targets : Addr.t array; weights : float array; prng : Splitmix.t }
+  | I_weighted of { targets : Addr.t array; prefix : float array; prng : Splitmix.t }
+      (* [prefix] holds the weights' running sums, built once: a draw is a
+         scan over a float array, with no per-draw sum or boxed float. *)
   | I_round_robin of { targets : Addr.t array; mutable pos : int }
 
 let make_indirect spec prng =
@@ -82,14 +97,14 @@ let make_indirect spec prng =
   | Weighted_targets pairs ->
     if Array.length pairs = 0 then invalid_arg "Behavior: no indirect targets";
     let targets = Array.map fst pairs in
-    let weights = Array.map snd pairs in
-    I_weighted { targets; weights; prng = Splitmix.split prng }
+    let prefix = Splitmix.prefix_sums (Array.map snd pairs) in
+    I_weighted { targets; prefix; prng = Splitmix.split prng }
   | Round_robin targets ->
     if Array.length targets = 0 then invalid_arg "Behavior: no indirect targets";
     I_round_robin { targets = Array.copy targets; pos = 0 }
 
 let choose = function
-  | I_weighted s -> s.targets.(Splitmix.categorical s.prng ~weights:s.weights)
+  | I_weighted s -> s.targets.(Splitmix.categorical s.prng ~prefix:s.prefix)
   | I_round_robin s ->
     let tgt = s.targets.(s.pos) in
     let p = s.pos + 1 in
@@ -114,7 +129,7 @@ let rec save_state st emit =
   | S_pattern s -> emit s.pos
   | S_phased s ->
     emit s.phase;
-    emit s.left;
+    emit s.phase_left;
     Array.iter (fun (_, inner) -> save_state inner emit) s.phases
 
 let rec load_state st read =
@@ -141,7 +156,7 @@ let rec load_state st read =
     let len, _ = s.phases.(phase) in
     if left < 1 || left > len then failwith "Behavior.load_state: phase cursor out of range";
     s.phase <- phase;
-    s.left <- left;
+    s.phase_left <- left;
     Array.iter (fun (_, inner) -> load_state inner read) s.phases
 
 let save_indirect st emit =

@@ -5,6 +5,10 @@
     [indirect_spec] describing its target distribution.  Specs are pure
     descriptions; {!make_state} instantiates them with a private PRNG stream
     so outcomes are deterministic per seed and independent across sites.
+    A state is created once per site and from then on only mutated in
+    place, by its decisions and by {!load_state}, so whatever captured it
+    (an interpreter op specialised to its kind) keeps seeing the live
+    state.
 
     These models are the knobs that let the twelve synthetic SPECint2000
     stand-ins reproduce the control-flow character the paper attributes to
@@ -30,16 +34,44 @@ type indirect_spec =
       (** Sample each target with probability proportional to its weight. *)
   | Round_robin of Addr.t array  (** Cycle through targets in order. *)
 
-type state
-(** Instantiated conditional-branch behaviour (mutable). *)
+type bernoulli
+(** A Bernoulli site's threshold and private PRNG stream. *)
+
+type loop
+(** A loop site's trip count and cursor. *)
+
+type pattern
+(** A pattern site's outcomes and cursor. *)
+
+type phased
+(** A phased site's phase states and cursors. *)
+
+type state = private
+  | S_const of bool
+  | S_bernoulli of bernoulli
+  | S_loop of loop
+  | S_pattern of pattern
+  | S_phased of phased
+(** Instantiated conditional-branch behaviour (mutable).  The variant is
+    exposed read-only so the interpreter can specialise a branch's op to
+    its state's kind once, at the branch's first execution: a constant
+    becomes a plain jump or fall, and a Bernoulli or loop site runs
+    {!bernoulli_decide} or {!loop_decide} on the captured record.  Those
+    two functions are the kinds' only definitions, and {!decide} calls
+    them too, so a specialised op and the generic one decide alike. *)
 
 type indirect_state
 (** Instantiated indirect-branch behaviour (mutable). *)
 
 val make_state : spec -> Regionsel_prng.Splitmix.t -> state
 val decide : state -> bool
+val bernoulli_decide : bernoulli -> bool
+val loop_decide : loop -> bool
 
 val make_indirect : indirect_spec -> Regionsel_prng.Splitmix.t -> indirect_state
+(** A weighted site's prefix sums are built here, once
+    ({!Regionsel_prng.Splitmix.prefix_sums}), so a draw allocates nothing. *)
+
 val choose : indirect_state -> Addr.t
 
 (** Checkpoint support: serialize a state's mutable position (PRNG limbs

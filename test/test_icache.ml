@@ -264,6 +264,22 @@ let load_is_atomic () =
   check_load_is_atomic ~what:"short icache stream" ~save:(Icache.save c) ~load:(Icache.load c)
     (List.filteri (fun i _ -> i < List.length stream - 1) stream)
 
+(* The access count is the clock; a stream whose two counts differ was
+   not written by [save], and is rejected after the whole stream parsed,
+   with nothing committed. *)
+let load_rejects_accesses_off_the_clock () =
+  let c = Icache.create ~size_bytes:256 ~line_bytes:16 ~ways:2 () in
+  Icache.access c ~addr:0 ~bytes:40;
+  let other = Icache.create ~size_bytes:256 ~line_bytes:16 ~ways:2 () in
+  Icache.access other ~addr:1_000 ~bytes:100;
+  let stream = saved other in
+  let n = List.length stream in
+  (* The stream ends clock, accesses, misses. *)
+  check_int "accesses saved as the clock" (List.nth stream (n - 3)) (List.nth stream (n - 2));
+  check_load_is_atomic ~what:"accesses differ from the clock" ~save:(Icache.save c)
+    ~load:(Icache.load c)
+    (List.mapi (fun i v -> if i = n - 2 then v + 1 else v) stream)
+
 let suite =
   [
     case "cold miss then hit" cold_miss_then_hit;
@@ -279,4 +295,5 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_reference;
     QCheck_alcotest.to_alcotest qcheck_span_path;
     case "load is atomic" load_is_atomic;
+    case "load rejects accesses off the clock" load_rejects_accesses_off_the_clock;
   ]

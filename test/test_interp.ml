@@ -2,6 +2,8 @@ open Regionsel_isa
 module Builder = Regionsel_workload.Builder
 module Behavior = Regionsel_workload.Behavior
 module Interp = Regionsel_engine.Interp
+module Spec = Regionsel_workload.Spec
+module Suite = Regionsel_workload.Suite
 open Fixtures
 
 (* [Interp.step] is gone (it allocated a record per executed block); tests
@@ -66,30 +68,79 @@ let determinism () =
   Alcotest.(check (list int)) "same seed same path" (run 3L) (run 3L);
   check_true "different seeds usually differ" (run 3L <> run 4L)
 
-(* The threaded closure table and the reference terminator [match]
+(* Step [a] with [step_a] and [b] with [step_b] in lockstep for up to [n]
+   steps, failing at the first step where the two differ; [on_step] sees
+   each step of [a]. *)
+let lockstep ~what ?(on_step = ignore) ~n step_a a step_b b =
+  let sa = Interp.make_step () and sb = Interp.make_step () in
+  let rec go i =
+    if i < n then begin
+      let ok_a = step_a a sa and ok_b = step_b b sb in
+      if ok_a <> ok_b then Alcotest.failf "%s: one stepper halted at step %d" what i;
+      if ok_a then begin
+        if
+          sa.Interp.block_id <> sb.Interp.block_id
+          || sa.Interp.taken <> sb.Interp.taken
+          || sa.Interp.next <> sb.Interp.next
+        then Alcotest.failf "%s: steppers differ at step %d" what i;
+        on_step sa;
+        go (i + 1)
+      end
+    end
+  in
+  go 0
+
+let bench_image name = Spec.image (Option.get (Suite.find name))
+
+(* The threaded, quickened ops and the reference terminator [match]
    produce the same step stream, bit for bit — same blocks, same taken
-   flags, same targets, and hence the same per-site PRNG draws. *)
+   flags, same targets, and hence the same per-site PRNG draws: to the
+   halt on the fixtures, and over 200k steps on every bench. *)
 let step_into_matches_step_reference () =
   List.iter
-    (fun (name, image) ->
-      let stream step =
-        let interp = Interp.create image ~seed:7L in
-        let s = Interp.make_step () in
-        let rec go acc =
-          if step interp s then go ((s.Interp.block_id, s.Interp.taken, s.Interp.next) :: acc)
-          else List.rev acc
-        in
-        go []
+    (fun (name, image, n) ->
+      lockstep ~what:name ~n Interp.step_reference (Interp.create image ~seed:7L)
+        Interp.step_into (Interp.create image ~seed:7L))
+    ([
+       "figure2", figure2 ~iters:100 (), max_int;
+       "figure3", figure3 (), max_int;
+       "figure4", figure4 ~iters:300 (), max_int;
+       "simple_loop", simple_loop ~trip:9 (), max_int;
+     ]
+    @ List.map (fun name -> (name, bench_image name, 200_000)) Suite.names)
+
+(* A restored interpreter starts with unquickened ops and quickens them
+   at first execution, binding the states [load_warm] restored.  Saved at
+   a step where some [Cond] blocks have not run yet, it must go on to
+   produce the reference stepper's events, including at those blocks. *)
+let restored_threaded_matches_reference () =
+  List.iter
+    (fun name ->
+      let image = bench_image name in
+      let program = image.Regionsel_workload.Image.program in
+      let ran = Array.make (Program.n_blocks program) false in
+      let mark (s : Interp.step) = ran.(s.Interp.block_id) <- true in
+      let unrun_conds () =
+        let n = ref 0 in
+        Array.iteri
+          (fun id r ->
+            match (Program.block_of_id program id).Block.term with
+            | Terminator.Cond _ when not r -> incr n
+            | _ -> ())
+          ran;
+        !n
       in
-      Alcotest.(check (list (triple int bool int)))
-        (name ^ ": threaded stream equals reference stream")
-        (stream Interp.step_reference) (stream Interp.step_into))
-    [
-      "figure2", figure2 ~iters:100 ();
-      "figure3", figure3 ();
-      "figure4", figure4 ~iters:300 ();
-      "simple_loop", simple_loop ~trip:9 ();
-    ]
+      let reference = Interp.create image ~seed:7L in
+      lockstep ~what:(name ^ " before the save") ~on_step:mark ~n:3_000 Interp.step_reference
+        reference Interp.step_into (Interp.create image ~seed:7L);
+      let unrun = unrun_conds () in
+      check_true (name ^ ": some Cond blocks have not run at the save") (unrun > 0);
+      let restored = Interp.create image ~seed:7L in
+      Interp.load_warm restored (reader_of_ints (saved_ints (Interp.save_warm reference)));
+      lockstep ~what:(name ^ " after the restore") ~on_step:mark ~n:100_000 Interp.step_reference
+        reference Interp.step_into restored;
+      check_true (name ^ ": Cond blocks first run after the restore") (unrun_conds () < unrun))
+    Suite.names
 
 let return_with_empty_stack_halts () =
   let b = Builder.create () in
@@ -168,6 +219,7 @@ let suite =
     case "call/return balance" call_return_balance;
     case "determinism" determinism;
     case "step_into matches step_reference" step_into_matches_step_reference;
+    case "restored threaded matches reference" restored_threaded_matches_reference;
     case "return with empty stack halts" return_with_empty_stack_halts;
     case "runaway recursion detected" runaway_recursion_detected;
     case "indirect targets followed" indirect_targets_followed;

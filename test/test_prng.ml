@@ -68,19 +68,19 @@ let bernoulli_rate () =
 
 let categorical_range () =
   let g = Splitmix.create ~seed:3L in
-  let weights = [| 1.0; 2.0; 3.0 |] in
+  let prefix = Splitmix.prefix_sums [| 1.0; 2.0; 3.0 |] in
   for _ = 1 to 1_000 do
-    let i = Splitmix.categorical g ~weights in
+    let i = Splitmix.categorical g ~prefix in
     check_true "index in range" (i >= 0 && i < 3)
   done
 
 let categorical_rates () =
   let g = Splitmix.create ~seed:13L in
-  let weights = [| 1.0; 3.0 |] in
+  let prefix = Splitmix.prefix_sums [| 1.0; 3.0 |] in
   let counts = [| 0; 0 |] in
   let n = 20_000 in
   for _ = 1 to n do
-    let i = Splitmix.categorical g ~weights in
+    let i = Splitmix.categorical g ~prefix in
     counts.(i) <- counts.(i) + 1
   done;
   let rate1 = float_of_int counts.(1) /. float_of_int n in
@@ -88,10 +88,58 @@ let categorical_rates () =
 
 let categorical_zero_weight () =
   let g = Splitmix.create ~seed:3L in
-  let weights = [| 0.0; 1.0; 0.0 |] in
+  let prefix = Splitmix.prefix_sums [| 0.0; 1.0; 0.0 |] in
   for _ = 1 to 200 do
-    check_int "zero-weight entries never drawn" 1 (Splitmix.categorical g ~weights)
+    check_int "zero-weight entries never drawn" 1 (Splitmix.categorical g ~prefix)
   done
+
+(* The draw before weighted sites kept their prefix sums: sum the weights
+   with a fold, draw [float g *. total], and rescan with a running sum.
+   The prefix-sum draw must pick the same index for every draw. *)
+let fold_categorical g ~weights =
+  let total = Array.fold_left ( +. ) 0.0 weights in
+  let x = Splitmix.float g *. total in
+  let n = Array.length weights in
+  let rec scan i acc =
+    if i = n - 1 then i
+    else
+      let acc = acc +. weights.(i) in
+      if x < acc then i else scan (i + 1) acc
+  in
+  scan 0 0.0
+
+let qcheck_categorical_matches_fold =
+  let gen =
+    QCheck.Gen.(
+      pair int64
+        (array_size (int_range 1 12)
+           (oneof [ float_bound_inclusive 1.0; float_bound_inclusive 1e6; return 0.0 ])))
+  in
+  let print (seed, weights) =
+    Printf.sprintf "seed %Ld, weights [%s]" seed
+      (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") weights)))
+  in
+  QCheck.Test.make ~name:"categorical over prefix sums picks the fold formula's index"
+    ~count:500 (QCheck.make ~print gen) (fun (seed, weights) ->
+      QCheck.assume (Array.fold_left ( +. ) 0.0 weights > 0.0);
+      let prefix = Splitmix.prefix_sums weights in
+      let g = Splitmix.create ~seed and g' = Splitmix.create ~seed in
+      (* Every sum is the fold's, bit for bit, so no draw can land between
+         the two formulas' boundaries. *)
+      let fold_sums = Array.make (Array.length weights) 0.0 in
+      ignore
+        (Array.fold_left
+           (fun (acc, i) w ->
+             let acc = acc +. w in
+             fold_sums.(i) <- acc;
+             (acc, i + 1))
+           (0.0, 0) weights);
+      Array.for_all2
+        (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+        prefix fold_sums
+      && List.for_all
+        (fun _ -> Splitmix.categorical g ~prefix = fold_categorical g' ~weights)
+        (List.init 200 Fun.id))
 
 let bool_balanced () =
   let g = Splitmix.create ~seed:17L in
@@ -322,6 +370,7 @@ let suite =
     case "categorical range" categorical_range;
     case "categorical rates" categorical_rates;
     case "categorical zero weight" categorical_zero_weight;
+    QCheck_alcotest.to_alcotest qcheck_categorical_matches_fold;
     case "bool balanced" bool_balanced;
     QCheck_alcotest.to_alcotest qcheck_int_bounds;
     QCheck_alcotest.to_alcotest qcheck_bits30;
