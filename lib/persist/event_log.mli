@@ -10,9 +10,12 @@
 
     The format follows the snapshot discipline ({!Persist}): CRC'd header,
     CRC'd bit-packed payload ([~kb+kn+1] bits per event under the
-    program's block count).  Unlike snapshots there is no degraded mode —
-    a recording that cannot be replayed exactly is useless, so {e every}
-    validation failure raises {!Persist.Hard_corruption}. *)
+    program's block count).  The payload's fields are
+    {!Regionsel_engine.Branch_stream}'s packed fields; this module owns
+    the framing, the identity header and the checksums.  Unlike snapshots
+    there is no degraded mode — a recording that cannot be replayed
+    exactly is useless, so {e every} validation failure raises
+    {!Persist.Hard_corruption}, at decode and never later. *)
 
 val write_file :
   path:string ->
@@ -32,7 +35,7 @@ val read_file :
   program:Regionsel_isa.Program.t ->
   seed:int64 ->
   Regionsel_engine.Branch_stream.events
-(** Read, validate and decode a recording.
+(** Read, validate and decode a recording, as {!decode}.
     @raise Sys_error when the file cannot be read.
     @raise Persist.Hard_corruption on any validation failure: bad magic or
     version, checksum mismatch, truncation, out-of-range ids, or an
@@ -55,6 +58,14 @@ val decode :
   program:Regionsel_isa.Program.t ->
   seed:int64 ->
   Regionsel_engine.Branch_stream.events
+(** Check the header, the identity, both checksums and then every field's
+    block id and successor code, and return a packed recording
+    ({!Regionsel_engine.Branch_stream.of_packed}) over a copy of the
+    payload: replaying it reads each field in place, and nothing is
+    unpacked unless the recording is written to.  Later changes to the
+    input bytes do not reach it.
+    @raise Persist.Hard_corruption on any validation failure, as
+    {!read_file}. *)
 
 (** {1 Wire batches} — the daemon's Events-frame body: a slice of a
     recording in the same bit packing and checksum discipline as the

@@ -685,6 +685,44 @@ let cli_restore_sinkless_snapshot_with_trace () =
     (fun p -> try Sys.remove p with Sys_error _ -> ())
     [ snap; trace; trace ^ ".jsonl"; saved; restored ]
 
+(* --- REVL recordings: a decoded file replays as the live run ------------ *)
+
+module Spec = Regionsel_workload.Spec
+module Suite = Regionsel_workload.Suite
+module Branch_stream = Regionsel_engine.Branch_stream
+module Event_log = Regionsel_persist.Event_log
+
+(* Every bench under the paper's four policies: a live run recording its
+   stream, then a run replaying the stream decoded from its file, which
+   reads the payload in place.  The metric JSONs must be byte-identical. *)
+let decoded_file_replays_as_live ?params () =
+  List.iter
+    (fun (spec : Spec.t) ->
+      let image = Spec.image spec in
+      let program = image.Image.program in
+      let max_steps = min spec.Spec.default_steps 30_000 in
+      List.iter
+        (fun (pname, policy) ->
+          let record = Branch_stream.recorder () in
+          let live = Simulator.run ?params ~seed:3L ~record ~policy ~max_steps image in
+          let replay =
+            Event_log.decode (Event_log.encode ~program ~seed:3L record) ~program ~seed:3L
+          in
+          let replayed = Simulator.run ?params ~seed:3L ~replay ~policy ~max_steps image in
+          Alcotest.(check string)
+            (Printf.sprintf "%s/%s replayed from its file" spec.Spec.name pname)
+            (Run_metrics.to_json (Run_metrics.of_result live))
+            (Run_metrics.to_json (Run_metrics.of_result replayed)))
+        Policies.paper)
+    Suite.all
+
+let decoded_file_replays_as_live_clean () = decoded_file_replays_as_live ()
+
+let decoded_file_replays_as_live_mixed () =
+  decoded_file_replays_as_live
+    ~params:{ Params.default with Params.faults = Params.fault_profile "mixed" }
+    ()
+
 let suite =
   [
     case "identity across policies and checkpoint steps"
@@ -712,4 +750,7 @@ let suite =
     case "snapshot corruption axis" snapshot_corruption_axis;
     case "torn write leaves previous snapshot intact" torn_write_leaves_previous_snapshot_intact;
     case "missing file raises Sys_error" missing_file_raises_sys_error;
+    case "decoded REVL file replays as the live run" decoded_file_replays_as_live_clean;
+    case "decoded REVL file replays as the live run under mixed faults"
+      decoded_file_replays_as_live_mixed;
   ]
