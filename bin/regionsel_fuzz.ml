@@ -235,29 +235,44 @@ let run_frames_seed ~cases seed =
         (* splice trailing garbage *)
         Bytes.cat data (Bytes.init (1 + Sm.int rng 32) (fun _ -> Char.chr (Sm.int rng 256)))
     in
-    let dech = P.Dechunker.create () in
+    (* The server's own entry: bytes land in the buffer through [fill],
+       frames come out of [next_frame] and an Events body is decoded
+       where it lies.  A twin fed the same chunks through [feed] and
+       drained with [next] must yield the same frames and fail alike. *)
+    let dech = P.Dechunker.create () and twin = P.Dechunker.create () in
     let decoded = ref 0 in
+    let disagree what = failwith ("next_frame and next disagree: " ^ what) in
     let outcome =
       try
         let pos = ref 0 in
         while !pos < Bytes.length data do
           let len = min (1 + Sm.int rng 97) (Bytes.length data - !pos) in
-          P.Dechunker.feed dech data ~pos:!pos ~len;
+          ignore
+            (P.Dechunker.fill dech ~max:len (fun buf at _ ->
+                 Bytes.blit data !pos buf at len;
+                 len));
+          P.Dechunker.feed twin data ~pos:!pos ~len;
           pos := !pos + len;
           let draining = ref true in
           while !draining do
-            match P.Dechunker.next dech with
-            | Some msg ->
-              incr decoded;
-              (match msg with
-              | P.Events body -> (
-                try
-                  ignore
-                    (Event_log.decode_batch body ~program
-                       ~into:(Branch_stream.recorder ()))
-                with Persist.Hard_corruption _ -> ())
-              | _ -> ())
-            | None -> draining := false
+            match P.Dechunker.next_frame dech with
+            | exception (P.Protocol_error _ as e) -> (
+              match P.Dechunker.next twin with
+              | exception P.Protocol_error _ -> raise e
+              | _ -> disagree "only next_frame raised")
+            | frame -> (
+              match (frame, P.Dechunker.next twin) with
+              | None, None -> draining := false
+              | Some (P.Dechunker.Events_at { buf; pos; len }), Some (P.Events body) ->
+                incr decoded;
+                if not (Bytes.equal (Bytes.sub buf pos len) body) then disagree "events body";
+                (try
+                   ignore
+                     (Event_log.decode_batch ~pos ~len buf ~program
+                        ~into:(Branch_stream.recorder ()))
+                 with Persist.Hard_corruption _ -> ())
+              | Some (P.Dechunker.Msg m), Some m' when m = m' -> incr decoded
+              | _ -> disagree "frame")
           done
         done;
         `Clean

@@ -7,13 +7,41 @@
 
 open Regionsel_isa
 
+(* One shift each rejects every out-of-range value, negatives included:
+   a block id must fit 31 bits and [next + 1] 30. *)
+let[@inline] fits ~block_id ~next = block_id lsr 31 = 0 && (next + 1) lsr 30 = 0
+
 (* Packed fields, the codec's form of an event.  One event is one
    [width]-bit field: [kb] bits of block id, the taken bit, then [kn] bits
    of successor code (0 = halt, else block id + 1).  The block id and taken
    bit (the field's head) are exactly the low word of a recording's slot,
    so the field is [(head lsl kn) lor code].  Block ids fit 31 bits, so a
-   field fits the 63 bits of an int. *)
-type layout = { program : Program.t; n_blocks : int; kn : int; width : int }
+   field fits the 63 bits of an int.
+
+   A layout holds a program's widths, and once something decodes under
+   it, the two tables every decoder reads: [addr], the address of each
+   successor code (code 0 is [Addr.none]), and [succ_hi], the high word
+   of a slot for every [kn]-bit code, so a decoded slot is
+   [succ_hi.(code) lor head] with no lookup through the program.  Codes
+   past [n_blocks] map to 0; the decoders refuse them by their running
+   maximum, never per event.  The tables are built on first use and kept
+   with the layout, so a caller that keeps its layout (a daemon session)
+   builds them once, and an encoder, which needs none, never pays for
+   them.  They are published in one write, so a reader sees all of them
+   or none. *)
+type tables = {
+  addr : int array; (* successor code -> address, [n_blocks + 1] entries *)
+  succ_hi : int array; (* every [kn]-bit code -> [(addr + 1) lsl 32] *)
+  starts_fit : bool; (* every block start fits a slot *)
+}
+
+type layout = {
+  program : Program.t;
+  n_blocks : int;
+  kn : int;
+  width : int;
+  mutable tables : tables option;
+}
 
 (* Bits to represent every value in [0, max]. *)
 let bits_for max =
@@ -23,8 +51,33 @@ let bits_for max =
 let layout program =
   let n_blocks = Program.n_blocks program in
   let kn = bits_for n_blocks in
-  { program; n_blocks; kn; width = bits_for (n_blocks - 1) + 1 + kn }
+  { program; n_blocks; kn; width = bits_for (n_blocks - 1) + 1 + kn; tables = None }
 
+let tables l =
+  match l.tables with
+  | Some t -> t
+  | None ->
+    let addr =
+      Array.init (l.n_blocks + 1) (fun c ->
+          if c = 0 then Addr.none else (Program.block_of_id l.program (c - 1)).Block.start)
+    in
+    let succ_hi = Array.make (1 lsl l.kn) 0 in
+    Array.iteri (fun c a -> succ_hi.(c) <- (a + 1) lsl 32) addr;
+    let t =
+      { addr; succ_hi; starts_fit = Array.for_all (fun next -> fits ~block_id:0 ~next) addr }
+    in
+    l.tables <- Some t;
+    t
+
+(* The tables a decoder writes slots from: a block start no slot can hold
+   is refused before any field is read. *)
+let decoder_tables l what =
+  let t = tables l in
+  if not t.starts_fit then
+    invalid_arg ("Branch_stream." ^ what ^ ": a block start does not fit a slot");
+  t
+
+let layout_program l = l.program
 let field_bits l = l.width
 
 external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
@@ -59,9 +112,8 @@ let[@inline] read_field b ~last ~kn ~width bit =
   else (read_bits b ~last bit (width - kn) lsl kn) lor read_bits b ~last (bit + width - kn) kn
 
 (* A packed recording: its own copy of a validated payload, 8 zero bytes
-   longer, and the address of each successor code (code 0 is
-   [Addr.none]).  Its fields are at most 56 bits wide, so with the padding
-   each is one [read56]. *)
+   longer, and its layout's successor table.  Its fields are at most 56
+   bits wide, so with the padding each is one [read56]. *)
 type view = { data : Bytes.t; kn : int; width : int; addr : int array }
 
 let no_view = { data = Bytes.empty; kn = 0; width = 0; addr = [||] }
@@ -87,11 +139,12 @@ let no_view = { data = Bytes.empty; kn = 0; width = 0; addr = [||] }
    exactly as a plain array.
 
    Packed backing ([view != no_view], made only by [of_packed]): the
-   events are the view's fields, [slots] is empty and [base = len], so
-   [len - base + n > capacity] holds for any [n > 0] and every write
-   reaches [reserve]'s slow path (or [release], or [recycle]), which turn
-   the recording into word slots first.  Nothing is released while the
-   view stands, and [len] does not move. *)
+   events are the view's fields, [slots] is empty and [base = len].  It is
+   read-only: every write raises before it changes anything, so nothing is
+   ever released, recycled or appended, and a view, once made, stands for
+   the recording's whole life.  [len - base + n > capacity] holds for any
+   [n > 0], so [append_event]'s fast path falls through to [reserve],
+   which refuses it; no write pays a check of its own for this. *)
 type events = {
   mutable slots : int array;
   mutable base : int; (* absolute position of slot 0 *)
@@ -112,17 +165,7 @@ let view_word v i =
   let f = read56 v.data (i * v.width) (64 - v.width) in
   ((Array.unsafe_get v.addr (f land ((1 lsl v.kn) - 1)) + 1) lsl 32) lor (f lsr v.kn)
 
-(* Turn a packed recording into word slots: its retained events at the
-   front of a fresh array of [size] slots. *)
-let unpack_view ev size =
-  let v = ev.view and keep = ev.len - ev.released in
-  let slots = Array.make size 0 in
-  for k = 0 to keep - 1 do
-    Array.unsafe_set slots k (view_word v (ev.released + k))
-  done;
-  ev.slots <- slots;
-  ev.base <- ev.released;
-  ev.view <- no_view
+let read_only what = invalid_arg ("Branch_stream." ^ what ^ ": a decoded recording is read-only")
 
 (* A copy loop typed [int array] rather than [Array.blit], which into a
    major-heap array goes through the generic per-element write barrier even
@@ -137,16 +180,15 @@ let move (src : int array) ~from (dst : int array) n =
    safe because the source lies above the destination), and only if that
    is not enough by growing to twice the capacity or the room needed,
    whichever is more, which keeps the retained tail and drops the
-   released slots on the way.  A packed recording has no slots, so it
-   always lands here and is unpacked to that size. *)
+   released slots on the way. *)
 let reserve ev n =
   if n < 0 then invalid_arg "Branch_stream.reserve: negative count";
+  if ev.view != no_view then read_only "reserve";
   let cap = Array.length ev.slots in
   if ev.len - ev.base + n > cap then begin
     let from = ev.released - ev.base and keep = ev.len - ev.released in
     let size = max (keep + n) (max 16 (2 * cap)) in
-    if ev.view != no_view then unpack_view ev size
-    else if keep + n <= cap then move ev.slots ~from ev.slots keep
+    if keep + n <= cap then move ev.slots ~from ev.slots keep
     else begin
       let grown = Array.make size 0 in
       move ev.slots ~from grown keep;
@@ -158,19 +200,17 @@ let reserve ev n =
 let[@inline] slot ~block_id ~taken ~next =
   ((next + 1) lsl 32) lor (block_id lsl 1) lor Bool.to_int taken
 
-(* One shift each rejects every out-of-range value, negatives included:
-   a block id must fit 31 bits and [next + 1] 30. *)
-let[@inline] fits ~block_id ~next = block_id lsr 31 = 0 && (next + 1) lsr 30 = 0
-
 let[@inline] set_pending ev i ~block_id ~taken ~next =
   if not (fits ~block_id ~next) then
     invalid_arg "Branch_stream.set_pending: block id or successor out of range";
   let k = ev.len - ev.base + i in
   if i < 0 || k >= Array.length ev.slots then
-    invalid_arg "Branch_stream.set_pending: slot not reserved";
+    if ev.view != no_view then read_only "set_pending"
+    else invalid_arg "Branch_stream.set_pending: slot not reserved";
   Array.unsafe_set ev.slots k (slot ~block_id ~taken ~next)
 
 let commit ev n =
+  if ev.view != no_view then read_only "commit";
   if n < 0 || ev.len - ev.base + n > Array.length ev.slots then
     invalid_arg "Branch_stream.commit: more events than reserved";
   ev.len <- ev.len + n
@@ -190,18 +230,16 @@ let released ev = ev.released
 let capacity ev = Array.length ev.slots
 
 let release ev upto =
+  if ev.view != no_view then read_only "release";
   if upto > ev.len then invalid_arg "Branch_stream.release: past the recording's length";
-  if upto > ev.released then begin
-    ev.released <- upto;
-    if ev.view != no_view then unpack_view ev (ev.len - upto)
-  end
+  if upto > ev.released then ev.released <- upto
 
 let recycle ev =
+  if ev.view != no_view then read_only "recycle";
   ev.base <- 0;
   ev.released <- 0;
   ev.len <- 0;
-  ev.gen <- ev.gen + 1;
-  ev.view <- no_view
+  ev.gen <- ev.gen + 1
 
 (* The getters check the retained range themselves, which also bounds
    the slot, so the load needs no second check. *)
@@ -237,51 +275,43 @@ let stale ev ~gen =
    position; past the end the stream reports a halt, exactly like an
    interpreter whose program finished.  The backing is checked once,
    here.  Over word slots, the one extra branch per event guards the
-   storage a release or a recycle took away.  Over a view, it checks
-   that the view still stands: while it does, nothing was released or
-   recycled and the length is fixed, and once a write unpacked it, the
-   word reader takes over at the same cursor. *)
+   storage a release or a recycle took away.  A view is read-only, so
+   its length is fixed and nothing under the cursor can go away. *)
 let of_events ev : t =
-  let cursor = ref 0 and gen = ev.gen in
-  let words s =
-    let i = !cursor in
-    if i < ev.released || ev.gen <> gen then stale ev ~gen
-    else if i >= ev.len then false
-    else begin
-      let p = Array.unsafe_get ev.slots (i - ev.base) in
-      s.Interp.block_id <- (p lsr 1) land 0x7FFF_FFFF;
-      s.Interp.taken <- p land 1 = 1;
-      s.Interp.next <- (p lsr 32) - 1;
-      cursor := i + 1;
-      true
-    end
-  in
+  let cursor = ref 0 in
   let v = ev.view in
-  if v == no_view then words
+  if v == no_view then begin
+    let gen = ev.gen in
+    fun s ->
+      let i = !cursor in
+      if i < ev.released || ev.gen <> gen then stale ev ~gen
+      else if i >= ev.len then false
+      else begin
+        let p = Array.unsafe_get ev.slots (i - ev.base) in
+        s.Interp.block_id <- (p lsr 1) land 0x7FFF_FFFF;
+        s.Interp.taken <- p land 1 = 1;
+        s.Interp.next <- (p lsr 32) - 1;
+        cursor := i + 1;
+        true
+      end
+  end
   else begin
     let n = ev.len and data = v.data and kn = v.kn and width = v.width and addr = v.addr in
     let drop = 64 - width and kb = kn + 1 and taken = 1 lsl kn and mask = (1 lsl kn) - 1 in
     fun s ->
-      if ev.view != v then words s
+      let i = !cursor in
+      if i >= n then false
       else begin
-        let i = !cursor in
-        if i >= n then false
-        else begin
-          let f = read56 data (i * width) drop in
-          s.Interp.block_id <- f lsr kb;
-          s.Interp.taken <- f land taken <> 0;
-          s.Interp.next <- Array.unsafe_get addr (f land mask);
-          cursor := i + 1;
-          true
-        end
+        let f = read56 data (i * width) drop in
+        s.Interp.block_id <- f lsr kb;
+        s.Interp.taken <- f land taken <> 0;
+        s.Interp.next <- Array.unsafe_get addr (f land mask);
+        cursor := i + 1;
+        true
       end
   end
 
 let next_into (t : t) s = t s
-
-(* The address of successor code [code] (0 is halt). *)
-let[@inline] start_of (l : layout) code =
-  if code = 0 then Addr.none else (Program.block_of_id l.program (code - 1)).Block.start
 
 (* A view's fields [pos .. pos+len-1] as the payload at byte [at] of
    [out], zero-padded to a whole byte.  For a layout whose block starts
@@ -350,14 +380,13 @@ let pack_slots (l : layout) (slots : int array) ~off ~len out ~at =
   !o + ((!nacc + 7) lsr 3)
 
 (* Whether [l]'s program maps every successor code of [v] to the same
-   address, so that [v]'s fields are [l]'s fields: one pass over the
-   successor table, not over the events. *)
+   address, so that [v]'s fields are [l]'s fields: the view shares the
+   successor table of the layout it was decoded under, and otherwise one
+   pass over the two tables decides, not one over the events.  Equal
+   tables have equal lengths, so equal field widths. *)
 let same_starts (l : layout) v =
-  v.width = l.width && v.kn = l.kn
-  && Array.length v.addr = l.n_blocks + 1
-  &&
-  let rec go c = c > l.n_blocks || (v.addr.(c) = start_of l c && go (c + 1)) in
-  go 1
+  let t = tables l in
+  v.addr == t.addr || v.addr = t.addr
 
 (* The backing is checked once per call: word slots are packed in place;
    a view whose fields are [l]'s is copied as it stands; a view of another
@@ -374,53 +403,75 @@ let check_payload (l : layout) b ~at ~n =
   if at < 0 || n < 0 || n > max_int / l.width || ((n * l.width) + 7) / 8 > Bytes.length b - at
   then invalid_arg "Branch_stream: payload outside the buffer"
 
-(* The batch kernel: each field is checked and written into [into]'s
-   reserved slots as it is read (one outside the program is skipped and
-   noted), and the slots are committed only once every one has validated:
-   a payload whose checksum holds but whose fields fall outside the
-   program must not leave a partial append (callers feed live replay
-   streams). *)
+(* The verdict on a batch from its largest head ([block id lsl 1 lor
+   taken]) and largest successor code: a block-id fault is named whenever
+   any field has one. *)
+let fault_of (l : layout) ~head_max ~code_max =
+  if head_max lsr 1 >= l.n_blocks then Some "block id outside the program"
+  else if code_max > l.n_blocks then Some "successor code outside the program"
+  else None
+
+(* The batch kernel.  Every field becomes its slot as [succ_hi.(code) lor
+   head] in [into]'s reserved room, with no lookup through the program and
+   no check per event: the loop keeps the largest head and the largest
+   code, and the slots are committed only if both are in range, so a
+   payload whose checksum holds but whose fields fall outside the program
+   leaves no partial append (callers feed live replay streams).  A field
+   whose 8-byte window lies inside [b] is one [read56]; only the fields in
+   the last 8 bytes of [b], and every field wider than 56 bits (a program
+   of more than 2^27 blocks), take [read_field]. *)
 let append_packed (l : layout) b ~at ~n into =
   check_payload l b ~at ~n;
-  let kn = l.kn and width = l.width and n_blocks = l.n_blocks in
-  let kb = kn + 1 and taken = 1 lsl kn and mask = (1 lsl kn) - 1 in
-  let last = Bytes.length b - 8 and fault = ref None in
+  let succ_hi = (decoder_tables l "append_packed").succ_hi in
   reserve into n;
-  for i = 0 to n - 1 do
-    let f = read_field b ~last ~kn ~width ((8 * at) + (i * width)) in
-    let block_id = f lsr kb and code = f land mask in
-    if block_id >= n_blocks then fault := Some "block id outside the program"
-    else if code > n_blocks then fault := Some "successor code outside the program"
-    else set_pending into i ~block_id ~taken:(f land taken <> 0) ~next:(start_of l code)
+  let slots = into.slots and k0 = into.len - into.base in
+  let kn = l.kn and width = l.width in
+  let mask = (1 lsl kn) - 1 and drop = 64 - width and bit0 = 8 * at in
+  let fast =
+    if width > 56 then 0 else max 0 (min n (((8 * (Bytes.length b - 7)) - bit0 + width - 1) / width))
+  in
+  let head_max = ref 0 and code_max = ref 0 in
+  for i = 0 to fast - 1 do
+    let f = read56 b (bit0 + (i * width)) drop in
+    let head = f lsr kn and code = f land mask in
+    if head > !head_max then head_max := head;
+    if code > !code_max then code_max := code;
+    Array.unsafe_set slots (k0 + i) (Array.unsafe_get succ_hi code lor head)
   done;
-  match !fault with
+  let last = Bytes.length b - 8 in
+  for i = fast to n - 1 do
+    let f = read_field b ~last ~kn ~width (bit0 + (i * width)) in
+    let head = f lsr kn and code = f land mask in
+    if head > !head_max then head_max := head;
+    if code > !code_max then code_max := code;
+    Array.unsafe_set slots (k0 + i) (Array.unsafe_get succ_hi code lor head)
+  done;
+  match fault_of l ~head_max:!head_max ~code_max:!code_max with
   | Some reason -> Error reason
   | None ->
     commit into n;
     Ok ()
 
-(* Whether a view's [n] fields name a block id or a successor code
-   outside the program, as the reason.  The largest of each is all that
-   matters, so the loop keeps two maxima and takes no exit. *)
+(* The largest head and code of a view's [n] fields, then the verdict:
+   the same two maxima as the batch kernel, over a padded copy. *)
 let find_fault (l : layout) data n =
-  let width = l.width and drop = 64 - l.width and kb = l.kn + 1 and mask = (1 lsl l.kn) - 1 in
-  let block = ref 0 and code = ref 0 and bit = ref 0 in
+  let width = l.width and drop = 64 - l.width and kn = l.kn and mask = (1 lsl l.kn) - 1 in
+  let head_max = ref 0 and code_max = ref 0 and bit = ref 0 in
   for _ = 1 to n do
     let f = read56 data !bit drop in
     bit := !bit + width;
-    if f lsr kb > !block then block := f lsr kb;
-    if f land mask > !code then code := f land mask
+    if f lsr kn > !head_max then head_max := f lsr kn;
+    if f land mask > !code_max then code_max := f land mask
   done;
-  if !block >= l.n_blocks then Some "block id outside the program"
-  else if !code > l.n_blocks then Some "successor code outside the program"
-  else None
+  fault_of l ~head_max:!head_max ~code_max:!code_max
 
 (* A view needs fields of at most 56 bits; a program of more than 2^27
-   blocks gets word slots instead, through the batch kernel.  The view's
-   successor table holds only addresses a word slot can hold too, so
-   unpacking it never builds a slot [append_event] would refuse. *)
+   blocks gets word slots instead, through the batch kernel.  The view
+   shares its layout's successor table, which holds only addresses a word
+   slot can hold too. *)
 let of_packed (l : layout) b ~at ~n =
   check_payload l b ~at ~n;
+  let addr = (decoder_tables l "of_packed").addr in
   if l.width > 56 then
     let ev = recorder ~capacity:n () in
     Result.map (fun () -> ev) (append_packed l b ~at ~n ev)
@@ -432,9 +483,6 @@ let of_packed (l : layout) b ~at ~n =
     match find_fault l data n with
     | Some reason -> Error reason
     | None ->
-      let addr = Array.init (l.n_blocks + 1) (start_of l) in
-      if not (Array.for_all (fun next -> fits ~block_id:0 ~next) addr) then
-        invalid_arg "Branch_stream.of_packed: a block start does not fit a slot";
       Ok
         { slots = [||]; base = n; released = 0; len = n; gen = 0;
           view = { data; kn = l.kn; width = l.width; addr } }

@@ -22,10 +22,10 @@ type events
     reader treats alike:
     - word slots, one int per event: what {!recorder} makes and every
       write produces;
-    - packed: a decoded payload read in place (see {!of_packed}).  The
-      first write ({!reserve} of at least one slot, {!append},
-      {!append_event}, {!release} of anything, {!recycle}) turns it into
-      word slots holding the same events.
+    - packed: a decoded payload read in place (see {!of_packed}).  It is
+      read-only: every write ({!reserve}, {!append}, {!append_event},
+      {!set_pending}, {!commit}, {!release}, {!recycle}) raises
+      [Invalid_argument] and leaves it unchanged.
 
     Positions are absolute: event [i] is the [i]th event ever appended
     since the recording was created or last {!recycle}d, whatever storage
@@ -49,7 +49,7 @@ val append_event : events -> block_id:int -> taken:bool -> next:Regionsel_isa.Ad
     or {!Regionsel_isa.Addr.none}.  A program would need about 8 GiB of
     address table ([Program.block_id]) to reach either limit.
     @raise Invalid_argument on a block id or successor outside those
-    ranges, leaving the recording unchanged. *)
+    ranges, or on a packed recording, leaving the recording unchanged. *)
 
 (** {2 All-or-nothing appends}
 
@@ -65,16 +65,19 @@ val reserve : events -> int -> unit
     their capacity, or to the room needed if that is more) only if that
     is not enough.  So a recording's capacity stays below twice the most
     it ever had to hold at once: its retained events plus one
-    reservation. *)
+    reservation.
+    @raise Invalid_argument on a negative count or a packed recording. *)
 
 val set_pending : events -> int -> block_id:int -> taken:bool -> next:Regionsel_isa.Addr.t -> unit
 (** [set_pending ev i ...] writes slot [length ev + i] of the reserved room.
     @raise Invalid_argument on a block id or successor outside the ranges
-    of {!append_event}, or a slot past the recording's capacity. *)
+    of {!append_event}, a slot past the recording's capacity, or a packed
+    recording. *)
 
 val commit : events -> int -> unit
 (** [commit ev n] appends the [n] pending slots to the recording.
-    @raise Invalid_argument if fewer than [n] slots were reserved. *)
+    @raise Invalid_argument if fewer than [n] slots were reserved, or on
+    a packed recording. *)
 
 val length : events -> int
 (** Events appended so far, released ones included. *)
@@ -100,7 +103,8 @@ val release : events -> int -> unit
 (** [release ev upto] gives up every position below [upto]; a value at or
     below the current {!released} is a no-op.  Release only what the
     single replay reader has consumed, or what no reader will ever pull.
-    @raise Invalid_argument if [upto > length ev]. *)
+    @raise Invalid_argument if [upto > length ev], or on a packed
+    recording. *)
 
 val released : events -> int
 (** The first position still readable: [0] until the first {!release}. *)
@@ -108,7 +112,8 @@ val released : events -> int
 val recycle : events -> unit
 (** Empty the recording ([length] and {!released} back to [0]) for a new
     session, keeping its capacity.  Every stream created before the
-    recycle raises [Invalid_argument] on its next pull. *)
+    recycle raises [Invalid_argument] on its next pull.
+    @raise Invalid_argument on a packed recording. *)
 
 val capacity : events -> int
 (** Word slots allocated, retained and free: the recording's memory in
@@ -135,8 +140,7 @@ val of_events : events -> t
     starting at position 0; after the last one the stream reports a
     halt, exactly like an interpreter whose program finished.  Events
     appended later are delivered by later pulls.  A packed recording is
-    read in place, and a write that turns it into word slots under the
-    stream changes nothing the stream delivers.
+    read in place.
     @raise Invalid_argument on a pull at a released position or after
     the recording was recycled. *)
 
@@ -155,9 +159,15 @@ val next_into : t -> Interp.step -> bool
     and every code of the program. *)
 
 type layout
-(** A program's field widths, and its blocks' start addresses. *)
+(** A program's field widths, and its successor codes' addresses as the
+    tables the decoders read.  The tables are built by the first decode
+    under the layout and kept with it, so a caller that decodes many
+    batches of one program (a daemon session) keeps its layout. *)
 
 val layout : Regionsel_isa.Program.t -> layout
+
+val layout_program : layout -> Regionsel_isa.Program.t
+(** The program a layout was built from. *)
 
 val field_bits : layout -> int
 (** The bits one event takes: [kb + 1 + kn]. *)
@@ -177,16 +187,20 @@ val of_packed : layout -> Bytes.t -> at:int -> n:int -> (events, string) result
     byte [at] of [b].  It copies them, so later changes to [b] do not
     reach it, then checks every field in one read-only pass: a block id
     or successor code outside the program is [Error reason], and no
-    recording is returned.  A returned recording reads each field in
-    place (one load, two shifts and a table read per replayed event)
-    until its first write.  A program of more than 2^27 blocks, whose
-    fields are wider than 56 bits, gets word slots instead.
+    recording is returned; a batch with both kinds of fault is named by
+    its block id.  A returned recording is read-only and reads each field
+    in place (one load, two shifts and a table read per replayed event).
+    A program of more than 2^27 blocks, whose fields are wider than 56
+    bits, gets word slots instead.
     @raise Invalid_argument if the fields overrun [b], or a block starts
     at an address a word slot cannot hold ({!append_event}). *)
 
 val append_packed : layout -> Bytes.t -> at:int -> n:int -> events -> (unit, string) result
 (** [append_packed l b ~at ~n into] appends the [n] fields from byte [at]
-    of [b] to [into] as word slots ({!reserve}, {!set_pending},
-    {!commit}), all or nothing: on [Error reason] (a field outside the
-    program) [into] is as it was.
-    @raise Invalid_argument if the fields overrun [b]. *)
+    of [b] to [into] as word slots, all or nothing: on [Error reason] (a
+    field outside the program; a block id fault is named whenever any
+    field has one) [into] is as it was.  The fields may lie anywhere in
+    [b], and the bytes after them (a checksum, the next frame) are read
+    but never decoded.
+    @raise Invalid_argument if the fields overrun [b], or [into] is a
+    packed recording. *)

@@ -17,7 +17,10 @@ open Regionsel_isa
      the flat table.  A hit bumps the slot's count in place; a conflicting
      occupant is spilled into [edges] with its accumulated count (one
      probe), and the slot is reseeded.
-   - [edges], the flat table every read sees.
+   - [edges], the flat table every read sees.  It starts sized to the
+     program, at least two slots per block, so it first grows past 1.5
+     edges per block.  Its iteration order is never observable: every
+     reader sorts ([save]), builds sets ([preds]) or sums.
 
    Exactness invariant: every read ([count]/[preds]/[n_edges]/[fold])
    first drains the ring and folds the dense counts into [edges] ([sync]),
@@ -54,7 +57,7 @@ let create ~program () =
         Block.static_succ (Program.block_of_id program (slot lsr 1)) ~taken:(slot land 1 = 1))
   in
   {
-    edges = Flat_tbl.create 4096;
+    edges = Flat_tbl.create (Program.n_blocks program);
     ring_keys = Array.make ring_size (-1);
     ring_counts = Array.make ring_size 0;
     ring_live = 0;
@@ -185,7 +188,7 @@ let load t read =
   let flushes = read () in
   let n = read () in
   if n < 0 then failwith "Edge_profile.load: negative edge count";
-  let edges = Flat_tbl.create (max 4096 n) in
+  let edges = Flat_tbl.create (max (Program.n_blocks t.program) n) in
   for _ = 1 to n do
     let key = read () in
     let count = read () in

@@ -115,16 +115,26 @@ let encode_batch ~program events ~pos ~len =
   seal_crc out ~pos:8 ~len:plen;
   out
 
-let decode_batch bytes ~program ~into =
-  let total = Bytes.length bytes in
-  if total < 12 then corrupt "truncated batch";
-  let n_events = ru32 bytes 0 in
-  let n_bits = ru32 bytes 4 in
-  let l = Branch_stream.layout program in
+(* The body may sit anywhere in a larger buffer (the daemon decodes
+   straight from its connection buffer, where the next frame follows); the
+   checks are the same, and nothing of [bytes] is kept after the call. *)
+let decode_batch ?layout ?(pos = 0) ?len bytes ~program ~into =
+  let len = match len with Some len -> len | None -> Bytes.length bytes - pos in
+  if pos < 0 || len < 0 || pos > Bytes.length bytes - len then
+    invalid_arg "Event_log.decode_batch: body outside the buffer";
+  let l =
+    match layout with
+    | None -> Branch_stream.layout program
+    | Some l when Branch_stream.layout_program l == program -> l
+    | Some _ -> invalid_arg "Event_log.decode_batch: layout of another program"
+  in
+  if len < 12 then corrupt "truncated batch";
+  let n_events = ru32 bytes pos in
+  let n_bits = ru32 bytes (pos + 4) in
   let plen = payload_length l ~n_events ~n_bits in
-  if total <> 8 + plen + 4 then corrupt "truncated batch payload";
-  if not (crc_holds bytes ~pos:8 ~len:plen) then corrupt "batch payload checksum mismatch";
-  match Branch_stream.append_packed l bytes ~at:8 ~n:n_events into with
+  if len <> 8 + plen + 4 then corrupt "truncated batch payload";
+  if not (crc_holds bytes ~pos:(pos + 8) ~len:plen) then corrupt "batch payload checksum mismatch";
+  match Branch_stream.append_packed l bytes ~at:(pos + 8) ~n:n_events into with
   | Ok () -> n_events
   | Error reason -> corrupt reason
 

@@ -84,13 +84,23 @@ val encode_batch :
     whose count or bit count does not fit a u32. *)
 
 val decode_batch :
+  ?layout:Regionsel_engine.Branch_stream.layout ->
+  ?pos:int ->
+  ?len:int ->
   bytes ->
   program:Regionsel_isa.Program.t ->
   into:Regionsel_engine.Branch_stream.events ->
   int
-(** Validate and append a batch's events onto [into] (a live replay
-    source may be consuming it), returning the number appended.  The
-    append is all-or-nothing: the events become part of [into] only once
-    every one has validated.
+(** Validate and append the batch body at [pos] (default 0) of [bytes],
+    [len] bytes long (default: the rest of [bytes]), onto [into] (a live
+    replay source may be consuming it), returning the number of events
+    appended.  The body may sit inside a larger buffer: the bytes around
+    it are never decoded, and nothing of [bytes] is kept after the call.
+    [layout], when given, must be [Branch_stream.layout program], kept by
+    a caller that decodes many batches of one program; without it one is
+    built per call.  The append is all-or-nothing: the events become part
+    of [into] only once every one has validated.
     @raise Persist.Hard_corruption on any validation failure, leaving
-    [into] unchanged. *)
+    [into] unchanged.
+    @raise Invalid_argument if [pos] and [len] leave [bytes], [layout] is
+    another program's, or [into] is a packed recording. *)

@@ -102,9 +102,11 @@ let btext buf s =
   bu32 buf (String.length s);
   Buffer.add_string buf s
 
+let events_kind = 2
+
 let kind_of = function
   | Hello _ -> 1
-  | Events _ -> 2
+  | Events _ -> events_kind
   | Fin -> 3
   | Ctrl _ -> 4
   | Welcome _ -> 10
@@ -194,6 +196,12 @@ let rtext cur what = rbounded cur what ~limit:max_text
 let finished cur what =
   if cur.c_pos <> cur.c_end then fail "%s frame has %d trailing bytes" what (cur.c_end - cur.c_pos)
 
+(* A frame's length prefix, refused before anything is sized from it. *)
+let frame_length b p =
+  let flen = Int32.to_int (Bytes.get_int32_be b p) land 0xFFFF_FFFF in
+  if flen < 1 || flen > max_frame then fail "frame length %d out of bounds" flen;
+  flen
+
 (* Decode one frame body ([kind | payload], the length prefix already
    stripped and validated by the dechunker or [read_msg]). *)
 let decode_frame bytes ~pos ~len =
@@ -236,49 +244,82 @@ let decode_frame bytes ~pos ~len =
 (* The server's per-connection parser: bytes arrive in whatever chunks
    the socket delivers; frames come out only when complete.  A peer that
    stalls mid-frame stalls only its own dechunker — the event loop never
-   blocks on a partial frame. *)
-module Dechunker = struct
-  type t = { mutable buf : Bytes.t; mutable len : int }
+   blocks on a partial frame.
 
-  let create () = { buf = Bytes.create 4096; len = 0 }
-  let pending t = t.len
+   Frames are consumed by offset: [start] is the first byte not yet
+   yielded as a frame, [stop] the end of what has landed, and yielding a
+   frame moves only [start].  Bytes move only when more are fed and the
+   room past [stop] is short: the unread tail (at most one partial frame
+   once the frames are drained) slides to the front, and the buffer
+   doubles only if that is not enough.  So an Events body yielded in
+   place stays put until the next feed. *)
+module Dechunker = struct
+  type t = { mutable buf : Bytes.t; mutable start : int; mutable stop : int }
+
+  type frame = Msg of msg | Events_at of { buf : Bytes.t; pos : int; len : int }
+
+  let create () = { buf = Bytes.create 4096; start = 0; stop = 0 }
+  let pending t = t.stop - t.start
+
+  (* Room for [len] bytes past [stop]. *)
+  let make_room t len =
+    let keep = t.stop - t.start and cap = Bytes.length t.buf in
+    if keep = 0 then begin
+      t.start <- 0;
+      t.stop <- 0
+    end;
+    if t.stop + len > cap then begin
+      if keep + len <= cap then Bytes.blit t.buf t.start t.buf 0 keep
+      else begin
+        let size = ref cap in
+        while keep + len > !size do
+          size := !size * 2
+        done;
+        let bigger = Bytes.create !size in
+        Bytes.blit t.buf t.start bigger 0 keep;
+        t.buf <- bigger
+      end;
+      t.start <- 0;
+      t.stop <- keep
+    end
 
   let feed t bytes ~pos ~len =
     if len < 0 || pos < 0 || pos + len > Bytes.length bytes then
       invalid_arg "Dechunker.feed: range outside the buffer";
-    let need = t.len + len in
-    if need > Bytes.length t.buf then begin
-      let cap = ref (Bytes.length t.buf) in
-      while need > !cap do
-        cap := !cap * 2
-      done;
-      let bigger = Bytes.create !cap in
-      Bytes.blit t.buf 0 bigger 0 t.len;
-      t.buf <- bigger
-    end;
-    Bytes.blit bytes pos t.buf t.len len;
-    t.len <- need
+    make_room t len;
+    Bytes.blit bytes pos t.buf t.stop len;
+    t.stop <- t.stop + len
 
-  let frame_len t =
-    (Char.code (Bytes.get t.buf 0) lsl 24)
-    lor (Char.code (Bytes.get t.buf 1) lsl 16)
-    lor (Char.code (Bytes.get t.buf 2) lsl 8)
-    lor Char.code (Bytes.get t.buf 3)
+  let fill t ~max read =
+    if max < 0 then invalid_arg "Dechunker.fill: negative size";
+    make_room t max;
+    let n = read t.buf t.stop max in
+    if n < 0 || n > max then invalid_arg "Dechunker.fill: reader returned a bad count";
+    t.stop <- t.stop + n;
+    n
 
-  let next t =
-    if t.len < 4 then None
+  let next_frame t =
+    if t.stop - t.start < 4 then None
     else begin
-      let flen = frame_len t in
-      if flen < 1 || flen > max_frame then fail "frame length %d out of bounds" flen;
-      if t.len < 4 + flen then None
+      let flen = frame_length t.buf t.start in
+      if t.stop - t.start < 4 + flen then None
       else begin
-        let msg = decode_frame t.buf ~pos:4 ~len:flen in
-        let rest = t.len - (4 + flen) in
-        if rest > 0 then Bytes.blit t.buf (4 + flen) t.buf 0 rest;
-        t.len <- rest;
-        Some msg
+        let pos = t.start + 4 in
+        let frame =
+          if Char.code (Bytes.get t.buf pos) = events_kind then
+            Events_at { buf = t.buf; pos = pos + 1; len = flen - 1 }
+          else Msg (decode_frame t.buf ~pos ~len:flen)
+        in
+        t.start <- pos + flen;
+        Some frame
       end
     end
+
+  let next t =
+    match next_frame t with
+    | None -> None
+    | Some (Msg msg) -> Some msg
+    | Some (Events_at { buf; pos; len }) -> Some (Events (Bytes.sub buf pos len))
 end
 
 (* --- Blocking fd transport (client side, tests) ----------------------- *)
@@ -296,13 +337,7 @@ let read_msg fd =
   | n ->
     if not (if n < 4 then Io.really_read fd hdr ~pos:n ~len:(4 - n) else true) then
       fail "stream ended inside a frame header";
-    let flen =
-      (Char.code (Bytes.get hdr 0) lsl 24)
-      lor (Char.code (Bytes.get hdr 1) lsl 16)
-      lor (Char.code (Bytes.get hdr 2) lsl 8)
-      lor Char.code (Bytes.get hdr 3)
-    in
-    if flen < 1 || flen > max_frame then fail "frame length %d out of bounds" flen;
+    let flen = frame_length hdr 0 in
     let body = Bytes.create flen in
     if not (Io.really_read fd body ~pos:0 ~len:flen) then fail "stream ended inside a frame";
     Some (decode_frame body ~pos:0 ~len:flen)

@@ -75,19 +75,40 @@ val decode_frame : bytes -> pos:int -> len:int -> msg
 (** Incremental frame assembly for the server's event loop: bytes arrive
     in whatever chunks the socket delivers, frames come out only when
     complete — a peer stalling mid-frame stalls only its own dechunker,
-    never the loop. *)
+    never the loop.  Frames are consumed by offset, and buffered bytes
+    move only when more are fed. *)
 module Dechunker : sig
   type t
+
+  (** A complete frame.  An [Events_at] body is [len] bytes at [pos] of
+      [buf], the dechunker's own buffer: valid only until the next
+      {!feed} or {!fill}, which may move or overwrite it, so a caller
+      decodes it at once and keeps no reference to it. *)
+  type frame = Msg of msg | Events_at of { buf : bytes; pos : int; len : int }
 
   val create : unit -> t
 
   val feed : t -> bytes -> pos:int -> len:int -> unit
-  (** Append raw bytes. *)
+  (** Append a copy of raw bytes. *)
+
+  val fill : t -> max:int -> (bytes -> int -> int -> int) -> int
+  (** [fill t ~max read] makes room for [max] bytes past the buffered
+      ones and calls [read buf pos max] once to land bytes there straight
+      from their source (the server passes [Unix.read fd]), returning
+      what [read] returns: the bytes landed, [0] at end of stream.  An
+      exception from [read] passes through with nothing landed.
+      @raise Invalid_argument on a negative [max], or a count outside
+      [[0, max]]. *)
+
+  val next_frame : t -> frame option
+  (** Consume the next complete frame, or [None] if more bytes are
+      needed.  An Events body is yielded in place, with no copy.
+      @raise Protocol_error on garbage (bad length prefix, malformed
+      body) — the connection is beyond recovery. *)
 
   val next : t -> msg option
-  (** Extract the next complete frame, or [None] if more bytes are
-      needed.  @raise Protocol_error on garbage (bad length prefix,
-      malformed body) — the connection is beyond recovery. *)
+  (** {!next_frame} with an Events body copied out of the buffer: for
+      callers that keep the body. *)
 
   val pending : t -> int
   (** Buffered bytes not yet consumed as frames. *)

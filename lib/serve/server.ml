@@ -36,6 +36,15 @@
    and never grows to twice that.  [status] reports the pool as [ingest
    live <n> pooled <n> slots <total capacity>].
 
+   Reads land straight in the connection's dechunker; there is no shared
+   scratch buffer.  Every complete frame is drained after each read, and
+   an Events body is decoded where it landed, so a byte is copied once
+   between the socket and the ingest buffer (past [Unix.read]'s own
+   staging).  The dechunker holds at most one read (64 KiB at most)
+   behind the unread tail of one frame, and its buffer never grows to
+   twice that.  Its bytes move when the next read needs room, so nothing
+   may keep a slice of it past the decode of that frame.
+
    Sends never block the loop either: outgoing frames are queued per
    connection and flushed through the writability set of the main
    select, so a peer that stops draining its socket — say a control
@@ -108,6 +117,7 @@ type session = {
   s_policy_name : string;
   s_seed : int64;
   s_program : Regionsel_isa.Program.t;
+  s_layout : Branch_stream.layout;  (* [s_program]'s, built once per session *)
   s_sim : Simulator.t;
   s_events : Branch_stream.events;
       (* This attachment's ingest buffer, taken from the spare pool, also
@@ -156,7 +166,6 @@ type t = {
   spares : Branch_stream.events Stack.t;
       (* Recycled ingest buffers, at most [max_tenants]. *)
   mutable stopping : bool;
-  scratch : Bytes.t;
 }
 
 let log t fmt =
@@ -423,6 +432,7 @@ let handle_hello t conn (h : Proto.hello) =
                 s_policy_name = h.Proto.h_policy;
                 s_seed = h.Proto.h_seed;
                 s_program = program;
+                s_layout = Branch_stream.layout program;
                 s_sim = sim;
                 s_events = events;
                 s_base = resume_step;
@@ -435,7 +445,7 @@ let handle_hello t conn (h : Proto.hello) =
             (send t conn
                (Proto.Welcome { resume_step; session = Filename.basename snap }))))
 
-let handle_events t conn body =
+let handle_events t conn body ~pos ~len =
   match conn.c_session with
   | None ->
     ignore (send t conn (Proto.Reject { code = Proto.Bad_frame; detail = "events before hello" }));
@@ -447,10 +457,14 @@ let handle_events t conn body =
     (* Consumed events are spent: releasing them first lets the decode
        reuse their slots.  An exhausted simulation consumes nothing more,
        so its batches are validated (a corrupt one is still rejected) and
-       then released whole. *)
+       then released whole.  [body] is usually the connection's own
+       buffer, which the next read may move: the decode copies the events
+       out, and nothing keeps the slice. *)
     Branch_stream.release s.s_events (Simulator.steps s.s_sim - s.s_base);
     try
-      ignore (Event_log.decode_batch body ~program:s.s_program ~into:s.s_events);
+      ignore
+        (Event_log.decode_batch ~layout:s.s_layout ~pos ~len body ~program:s.s_program
+           ~into:s.s_events);
       if Simulator.exhausted s.s_sim then
         Branch_stream.release s.s_events (Branch_stream.length s.s_events)
     with Persist.Hard_corruption msg ->
@@ -503,7 +517,7 @@ let handle_ctrl t conn cmd =
 
 let handle_msg t conn = function
   | Proto.Hello h -> handle_hello t conn h
-  | Proto.Events body -> handle_events t conn body
+  | Proto.Events body -> handle_events t conn body ~pos:0 ~len:(Bytes.length body)
   | Proto.Fin -> (
     match conn.c_session with
     | Some s -> s.s_fin <- true
@@ -516,14 +530,17 @@ let handle_msg t conn = function
       (send t conn (Proto.Reject { code = Proto.Bad_frame; detail = "server-only frame" }));
     close_conn t conn
 
-(* Drain every complete frame the connection has buffered.  Garbage —
-   typed [Protocol_error] — answers with a Reject and closes; it never
-   escapes as a crash. *)
+(* Drain every complete frame the connection has buffered, an Events
+   body decoded where it landed.  Garbage — typed [Protocol_error] —
+   answers with a Reject and closes; it never escapes as a crash. *)
 let drain_frames t conn =
   let rec go () =
     if not conn.c_closed then
-      match Proto.Dechunker.next conn.c_dech with
-      | Some msg ->
+      match Proto.Dechunker.next_frame conn.c_dech with
+      | Some (Proto.Dechunker.Events_at { buf; pos; len }) ->
+        handle_events t conn buf ~pos ~len;
+        go ()
+      | Some (Proto.Dechunker.Msg msg) ->
         handle_msg t conn msg;
         go ()
       | None -> ()
@@ -532,6 +549,9 @@ let drain_frames t conn =
   with Proto.Protocol_error msg ->
     ignore (send t conn (Proto.Reject { code = Proto.Bad_frame; detail = msg }));
     close_conn t conn
+
+(* The most one read takes: what [Unix.read] moves in one call. *)
+let max_read = 1 lsl 16
 
 (* A streaming tenant's read takes only what its headroom below
    [ingest_max] is worth in encoded events (at least 4 KiB, so a tenant
@@ -543,18 +563,19 @@ let drain_frames t conn =
    stay within the same bound. *)
 let read_budget t conn =
   match conn.c_session with
-  | Some s when Simulator.exhausted s.s_sim -> Bytes.length t.scratch
+  | Some s when Simulator.exhausted s.s_sim -> max_read
   | Some s ->
     let headroom = t.cfg.ingest_max - backlog s in
-    max 4096 (min (Bytes.length t.scratch) (headroom * Event_log.event_bits s.s_program / 8))
+    max 4096 (min max_read (headroom * Branch_stream.field_bits s.s_layout / 8))
   | None -> 4096
 
+(* The read lands in the connection's dechunker, where its frames are
+   then decoded: the bytes are copied once on their way to the ingest
+   buffer. *)
 let handle_readable t conn =
-  match Unix.read conn.c_fd t.scratch 0 (read_budget t conn) with
+  match Proto.Dechunker.fill conn.c_dech ~max:(read_budget t conn) (Unix.read conn.c_fd) with
   | 0 -> close_conn t conn (* EOF: snapshot + detach via close *)
-  | n ->
-    Proto.Dechunker.feed conn.c_dech t.scratch ~pos:0 ~len:n;
-    drain_frames t conn
+  | _ -> drain_frames t conn
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
   | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> close_conn t conn
 
@@ -705,7 +726,6 @@ let serve cfg =
       retired = Queue.create ();
       spares = Stack.create ();
       stopping = false;
-      scratch = Bytes.create (1 lsl 16);
     }
   in
   let stop = ref false in

@@ -358,6 +358,143 @@ let decode_batch_all_or_nothing () =
     [ ("block id 5", last, 5); ("block id 7", last, 7); ("successor code 6", last + 4, 6);
       ("successor code 7", last + 4, 7) ]
 
+(* A frame-like buffer around [body]: [off] junk bytes, the body, then
+   the first [tail] bytes of [next] behind a frame header, as a
+   connection buffer holds a batch with the next frame arriving. *)
+let embed ~off body ~next ~tail =
+  let tail = min tail (Bytes.length next) in
+  let b = Bytes.make (off + Bytes.length body + 5 + tail) '\xa5' in
+  Bytes.blit body 0 b off (Bytes.length body);
+  let h = off + Bytes.length body in
+  Bytes.set_int32_be b h (Int32.of_int (Bytes.length next + 1));
+  Bytes.set b (h + 4) '\002';
+  Bytes.blit next 0 b (h + 5) tail;
+  b
+
+(* Every bench's recording, cut at random points into wire batches, each
+   decoded at a nonzero offset of a larger buffer that also holds the
+   start of the next frame, rebuilds the source; half the batches go
+   through a layout kept across calls. *)
+let batches_at_an_offset_rebuild_the_source () =
+  List.iteri
+    (fun k (spec : Spec.t) ->
+      let name = spec.Spec.name in
+      let program = (Spec.image spec).Image.program in
+      let layout = Branch_stream.layout program in
+      let events = record_of spec "net" in
+      let n = Branch_stream.length events in
+      let rng = Random.State.make [| 25; k |] in
+      let cuts =
+        List.sort_uniq compare
+          (0 :: n :: List.init (1 + Random.State.int rng 8) (fun _ -> Random.State.int rng (n + 1)))
+      in
+      let rec segments = function
+        | a :: (b :: _ as rest) -> (a, b - a) :: segments rest
+        | _ -> []
+      in
+      let bodies =
+        List.map
+          (fun (pos, len) -> Event_log.encode_batch ~program events ~pos ~len)
+          (segments cuts)
+      in
+      let into = Branch_stream.recorder ~capacity:16 () in
+      let rec go = function
+        | [] -> ()
+        | body :: rest ->
+          let next = match rest with next :: _ -> next | [] -> Bytes.make 12 '\x5a' in
+          let off = 1 + Random.State.int rng 16 in
+          let buf = embed ~off body ~next ~tail:(1 + Random.State.int rng 64) in
+          let before = Branch_stream.length into in
+          let len = Bytes.length body in
+          let got =
+            if Random.State.bool rng then
+              Event_log.decode_batch ~layout ~pos:off ~len buf ~program ~into
+            else Event_log.decode_batch ~pos:off ~len buf ~program ~into
+          in
+          check_int (name ^ ": count") (Branch_stream.length into - before) got;
+          go rest
+      in
+      go bodies;
+      check_true (name ^ ": rebuilt") (Branch_stream.equal events into))
+    Suite.all
+
+(* A batch whose checksum holds but whose fields name a block id or a
+   successor code outside the program, at any position, decoded at an
+   offset into an ingest buffer that has released a prefix: it raises,
+   and the buffer keeps its length, its released prefix and every
+   retained event.  With both faults in one batch the detail names the
+   block id.  gcc's 654 blocks leave block ids 654-1023 and successor
+   codes 655-1023 free to forge, in 10 bits each. *)
+let forged_batch_leaves_the_ingest_buffer () =
+  let spec = Option.get (Suite.find "gcc") in
+  let program = (Spec.image spec).Image.program in
+  let n_blocks = Program.n_blocks program in
+  let src = record_of spec "lei" in
+  let width = Event_log.event_bits program in
+  check_int "gcc's field width" 21 width;
+  let ingest () =
+    let ev = Branch_stream.recorder ~capacity:2048 () in
+    for i = 0 to 1999 do
+      Branch_stream.append_event ev ~block_id:(Branch_stream.get_block_id src i)
+        ~taken:(Branch_stream.get_taken src i) ~next:(Branch_stream.get_next src i)
+    done;
+    Branch_stream.release ev 1500;
+    ev
+  in
+  let len = 700 in
+  let body = Event_log.encode_batch ~program src ~pos:2000 ~len in
+  let plen = ((len * width) + 7) / 8 in
+  let rng = Random.State.make [| 25 |] in
+  let forge faults =
+    let b = Bytes.copy body in
+    List.iter
+      (fun (j, block) ->
+        if block then set_field b ~bit:(64 + (j * width)) ~width:10 (n_blocks + Random.State.int rng (1024 - n_blocks))
+        else
+          set_field b ~bit:(64 + (j * width) + 11) ~width:10
+            (n_blocks + 1 + Random.State.int rng (1023 - n_blocks)))
+      faults;
+    Bytes.set_int32_be b (8 + plen) (Int32.of_int (Persist.crc32 b ~pos:8 ~len:plen));
+    b
+  in
+  let positions = [ 0; 1; len / 2; len - 2; len - 1 ] @ List.init 6 (fun _ -> Random.State.int rng len) in
+  let cases =
+    List.concat_map
+      (fun j ->
+        [ (Printf.sprintf "block id at %d" j, [ (j, true) ], "block id");
+          (Printf.sprintf "successor code at %d" j, [ (j, false) ], "successor code") ])
+      positions
+    @ List.map
+        (fun (a, b) ->
+          (Printf.sprintf "code at %d, block id at %d" a b, [ (a, false); (b, true) ], "block id"))
+        [ (0, len - 1); (len - 1, 0); (3, 3) ]
+  in
+  List.iter
+    (fun (what, faults, named) ->
+      let forged = forge faults in
+      let off = 1 + Random.State.int rng 9 in
+      let buf = embed ~off forged ~next:body ~tail:(Random.State.int rng 40) in
+      let into = ingest () and before = ingest () in
+      (match
+         Event_log.decode_batch ~pos:off ~len:(Bytes.length forged) buf ~program ~into
+       with
+      | n -> Alcotest.failf "%s: accepted %d events" what n
+      | exception Persist.Hard_corruption detail ->
+        let rec has i =
+          i + String.length named <= String.length detail
+          && (String.sub detail i (String.length named) = named || has (i + 1))
+        in
+        if not (has 0) then Alcotest.failf "%s: detail %S does not name the %s" what detail named);
+      check_int (what ^ ": length unchanged") 2000 (Branch_stream.length into);
+      check_int (what ^ ": released unchanged") 1500 (Branch_stream.released into);
+      check_true (what ^ ": every retained event unchanged") (Branch_stream.equal before into);
+      check_int (what ^ ": a valid batch still appends") len
+        (Event_log.decode_batch ~pos:off ~len:(Bytes.length body)
+           (embed ~off body ~next:body ~tail:8)
+           ~program ~into);
+      check_int (what ^ ": appended") 2700 (Branch_stream.length into))
+    cases
+
 (* Pending slots are invisible until committed, including to a replay
    stream already reading the recording. *)
 let pending_slots () =
@@ -567,14 +704,6 @@ let one_word_per_event () =
 let decode_of program events =
   Event_log.decode (Event_log.encode ~program ~seed:1L events) ~program ~seed:1L
 
-(* The same events as word slots: the batch path unpacks as it decodes. *)
-let words_of program events =
-  let into = Branch_stream.recorder () in
-  let n = Branch_stream.length events in
-  ignore
-    (Event_log.decode_batch (Event_log.encode_batch ~program events ~pos:0 ~len:n) ~program ~into);
-  into
-
 (* A decoded recording holds no word slots (capacity 0) and reads exactly
    as its source through every reader, on every bench; its memory is its
    payload and successor table, well under a word per event. *)
@@ -621,73 +750,43 @@ let pull_both what k a b =
 
 let same what p w = check_true (what ^ ": packed equals words") (Branch_stream.equal p w)
 
-(* Every kind of write turns a packed recording into word slots holding
-   the same events: after it, the recording equals a word recording given
-   the same writes, and a replay opened before it delivers what the word
-   recording's replay delivers, or raises where that one raises. *)
-let packed_recording_takes_writes () =
+(* A decoded recording is read-only: every kind of write raises and
+   leaves its length, its contents and its backing as they were, and a
+   replay opened before the attempt reads on to the source's end. *)
+let packed_recording_refuses_writes () =
   let spec = Option.get (Suite.find "gzip") in
   let program = (Spec.image spec).Image.program in
   let src = record_of spec "net" in
   let n = Branch_stream.length src in
-  let fresh () = (decode_of program src, words_of program src) in
-  (* append, after both replays reported the halt *)
-  let p, w = fresh () in
-  let sp = Branch_stream.of_events p and sw = Branch_stream.of_events w in
-  pull_both "append: before" (n + 1) sp sw;
-  append_synth p n;
-  append_synth w n;
-  check_true "append: now word slots" (Branch_stream.capacity p > n);
-  same "append" p w;
-  pull_both "append: the appended event" 2 sp sw;
-  (* reserve + set_pending + commit, with a replay mid-recording *)
-  let p, w = fresh () in
-  let sp = Branch_stream.of_events p and sw = Branch_stream.of_events w in
-  pull_both "batch: before" (n / 2) sp sw;
-  Branch_stream.reserve p 0;
-  check_int "reserve 0 keeps it packed" 0 (Branch_stream.capacity p);
-  expect_invalid "set_pending without a reservation" (fun () ->
-      Branch_stream.set_pending p 0 ~block_id:1 ~taken:true ~next:3);
-  expect_invalid "commit without a reservation" (fun () -> Branch_stream.commit p 1);
-  same "refused writes" p w;
+  let p = decode_of program src in
+  let sp = Branch_stream.of_events p and ss = Branch_stream.of_events src in
+  pull_both "before" (n / 2) sp ss;
+  let step = Interp.make_step () in
   List.iter
-    (fun ev ->
-      Branch_stream.reserve ev 3;
-      for i = 0 to 2 do
-        let block_id, taken, next = synth (n + i) in
-        Branch_stream.set_pending ev i ~block_id ~taken ~next
-      done;
-      Branch_stream.commit ev 3)
-    [ p; w ];
-  same "batch" p w;
-  pull_both "batch: after" (n - (n / 2) + 4) sp sw;
-  (* release: a reader behind it raises on both, one ahead reads on *)
-  let p, w = fresh () in
-  let behind_p = Branch_stream.of_events p and behind_w = Branch_stream.of_events w in
-  let ahead_p = Branch_stream.of_events p and ahead_w = Branch_stream.of_events w in
-  pull_both "release: behind" 5 behind_p behind_w;
-  pull_both "release: ahead" 20 ahead_p ahead_w;
-  Branch_stream.release p 10;
-  Branch_stream.release w 10;
-  same "release" p w;
-  expect_invalid "release: packed reader behind" (fun () -> pull_opt behind_p);
-  expect_invalid "release: word reader behind" (fun () -> pull_opt behind_w);
-  expect_invalid "release: getter below" (fun () -> Branch_stream.get_next p 9);
-  pull_both "release: ahead reads on" (n - 20 + 1) ahead_p ahead_w;
-  (* recycle: every earlier reader raises on both *)
-  let p, w = fresh () in
-  let sp = Branch_stream.of_events p and sw = Branch_stream.of_events w in
-  pull_both "recycle: before" 3 sp sw;
-  Branch_stream.recycle p;
-  Branch_stream.recycle w;
-  for j = 0 to 9 do
-    append_synth p j;
-    append_synth w j
-  done;
-  same "recycle" p w;
-  expect_invalid "recycle: packed reader" (fun () -> pull_opt sp);
-  expect_invalid "recycle: word reader" (fun () -> pull_opt sw);
-  pull_both "recycle: a new reader" 11 (Branch_stream.of_events p) (Branch_stream.of_events w)
+    (fun (what, write) ->
+      expect_invalid what write;
+      check_int (what ^ ": length unchanged") n (Branch_stream.length p);
+      check_int (what ^ ": still packed") 0 (Branch_stream.capacity p);
+      check_int (what ^ ": nothing released") 0 (Branch_stream.released p);
+      same what p src)
+    [ ("reserve 0", fun () -> Branch_stream.reserve p 0);
+      ("reserve 3", fun () -> Branch_stream.reserve p 3);
+      ("append_event", fun () -> append_synth p n);
+      ("append", fun () -> Branch_stream.append p step);
+      ("set_pending", fun () -> Branch_stream.set_pending p 0 ~block_id:1 ~taken:true ~next:3);
+      ("commit 0", fun () -> Branch_stream.commit p 0);
+      ("commit 1", fun () -> Branch_stream.commit p 1);
+      ("release 0", fun () -> Branch_stream.release p 0);
+      ("release 10", fun () -> Branch_stream.release p 10);
+      ("release all", fun () -> Branch_stream.release p n);
+      ("recycle", fun () -> Branch_stream.recycle p);
+      ( "append_packed",
+        fun () ->
+          let body = Event_log.encode_batch ~program src ~pos:0 ~len:3 in
+          ignore (Event_log.decode_batch body ~program ~into:p) ) ];
+  pull_both "a replay opened before reads on" (n - (n / 2) + 1) sp ss;
+  pull_both "a new replay reads the source" (n + 1) (Branch_stream.of_events p)
+    (Branch_stream.of_events src)
 
 (* The recording owns a copy of the payload: overwriting the decoded bytes
    changes nothing it holds or replays. *)
@@ -781,6 +880,8 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_codec_round_trip;
     case "event-log rejects a wrapped event count" forged_count_rejected;
     case "decode_batch is all-or-nothing" decode_batch_all_or_nothing;
+    case "batches at an offset rebuild the source" batches_at_an_offset_rebuild_the_source;
+    case "forged batch leaves the ingest buffer" forged_batch_leaves_the_ingest_buffer;
     case "producers agree (live vs recorded)" stream_producers_agree;
     case "matrix: live == replay, byte-identical" matrix_clean;
     case "matrix: live == replay under mixed faults" matrix_mixed_faults;
@@ -789,7 +890,7 @@ let suite =
     case "event-log rejects corruption and identity mismatch" codec_rejects_corruption;
     case "replay through the codec is bit-identical" replay_after_round_trip_is_identical;
     case "decoded recording reads like its source" decoded_reads_like_source;
-    case "packed recording takes every write" packed_recording_takes_writes;
+    case "packed recording refuses every write" packed_recording_refuses_writes;
     case "decoded recording owns its payload" decoded_owns_its_payload;
     case "decoded recording re-encodes like its source" decoded_reencodes_like_source;
   ]

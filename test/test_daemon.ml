@@ -160,6 +160,97 @@ let frames_roundtrip_at_any_chunking () =
       check_int "nothing left buffered" 0 (Proto.Dechunker.pending d))
     [ 1; 3; 7; 4096 ]
 
+(* One framed stream (the sample frames around a gzip recording cut into
+   wire batches, about 60 KiB) read in chunks of 1 byte to 64 KiB, fixed
+   and random, twice: landed straight in the buffer through [fill] and
+   drained with [next_frame], and copied in through [feed] and drained
+   with [next].  Both yield the same frames, the in-place Events bodies
+   decode where they lie to the source recording, [pending] is what was
+   read less the frames consumed, and a bad length prefix behind the
+   stream still raises. *)
+let fill_and_feed_yield_the_same_frames () =
+  let spec = spec_exn "gzip" in
+  let program = (Spec.image spec).Image.program in
+  let events = Branch_stream.recorder () in
+  ignore
+    (Simulator.run ~seed:7L ~record:events ~policy:(policy_exn "net") ~max_steps:30_000
+       (Spec.image spec));
+  let n = Branch_stream.length events in
+  let batches =
+    List.init ((n + 999) / 1000) (fun k ->
+        let pos = k * 1000 in
+        Proto.Events
+          (Regionsel_persist.Event_log.encode_batch ~program events ~pos ~len:(min 1000 (n - pos))))
+  in
+  let msgs = sample_msgs () @ batches @ sample_msgs () in
+  let frames = List.map Proto.encode msgs in
+  let stream = Bytes.concat Bytes.empty frames in
+  let total = Bytes.length stream in
+  let rng = Random.State.make [| 25 |] in
+  let run what chunk =
+    let a = Proto.Dechunker.create () and b = Proto.Dechunker.create () in
+    let into = Branch_stream.recorder () in
+    let got = ref [] and pos = ref 0 and consumed = ref 0 in
+    let rec drain () =
+      match (Proto.Dechunker.next_frame a, Proto.Dechunker.next b) with
+      | None, None -> ()
+      | Some frame, Some m ->
+        let same =
+          match (frame, m) with
+          | Proto.Dechunker.Events_at { buf; pos; len }, Proto.Events body ->
+            ignore
+              (Regionsel_persist.Event_log.decode_batch ~pos ~len buf ~program ~into);
+            Bytes.equal (Bytes.sub buf pos len) body
+          | Proto.Dechunker.Msg x, y -> msg_equal x y
+          | Proto.Dechunker.Events_at _, _ -> false
+        in
+        if not same then Alcotest.failf "%s: next_frame and next disagree on a frame" what;
+        consumed := !consumed + Bytes.length (Proto.encode m);
+        got := m :: !got;
+        drain ()
+      | _ -> Alcotest.failf "%s: one dechunker has a frame the other lacks" what
+    in
+    while !pos < total do
+      let want = min (chunk ()) (total - !pos) in
+      (* A short read: room for more than lands. *)
+      let landed =
+        Proto.Dechunker.fill a ~max:(want + Random.State.int rng 100) (fun buf at _ ->
+            Bytes.blit stream !pos buf at want;
+            want)
+      in
+      check_int (what ^ ": fill lands what was asked") want landed;
+      Proto.Dechunker.feed b stream ~pos:!pos ~len:want;
+      pos := !pos + want;
+      drain ();
+      check_int (what ^ ": pending after fill") (!pos - !consumed) (Proto.Dechunker.pending a);
+      check_int (what ^ ": pending after feed") (!pos - !consumed) (Proto.Dechunker.pending b)
+    done;
+    check_int (what ^ ": every frame") (List.length msgs) (List.length !got);
+    List.iter2
+      (fun want have -> check_true (what ^ ": frame round-trips") (msg_equal want have))
+      msgs (List.rev !got);
+    check_true (what ^ ": in-place bodies rebuild the recording")
+      (Branch_stream.equal events into);
+    check_int (what ^ ": nothing left") 0 (Proto.Dechunker.pending a);
+    let bad = Bytes.of_string "\xFF\xFF\xFF\xFF\x01" in
+    ignore
+      (Proto.Dechunker.fill a ~max:5 (fun buf at _ ->
+           Bytes.blit bad 0 buf at 5;
+           5));
+    Proto.Dechunker.feed b bad ~pos:0 ~len:5;
+    (match Proto.Dechunker.next_frame a with
+    | _ -> Alcotest.failf "%s: next_frame took a bad length prefix" what
+    | exception Proto.Protocol_error _ -> ());
+    match Proto.Dechunker.next b with
+    | _ -> Alcotest.failf "%s: next took a bad length prefix" what
+    | exception Proto.Protocol_error _ -> ()
+  in
+  List.iter
+    (fun k -> run (Printf.sprintf "chunk %d" k) (fun () -> k))
+    [ 1; 2; 5; 97; 4096; 8191; 65536 ];
+  run "random chunks" (fun () -> 1 + Random.State.int rng 65536);
+  run "small random chunks" (fun () -> 1 + Random.State.int rng 300)
+
 let truncated_frame_is_pending_not_error () =
   let frame = Proto.encode Proto.Fin in
   let d = Proto.Dechunker.create () in
@@ -874,6 +965,7 @@ let suite =
     case "crash mid-write keeps previous contents" crash_mid_write_keeps_previous_contents;
     case "metrics exports publish atomically" metrics_exports_publish_atomically;
     case "frames round-trip at any chunking" frames_roundtrip_at_any_chunking;
+    case "fill and feed yield the same frames" fill_and_feed_yield_the_same_frames;
     case "truncated frame is pending, not an error" truncated_frame_is_pending_not_error;
     case "corrupt frames raise protocol errors" corrupt_frames_raise_protocol_error;
     case "large export replies round-trip" large_export_reply_roundtrips;

@@ -723,10 +723,61 @@ let decoded_file_replays_as_live_mixed () =
     ~params:{ Params.default with Params.faults = Params.fault_profile "mixed" }
     ()
 
+(* A program whose distinct edges outgrow the program-sized edge table:
+   16 blocks each jump indirectly to any of the 16, so a run sees 257
+   edges over 18 blocks, past the 1.5 edges per block the table holds
+   before it first grows.  Its metrics and a mid-run snapshot are the
+   bytes the same run gave when the table started at 4096 edges (digests
+   pinned from that build), and the snapshot restores to the
+   uninterrupted run. *)
+let hubs () =
+  let module Builder = Regionsel_workload.Builder in
+  let b = Builder.create () in
+  Builder.func b "main";
+  Builder.block b ~size:2 Builder.Fallthrough;
+  let targets = List.init 16 (fun i -> (Printf.sprintf "h%d" i, float_of_int (1 + (i mod 5)))) in
+  for i = 0 to 15 do
+    Builder.block b ~label:(Printf.sprintf "h%d" i) ~size:(2 + (i mod 3))
+      (Builder.Indirect_jump (Builder.Weighted targets))
+  done;
+  Builder.block b ~size:1 Builder.Halt;
+  Builder.compile b ~name:"hubs" ~entry:"main"
+
+let outgrown_edge_table_keeps_every_byte () =
+  let image = hubs () in
+  let n_blocks = Regionsel_isa.Program.n_blocks image.Image.program in
+  List.iter
+    (fun (name, json_digest, snap_digest) ->
+      let policy = policy_exn name in
+      let r = Simulator.run ~seed:3L ~policy ~max_steps:60_000 image in
+      let edges = Regionsel_engine.Edge_profile.n_edges r.Simulator.edges in
+      if edges <= 3 * n_blocks then
+        Alcotest.failf "%s: %d edges over %d blocks cannot outgrow the table" name edges n_blocks;
+      let json = Run_metrics.to_json (Run_metrics.of_result r) in
+      Alcotest.(check string) (name ^ ": metrics") json_digest (Digest.to_hex (Digest.string json));
+      let sim = Simulator.create ~seed:3L ~policy ~max_steps:60_000 image in
+      Simulator.advance sim ~upto:25_000;
+      let bytes = Persist.encode ~seed:3L ~policy:name (Simulator.internals sim) in
+      Alcotest.(check string) (name ^ ": snapshot") snap_digest (Digest.to_hex (Digest.bytes bytes));
+      let resumed =
+        Simulator.run ~seed:3L ~restore:(clean_restore ~bytes ~policy:name ~seed:3L) ~policy
+          ~max_steps:60_000 image
+      in
+      Alcotest.(check string) (name ^ ": restored run") json
+        (Run_metrics.to_json (Run_metrics.of_result resumed)))
+    [ ("net", "05930a9d903a45f4bb1d7e6cd8c2d9db", "fa7fd5824097e1f84d6acae9c4cbd2e1");
+      ("lei", "232094ee169bfbe97ff96aa54919816a", "6596dac20fc0fe0b8c2972c2235f7bdb");
+      ("combined-net", "8f3e3c278b97cc1c4ce4770354f64881", "f1c3531684d934c2396a544cb30e75ed");
+      ("combined-lei", "a9b387c9edcba88a031d6ab03a39bf30", "98d8af93893e9379269a7aba543dbd1f");
+      ("mojo", "aea8f1bec0e144e766c10f4dc06193b3", "62f73496306233cd29e3107d196efed0");
+      ("boa", "6f8774ba8041619331639185496f3950", "d61b8a1a878fc9a8a5578cc8226acba1");
+      ("jit-method", "967a3a3d8cf0d1b4da112e3a018c9def", "e06b7616d4f05156ce2f0b6bfed876ae") ]
+
 let suite =
   [
     case "identity across policies and checkpoint steps"
       identity_across_policies_and_checkpoint_steps;
+    case "outgrown edge table keeps every byte" outgrown_edge_table_keeps_every_byte;
     case "identity under mixed faults with crashes" identity_under_mixed_faults_with_crashes;
     case "save at or before the start step is immediate"
       save_at_or_before_start_is_immediate;
