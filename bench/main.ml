@@ -187,7 +187,7 @@ let fig8 () =
         let net = metric spec "net" and lei = metric spec "lei" in
         [
           ratio_of (fun m -> m.Run_metrics.code_expansion) lei net;
-          ratio_of (fun m -> m.Run_metrics.region_transitions) lei net;
+          ratio_of (fun m -> m.Run_metrics.stats.Stats.region_transitions) lei net;
         ])
   in
   Printf.printf "paper: expansion %s, transitions %s (measured %s, %s)\n"
@@ -301,8 +301,8 @@ let fig16 () =
         let net = metric spec "net" and lei = metric spec "lei" in
         let cnet = metric spec "combined-net" and clei = metric spec "combined-lei" in
         [
-          ratio_of (fun m -> m.Run_metrics.region_transitions) cnet net;
-          ratio_of (fun m -> m.Run_metrics.region_transitions) clei lei;
+          ratio_of (fun m -> m.Run_metrics.stats.Stats.region_transitions) cnet net;
+          ratio_of (fun m -> m.Run_metrics.stats.Stats.region_transitions) clei lei;
           ratio_of (fun m -> m.Run_metrics.code_expansion) cnet net;
           ratio_of (fun m -> m.Run_metrics.code_expansion) clei lei;
         ])
@@ -428,7 +428,7 @@ let summary () =
         [
           ratio_of (fun m -> m.Run_metrics.code_expansion) clei net;
           ratio_of (fun m -> m.Run_metrics.n_stubs) clei net;
-          ratio_of (fun m -> m.Run_metrics.region_transitions) clei net;
+          ratio_of (fun m -> m.Run_metrics.stats.Stats.region_transitions) clei net;
           ratio_of (fun m -> m.Run_metrics.cover_90) clei net;
         ])
   in
@@ -443,7 +443,7 @@ let summary () =
     Aggregate.mean
       (List.map
          (fun spec ->
-           ratio_of (fun m -> m.Run_metrics.links) (metric spec "combined-lei")
+           ratio_of (fun m -> m.Run_metrics.stats.Stats.links) (metric spec "combined-lei")
              (metric spec "net"))
          benches)
   in
@@ -469,8 +469,8 @@ let related () =
            boa.Run_metrics.hit_rate;
            float_of_int mojo.Run_metrics.cover_90;
            float_of_int boa.Run_metrics.cover_90;
-           ratio_of (fun m -> m.Run_metrics.region_transitions) mojo net;
-           ratio_of (fun m -> m.Run_metrics.region_transitions) boa net;
+           ratio_of (fun m -> m.Run_metrics.stats.Stats.region_transitions) mojo net;
+           ratio_of (fun m -> m.Run_metrics.stats.Stats.region_transitions) boa net;
          ]))
 
 (* ------------------------------------------------------------------ *)
@@ -533,7 +533,7 @@ let ablation_tprof () =
             let m = run_with_params spec params "combined-net" in
             [
               Printf.sprintf "%s/%d,%d" spec.Spec.name t_prof t_min;
-              f2 (ratio_of (fun x -> x.Run_metrics.region_transitions) m base);
+              f2 (ratio_of (fun x -> x.Run_metrics.stats.Stats.region_transitions) m base);
               f2 (ratio_of (fun x -> x.Run_metrics.cover_90) m base);
               f2 (ratio_of (fun x -> x.Run_metrics.code_expansion) m base);
               pct m.Run_metrics.hit_rate;
@@ -676,7 +676,7 @@ let methods () =
            m.Run_metrics.hit_rate;
            float_of_int m.Run_metrics.n_regions;
            m.Run_metrics.avg_region_insts;
-           ratio_of (fun x -> x.Run_metrics.region_transitions) m net;
+           ratio_of (fun x -> x.Run_metrics.stats.Stats.region_transitions) m net;
            ratio_of (fun x -> x.Run_metrics.code_expansion) m net;
          ]));
   print_endline
@@ -779,11 +779,11 @@ let faults_section () =
              [
                spec.Spec.name;
                pct m.Run_metrics.hit_rate;
-               string_of_int m.Run_metrics.faults_injected;
+               string_of_int m.Run_metrics.stats.Stats.faults_injected;
                string_of_int m.Run_metrics.invalidations;
                string_of_int m.Run_metrics.blacklist_hits;
-               string_of_int m.Run_metrics.install_rejects;
-               string_of_int m.Run_metrics.bailouts;
+               string_of_int m.Run_metrics.stats.Stats.install_rejects;
+               string_of_int m.Run_metrics.stats.Stats.bailouts;
                pct worst;
                Printf.sprintf "%d/%d" recovered total;
              ])
@@ -807,9 +807,9 @@ let faults_section () =
           ( !current_section,
             [
               "hit", avg_hit; "worst_recovery", avg_worst; "recovered_fraction", avg_recovered;
-              "bailouts", mean (fun (_, m, _, _, _) -> float_of_int m.Run_metrics.bailouts);
+              "bailouts", mean (fun (_, m, _, _, _) -> float_of_int m.Run_metrics.stats.Stats.bailouts);
               ( "install_rejects",
-                mean (fun (_, m, _, _, _) -> float_of_int m.Run_metrics.install_rejects) );
+                mean (fun (_, m, _, _, _) -> float_of_int m.Run_metrics.stats.Stats.install_rejects) );
             ] )
           :: !json_tables)
     [ "net"; "lei"; "combined-lei" ];
@@ -883,7 +883,7 @@ let seeds () =
             [
               Printf.sprintf "%s/seed%Ld" spec.Spec.name seed;
               f2 (ratio_of (fun x -> x.Run_metrics.cover_90) lei net);
-              f2 (ratio_of (fun x -> x.Run_metrics.region_transitions) lei net);
+              f2 (ratio_of (fun x -> x.Run_metrics.stats.Stats.region_transitions) lei net);
               f2 (ratio_of (fun x -> x.Run_metrics.cover_90) clei net);
             ])
           [ 1L; 2L; 3L ])
@@ -1117,11 +1117,11 @@ let measure_link_counters () =
   let steps = if quick then 100_000 else 400_000 in
   let result = Simulator.run ~seed:1L ~policy ~max_steps:steps image in
   let m = Run_metrics.of_result result in
-  ( m.Run_metrics.links,
-    m.Run_metrics.link_hits,
+  ( m.Run_metrics.stats.Stats.links,
+    m.Run_metrics.stats.Stats.link_hits,
     m.Run_metrics.link_severs,
     m.Run_metrics.links_high_water,
-    m.Run_metrics.node_steps,
+    m.Run_metrics.stats.Stats.node_steps,
     Regionsel_engine.Edge_profile.flushes result.Simulator.edges )
 
 (* Windowed-metrics overhead on the headline cell: the same run measured

@@ -9,6 +9,7 @@ module Context = Regionsel_engine.Context
 module Code_cache = Regionsel_engine.Code_cache
 module Region = Regionsel_engine.Region
 module Run_metrics = Regionsel_metrics.Run_metrics
+module Stats = Regionsel_engine.Stats
 module Policies = Regionsel_core.Policies
 module Domain_pool = Regionsel_engine.Domain_pool
 module Table = Regionsel_report.Table
@@ -561,7 +562,7 @@ let matrix_cmd =
             Table.fmt_pct m.Run_metrics.hit_rate;
             string_of_int m.Run_metrics.code_expansion;
             string_of_int m.Run_metrics.n_stubs;
-            string_of_int m.Run_metrics.region_transitions;
+            string_of_int m.Run_metrics.stats.Stats.region_transitions;
             Table.fmt_pct m.Run_metrics.spanned_cycle_ratio;
             Table.fmt_pct m.Run_metrics.executed_cycle_ratio;
             string_of_int m.Run_metrics.cover_90;
@@ -634,13 +635,13 @@ let suite_cmd =
             Table.fmt_pct net.Run_metrics.hit_rate;
             Table.fmt_pct lei.Run_metrics.hit_rate;
             r (fun m -> m.Run_metrics.code_expansion) lei net;
-            r (fun m -> m.Run_metrics.region_transitions) lei net;
+            r (fun m -> m.Run_metrics.stats.Stats.region_transitions) lei net;
             r (fun m -> m.Run_metrics.cover_90) lei net;
             r (fun m -> m.Run_metrics.counters_high_water) lei net;
             Table.fmt_pct lei.Run_metrics.spanned_cycle_ratio;
             Table.fmt_pct net.Run_metrics.spanned_cycle_ratio;
-            r (fun m -> m.Run_metrics.region_transitions) cnet net;
-            r (fun m -> m.Run_metrics.region_transitions) clei lei;
+            r (fun m -> m.Run_metrics.stats.Stats.region_transitions) cnet net;
+            r (fun m -> m.Run_metrics.stats.Stats.region_transitions) clei lei;
             r (fun m -> m.Run_metrics.cover_90) cnet net;
             r (fun m -> m.Run_metrics.cover_90) clei lei;
             Table.fmt_pct net.Run_metrics.exit_dominated_fraction;
@@ -698,7 +699,7 @@ let sweep_cmd =
             Table.fmt_pct m.Run_metrics.hit_rate;
             string_of_int m.Run_metrics.n_regions;
             string_of_int m.Run_metrics.code_expansion;
-            string_of_int m.Run_metrics.region_transitions;
+            string_of_int m.Run_metrics.stats.Stats.region_transitions;
             string_of_int m.Run_metrics.cover_90;
             string_of_int m.Run_metrics.counters_high_water;
           ])
@@ -745,7 +746,7 @@ let export_cmd =
           let m = Run_metrics.of_result (simulate spec policy steps seed) in
               [
                 m.Run_metrics.benchmark; pname;
-                string_of_int m.Run_metrics.steps;
+                string_of_int m.Run_metrics.stats.Stats.steps;
                 string_of_int m.Run_metrics.total_insts;
                 Printf.sprintf "%.6f" m.Run_metrics.hit_rate;
                 string_of_int m.Run_metrics.n_regions;
@@ -754,8 +755,8 @@ let export_cmd =
                 Printf.sprintf "%.2f" m.Run_metrics.avg_region_insts;
                 Printf.sprintf "%.6f" m.Run_metrics.spanned_cycle_ratio;
                 Printf.sprintf "%.6f" m.Run_metrics.executed_cycle_ratio;
-                string_of_int m.Run_metrics.region_transitions;
-                string_of_int m.Run_metrics.dispatches;
+                string_of_int m.Run_metrics.stats.Stats.region_transitions;
+                string_of_int m.Run_metrics.stats.Stats.dispatches;
                 string_of_int m.Run_metrics.cover_90;
                 string_of_int m.Run_metrics.counters_high_water;
                 string_of_int m.Run_metrics.observed_bytes_high_water;

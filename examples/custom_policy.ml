@@ -14,6 +14,7 @@ module Code_cache = Regionsel_engine.Code_cache
 module Counters = Regionsel_engine.Counters
 module Simulator = Regionsel_engine.Simulator
 module Run_metrics = Regionsel_metrics.Run_metrics
+module Stats = Regionsel_engine.Stats
 module Suite = Regionsel_workload.Suite
 module Spec = Regionsel_workload.Spec
 module Policies = Regionsel_core.Policies
@@ -79,7 +80,7 @@ let () =
           Table.fmt_pct m.Run_metrics.hit_rate;
           string_of_int m.Run_metrics.n_regions;
           Table.fmt_float 1 m.Run_metrics.avg_region_insts;
-          string_of_int m.Run_metrics.region_transitions;
+          string_of_int m.Run_metrics.stats.Stats.region_transitions;
           string_of_int m.Run_metrics.cover_90;
           Table.fmt_pct m.Run_metrics.icache_miss_rate;
         ])

@@ -12,6 +12,7 @@ module Builder = Regionsel_workload.Builder
 module Behavior = Regionsel_workload.Behavior
 module Simulator = Regionsel_engine.Simulator
 module Run_metrics = Regionsel_metrics.Run_metrics
+module Stats = Regionsel_engine.Stats
 module Policies = Regionsel_core.Policies
 module Table = Regionsel_report.Table
 
@@ -46,7 +47,7 @@ let () =
           Table.fmt_pct m.Run_metrics.hit_rate;
           string_of_int m.Run_metrics.code_expansion;
           string_of_int m.Run_metrics.n_stubs;
-          string_of_int m.Run_metrics.region_transitions;
+          string_of_int m.Run_metrics.stats.Stats.region_transitions;
           Table.fmt_pct m.Run_metrics.spanned_cycle_ratio;
           string_of_int m.Run_metrics.cover_90;
         ])

@@ -34,12 +34,14 @@ let audit_cache ?telemetry ~program cache ~step =
       if not (Code_cache.is_live cache r) then
         fail ~step ~rule:"dispatch-live" "dispatch slot %d holds retired region #%d" id
           r.Region.id;
-      let a = (Program.block_of_id program id).Block.start in
-      if not (Addr.equal a r.Region.entry || Addr.Set.mem a r.Region.aux_entries) then
+      let node = Region.node_of_block_id r id in
+      if node < 0 || not r.Region.node_is_entry.(node) then
         fail ~step ~rule:"dispatch-claim"
           "dispatch slot %d (%s) held by region #%d, whose entry is %s and which claims \
            no aux entry there"
-          id (Addr.to_string a) r.Region.id
+          id
+          (Addr.to_string (Program.block_of_id program id).Block.start)
+          r.Region.id
           (Addr.to_string r.Region.entry)
   done;
   (* FIFO tombstone accounting (the compaction bound): the live elements,

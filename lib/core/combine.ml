@@ -3,11 +3,6 @@ module Region = Regionsel_engine.Region
 module Context = Regionsel_engine.Context
 module Params = Regionsel_engine.Params
 
-let rejoin_passes = ref 0
-let rejoin_multi = ref 0
-let rejoin_pass_total () = !rejoin_passes
-let rejoin_multi_pass_total () = !rejoin_multi
-
 let build_region (ctx : Context.t) ~entry ~observations =
   match observations with
   | [] -> None
@@ -21,9 +16,7 @@ let build_region (ctx : Context.t) ~entry ~observations =
       observations;
     let t_min = min ctx.Context.params.Params.combine_t_min (Trace_cfg.n_paths cfg) in
     Trace_cfg.mark_frequent cfg ~t_min;
-    let passes = Trace_cfg.mark_rejoining_paths cfg in
-    rejoin_passes := !rejoin_passes + max passes 1;
-    if passes > 1 then incr rejoin_multi;
+    ignore (Trace_cfg.mark_rejoining_paths cfg : int);
     let layout =
       if ctx.Context.params.Params.combined_layout_hot_first then `Hot_first
       else `Address_order

@@ -17,10 +17,3 @@ val build_region :
     Returns [None] when no region can be formed (no observations).
     @raise Invalid_argument if an observation fails to decode or starts at
     a different entry. *)
-
-val rejoin_pass_total : unit -> int
-(** Total MARK-REJOINING-PATHS passes run so far (process-wide), for the
-    Section 4.2.3 "almost always linear" statistic. *)
-
-val rejoin_multi_pass_total : unit -> int
-(** How many regions needed more than one productive pass. *)

@@ -218,7 +218,7 @@ let retire t (region : Region.t) =
   sever_links_into t region;
   let entry = id_of t region.Region.entry in
   dispatch_clear t entry region;
-  Addr.Set.iter (fun a -> dispatch_clear t (id_of t a) region) region.Region.aux_entries;
+  Region.iter_aux_entries (fun id -> dispatch_clear t id region) region;
   t.evicted.(entry) <- true;
   t.retired <- region :: t.retired;
   t.bytes_used <- t.bytes_used - Region.cache_bytes region
@@ -394,17 +394,16 @@ let install t (spec : Region.spec) =
           t.next_id <- t.next_id + 1;
           if t.evicted.(entry) then t.regenerations <- t.regenerations + 1;
           dispatch_set t entry region;
-          Addr.Set.iter
-            (fun a ->
+          Region.iter_aux_entries
+            (fun id ->
               (* An aux entry must not steal an address another live region
                  already claims: overwriting its slot would leave that
                  region live-but-undispatchable (and, once this region
                  retires, a permanently dead dispatch slot).  The colliding
                  aux entry simply is not dispatchable — the owning region
                  still executes through it via its internal edges. *)
-              let id = id_of t a in
               if Option.is_none t.dispatch.(id) then dispatch_set t id region)
-            region.Region.aux_entries;
+            region;
           Queue.add region t.fifo;
           t.bytes_used <- t.bytes_used + bytes;
           Region.set_cache_base region ~line_bytes:t.line_bytes t.alloc_cursor;
@@ -696,7 +695,8 @@ let load t read =
     let r = resolve (read ()) in
     let id = loaded_id t "aux entry" a in
     (* The claimant must be live, claim [a], and find the slot free. *)
-    if not (Addr.Set.mem a r.Region.aux_entries) then
+    let node = Region.node_of_block_id r id in
+    if node <= 0 || not r.Region.node_is_entry.(node) then
       failwith "Code_cache.load: aux entry not claimed by its region";
     (match dispatch.(id_of t r.Region.entry) with
     | Some r' when r' == r -> ()

@@ -20,39 +20,38 @@ let spec_of_path ~kind path =
   | [] -> invalid_arg "Region.spec_of_path: empty path"
   | first :: _ ->
     let entry = first.Block.start in
-    let nodes = ref [] in
-    let node_set = Addr.Table.create 16 in
-    List.iter
-      (fun b ->
-        if not (Addr.Table.mem node_set b.Block.start) then begin
-          Addr.Table.replace node_set b.Block.start ();
-          nodes := b :: !nodes
-        end)
-      path.blocks;
+    let nodes, node_set =
+      List.fold_left
+        (fun ((nodes, seen) as acc) (b : Block.t) ->
+          if Addr.Set.mem b.Block.start seen then acc
+          else (b :: nodes, Addr.Set.add b.Block.start seen))
+        ([], Addr.Set.empty) path.blocks
+    in
     let rec consecutive acc = function
       | a :: (b :: _ as rest) -> consecutive ((a.Block.start, b.Block.start) :: acc) rest
       | [ last ] ->
         (* Close the region when execution continued to a block of the path:
            the spanned-cycle case when that block is the entry. *)
         (match path.final_next with
-        | Some next when Addr.Table.mem node_set next -> (last.Block.start, next) :: acc
+        | Some next when Addr.Set.mem next node_set -> (last.Block.start, next) :: acc
         | Some _ | None -> acc)
       | [] -> acc
     in
     let edges = List.sort_uniq compare (consecutive [] path.blocks) in
-    let nodes = List.rev !nodes in
+    let nodes = List.rev nodes in
     let layout_hint = List.map (fun (b : Block.t) -> b.Block.start) nodes in
     { entry; nodes; edges; kind; aux_entries = []; layout_hint }
 
 (* The compiled automaton: nodes are numbered 0..n-1 in cache layout order
    (the entry is always node 0), and every structure the hot loop touches
-   is a flat array indexed by node id.  The address-keyed API below is
-   reimplemented on top via [node_by_addr] for cold callers (metrics,
-   emitter, tests). *)
+   is a flat array indexed by node id.  [node_of_block] is the one index
+   from blocks to nodes; the address-keyed API below goes through
+   [Program.block_id] to it for cold callers (metrics, emitter, tests). *)
 type t = {
   id : int;
   entry : Addr.t;
   kind : kind;
+  program : Program.t;
   n_nodes : int;
   node_blocks : Block.t array;  (* node id -> block, in layout order *)
   node_offsets : int array;  (* node id -> byte offset within the region *)
@@ -61,10 +60,8 @@ type t = {
   succ_stride : int;
   hot_succ_addr : int array;  (* node id -> first internal successor address, -1 if none *)
   hot_succ_node : int array;  (* node id -> that successor's node id *)
-  node_by_addr : Flat_tbl.t;  (* block start address -> node id *)
   node_base : int;  (* smallest Program block_id among the nodes *)
   node_of_block : int array;  (* block_id - node_base -> node id, -1 elsewhere *)
-  n_link_slots : int;  (* Program block count *)
   mutable link_base : int;
   mutable link_slots : t option array;  (* slot - link_base -> linked exit target *)
   copied_insts : int;
@@ -78,7 +75,6 @@ type t = {
   exit_log : Flat_tbl.t; (* key [(from lsl 32) lor tgt] -> count *)
   exit_succ : int array;  (* [node * 2 + taken] -> static successor address, -1 if dynamic *)
   exit_pending : int array;  (* exits per [exit_succ] slot not yet in [exit_log]; -1 = key absent *)
-  aux_entries : Addr.Set.t;
   mutable cache_base : int;
   mutable node_lines : int array;  (* [node * 2] first, [node * 2 + 1] last icache line *)
 }
@@ -88,96 +84,123 @@ let pack_edge ~src ~dst = (src lsl 32) lor dst
 let inst_bytes = 4
 let stub_bytes = 10
 
-let count_stubs ~edge_index nodes =
-  let internal src dst = Flat_tbl.mem edge_index (pack_edge ~src ~dst) in
-  let stub_count b =
-    let s = b.Block.start in
+let[@inline] succ_bit bits stride ~src ~dst =
+  Array.unsafe_get bits ((src * stride) + (dst lsr 5)) land (1 lsl (dst land 31)) <> 0
+
+(* [internal node dst]: whether the node has an internal edge to [dst]. *)
+let count_stubs ~internal node_blocks =
+  let stub_count i (b : Block.t) =
     match b.Block.term with
     | Terminator.Cond tgt ->
-      (if internal s tgt then 0 else 1) + if internal s (Block.fall_addr b) then 0 else 1
-    | Terminator.Jump tgt | Terminator.Call tgt -> if internal s tgt then 0 else 1
-    | Terminator.Fallthrough -> if internal s (Block.fall_addr b) then 0 else 1
+      (if internal i tgt then 0 else 1) + if internal i (Block.fall_addr b) then 0 else 1
+    | Terminator.Jump tgt | Terminator.Call tgt -> if internal i tgt then 0 else 1
+    | Terminator.Fallthrough -> if internal i (Block.fall_addr b) then 0 else 1
     | Terminator.Return | Terminator.Indirect_jump | Terminator.Indirect_call ->
       (* Predicted targets may be internal edges, but the mispredict path
          always needs a stub. *)
       1
     | Terminator.Halt -> 0
   in
-  List.fold_left (fun acc b -> acc + stub_count b) 0 nodes
+  let n = ref 0 in
+  Array.iteri (fun i b -> n := !n + stub_count i b) node_blocks;
+  !n
 
 let of_spec ~id ~selected_at ~program spec =
-  (* Distinct nodes, first occurrence wins (LEI's cyclic paths may revisit). *)
-  let seen = Flat_tbl.create (List.length spec.nodes * 2) in
-  let nodes =
-    List.filter
-      (fun (b : Block.t) ->
-        if Flat_tbl.mem seen b.Block.start then false
-        else begin
-          Flat_tbl.set seen b.Block.start 0;
-          true
-        end)
-      spec.nodes
+  let spec_nodes = Array.of_list spec.nodes in
+  let spec_bids =
+    Array.map (fun (b : Block.t) -> Program.block_id program b.Block.start) spec_nodes
   in
-  if not (Flat_tbl.mem seen spec.entry) then invalid_arg "Region.of_spec: entry is not a node";
-  let edge_index = Flat_tbl.create (List.length spec.edges * 2) in
+  (* The translation covers the span of the nodes' block ids (a region has
+     a few nodes; a program-sized table per region would be most of what a
+     run allocates on the major heap).  It first numbers the distinct
+     nodes in spec order — first occurrence wins, since LEI's cyclic paths
+     may revisit — and is renumbered into layout order below.  Nodes that
+     are not block starts of the program ([strays]) make the spec
+     malformed, but only after the entry, edge and aux checks. *)
+  let lo, hi =
+    Array.fold_left
+      (fun (lo, hi) bid -> if bid < 0 then (lo, hi) else (min lo bid, max hi bid))
+      (max_int, -1) spec_bids
+  in
+  let node_base = if hi < 0 then 0 else lo in
+  let node_of_block = Array.make (hi - node_base + 1) (-1) in
+  let firsts = ref [] and n = ref 0 and strays = ref [] in
+  Array.iteri
+    (fun i bid ->
+      if bid < 0 then strays := spec_nodes.(i) :: !strays
+      else if node_of_block.(bid - node_base) < 0 then begin
+        node_of_block.(bid - node_base) <- !n;
+        incr n;
+        firsts := i :: !firsts
+      end)
+    spec_bids;
+  let node_of a =
+    let k = Program.block_id program a - node_base in
+    if k >= 0 && k < Array.length node_of_block then node_of_block.(k) else -1
+  in
+  let is_node a =
+    node_of a >= 0 || List.exists (fun (b : Block.t) -> Addr.equal b.Block.start a) !strays
+  in
+  if not (is_node spec.entry) then invalid_arg "Region.of_spec: entry is not a node";
   List.iter
     (fun (src, dst) ->
-      if not (Flat_tbl.mem seen src && Flat_tbl.mem seen dst) then
-        invalid_arg "Region.of_spec: edge endpoint is not a node";
-      Flat_tbl.set edge_index (pack_edge ~src ~dst) 1)
+      if not (is_node src && is_node dst) then
+        invalid_arg "Region.of_spec: edge endpoint is not a node")
     spec.edges;
   List.iter
-    (fun a ->
-      if not (Flat_tbl.mem seen a) then invalid_arg "Region.of_spec: aux entry is not a node")
+    (fun a -> if not (is_node a) then invalid_arg "Region.of_spec: aux entry is not a node")
     spec.aux_entries;
-  let spans_cycle = List.exists (fun (_, dst) -> Addr.equal dst spec.entry) spec.edges in
-  let n_stubs = count_stubs ~edge_index nodes in
+  (match !strays with
+  | [] -> ()
+  | first :: _ as strays ->
+    (* Name the stray that the layout below would place first. *)
+    let rank (b : Block.t) =
+      let a = b.Block.start in
+      if Addr.equal a spec.entry then (-1, 0)
+      else
+        match List.find_index (Addr.equal a) spec.layout_hint with
+        | Some i -> (0, i)
+        | None -> (1, a)
+    in
+    let stray = List.fold_left (fun s b -> if rank b < rank s then b else s) first strays in
+    invalid_arg
+      (Printf.sprintf "Region.of_spec: node %s is not a block start of the program"
+         (Addr.to_string stray.Block.start)));
   (* Lay the blocks out contiguously: the entry first, then the layout
-     hint's order, then any remaining nodes in address order.  Layout order
-     IS the node numbering, so the entry is always node 0. *)
-  let hint_rank = Addr.Table.create 16 in
+     hint's order (first listing wins), then any remaining nodes in address
+     order.  Layout order IS the node numbering, so the entry is always
+     node 0.  Block starts are non-negative, so one int ranks all three. *)
+  let n = !n and n_hint = List.length spec.layout_hint in
+  let firsts = Array.of_list (List.rev !firsts) in
+  let rank = Array.map (fun i -> n_hint + spec_nodes.(i).Block.start) firsts in
   List.iteri
-    (fun i a -> if not (Addr.Table.mem hint_rank a) then Addr.Table.replace hint_rank a i)
+    (fun i a ->
+      let k = node_of a in
+      if k >= 0 && rank.(k) >= n_hint then rank.(k) <- i)
     spec.layout_hint;
-  let sorted_nodes =
-    List.sort
-      (fun (a : Block.t) (b : Block.t) ->
-        let rank (x : Block.t) =
-          if Addr.equal x.Block.start spec.entry then (-1, 0)
-          else
-            match Addr.Table.find_opt hint_rank x.Block.start with
-            | Some i -> (0, i)
-            | None -> (1, x.Block.start)
-        in
-        compare (rank a) (rank b))
-      nodes
-  in
-  let node_blocks = Array.of_list sorted_nodes in
-  let n = Array.length node_blocks in
+  rank.(node_of spec.entry) <- -1;
+  let order = Array.init n Fun.id in
+  Array.sort (fun a b -> Int.compare rank.(a) rank.(b)) order;
+  let node_blocks = Array.map (fun k -> spec_nodes.(firsts.(k))) order in
+  Array.iteri (fun i k -> node_of_block.(spec_bids.(firsts.(k)) - node_base) <- i) order;
   let node_offsets = Array.make n 0 in
-  let node_by_addr = Flat_tbl.create (n * 2) in
   let cursor = ref 0 in
   Array.iteri
     (fun i (b : Block.t) ->
       node_offsets.(i) <- !cursor;
-      cursor := !cursor + (b.Block.size * inst_bytes);
-      Flat_tbl.set node_by_addr b.Block.start i)
+      cursor := !cursor + (b.Block.size * inst_bytes))
     node_blocks;
-  let aux_entries = Addr.Set.of_list spec.aux_entries in
-  let node_is_entry =
-    Array.map
-      (fun (b : Block.t) ->
-        Addr.equal b.Block.start spec.entry || Addr.Set.mem b.Block.start aux_entries)
-      node_blocks
-  in
+  let node_is_entry = Array.make n false in
+  node_is_entry.(0) <- true;
+  List.iter (fun a -> node_is_entry.(node_of a) <- true) spec.aux_entries;
   let succ_stride = (n + 31) lsr 5 in
   let succ_bits = Array.make (max 1 (n * succ_stride)) 0 in
   let hot_succ_addr = Array.make n (-1) in
   let hot_succ_node = Array.make n (-1) in
   List.iter
     (fun (src, dst) ->
-      let s = Flat_tbl.find node_by_addr src in
-      let d = Flat_tbl.find node_by_addr dst in
+      let s = node_of src in
+      let d = node_of dst in
       let w = (s * succ_stride) + (d lsr 5) in
       succ_bits.(w) <- succ_bits.(w) lor (1 lsl (d land 31));
       if hot_succ_addr.(s) < 0 then begin
@@ -185,34 +208,21 @@ let of_spec ~id ~selected_at ~program spec =
         hot_succ_node.(s) <- d
       end)
     spec.edges;
-  (* Both block-indexed tables cover only the ids they need: the
-     translation the span of the nodes' ids, the link slots the span of
-     the linked ones (grown by [set_link]).  A region has a few nodes and
-     links; two program-sized tables per region would be most of what a
-     run allocates on the major heap. *)
-  let bids =
-    Array.map
-      (fun (b : Block.t) ->
-        let bid = Program.block_id program b.Block.start in
-        if bid < 0 then
-          invalid_arg
-            (Printf.sprintf "Region.of_spec: node %s is not a block start of the program"
-               (Addr.to_string b.Block.start));
-        bid)
-      node_blocks
+  let n_stubs =
+    count_stubs node_blocks ~internal:(fun s dst ->
+        let d = node_of dst in
+        d >= 0 && succ_bit succ_bits succ_stride ~src:s ~dst:d)
   in
-  let node_base = Array.fold_left min max_int bids in
-  let node_of_block = Array.make (Array.fold_left max 0 bids - node_base + 1) (-1) in
-  Array.iteri (fun i bid -> node_of_block.(bid - node_base) <- i) bids;
   (* A block revisited within one path (possible for LEI's cyclic paths)
      is stored once: the region is an automaton over distinct blocks, so
      its cache footprint counts each selected block once.  Cross-region
      duplication — the paper's code-expansion signal — is unaffected. *)
-  let copied_insts = List.fold_left (fun acc (b : Block.t) -> acc + b.Block.size) 0 nodes in
+  let copied_insts = Array.fold_left (fun acc (b : Block.t) -> acc + b.Block.size) 0 node_blocks in
   {
     id;
     entry = spec.entry;
     kind = spec.kind;
+    program;
     n_nodes = n;
     node_blocks;
     node_offsets;
@@ -221,15 +231,13 @@ let of_spec ~id ~selected_at ~program spec =
     succ_stride;
     hot_succ_addr;
     hot_succ_node;
-    node_by_addr;
     node_base;
     node_of_block;
-    n_link_slots = Program.n_blocks program;
     link_base = 0;
     link_slots = [||];
     copied_insts;
     n_stubs;
-    spans_cycle;
+    spans_cycle = List.exists (fun (_, dst) -> Addr.equal dst spec.entry) spec.edges;
     selected_at;
     entries = 0;
     cycle_iters = 0;
@@ -240,7 +248,6 @@ let of_spec ~id ~selected_at ~program spec =
       Array.init (2 * n) (fun slot ->
           Block.static_succ node_blocks.(slot lsr 1) ~taken:(slot land 1 = 1));
     exit_pending = Array.make (2 * n) (-1);
-    aux_entries;
     cache_base = -1;
     node_lines = [||];
   }
@@ -254,6 +261,7 @@ let dummy =
     id = -1;
     entry = Addr.none;
     kind = Trace;
+    program = Program.of_blocks_exn ~entry:0 [ Block.make ~start:0 ~size:1 ~term:Terminator.Halt ];
     n_nodes = 0;
     node_blocks = [||];
     node_offsets = [||];
@@ -262,10 +270,8 @@ let dummy =
     succ_stride = 0;
     hot_succ_addr = [||];
     hot_succ_node = [||];
-    node_by_addr = Flat_tbl.create 1;
     node_base = 0;
     node_of_block = [||];
-    n_link_slots = 0;
     link_base = 0;
     link_slots = [||];
     copied_insts = 0;
@@ -279,16 +285,17 @@ let dummy =
     exit_log = Flat_tbl.create 1;
     exit_succ = [||];
     exit_pending = [||];
-    aux_entries = Addr.Set.empty;
     cache_base = -1;
     node_lines = [||];
   }
 
-let node_id t a = if a < 0 then -1 else Flat_tbl.find t.node_by_addr a
+let[@inline] node_of_block_id t id =
+  let k = id - t.node_base and translate = t.node_of_block in
+  if k >= 0 && k < Array.length translate then Array.unsafe_get translate k else -1
 
-let[@inline] has_edge_nodes t ~src ~dst =
-  Array.unsafe_get t.succ_bits ((src * t.succ_stride) + (dst lsr 5)) land (1 lsl (dst land 31))
-  <> 0
+let node_id t a = node_of_block_id t (Program.block_id t.program a)
+
+let[@inline] has_edge_nodes t ~src ~dst = succ_bit t.succ_bits t.succ_stride ~src ~dst
 
 let has_edge t ~src ~dst =
   let s = node_id t src in
@@ -390,18 +397,24 @@ let block_cache_addr t a =
     let off = block_offset t a in
     if off < 0 then None else Some (t.cache_base + off)
 
-let[@inline] node_of_block_id t id =
-  let k = id - t.node_base and translate = t.node_of_block in
-  if k >= 0 && k < Array.length translate then Array.unsafe_get translate k else -1
+(* The aux entries are the dispatchable nodes other than the entry; the
+   translation visits them by ascending block id, which is ascending
+   address. *)
+let iter_aux_entries f t =
+  let translate = t.node_of_block in
+  for k = 0 to Array.length translate - 1 do
+    let node = translate.(k) in
+    if node > 0 && t.node_is_entry.(node) then f (t.node_base + k)
+  done
 
-let n_link_slots t = t.n_link_slots
+let n_link_slots t = Program.n_blocks t.program
 
 let[@inline] link_target t slot =
   let k = slot - t.link_base and ls = t.link_slots in
   if k >= 0 && k < Array.length ls then Array.unsafe_get ls k else None
 
 let set_link t ~slot target =
-  if slot < 0 || slot >= t.n_link_slots then invalid_arg "Region.set_link: slot out of range";
+  if slot < 0 || slot >= n_link_slots t then invalid_arg "Region.set_link: slot out of range";
   let k = slot - t.link_base and ls = t.link_slots in
   if k >= 0 && k < Array.length ls then ls.(k) <- target
   else
@@ -467,8 +480,10 @@ let save t emit =
       emit s;
       emit d)
     !edges;
-  emit (Addr.Set.cardinal t.aux_entries);
-  Addr.Set.iter emit t.aux_entries;
+  let n_aux = ref 0 in
+  iter_aux_entries (fun _ -> incr n_aux) t;
+  emit !n_aux;
+  iter_aux_entries (fun bid -> emit (Program.block_of_id t.program bid).Block.start) t;
   emit t.entries;
   emit t.cycle_iters;
   emit t.exits;

@@ -9,9 +9,10 @@
     Installed regions are {e compiled}: the blocks are numbered 0..n-1 in
     cache-layout order (the entry is node 0) and every structure the
     simulator touches per cached step — successor sets, cache offsets, the
-    program-wide block-id translation and the inter-region link slots — is
-    a flat array indexed by small ints.  The address-keyed queries below
-    remain for cold callers (metrics, emitter, tests).
+    block-id translation and the inter-region link slots — is a flat array
+    indexed by small ints.  The block-id translation is the region's one
+    index from blocks to nodes: the address-keyed queries below go through
+    [Program.block_id] to it, for cold callers (metrics, emitter, tests).
 
     A region also carries its run-time statistics (executions, completed
     cycles, exits) and its static cost model (copied instructions, exit
@@ -67,6 +68,7 @@ type t = private {
   id : int;
   entry : Addr.t;
   kind : kind;
+  program : Program.t;  (** The program the region's blocks belong to. *)
   n_nodes : int;
   node_blocks : Block.t array;
       (** Node id -> block.  Node ids are cache-layout order: the entry is
@@ -74,7 +76,8 @@ type t = private {
   node_offsets : int array;
       (** Node id -> byte offset of the block's copy within the region. *)
   node_is_entry : bool array;
-      (** Node id -> whether the node is dispatchable (entry or aux entry). *)
+      (** Node id -> whether the node is dispatchable: node 0 (the entry)
+          and the aux entries, which {!iter_aux_entries} walks. *)
   succ_bits : int array;
       (** Internal-edge adjacency bitset: bit [dst] of row
           [src * succ_stride] (32-bit words), tested by {!has_edge_nodes}. *)
@@ -82,15 +85,15 @@ type t = private {
   hot_succ_addr : int array;
       (** Node id -> start address of the node's first internal successor
           ([-1] if it has none): the compiled fall-through, so the common
-          stay-in-region step is a single compare. *)
+          stay-in-region step is a single compare.  The one deliberate
+          duplicate of [node_of_block]: the cached loop compares the next
+          address here before translating it. *)
   hot_succ_node : int array;  (** Node id of that successor. *)
-  node_by_addr : Flat_tbl.t;  (** Block start address -> node id. *)
   node_base : int;  (** Smallest [Program.block_id] among the nodes. *)
   node_of_block : int array;
       (** [Program.block_id - node_base] -> node id ([-1] for blocks
-          outside the region), covering the nodes' ids.  Read it through
-          {!node_of_block_id}. *)
-  n_link_slots : int;  (** See {!n_link_slots}. *)
+          outside the region), covering the nodes' ids: the only index
+          from blocks to nodes.  Read it through {!node_of_block_id}. *)
   mutable link_base : int;
   mutable link_slots : t option array;
       (** [slot - link_base] -> region this region's exit to block id
@@ -120,7 +123,6 @@ type t = private {
   exit_pending : int array;
       (** Slot -> exits along it not yet folded into [exit_log]; [-1]
           while the slot's key is absent from [exit_log]. *)
-  aux_entries : Addr.Set.t;
   mutable cache_base : int;
       (** Byte address of the region in the code cache; -1 until
           installed. *)
@@ -135,14 +137,16 @@ val of_spec : id:int -> selected_at:int -> program:Program.t -> spec -> t
     intra-region automaton (including the dense [node_of_block]
     translation and the [link_slots] the simulator steps cached code
     through), summing [copied_insts] over the distinct nodes, and
-    computing its exit-stub count: one stub per static successor direction
+    computing its exit-stub count from the compiled successor bitset: one
+    stub per static successor direction
     (taken and fall-through of conditionals, targets of jumps and calls,
     the continuation of fall-through blocks) not covered by an internal
     edge, and always one stub per indirect branch or return (the
     mispredict path).
     @raise Invalid_argument if the spec is malformed (entry not a node, an
     edge endpoint or aux entry that is not a node, or a node that is not a
-    block start of [program]). *)
+    block start of [program]; checked in that order).  An aux entry that
+    is the entry itself is dropped: node 0 is dispatchable anyway. *)
 
 val dummy : t
 (** A zero-node sentinel for "no region", compared by physical equality.
@@ -151,7 +155,8 @@ val dummy : t
     execute it — its arrays are empty. *)
 
 val node_id : t -> Addr.t -> int
-(** The node id of the block starting at the address, or [-1]. *)
+(** The node id of the block starting at the address, or [-1]:
+    {!node_of_block_id} of its [Program.block_id]. *)
 
 val mem_block : t -> Addr.t -> bool
 val has_edge : t -> src:Addr.t -> dst:Addr.t -> bool
@@ -227,6 +232,11 @@ val block_cache_addr : t -> Addr.t -> int option
 val node_of_block_id : t -> int -> int
 (** The node id of the block with the given [Program.block_id], [-1] for
     blocks outside the region. *)
+
+val iter_aux_entries : (int -> unit) -> t -> unit
+(** Apply the function to the [Program.block_id] of each aux entry, in
+    ascending order (which is ascending address).  The aux entries are
+    the dispatchable nodes other than the entry. *)
 
 val n_link_slots : t -> int
 (** The number of link slots, one per program block. *)

@@ -11,7 +11,7 @@ module Image = Regionsel_workload.Image
 type t = {
   benchmark : string;
   policy : string;
-  steps : int;
+  stats : Stats.t;
   halted : bool;
   total_insts : int;
   hit_rate : float;
@@ -21,8 +21,6 @@ type t = {
   avg_region_insts : float;
   spanned_cycle_ratio : float;
   executed_cycle_ratio : float;
-  region_transitions : int;
-  dispatches : int;
   cover_90 : int;
   cover_90_achievable : bool;
   counters_high_water : int;
@@ -32,11 +30,8 @@ type t = {
   exit_dominated_fraction : float;
   exit_dominated_dup_insts : int;
   exit_dominated_dup_fraction : float;
-  links : int;
-  link_hits : int;
   link_severs : int;
   links_high_water : int;
-  node_steps : int;
   icache_accesses : int;
   icache_misses : int;
   icache_miss_rate : float;
@@ -45,11 +40,6 @@ type t = {
   regenerations : int;
   invalidations : int;
   blacklist_hits : int;
-  install_rejects : int;
-  faults_injected : int;
-  async_exits : int;
-  bailouts : int;
-  recovery_steps : int;
   blacklisted_high_water : int;
   telemetry : (int * int * int * int) option;
 }
@@ -80,7 +70,7 @@ let of_result ?(x = 0.9) (result : Simulator.result) =
   {
     benchmark = result.Simulator.image.Image.name;
     policy = result.Simulator.policy_name;
-    steps = result.Simulator.stats.Stats.steps;
+    stats = Stats.snapshot result.Simulator.stats;
     halted = result.Simulator.halted;
     total_insts;
     hit_rate = Stats.hit_rate result.Simulator.stats;
@@ -90,8 +80,6 @@ let of_result ?(x = 0.9) (result : Simulator.result) =
     avg_region_insts = ratio code_expansion n_regions;
     spanned_cycle_ratio = ratio n_cyclic n_regions;
     executed_cycle_ratio = ratio cycles (cycles + exits);
-    region_transitions = result.Simulator.stats.Stats.region_transitions;
-    dispatches = result.Simulator.stats.Stats.dispatches;
     cover_90 = cover.Cover.size;
     cover_90_achievable = cover.Cover.achievable;
     counters_high_water = Counters.high_water result.Simulator.ctx.Context.counters;
@@ -102,11 +90,8 @@ let of_result ?(x = 0.9) (result : Simulator.result) =
     exit_dominated_fraction = dom.Exit_domination.dominated_fraction;
     exit_dominated_dup_insts = dom.Exit_domination.dup_insts;
     exit_dominated_dup_fraction = dom.Exit_domination.dup_fraction;
-    links = result.Simulator.stats.Stats.links;
-    link_hits = result.Simulator.stats.Stats.link_hits;
     link_severs = Code_cache.link_severs cache;
     links_high_water = Gauges.links_high_water result.Simulator.ctx.Context.gauges;
-    node_steps = result.Simulator.stats.Stats.node_steps;
     icache_accesses = Regionsel_engine.Icache.accesses result.Simulator.icache;
     icache_misses = Regionsel_engine.Icache.misses result.Simulator.icache;
     icache_miss_rate = Regionsel_engine.Icache.miss_rate result.Simulator.icache;
@@ -115,11 +100,6 @@ let of_result ?(x = 0.9) (result : Simulator.result) =
     regenerations = Code_cache.regenerations cache;
     invalidations = Code_cache.invalidations cache;
     blacklist_hits = Code_cache.blacklist_hits cache;
-    install_rejects = result.Simulator.stats.Stats.install_rejects;
-    faults_injected = result.Simulator.stats.Stats.faults_injected;
-    async_exits = result.Simulator.stats.Stats.async_exits;
-    bailouts = result.Simulator.stats.Stats.bailouts;
-    recovery_steps = result.Simulator.stats.Stats.recovery_steps;
     blacklisted_high_water =
       Gauges.blacklisted_high_water result.Simulator.ctx.Context.gauges;
     (* Ring-loss and span-ledger visibility without exporting a trace
@@ -140,6 +120,7 @@ let of_result ?(x = 0.9) (result : Simulator.result) =
    binary64), so two runs with identical metrics produce byte-identical
    JSON — the checkpoint round-trip gate in CI diffs this output. *)
 let to_json t =
+  let s = t.stats in
   let b = Buffer.create 1024 in
   let first = ref true in
   let field k v =
@@ -153,7 +134,7 @@ let to_json t =
   Buffer.add_string b "{\n";
   str "benchmark" t.benchmark;
   str "policy" t.policy;
-  int "steps" t.steps;
+  int "steps" s.Stats.steps;
   boolean "halted" t.halted;
   int "total_insts" t.total_insts;
   flt "hit_rate" t.hit_rate;
@@ -163,8 +144,8 @@ let to_json t =
   flt "avg_region_insts" t.avg_region_insts;
   flt "spanned_cycle_ratio" t.spanned_cycle_ratio;
   flt "executed_cycle_ratio" t.executed_cycle_ratio;
-  int "region_transitions" t.region_transitions;
-  int "dispatches" t.dispatches;
+  int "region_transitions" s.Stats.region_transitions;
+  int "dispatches" s.Stats.dispatches;
   int "cover_90" t.cover_90;
   boolean "cover_90_achievable" t.cover_90_achievable;
   int "counters_high_water" t.counters_high_water;
@@ -174,11 +155,11 @@ let to_json t =
   flt "exit_dominated_fraction" t.exit_dominated_fraction;
   int "exit_dominated_dup_insts" t.exit_dominated_dup_insts;
   flt "exit_dominated_dup_fraction" t.exit_dominated_dup_fraction;
-  int "links" t.links;
-  int "link_hits" t.link_hits;
+  int "links" s.Stats.links;
+  int "link_hits" s.Stats.link_hits;
   int "link_severs" t.link_severs;
   int "links_high_water" t.links_high_water;
-  int "node_steps" t.node_steps;
+  int "node_steps" s.Stats.node_steps;
   int "icache_accesses" t.icache_accesses;
   int "icache_misses" t.icache_misses;
   flt "icache_miss_rate" t.icache_miss_rate;
@@ -187,11 +168,11 @@ let to_json t =
   int "regenerations" t.regenerations;
   int "invalidations" t.invalidations;
   int "blacklist_hits" t.blacklist_hits;
-  int "install_rejects" t.install_rejects;
-  int "faults_injected" t.faults_injected;
-  int "async_exits" t.async_exits;
-  int "bailouts" t.bailouts;
-  int "recovery_steps" t.recovery_steps;
+  int "install_rejects" s.Stats.install_rejects;
+  int "faults_injected" s.Stats.faults_injected;
+  int "async_exits" s.Stats.async_exits;
+  int "bailouts" s.Stats.bailouts;
+  int "recovery_steps" s.Stats.recovery_steps;
   int "blacklisted_high_water" t.blacklisted_high_water;
   (match t.telemetry with
   | None -> ()
@@ -204,6 +185,7 @@ let to_json t =
   Buffer.contents b
 
 let pp ppf t =
+  let s = t.stats in
   Format.fprintf ppf
     "@[<v>%s / %s:@,\
     \  steps=%d halted=%b total_insts=%d@,\
@@ -212,17 +194,17 @@ let pp ppf t =
     \  cover90=%d%s counters_hw=%d observed_hw=%dB cache=%dB@,\
     \  exit_dom regions=%d (%.3f) dup_insts=%d (%.3f)@,\
     \  links=%d link_hits=%d link_severs=%d links_hw=%d node_steps=%d@]" t.benchmark t.policy
-    t.steps t.halted t.total_insts t.hit_rate t.n_regions t.code_expansion t.n_stubs
-    t.avg_region_insts t.spanned_cycle_ratio t.executed_cycle_ratio t.region_transitions
-    t.dispatches t.cover_90
+    s.Stats.steps t.halted t.total_insts t.hit_rate t.n_regions t.code_expansion t.n_stubs
+    t.avg_region_insts t.spanned_cycle_ratio t.executed_cycle_ratio s.Stats.region_transitions
+    s.Stats.dispatches t.cover_90
     (if t.cover_90_achievable then "" else "(unachievable)")
     t.counters_high_water t.observed_bytes_high_water t.est_cache_bytes t.exit_dominated_regions
-    t.exit_dominated_fraction t.exit_dominated_dup_insts t.exit_dominated_dup_fraction t.links
-    t.link_hits t.link_severs t.links_high_water t.node_steps;
-  if t.faults_injected > 0 then
+    t.exit_dominated_fraction t.exit_dominated_dup_insts t.exit_dominated_dup_fraction s.Stats.links
+    s.Stats.link_hits t.link_severs t.links_high_water s.Stats.node_steps;
+  if s.Stats.faults_injected > 0 then
     Format.fprintf ppf
       "@\n\
       \  faults=%d invalidations=%d blacklist_hits=%d rejects=%d async_exits=%d bailouts=%d \
        recovery_steps=%d blacklisted_hw=%d"
-      t.faults_injected t.invalidations t.blacklist_hits t.install_rejects t.async_exits
-      t.bailouts t.recovery_steps t.blacklisted_high_water
+      s.Stats.faults_injected t.invalidations t.blacklist_hits s.Stats.install_rejects
+      s.Stats.async_exits s.Stats.bailouts s.Stats.recovery_steps t.blacklisted_high_water

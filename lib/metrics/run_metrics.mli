@@ -4,7 +4,11 @@
 type t = {
   benchmark : string;
   policy : string;
-  steps : int;
+  stats : Regionsel_engine.Stats.t;
+      (** A snapshot of the run's counters.  The steps, region transitions,
+          dispatches, links, link hits, node steps, install rejects,
+          injected faults, async exits, bailouts and recovery steps the
+          paper's evaluation reports are read from here. *)
   halted : bool;
   total_insts : int;
   hit_rate : float;
@@ -16,8 +20,6 @@ type t = {
       (** Share of selected regions containing a branch to their own top. *)
   executed_cycle_ratio : float;
       (** Share of region executions that end by branching to the top. *)
-  region_transitions : int;
-  dispatches : int;
   cover_90 : int;
   cover_90_achievable : bool;
   counters_high_water : int;
@@ -28,15 +30,10 @@ type t = {
   exit_dominated_fraction : float;  (** Figure 12. *)
   exit_dominated_dup_insts : int;
   exit_dominated_dup_fraction : float;  (** Figure 11. *)
-  links : int;  (** Distinct inter-region links created (footnote 9). *)
-  link_hits : int;
-      (** Transitions taken through a patched link slot instead of the
-          dispatch array. *)
   link_severs : int;
       (** Links unpatched because their target region was retired or their
           slot was reclaimed. *)
   links_high_water : int;  (** Peak number of simultaneously live patched links. *)
-  node_steps : int;  (** Cached steps executed through the compiled automaton. *)
   icache_accesses : int;
   icache_misses : int;
   icache_miss_rate : float;
@@ -49,12 +46,6 @@ type t = {
       (** Fault runs: regions retired because an SMC write dirtied their
           span. *)
   blacklist_hits : int;  (** Installs rejected by a blacklist cooldown. *)
-  install_rejects : int;
-      (** All install attempts that did not result in a live region. *)
-  faults_injected : int;  (** Fault events delivered (0 on clean runs). *)
-  async_exits : int;  (** Spurious exits that left region mode. *)
-  bailouts : int;  (** Watchdog flush-and-interpret bailouts. *)
-  recovery_steps : int;  (** Steps spent in bailout cooldowns. *)
   blacklisted_high_water : int;
       (** Peak number of simultaneously blacklisted entries. *)
   telemetry : (int * int * int * int) option;
@@ -81,7 +72,8 @@ val of_result : ?x:float -> Regionsel_engine.Simulator.result -> t
 val pp : Format.formatter -> t -> unit
 
 val to_json : t -> string
-(** One JSON object with every field, in declaration order, floats printed
-    with [%.17g] (lossless): runs with identical metrics produce
+(** One JSON object with every metric in a fixed order (the [stats]
+    counters named above at their own keys), floats printed with [%.17g]
+    (lossless): runs with identical metrics produce
     byte-identical output, which the CI checkpoint round-trip gate diffs
     directly. *)

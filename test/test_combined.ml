@@ -86,14 +86,6 @@ let combination_improves_executed_cycles () =
     (combined.Run_metrics.executed_cycle_ratio
     > base.Run_metrics.executed_cycle_ratio +. 0.3)
 
-let rejoin_statistics_exposed () =
-  let before = Regionsel_core.Combine.rejoin_pass_total () in
-  ignore (run Policies.combined_net (figure4 ()));
-  check_true "rejoin passes counted" (Regionsel_core.Combine.rejoin_pass_total () > before);
-  check_true "multi-pass regions are rare"
-    (Regionsel_core.Combine.rejoin_multi_pass_total ()
-    <= Regionsel_core.Combine.rejoin_pass_total () / 10)
-
 let suite =
   [
     case "install timing" install_timing;
@@ -103,5 +95,4 @@ let suite =
     case "T_min=1 takes everything" t_min_one_takes_everything;
     case "combined regions have splits" combined_regions_have_splits;
     case "combination improves executed cycles" combination_improves_executed_cycles;
-    case "rejoin statistics exposed" rejoin_statistics_exposed;
   ]

@@ -392,10 +392,39 @@ let start_daemon ?(ingest_max = 1 lsl 16) ?max_tenants ?metrics_keep ~dir () =
     wait 500;
     (pid, socket_path)
 
+(* SIGTERM, then SIGKILL if the daemon has not exited within 10 s, so a
+   daemon that stopped serving cannot hang the teardown either. *)
 let stop_daemon pid =
   (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
-  let _, status = Unix.waitpid [] pid in
-  status
+  let rec wait n =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when n > 0 ->
+      Unix.sleepf 0.02;
+      wait (n - 1)
+    | 0, _ ->
+      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+      snd (Unix.waitpid [] pid)
+    | _, status -> status
+  in
+  wait 500
+
+(* The lifecycle tests read the daemon's replies with blocking reads
+   ([Proto.read_msg] and the [Client] helpers, whose sockets the tests
+   never see).  Each runs under a deadline: a one-shot real-time timer
+   whose SIGALRM raises out of whatever read is still blocked, so a daemon
+   that stops answering fails the test instead of hanging the suite.
+   Every lifecycle test finishes in a few seconds. *)
+exception Deadline
+
+let deadline_s = 30.0
+
+let with_deadline f () =
+  let arm s = ignore (Unix.setitimer Unix.ITIMER_REAL { Unix.it_interval = 0.0; it_value = s }) in
+  let previous = Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> raise Deadline)) in
+  arm deadline_s;
+  match Fun.protect ~finally:(fun () -> arm 0.0; Sys.set_signal Sys.sigalrm previous) f with
+  | () -> ()
+  | exception Deadline -> Alcotest.failf "no reply from the daemon within %.0f s" deadline_s
 
 let with_daemon ?ingest_max ?max_tenants ?metrics_keep f =
   let dir = fresh_dir () in
@@ -959,6 +988,8 @@ let retention_stays_bounded_over_hundreds_of_sessions () =
         (List.length tails < keep
         && List.length (List.sort_uniq String.compare tails) = List.length tails))
 
+let lifecycle name f = case name (with_deadline f)
+
 let suite =
   [
     case "write_all survives a slow nonblocking reader" write_all_survives_slow_nonblocking_reader;
@@ -971,20 +1002,20 @@ let suite =
     case "large export replies round-trip" large_export_reply_roundtrips;
     QCheck_alcotest.to_alcotest qcheck_fair_split_conserves;
     case "backpressure hysteresis has no flap" backpressure_hysteresis_has_no_flap;
-    case "streamed result matches the solo run" streamed_result_matches_solo_run;
-    case "disconnect then reconnect is bit-identical" disconnect_then_reconnect_is_bit_identical;
-    case "SIGTERM snapshots; restart resumes" sigterm_snapshots_and_restart_resumes;
-    case "restarted daemon's windows start at the resume step"
+    lifecycle "streamed result matches the solo run" streamed_result_matches_solo_run;
+    lifecycle "disconnect then reconnect is bit-identical" disconnect_then_reconnect_is_bit_identical;
+    lifecycle "SIGTERM snapshots; restart resumes" sigterm_snapshots_and_restart_resumes;
+    lifecycle "restarted daemon's windows start at the resume step"
       restarted_daemon_windows_start_at_resume_step;
-    case "admission rejects are typed" admission_rejects_are_typed;
-    case "backpressured tenant does not stall others" backpressured_tenant_does_not_stall_others;
-    case "exhausted tenant still drains and finishes" exhausted_tenant_still_drains_and_finishes;
-    case "long session stays within the ingest bound" long_session_stays_within_the_ingest_bound;
-    case "stalled control reader does not stall the daemon" stalled_control_reader_does_not_stall_the_daemon;
-    case "daemon close mid-stream surfaces as an error" daemon_close_mid_stream_surfaces_as_error;
-    case "dying client never kills the daemon" dying_client_never_kills_the_daemon;
-    case "control surface serves live exports" control_surface_serves_live_exports;
-    case "reused tenant name starts a fresh recorder" reused_tenant_name_starts_a_fresh_recorder;
-    case "retention stays bounded over hundreds of sessions"
+    lifecycle "admission rejects are typed" admission_rejects_are_typed;
+    lifecycle "backpressured tenant does not stall others" backpressured_tenant_does_not_stall_others;
+    lifecycle "exhausted tenant still drains and finishes" exhausted_tenant_still_drains_and_finishes;
+    lifecycle "long session stays within the ingest bound" long_session_stays_within_the_ingest_bound;
+    lifecycle "stalled control reader does not stall the daemon" stalled_control_reader_does_not_stall_the_daemon;
+    lifecycle "daemon close mid-stream surfaces as an error" daemon_close_mid_stream_surfaces_as_error;
+    lifecycle "dying client never kills the daemon" dying_client_never_kills_the_daemon;
+    lifecycle "control surface serves live exports" control_surface_serves_live_exports;
+    lifecycle "reused tenant name starts a fresh recorder" reused_tenant_name_starts_a_fresh_recorder;
+    lifecycle "retention stays bounded over hundreds of sessions"
       retention_stays_bounded_over_hundreds_of_sessions;
   ]

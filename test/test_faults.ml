@@ -79,13 +79,13 @@ let fault_runs_are_deterministic () =
 let counters_populated () =
   let result = run_faulty ~profile:smc_profile (figure4 ()) in
   let m = Run_metrics.of_result result in
-  check_true "faults injected" (m.Run_metrics.faults_injected > 0);
+  check_true "faults injected" (m.Run_metrics.stats.Stats.faults_injected > 0);
   check_true "regions invalidated" (m.Run_metrics.invalidations > 0);
   check_true "invalidated entries blacklisted" (m.Run_metrics.blacklisted_high_water > 0);
   match result.Simulator.fault_log with
   | None -> Alcotest.fail "fault run must carry a log"
   | Some log ->
-    check_int "log records every event" m.Run_metrics.faults_injected
+    check_int "log records every event" m.Run_metrics.stats.Stats.faults_injected
       (List.length (List.filter (fun (_, l) -> l <> "bailout") log.Faults.events));
     check_true "watchdog sampled the run" (List.length log.Faults.samples > 10)
 
@@ -117,7 +117,7 @@ let translation_failures_surface_as_rejects () =
   in
   let result = run_faulty ~profile ~max_steps:50_000 (figure4 ()) in
   let m = Run_metrics.of_result result in
-  check_true "rejected installs counted" (m.Run_metrics.install_rejects > 0);
+  check_true "rejected installs counted" (m.Run_metrics.stats.Stats.install_rejects > 0);
   check_true "run still makes progress" (m.Run_metrics.hit_rate > 0.0)
 
 (* Per-burst recovery: after every flush/invalidation burst the windowed
@@ -198,8 +198,8 @@ let watchdog_bails_out_under_thrash () =
       (simple_loop ~trip:200_000 ())
   in
   let m = Run_metrics.of_result result in
-  check_true "watchdog bailed out" (m.Run_metrics.bailouts > 0);
-  check_true "cooldown steps counted" (m.Run_metrics.recovery_steps > 0);
+  check_true "watchdog bailed out" (m.Run_metrics.stats.Stats.bailouts > 0);
+  check_true "cooldown steps counted" (m.Run_metrics.stats.Stats.recovery_steps > 0);
   check_true "bailout flushed the cache" (m.Run_metrics.cache_flushes > 0)
 
 (* Crash events interleave with every other stream without disturbing the
@@ -246,7 +246,7 @@ let crash_run_recovers_deterministically () =
   in
   let a = m () and b = m () in
   if a <> b then Alcotest.fail "two identical crash runs diverged";
-  check_true "crashes were injected" (a.Run_metrics.faults_injected >= 3);
+  check_true "crashes were injected" (a.Run_metrics.stats.Stats.faults_injected >= 3);
   check_true "cache was flushed by crashes" (a.Run_metrics.cache_flushes >= 3);
   check_true "regions re-formed after crashes" (a.Run_metrics.n_regions > 0)
 

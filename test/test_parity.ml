@@ -2,7 +2,8 @@
    packed edge profile, and circular history buffer must not change a
    single metric, and fanning runs across domains must not either.
 
-   [Run_metrics.t] is a flat record of ints, floats, bools, and strings,
+   [Run_metrics.t] is a record of ints, floats, bools, strings and a
+   snapshot of the run's [Stats] counters,
    so structural equality is exactly "every metric identical". *)
 
 module Spec = Regionsel_workload.Spec

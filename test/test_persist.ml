@@ -505,7 +505,7 @@ let degraded_restore_still_finishes () =
       ~policy:(policy_exn policy) ~max_steps:30_000 image
   in
   let m = Run_metrics.of_result result in
-  check_true "run completed past the snapshot point" (m.Run_metrics.steps > 11_000);
+  check_true "run completed past the snapshot point" (m.Run_metrics.stats.Stats.steps > 11_000);
   check_true "re-warmed cache selected regions again" (m.Run_metrics.n_regions > 0)
 
 (* ---- qcheck properties ---- *)

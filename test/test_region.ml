@@ -150,6 +150,42 @@ let duplicate_nodes_deduped () =
   check_int "distinct nodes only" 2 r.Region.n_nodes;
   check_starts "each block placed once" [ 0; 16 ] (starts r)
 
+(* A malformed spec fails its first check, in a fixed order: the entry,
+   the edge endpoints, the aux entries, and only then nodes that are not
+   block starts, naming the one the layout would place first. *)
+let malformed_specs_fail_in_check_order () =
+  let program =
+    Program.of_blocks_exn ~entry:0
+      [ mk 0 2 Terminator.Return; mk 16 3 Terminator.Return; mk 32 4 Terminator.Return ]
+  in
+  let fails what expected s =
+    match Region.of_spec ~id:0 ~selected_at:0 ~program s with
+    | _ -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument msg ->
+      Alcotest.(check string) what ("Region.of_spec: " ^ expected) msg
+  in
+  let stray a = Printf.sprintf "node %s is not a block start of the program" (Addr.to_string a) in
+  let nodes =
+    [ mk 16 3 Terminator.Return; mk 20 1 Terminator.Return; mk 32 4 Terminator.Return;
+      mk 40 1 Terminator.Return ]
+  in
+  fails "entry first" "entry is not a node" (spec ~entry:0 nodes);
+  fails "edge endpoints next" "edge endpoint is not a node" (spec ~entry:16 ~edges:[ (16, 0) ] nodes);
+  fails "aux entries next" "aux entry is not a node" (spec ~entry:16 ~aux:[ 0 ] nodes);
+  fails "a stray edge endpoint is a node" (stray 20) (spec ~entry:16 ~edges:[ (16, 40) ] nodes);
+  fails "unhinted strays in address order" (stray 20) (spec ~entry:16 nodes);
+  fails "hinted strays in hint order" (stray 40) (spec ~entry:16 ~hint:[ 40; 20 ] nodes);
+  fails "a stray entry first" (stray 40) (spec ~entry:40 ~hint:[ 20 ] nodes)
+
+let entry_listed_as_aux_is_dropped () =
+  let program = grid_program () in
+  let nodes = [ mk 16 3 Terminator.Return; mk 32 4 Terminator.Return ] in
+  let r = Region.of_spec ~id:0 ~selected_at:0 ~program (spec ~entry:16 ~aux:[ 32; 16 ] nodes) in
+  let aux = ref [] in
+  Region.iter_aux_entries (fun bid -> aux := bid :: !aux) r;
+  Alcotest.(check (list int)) "only the non-entry aux entry" [ Program.block_id program 32 ] !aux;
+  check_true "both nodes dispatchable" (r.Region.node_is_entry.(0) && r.Region.node_is_entry.(1))
+
 (* Exit slots.  A region over a conditional (both directions leave it),
    an indirect jump and a return, counted through [record_exit_at], must
    read exactly as one whose every exit is a [record_exit] probe: the same
@@ -223,6 +259,72 @@ let load_checks_copied_insts () =
        false
      with Failure _ -> true)
 
+(* Every region the seven policies select on the twelve benches, at a
+   reduced budget, compiles consistently: the emitter's independent stub
+   count agrees with [n_stubs] (it raises otherwise), the block-id
+   translation agrees with the nodes over every block of the program, the
+   aux entries are the dispatchable non-entry nodes, and a save -> load ->
+   save round trip reproduces the stream. *)
+let every_selected_region_compiles () =
+  let module Suite = Regionsel_workload.Suite in
+  let module Spec = Regionsel_workload.Spec in
+  let module Image = Regionsel_workload.Image in
+  let module Policies = Regionsel_core.Policies in
+  let module Emitter = Regionsel_engine.Emitter in
+  let n_regions = ref 0 and n_aux = ref 0 in
+  List.iter
+    (fun ((spec : Spec.t), (pname, policy)) ->
+      let image = Spec.image spec in
+      let program = image.Image.program in
+      let result = run ~seed:1L ~max_steps:200_000 policy image in
+      let expect = Array.make (Program.n_blocks program) (-1) in
+      List.iter
+        (fun (r : Region.t) ->
+          let fail fmt =
+            Alcotest.failf ("%s/%s region #%d: " ^^ fmt) spec.Spec.name pname r.Region.id
+          in
+          incr n_regions;
+          let emitted = Emitter.emit r in
+          if Emitter.total_bytes emitted <> Region.cache_bytes r then
+            fail "emitted %d bytes, cost model %d" (Emitter.total_bytes emitted)
+              (Region.cache_bytes r);
+          Array.iteri
+            (fun i (b : Block.t) -> expect.(Program.block_id program b.Block.start) <- i)
+            r.Region.node_blocks;
+          Program.iter_blocks
+            (fun b ->
+              let a = b.Block.start in
+              let bid = Program.block_id program a in
+              let node = Region.node_id r a in
+              if node <> expect.(bid) || Region.node_of_block_id r bid <> node then
+                fail "block %s translates to node %d, expected %d" (Addr.to_string a) node
+                  expect.(bid);
+              if b.Block.size > 1 && Region.node_id r (a + 1) <> -1 then
+                fail "mid-block address %s has a node" (Addr.to_string (a + 1)))
+            program;
+          if Region.node_id r Addr.none <> -1 then fail "Addr.none has a node";
+          Array.iter (fun (b : Block.t) -> expect.(Program.block_id program b.Block.start) <- -1)
+            r.Region.node_blocks;
+          let aux = ref [] in
+          Region.iter_aux_entries (fun bid -> aux := Region.node_of_block_id r bid :: !aux) r;
+          n_aux := !n_aux + List.length !aux;
+          let dispatchable =
+            List.filter (fun i -> r.Region.node_is_entry.(i)) (List.init r.Region.n_nodes Fun.id)
+          in
+          if dispatchable <> 0 :: List.sort compare !aux then
+            fail "dispatchable nodes are not the entry and the aux entries";
+          if !aux <> [] && r.Region.kind <> Region.Method then fail "aux entries outside a method";
+          let saved = saved_ints (Region.save r) in
+          let loaded =
+            Region.load ~program ~line_bytes:Params.default.Params.icache_line_bytes
+              (reader_of_ints saved)
+          in
+          if saved_ints (Region.save loaded) <> saved then fail "save -> load -> save differs")
+        (Code_cache.all_regions result.Simulator.ctx.Context.cache))
+    (Suite.grid Policies.all);
+  check_true "regions were selected" (!n_regions > 0);
+  check_true "method regions with aux entries were checked" (!n_aux > 0)
+
 let suite =
   [
     case "layout hint ordering" layout_hint_ordering;
@@ -232,6 +334,9 @@ let suite =
     case "wide region uses multiword rows" wide_region_uses_multiword_rows;
     case "block translation requires program" block_translation_requires_program;
     case "duplicate nodes deduped" duplicate_nodes_deduped;
+    case "malformed specs fail in check order" malformed_specs_fail_in_check_order;
+    case "entry listed as aux is dropped" entry_listed_as_aux_is_dropped;
     case "exit slots match per-exit bumps" exit_slots_match_per_exit_bumps;
     case "load checks copied_insts" load_checks_copied_insts;
+    case "every selected region compiles" every_selected_region_compiles;
   ]

@@ -197,7 +197,7 @@ let selection_and_cooldown_histograms () =
      at most once per install. *)
   let m = Run_metrics.of_result result in
   let ttfl = Telemetry.Hist.count (Telemetry.time_to_first_link t) in
-  if m.Run_metrics.links > 0 then
+  if m.Run_metrics.stats.Stats.links > 0 then
     Alcotest.(check bool) "first-link observed" true (ttfl > 0);
   Alcotest.(check bool) "first-link once per region" true (ttfl <= stats.Stats.installs)
 
