@@ -151,7 +151,7 @@ let start ?(check = false) ?(params = Params.default) ?(telemetry = Telemetry.no
   let image = Spec.image spec in
   let max_steps = Option.value ~default:spec.Spec.default_steps steps in
   if check then
-    Check.create ~params:{ params with Params.validate = true } ?telemetry ~seed ?restore
+    Check.create ~params ?telemetry ~seed ?restore
       ?record ?replay ~policy ~max_steps image
   else
     let sim =

@@ -117,7 +117,6 @@ let audit_cache ?telemetry ~program cache ~step =
 
 let create ?(params = Params.default) ?(seed = 1L) ?telemetry ?(audit_every = 64) ?break_at
     ?restore ?record ?replay ~policy ~max_steps image =
-  let params = { params with Params.validate = true } in
   let t = match telemetry with Some t -> t | None -> Telemetry.create () in
   let program = image.Image.program in
   (* The shadow steps with the reference stepper: every checked run is then
@@ -252,7 +251,13 @@ let create ?(params = Params.default) ?(seed = 1L) ?telemetry ?(audit_every = 64
       fail ~step:final ~rule:"span-count"
         "telemetry recorded %d installs but closed %d spans" (Telemetry.n_installs t)
         closed;
-    result
+    (* The audit's own recorder stays private: a caller that passed none
+       gets a plain run's result. *)
+    match telemetry with
+    | Some _ -> result
+    | None ->
+      let ctx = { result.Simulator.ctx with Context.telemetry = Telemetry.none } in
+      { result with Simulator.ctx }
   in
   (sim, finish)
 

@@ -77,8 +77,8 @@ val create :
   max_steps:int ->
   Regionsel_workload.Image.t ->
   Regionsel_engine.Simulator.t * (unit -> Regionsel_engine.Simulator.result)
-(** [Simulator.create] under the sanitizer ([params.validate] is forced
-    on): the sanitized handle plus its finisher.  Drive the handle like
+(** [Simulator.create] under the sanitizer: the sanitized handle plus its
+    finisher.  Drive the handle like
     any other ({!Simulator.advance}, metrics windows, save points through
     {!Simulator.internals}), then call the finisher in place of
     [Simulator.finish]: it finishes the run and applies the end-of-run
@@ -103,7 +103,10 @@ val create :
 
     [telemetry] supplies the recorder to audit against (a fresh one is
     created otherwise); it is threaded into the run as its sink, so a
-    caller exporting traces audits the very recorder it exports.
+    caller exporting traces audits the very recorder it exports.  The
+    finished result reports telemetry only from a recorder the caller
+    passed: without one its [ctx.telemetry] is [Telemetry.none], as in a
+    plain run, so the run's metrics are the plain run's.
 
     [break_at] is the fuzz driver's self-test hook: from that step on, the
     first live region's entry slot is deliberately cleared from the

@@ -62,7 +62,7 @@ let fault_exn name =
   | None -> invalid_arg (Printf.sprintf "Fuzz: unknown fault profile %S" name)
 
 let params_of c =
-  { Params.default with Params.faults = Option.map fault_exn c.fault; validate = true }
+  { Params.default with Params.faults = Option.map fault_exn c.fault }
 
 let cli_line c =
   Printf.sprintf "regionsel_fuzz --seed %d --genome %s --policy %s%s --steps %d" c.seed
@@ -492,7 +492,7 @@ let self_test ?flight () =
   let image = image_of_genome [ 1 ] in
   (* A threshold of 2 gets the first region installed within a handful of
      steps, so the shrunk reproducer lands well under the 20-step bound. *)
-  let params = { Params.default with Params.net_threshold = 2; validate = true } in
+  let params = { Params.default with Params.net_threshold = 2 } in
   let policy = policy_exn "net" in
   let run max_steps =
     match

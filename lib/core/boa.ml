@@ -17,16 +17,12 @@ let create ctx = { ctx; biases = Addr.Table.create 512 }
    iterated), so content equality is enough on restore. *)
 let save t emit =
   emit (Addr.Table.length t.biases);
-  (* Site-sorted: canonical bytes regardless of the table's insertion
-     history. *)
-  List.iter
-    (fun (site, b) ->
+  Addr.Table.iter_sorted
+    (fun site b ->
       emit site;
       emit b.taken;
       emit b.not_taken)
-    (List.sort
-       (fun (a, _) (b, _) -> Addr.compare a b)
-       (Addr.Table.fold (fun k v acc -> (k, v) :: acc) t.biases []))
+    t.biases
 
 let load ctx read =
   let t = create ctx in
@@ -112,11 +108,7 @@ let handle t = function
   | Policy.Interp_block ib ->
     let block = ib.Policy.block and taken = ib.Policy.taken and tgt = ib.Policy.next in
     record_outcome t block taken;
-    if
-      taken
-      && (not (Addr.is_none tgt))
-      && (not (Code_cache.mem t.ctx.Context.cache tgt))
-      && Addr.is_backward ~src:(Block.last block) ~tgt
+    if Net_former.is_start_point t.ctx ~block ~taken ~next:tgt ~installing:Policy.No_action
     then bump t tgt
     else Policy.No_action
   | Policy.Cache_exited { tgt; _ } -> bump t tgt

@@ -1,19 +1,22 @@
-(** Shared core of trace combination (the paper's Figure 13).
+(** The combination step both combined policies share (the paper's
+    Figure 13).
 
-    Both combined policies observe [T_prof] traces from a profiled entry,
-    store them compactly, and then combine them into one multi-path region:
-    decode each stored trace against the program, merge them into a CFG,
-    mark blocks occurring in at least [T_min] traces, extend the marking
-    along rejoining paths, prune the rest, and turn internal exits into
-    edges. *)
+    Each observed trace is stored compactly under its entry.  After
+    [T_prof] observations the entry's traces are combined into one
+    multi-path region: decode each stored trace against the program,
+    merge them into a CFG, mark blocks occurring in at least [T_min]
+    traces, extend the marking along rejoining paths, prune the rest, and
+    turn internal exits into edges. *)
 
 open Regionsel_isa
 module Region = Regionsel_engine.Region
 module Context = Regionsel_engine.Context
 
-val build_region :
-  Context.t -> entry:Addr.t -> observations:Compact_trace.t list -> Region.spec option
-(** [build_region ctx ~entry ~observations] runs the combination pipeline.
-    Returns [None] when no region can be formed (no observations).
-    @raise Invalid_argument if an observation fails to decode or starts at
+val observe :
+  Context.t -> Observation_store.t -> entry:Addr.t -> Region.path -> Region.spec option
+(** [observe ctx store ~entry path] records [path], an observed trace from
+    [entry], in [store].  Once [store] holds [Params.combine_t_prof] traces
+    for [entry], it takes them, releases [entry]'s counter and returns the
+    combined region; otherwise [None].
+    @raise Invalid_argument if a stored trace fails to decode or starts at
     a different entry. *)

@@ -1,8 +1,6 @@
 open Regionsel_isa
 module Policy = Regionsel_engine.Policy
 module Context = Regionsel_engine.Context
-module Region = Regionsel_engine.Region
-module Code_cache = Regionsel_engine.Code_cache
 module Counters = Regionsel_engine.Counters
 module Params = Regionsel_engine.Params
 
@@ -94,22 +92,11 @@ let advance_observations t block taken next =
   List.iter
     (fun (entry, path) ->
       Addr.Table.remove t.formers entry;
-      Observation_store.record t.store (Compact_trace.encode path);
-      if Observation_store.count t.store entry >= t_prof t then begin
-        let observations = Observation_store.take t.store entry in
-        Counters.release t.ctx.Context.counters entry;
-        match Combine.build_region t.ctx ~entry ~observations with
-        | Some spec -> specs := spec :: !specs
-        | None -> ()
-      end)
+      match Combine.observe t.ctx t.store ~entry path with
+      | Some spec -> specs := spec :: !specs
+      | None -> ())
     !completed;
   if !specs = [] then Policy.No_action else Policy.Install !specs
-
-let install_entries = function
-  | Policy.No_action -> Addr.Set.empty
-  | Policy.Install specs ->
-    List.fold_left (fun acc (s : Region.spec) -> Addr.Set.add s.Region.entry acc) Addr.Set.empty
-      specs
 
 let handle t = function
   | Policy.Interp_block ib ->
@@ -122,13 +109,8 @@ let handle t = function
       else
         advance_observations t block taken (if Addr.is_none next then None else Some next)
     in
-    if
-      taken
-      && (not (Addr.is_none next))
-      && (not (Code_cache.mem t.ctx.Context.cache next))
-      && (not (Addr.Set.mem next (install_entries action)))
-      && Addr.is_backward ~src:(Block.last block) ~tgt:next
-    then bump t next;
+    if Net_former.is_start_point t.ctx ~block ~taken ~next ~installing:action then
+      bump t next;
     action
   | Policy.Cache_exited { tgt; _ } ->
     bump t tgt;
@@ -140,7 +122,6 @@ let handle t = function
     (match t.pending with
     | Some e when Addr.equal e entry -> t.pending <- None
     | Some _ | None -> ());
-    if Observation_store.count t.store entry > 0 then
-      ignore (Observation_store.take t.store entry);
+    ignore (Observation_store.take t.store entry);
     Counters.release t.ctx.Context.counters entry;
     Policy.No_action

@@ -33,7 +33,6 @@ let create ~capacity =
     hash = Addr.Table.create 1024;
   }
 
-let capacity t = t.cap
 let length t = t.live
 
 let is_live t seq = seq >= 1 && seq > t.hi - t.cap && seq <= t.hi && t.seqs.(seq mod t.cap) = seq
@@ -48,8 +47,6 @@ let find_seq t tgt =
   match Addr.Table.find t.hash tgt with
   | seq -> if is_live t seq && Addr.equal t.tgts.(seq mod t.cap) tgt then seq else 0
   | exception Not_found -> 0
-
-let follows_exit_at t ~seq = is_live t seq && t.fexits.(seq mod t.cap)
 
 let find t tgt =
   let seq = find_seq t tgt in
@@ -68,6 +65,15 @@ let insert t ~src ~tgt ~follows_exit =
   t.hi <- seq;
   Addr.Table.replace t.hash tgt seq;
   seq
+
+(* The previous occurrence is looked up by sequence number and its flag
+   read before the insert, which may overwrite its slot; nothing on this
+   per-branch path allocates. *)
+let counted_cycle t ~src ~tgt ~follows_exit =
+  let old_seq = find_seq t tgt in
+  let old_follows_exit = old_seq > 0 && t.fexits.(old_seq mod t.cap) in
+  ignore (insert t ~src ~tgt ~follows_exit);
+  if old_seq > 0 && (Addr.is_backward ~src ~tgt || old_follows_exit) then old_seq else 0
 
 let entries_after t ~seq =
   let rec collect s acc =
@@ -100,14 +106,11 @@ let save t emit =
   emit t.hi;
   emit t.live;
   emit (Addr.Table.length t.hash);
-  (* Target-sorted: canonical bytes regardless of insertion history. *)
-  List.iter
-    (fun (tgt, seq) ->
+  Addr.Table.iter_sorted
+    (fun tgt seq ->
       emit tgt;
       emit seq)
-    (List.sort
-       (fun (a, _) (b, _) -> Addr.compare a b)
-       (Addr.Table.fold (fun k v acc -> (k, v) :: acc) t.hash []))
+    t.hash
 
 let load t read =
   if read () <> t.cap then failwith "History_buffer.load: capacity mismatch";

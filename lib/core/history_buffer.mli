@@ -15,8 +15,7 @@
     numbers identify occurrences stably across wrap-around and truncation.
 
     Storage is parallel unboxed arrays, so the per-branch operations —
-    {!insert}, {!find_seq}, {!follows_exit_at}, {!length} — allocate
-    nothing; the {!entry}-returning accessors materialize records on demand
+    {!counted_cycle}, {!insert}, {!length} — allocate nothing; the {!entry}-returning accessors materialize records on demand
     and are meant for the cold (trace-formation and testing) paths. *)
 
 open Regionsel_isa
@@ -28,28 +27,26 @@ type t
 val create : capacity:int -> t
 (** Requires [capacity >= 1]. *)
 
-val capacity : t -> int
-
 val length : t -> int
 (** Entries currently held (at most [capacity]).  O(1): a live counter is
     maintained across insertion, eviction and truncation. *)
 
-val find_seq : t -> Addr.t -> int
-(** The sequence number of the most recent live occurrence of the address
-    as a branch target, or [0] if absent — the allocation-free core of the
-    paper's [HASH-LOOKUP(Buf.hash, tgt)]. *)
-
-val follows_exit_at : t -> seq:int -> bool
-(** The [follows_exit] flag of the live entry with the given sequence
-    number ([false] if the entry is dead). *)
-
 val find : t -> Addr.t -> entry option
-(** {!find_seq} materialized as an entry record. *)
+(** The most recent live occurrence of the address as a branch target —
+    the paper's [HASH-LOOKUP(Buf.hash, tgt)]. *)
 
 val insert : t -> src:Addr.t -> tgt:Addr.t -> follows_exit:bool -> int
 (** Append a taken branch, evicting the oldest entry when full, and update
     the hash index to this newest occurrence.  Returns the new entry's
     sequence number. *)
+
+val counted_cycle : t -> src:Addr.t -> tgt:Addr.t -> follows_exit:bool -> int
+(** Figure 5's cycle test, the one rule LEI and combined LEI share:
+    {!insert} the taken branch [src -> tgt], and if it closes a cycle LEI
+    counts — [tgt] already occurred in the buffer, and the branch is
+    backward or that earlier occurrence followed a code-cache exit
+    (line 9) — return the earlier occurrence's sequence number; otherwise
+    [0]. *)
 
 val entries_after : t -> seq:int -> entry list
 (** Live entries with sequence number strictly greater than [seq], oldest

@@ -26,39 +26,38 @@ let load ctx read =
    code-cache exit reaches the dispatcher exactly like an interpreted taken
    branch, so it runs the same algorithm; its buffer entry carries the
    [follows_exit] flag that line 9 tests on the {e previous} occurrence. *)
-let on_taken_branch t ~src ~tgt ~is_exit =
-  (* Seq-based lookups keep the per-branch fast path allocation-free: the
-     previous occurrence's flag must be read before the insert, which may
-     overwrite its slot. *)
-  let old_seq = History_buffer.find_seq t.buf tgt in
-  let old_follows_exit =
-    old_seq > 0 && History_buffer.follows_exit_at t.buf ~seq:old_seq
-  in
-  ignore (History_buffer.insert t.buf ~src ~tgt ~follows_exit:is_exit);
+let taken_branch (ctx : Context.t) buf ~on_cycle state ~src ~tgt ~is_exit =
+  let old_seq = History_buffer.counted_cycle buf ~src ~tgt ~follows_exit:is_exit in
   if old_seq = 0 then Policy.No_action
-  else if Addr.is_backward ~src ~tgt || old_follows_exit then begin
-    let c = Counters.incr t.ctx.Context.counters tgt in
-    if c >= t.ctx.Context.params.Params.lei_threshold then begin
-      let path = Lei_former.form ~ctx:t.ctx ~buf:t.buf ~start:tgt ~after_seq:old_seq in
-      History_buffer.truncate_after t.buf ~seq:old_seq;
-      Counters.release t.ctx.Context.counters tgt;
-      match path with
-      | Some path -> Policy.Install [ Region.spec_of_path ~kind:Region.Trace path ]
-      | None -> Policy.No_action
-    end
-    else Policy.No_action
-  end
-  else Policy.No_action
+  else on_cycle state ~tgt ~old_seq ~count:(Counters.incr ctx.Context.counters tgt)
 
-let handle t = function
+let on_event (ctx : Context.t) buf ~on_cycle state = function
   | Policy.Interp_block ib ->
     let tgt = ib.Policy.next in
     if ib.Policy.taken && not (Addr.is_none tgt) then
-      if Code_cache.mem t.ctx.Context.cache tgt then Policy.No_action
-      else on_taken_branch t ~src:(Block.last ib.Policy.block) ~tgt ~is_exit:false
+      if Code_cache.mem ctx.Context.cache tgt then Policy.No_action
+      else
+        taken_branch ctx buf ~on_cycle state ~src:(Block.last ib.Policy.block) ~tgt
+          ~is_exit:false
     else Policy.No_action
-  | Policy.Cache_exited { src; tgt; _ } -> on_taken_branch t ~src ~tgt ~is_exit:true
+  | Policy.Cache_exited { src; tgt; _ } ->
+    taken_branch ctx buf ~on_cycle state ~src ~tgt ~is_exit:true
   | Policy.Region_invalidated { entry } ->
     (* Cycle counting restarts from scratch for the retired entry. *)
-    Counters.release t.ctx.Context.counters entry;
+    Counters.release ctx.Context.counters entry;
     Policy.No_action
+
+(* At the threshold, form the cyclic trace the buffer holds (Figure 6) and
+   drop the buffer after the earlier occurrence (line 13). *)
+let on_cycle t ~tgt ~old_seq ~count =
+  if count < t.ctx.Context.params.Params.lei_threshold then Policy.No_action
+  else begin
+    let path = Lei_former.form ~ctx:t.ctx ~buf:t.buf ~start:tgt ~after_seq:old_seq in
+    History_buffer.truncate_after t.buf ~seq:old_seq;
+    Counters.release t.ctx.Context.counters tgt;
+    match path with
+    | Some path -> Policy.Install [ Region.spec_of_path ~kind:Region.Trace path ]
+    | None -> Policy.No_action
+  end
+
+let handle t event = on_event t.ctx t.buf ~on_cycle t event

@@ -11,4 +11,22 @@
     at blocks that begin existing regions, so nested cycles are not
     duplicated. *)
 
-include Regionsel_engine.Policy.S
+open Regionsel_isa
+module Policy = Regionsel_engine.Policy
+module Context = Regionsel_engine.Context
+
+include Policy.S
+
+val on_event :
+  Context.t ->
+  History_buffer.t ->
+  on_cycle:('a -> tgt:Addr.t -> old_seq:int -> count:int -> Policy.action) ->
+  'a ->
+  Policy.event ->
+  Policy.action
+(** The event handling LEI and combined LEI share, which differ only in
+    [on_cycle].  Every interpreted taken branch to an uncached target and
+    every code-cache exit runs {!History_buffer.counted_cycle}; a counted
+    cycle increments [tgt]'s counter and passes the new [count] and the
+    earlier occurrence's [old_seq] to [on_cycle state].
+    [Region_invalidated] releases the entry's counter. *)

@@ -1,4 +1,5 @@
 open Regionsel_isa
+module Policy = Regionsel_engine.Policy
 module Region = Regionsel_engine.Region
 module Context = Regionsel_engine.Context
 module Code_cache = Regionsel_engine.Code_cache
@@ -76,3 +77,16 @@ let feed t ~ctx ~block ~taken ~next =
       t.n_insts >= params.Params.max_trace_insts || t.n_blocks >= params.Params.max_trace_blocks
     then finish t ~final_next:(Some a)
     else Continue
+
+let rec installs a = function
+  | [] -> false
+  | (s : Region.spec) :: specs -> Addr.equal s.Region.entry a || installs a specs
+
+let is_start_point ctx ~block ~taken ~next ~installing =
+  taken
+  && (not (Addr.is_none next))
+  && (not (Code_cache.mem ctx.Context.cache next))
+  && (match installing with
+     | Policy.No_action -> true
+     | Policy.Install specs -> not (installs next specs))
+  && Addr.is_backward ~src:(Block.last block) ~tgt:next

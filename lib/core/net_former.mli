@@ -7,9 +7,10 @@
     of an existing trace (or of this trace — a completed cycle), or at the
     size limit.  Both the plain NET policy and combined NET (which records
     observed traces without installing them) drive their recordings through
-    this module. *)
+    this module, and they and BOA share its start-point test. *)
 
 open Regionsel_isa
+module Policy = Regionsel_engine.Policy
 module Region = Regionsel_engine.Region
 module Context = Regionsel_engine.Context
 
@@ -34,3 +35,10 @@ val save : t -> (int -> unit) -> unit
 val load : program:Program.t -> (unit -> int) -> t
 (** Rebuild a former from a {!save} stream, re-resolving blocks in the
     program.  Raises [Failure] on a malformed stream. *)
+
+val is_start_point :
+  Context.t -> block:Block.t -> taken:bool -> next:Addr.t -> installing:Policy.action -> bool
+(** NET's start-point test (Section 2.1): the interpreted [block]'s branch
+    is taken, to a real target [next] that is not cached, is not the entry
+    of a region [installing] is about to install on this same event, and
+    is backward.  Allocates nothing. *)

@@ -2,7 +2,6 @@ open Regionsel_isa
 module Policy = Regionsel_engine.Policy
 module Context = Regionsel_engine.Context
 module Region = Regionsel_engine.Region
-module Code_cache = Regionsel_engine.Code_cache
 module Counters = Regionsel_engine.Counters
 module Params = Regionsel_engine.Params
 
@@ -37,11 +36,7 @@ module Make (C : CONFIG) : Policy.S = struct
       emit 2;
       Net_former.save former emit);
     emit (Addr.Table.length t.exit_targets);
-    (* Sorted: canonical bytes regardless of insertion history. *)
-    List.iter
-      (fun a -> emit a)
-      (List.sort Addr.compare
-         (Addr.Table.fold (fun a () acc -> a :: acc) t.exit_targets []))
+    Addr.Table.iter_sorted (fun a () -> emit a) t.exit_targets
 
   let load ctx read =
     let t = create ctx in
@@ -70,36 +65,25 @@ module Make (C : CONFIG) : Policy.S = struct
       t.recording <- Pending tgt
     end
 
+  let feed t former block taken next =
+    match Net_former.feed former ~ctx:t.ctx ~block ~taken ~next with
+    | Net_former.Continue -> Policy.No_action
+    | Net_former.Done path ->
+      t.recording <- Idle;
+      Policy.Install [ Region.spec_of_path ~kind:Region.Trace path ]
+
   let advance_recording t block taken next =
     match t.recording with
     | Idle -> Policy.No_action
-    | Pending entry ->
-      if Addr.equal block.Block.start entry then begin
-        let former = Net_former.start ~entry in
-        t.recording <- Active former;
-        match Net_former.feed former ~ctx:t.ctx ~block ~taken ~next with
-        | Net_former.Continue -> Policy.No_action
-        | Net_former.Done path ->
-          t.recording <- Idle;
-          Policy.Install [ Region.spec_of_path ~kind:Region.Trace path ]
-      end
-      else begin
-        (* Control did not reach the armed entry: abandon the recording. *)
-        t.recording <- Idle;
-        Policy.No_action
-      end
-    | Active former -> (
-      match Net_former.feed former ~ctx:t.ctx ~block ~taken ~next with
-      | Net_former.Continue -> Policy.No_action
-      | Net_former.Done path ->
-        t.recording <- Idle;
-        Policy.Install [ Region.spec_of_path ~kind:Region.Trace path ])
-
-  let install_entries = function
-    | Policy.No_action -> Addr.Set.empty
-    | Policy.Install specs ->
-      List.fold_left (fun acc (s : Region.spec) -> Addr.Set.add s.Region.entry acc) Addr.Set.empty
-        specs
+    | Pending entry when Addr.equal block.Block.start entry ->
+      let former = Net_former.start ~entry in
+      t.recording <- Active former;
+      feed t former block taken next
+    | Pending _ ->
+      (* Control did not reach the armed entry: abandon the recording. *)
+      t.recording <- Idle;
+      Policy.No_action
+    | Active former -> feed t former block taken next
 
   let handle t = function
     | Policy.Interp_block ib ->
@@ -112,13 +96,8 @@ module Make (C : CONFIG) : Policy.S = struct
         | Pending _ | Active _ ->
           advance_recording t block taken (if Addr.is_none next then None else Some next)
       in
-      if
-        taken
-        && (not (Addr.is_none next))
-        && (not (Code_cache.mem t.ctx.Context.cache next))
-        && (not (Addr.Set.mem next (install_entries action)))
-        && Addr.is_backward ~src:(Block.last block) ~tgt:next
-      then bump t next;
+      if Net_former.is_start_point t.ctx ~block ~taken ~next ~installing:action then
+        bump t next;
       action
     | Policy.Cache_exited { tgt; _ } ->
       if not (Addr.Table.mem t.exit_targets tgt) then

@@ -35,16 +35,12 @@ let n_entries t = Addr.Table.length t.table
 let save t emit =
   emit t.bytes;
   emit (Addr.Table.length t.table);
-  (* Entry-sorted: table iteration order depends on insertion history,
-     which would make a restored store re-encode differently. *)
-  List.iter
-    (fun (entry, traces) ->
+  Addr.Table.iter_sorted
+    (fun entry traces ->
       emit entry;
       emit (List.length traces);
       List.iter (fun tr -> Compact_trace.save tr emit) traces)
-    (List.sort
-       (fun (a, _) (b, _) -> Addr.compare a b)
-       (Addr.Table.fold (fun k v acc -> (k, v) :: acc) t.table []))
+    t.table
 
 let load t read =
   let bytes = read () in

@@ -362,5 +362,4 @@ let load_warm t read =
   t.stack_len <- stack_len
 
 let block t (s : step) = Program.block_of_id t.program s.block_id
-let pc t = if t.cur < 0 then None else Some (pc_addr t)
 let stack_depth t = t.stack_len

@@ -73,9 +73,6 @@ val load_warm : t -> (unit -> int) -> unit
     and bind the restored states at their first execution.  Raises [Failure] on a
     structurally invalid stream. *)
 
-val pc : t -> Addr.t option
-(** The next block to execute. *)
-
 val stack_depth : t -> int
 
 exception Runaway_stack of int

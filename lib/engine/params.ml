@@ -102,7 +102,6 @@ type t = {
   watchdog_window : int;
   watchdog_min_share : float;
   bailout_cooldown : int;
-  validate : bool;
 }
 
 let default =
@@ -131,20 +130,4 @@ let default =
     watchdog_window = 2_000;
     watchdog_min_share = 0.2;
     bailout_cooldown = 4_000;
-    validate = false;
   }
-
-let pp ppf t =
-  Format.fprintf ppf
-    "@[<v>net_threshold=%d@,lei_threshold=%d@,lei_buffer_size=%d@,combine_t_prof=%d@,\
-     combine_t_min=%d@,combined_net_start=%d@,combined_lei_start=%d@,max_trace_insts=%d@,\
-     max_trace_blocks=%d@,mojo_exit_threshold=%d@,boa_threshold=%d@,cache=%s@,faults=%s@]"
-    t.net_threshold t.lei_threshold t.lei_buffer_size t.combine_t_prof t.combine_t_min
-    t.combined_net_start t.combined_lei_start t.max_trace_insts t.max_trace_blocks
-    t.mojo_exit_threshold t.boa_threshold
-    (match t.cache_capacity_bytes with
-    | None -> "unbounded"
-    | Some b ->
-      Printf.sprintf "%dB/%s" b
-        (match t.cache_eviction with Flush_all -> "flush" | Evict_oldest -> "fifo"))
-    (match t.faults with None -> "off" | Some _ -> "on")

@@ -102,16 +102,6 @@ type t = {
           previous peak while faults are active. *)
   bailout_cooldown : int;
       (** Steps of pure interpretation after a watchdog bailout. *)
-  validate : bool;
-      (** Run under the sanitizer (see [Regionsel_check.Check]): audit the
-          DESIGN.md cache/link/telemetry invariants on every cache mutation
-          and shadow-step the pure interpreter as a differential oracle.
-          Off by default — a [validate = false] run is bit-identical to one
-          built before the checker existed; the flag itself changes nothing
-          in the engine, it only records that the run is meant to go through
-          [Check.checked_run] (the [--check] CLI flag sets both). *)
 }
 
 val default : t
-
-val pp : Format.formatter -> t -> unit

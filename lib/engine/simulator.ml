@@ -803,7 +803,6 @@ let advance t ~upto = t.h_advance upto
 let finish t = t.h_finish ()
 let steps t = t.h_steps ()
 let halted t = t.h_halted ()
-let max_steps t = t.h_max_steps
 let exhausted t = t.h_steps () >= t.h_max_steps || t.h_halted ()
 let set_cache_quota t quota = t.h_set_quota quota
 let cache_bytes_used t = t.h_bytes_used ()

@@ -131,7 +131,6 @@ val finish : t -> result
 
 val steps : t -> int
 val halted : t -> bool
-val max_steps : t -> int
 
 val exhausted : t -> bool
 (** No more stepping will happen: the budget is spent or the run halted. *)

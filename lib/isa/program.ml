@@ -108,9 +108,3 @@ let of_blocks_exn ~entry blocks =
   match of_blocks ~entry blocks with
   | Ok t -> t
   | Error msg -> invalid_arg ("Program.of_blocks_exn: " ^ msg)
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>program entry=%a (%d blocks, %d insts)" Addr.pp t.entry (n_blocks t)
-    t.n_insts;
-  Array.iter (fun b -> Format.fprintf ppf "@,  %a" Block.pp b) t.blocks;
-  Format.fprintf ppf "@]"

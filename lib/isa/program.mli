@@ -48,4 +48,3 @@ val blocks : t -> Block.t array
 (** All blocks in increasing address order. *)
 
 val iter_blocks : (Block.t -> unit) -> t -> unit
-val pp : Format.formatter -> t -> unit

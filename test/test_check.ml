@@ -8,6 +8,7 @@ module Simulator = Regionsel_engine.Simulator
 module Stats = Regionsel_engine.Stats
 module Params = Regionsel_engine.Params
 module Policies = Regionsel_core.Policies
+module Run_metrics = Regionsel_metrics.Run_metrics
 open Fixtures
 
 (* Acceptance: the sanitizer's self-test — a deliberate FIFO/dispatch
@@ -43,6 +44,20 @@ let checked_run_preserves_metrics () =
       ~max_steps:8_000 image
   in
   check_true "checked metrics identical" (snap plain = snap checked)
+
+(* A checked cell prints the plain cell's metrics JSON byte for byte,
+   clean and under faults: the sanitizer audits spans with a recorder of
+   its own, but reports telemetry only from one the caller passed in. *)
+let checked_json_is_plain_json () =
+  let image = Regionsel_workload.Spec.image (Option.get (Regionsel_workload.Suite.find "gzip")) in
+  let json (r : Simulator.result) = Run_metrics.to_json (Run_metrics.of_result r) in
+  List.iter
+    (fun (policy, what, faults) ->
+      let params = { Params.default with Params.faults } in
+      let plain = Simulator.run ~params ~seed:1L ~policy ~max_steps:30_000 image in
+      let checked = Check.checked_run ~params ~seed:1L ~policy ~max_steps:30_000 image in
+      Alcotest.(check string) ("checked " ^ what ^ " JSON") (json plain) (json checked))
+    [ (Policies.net, "clean", None); (Policies.combined_lei, "mixed", Params.fault_profile "mixed") ]
 
 (* The audit must also hold along the eviction path, which the fuzz matrix
    (unbounded caches) does not exercise. *)
@@ -116,6 +131,7 @@ let suite =
   [
     case "self-test break caught and shrunk" self_test_catches_and_shrinks;
     case "checked run preserves metrics" checked_run_preserves_metrics;
+    case "checked run prints the plain metrics JSON" checked_json_is_plain_json;
     case "checked run survives bounded cache" checked_run_survives_bounded_cache;
     case "checked run follows linked exits" checked_run_follows_linked_exits;
     case "fuzz matrix clean" fuzz_matrix_clean;

@@ -186,7 +186,7 @@ let checked_run_resumes_a_snapshot () =
   let params = Params.default in
   let _, mid_bytes = capture ~at:11_000 ~params ~policy ~seed ~max_steps:30_000 image in
   let result =
-    Check.checked_run ~params ~seed
+    Check.checked_run ~params ~seed ~telemetry:(Telemetry.create ())
       ~restore:(fun internals ->
         let report = Persist.decode_into mid_bytes ~seed ~policy internals in
         check_true "checked restore is clean" (Persist.clean report))
@@ -773,6 +773,38 @@ let outgrown_edge_table_keeps_every_byte () =
       ("boa", "6f8774ba8041619331639185496f3950", "d61b8a1a878fc9a8a5578cc8226acba1");
       ("jit-method", "967a3a3d8cf0d1b4da112e3a018c9def", "e06b7616d4f05156ce2f0b6bfed876ae") ]
 
+(* Snapshot bytes are pinned per policy: four benches under all seven
+   policies, each a clean run saved halfway through its default budget at
+   the CLI's default seed, as [run --save-state F --at-step N] writes it.
+   A mismatch names the cell; an intended change to a policy's [save]
+   stream (or to any other section) is then reviewed cell by cell, and a
+   snapshot written before it will no longer restore byte-identically. *)
+let snapshot_bytes_match_golden () =
+  let golden = In_channel.with_open_text "golden/snapshots.txt" In_channel.input_lines in
+  let lines =
+    List.concat_map
+      (fun bench ->
+        let spec = Option.get (Suite.find bench) in
+        let at = spec.Spec.default_steps / 2 in
+        List.map
+          (fun (policy, _) ->
+            let sim =
+              Simulator.create ~seed:1L ~policy:(policy_exn policy)
+                ~max_steps:spec.Spec.default_steps (Spec.image spec)
+            in
+            Simulator.advance sim ~upto:at;
+            let bytes = Persist.encode ~seed:1L ~policy (Simulator.internals sim) in
+            Printf.sprintf "%s %s %d %s" bench policy at (Digest.to_hex (Digest.bytes bytes)))
+          Policies.all)
+      [ "gzip"; "gcc"; "perlbmk"; "twolf" ]
+  in
+  check_int "one golden line per cell" (List.length golden) (List.length lines);
+  List.iter2
+    (fun line want ->
+      if line <> want then
+        Alcotest.failf "snapshot bytes changed:\n  golden: %s\n  now:    %s" want line)
+    lines golden
+
 let suite =
   [
     case "identity across policies and checkpoint steps"
@@ -799,6 +831,7 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_history_buffer_roundtrip;
     QCheck_alcotest.to_alcotest qcheck_crc32_matches_bytewise;
     case "snapshot corruption axis" snapshot_corruption_axis;
+    case "snapshot bytes match golden digests" snapshot_bytes_match_golden;
     case "torn write leaves previous snapshot intact" torn_write_leaves_previous_snapshot_intact;
     case "missing file raises Sys_error" missing_file_raises_sys_error;
     case "decoded REVL file replays as the live run" decoded_file_replays_as_live_clean;
