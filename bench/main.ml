@@ -1166,9 +1166,9 @@ let measure_metrics_overhead () =
   in
   (off, on, Float.max 0.0 (1.0 -. (on /. off)))
 
-(* Steady-state allocation of the headline loop on one bench under NET, in
-   minor-heap words per executed block: two runs differing only in length
-   cancel the per-run setup costs (the interpreter's op table, policy
+(* Steady-state allocation of the headline loop on one bench under a
+   policy (NET by default), in minor-heap words per executed block: two
+   runs differing only in length cancel the per-run setup costs (the interpreter's op table, policy
    state, region installs during warm-up), leaving the marginal per-step
    slope.  ~0.0 is the contract — the step loop itself allocates nothing;
    the tolerance gated in CI only absorbs rare growth events (table
@@ -1177,9 +1177,9 @@ let measure_metrics_overhead () =
    weighted indirect-dispatch benches.  The window is 400k -> 800k steps
    in quick mode too: at 100k some benches are still forming regions,
    and the slope would measure the policies' warm-up, not the loop. *)
-let measure_minor_words_per_step name =
+let measure_minor_words_per_step ?(policy = "net") name =
   let image = Spec.image (Option.get (Suite.find name)) in
-  let policy = Option.get (Policies.find "net") in
+  let policy = Option.get (Policies.find policy) in
   let n = 400_000 in
   let alloc steps =
     let mw0 = Gc.minor_words () in
@@ -1261,6 +1261,23 @@ let emit_json path =
     List.map (fun name -> (name, measure_minor_words_per_step name)) bench_names
   in
   let minor_words_per_step = List.assoc "twolf" words_by_bench in
+  (* Every policy by the same slope; NET's row is [words_by_bench]. *)
+  let words_by_policy =
+    List.map
+      (fun (policy, _) ->
+        ( policy,
+          if String.equal policy "net" then words_by_bench
+          else
+            List.map (fun name -> (name, measure_minor_words_per_step ~policy name)) bench_names
+        ))
+      Policies.all
+  in
+  let json_words words =
+    String.concat ", "
+      (List.map
+         (fun (name, w) -> Printf.sprintf "\"%s\": %s" (json_escape name) (json_float w))
+         words)
+  in
   let metrics_off, metrics_on, metrics_overhead = measure_metrics_overhead () in
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\n";
@@ -1280,11 +1297,14 @@ let emit_json path =
   Buffer.add_string b
     (Printf.sprintf "  \"minor_words_per_step\": %s,\n" (json_float minor_words_per_step));
   Buffer.add_string b
-    (Printf.sprintf "  \"minor_words_per_step_by_bench\": {%s},\n"
+    (Printf.sprintf "  \"minor_words_per_step_by_bench\": {%s},\n" (json_words words_by_bench));
+  Buffer.add_string b
+    (Printf.sprintf "  \"minor_words_per_step_by_policy\": {%s},\n"
        (String.concat ", "
           (List.map
-             (fun (name, w) -> Printf.sprintf "\"%s\": %s" (json_escape name) (json_float w))
-             words_by_bench)));
+             (fun (policy, words) ->
+               Printf.sprintf "\"%s\": {%s}" (json_escape policy) (json_words words))
+             words_by_policy)));
   Buffer.add_string b
     (Printf.sprintf
        "  \"metrics_overhead\": {\"steps_per_sec_off\": %s, \"steps_per_sec_on\": %s, \

@@ -220,8 +220,10 @@ let create ?(params = Params.default) ?(seed = 1L) ?telemetry ?(audit_every = 64
       restore
   in
   let sim =
-    Simulator.create ~params ~seed ~telemetry:(Some t) ~observer ?restore ?record ?replay
-      ~policy ~max_steps image
+    (* The audit's own recorder stays out of the run's snapshot: a caller
+       that passed none saves a plain run's sections. *)
+    Simulator.create ~params ~seed ~telemetry:(Some t) ~save_telemetry:(telemetry <> None)
+      ~observer ?restore ?record ?replay ~policy ~max_steps image
   in
   let finish () =
     let result = Simulator.finish sim in

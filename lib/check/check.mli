@@ -106,7 +106,9 @@ val create :
     caller exporting traces audits the very recorder it exports.  The
     finished result reports telemetry only from a recorder the caller
     passed: without one its [ctx.telemetry] is [Telemetry.none], as in a
-    plain run, so the run's metrics are the plain run's.
+    plain run, so the run's metrics are the plain run's, and the handle's
+    {!Simulator.internals} carry no telemetry section, so its snapshots
+    are the plain run's byte for byte.
 
     [break_at] is the fuzz driver's self-test hook: from that step on, the
     first live region's entry slot is deliberately cleared from the

@@ -4,8 +4,15 @@ module Context = Regionsel_engine.Context
 module Counters = Regionsel_engine.Counters
 module Params = Regionsel_engine.Params
 
-let build_region (ctx : Context.t) ~entry ~observations =
-  let cfg = Trace_cfg.create ~entry in
+type t = { ctx : Context.t; store : Observation_store.t; cfg : Trace_cfg.t }
+
+let create (ctx : Context.t) store =
+  let program = ctx.Context.program in
+  { ctx; store; cfg = Trace_cfg.create program ~entry:(Program.entry program) }
+
+let build_region t ~entry ~observations =
+  let ctx = t.ctx and cfg = t.cfg in
+  Trace_cfg.reset cfg ~entry;
   List.iter
     (fun obs ->
       if not (Addr.equal (Compact_trace.entry obs) entry) then
@@ -21,11 +28,11 @@ let build_region (ctx : Context.t) ~entry ~observations =
   in
   Trace_cfg.to_spec ~layout cfg
 
-let observe (ctx : Context.t) store ~entry path =
-  Observation_store.record store (Compact_trace.encode path);
-  if Observation_store.count store entry < ctx.Context.params.Params.combine_t_prof then None
+let observe t ~entry path =
+  Observation_store.record t.store (Compact_trace.encode path);
+  if Observation_store.count t.store entry < t.ctx.Context.params.Params.combine_t_prof then None
   else begin
-    let observations = Observation_store.take store entry in
-    Counters.release ctx.Context.counters entry;
-    Some (build_region ctx ~entry ~observations)
+    let observations = Observation_store.take t.store entry in
+    Counters.release t.ctx.Context.counters entry;
+    Some (build_region t ~entry ~observations)
   end

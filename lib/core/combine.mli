@@ -12,11 +12,17 @@ open Regionsel_isa
 module Region = Regionsel_engine.Region
 module Context = Regionsel_engine.Context
 
-val observe :
-  Context.t -> Observation_store.t -> entry:Addr.t -> Region.path -> Region.spec option
-(** [observe ctx store ~entry path] records [path], an observed trace from
-    [entry], in [store].  Once [store] holds [Params.combine_t_prof] traces
-    for [entry], it takes them, releases [entry]'s counter and returns the
-    combined region; otherwise [None].
+type t
+(** The combination step of one policy instance: its observation store,
+    and a CFG sized to the program once and reused by every
+    combination. *)
+
+val create : Context.t -> Observation_store.t -> t
+
+val observe : t -> entry:Addr.t -> Region.path -> Region.spec option
+(** [observe t ~entry path] records [path], an observed trace from
+    [entry], in the store.  Once the store holds [Params.combine_t_prof]
+    traces for [entry], it takes them, releases [entry]'s counter and
+    returns the combined region; otherwise [None].
     @raise Invalid_argument if a stored trace fails to decode or starts at
     a different entry. *)

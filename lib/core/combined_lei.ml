@@ -2,15 +2,25 @@ module Policy = Regionsel_engine.Policy
 module Context = Regionsel_engine.Context
 module Params = Regionsel_engine.Params
 
-type t = { ctx : Context.t; store : Observation_store.t; buf : History_buffer.t }
+type t = {
+  ctx : Context.t;
+  store : Observation_store.t;
+  combine : Combine.t;
+  buf : History_buffer.t;
+  former : Lei_former.t;
+}
 
 let name = "combined-lei"
 
 let create (ctx : Context.t) =
+  let program = ctx.Context.program in
+  let store = Observation_store.create program ctx.Context.gauges in
   {
     ctx;
-    store = Observation_store.create ctx.Context.gauges;
-    buf = History_buffer.create ~capacity:ctx.Context.params.Params.lei_buffer_size;
+    store;
+    combine = Combine.create ctx store;
+    buf = History_buffer.create program ~capacity:ctx.Context.params.Params.lei_buffer_size;
+    former = Lei_former.create program;
   }
 
 (* Checkpoint support. *)
@@ -29,12 +39,12 @@ let load ctx read =
 let on_cycle t ~tgt ~old_seq ~count =
   if count <= t.ctx.Context.params.Params.combined_lei_start then Policy.No_action
   else begin
-    let path = Lei_former.form ~ctx:t.ctx ~buf:t.buf ~start:tgt ~after_seq:old_seq in
+    let path = Lei_former.form t.former ~ctx:t.ctx ~buf:t.buf ~start:tgt ~after_seq:old_seq in
     History_buffer.truncate_after t.buf ~seq:old_seq;
     match path with
     | None -> Policy.No_action
     | Some path -> (
-      match Combine.observe t.ctx t.store ~entry:tgt path with
+      match Combine.observe t.combine ~entry:tgt path with
       | Some spec -> Policy.Install [ spec ]
       | None -> Policy.No_action)
   end

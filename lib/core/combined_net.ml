@@ -7,19 +7,20 @@ module Params = Regionsel_engine.Params
 type t = {
   ctx : Context.t;
   store : Observation_store.t;
+  combine : Combine.t;
   formers : Net_former.t Addr.Table.t; (* active observations, by entry *)
   mutable pending : Addr.t option; (* entry armed to start recording *)
 }
 
 let name = "combined-net"
 
+let make (ctx : Context.t) store ~formers ~pending =
+  { ctx; store; combine = Combine.create ctx store; formers; pending }
+
 let create (ctx : Context.t) =
-  {
-    ctx;
-    store = Observation_store.create ctx.Context.gauges;
-    formers = Addr.Table.create 16;
-    pending = None;
-  }
+  make ctx
+    (Observation_store.create ctx.Context.program ctx.Context.gauges)
+    ~formers:(Addr.Table.create 16) ~pending:None
 
 let t_start t = t.ctx.Context.params.Params.combined_net_start
 let t_prof t = t.ctx.Context.params.Params.combine_t_prof
@@ -51,7 +52,7 @@ let load ctx read =
     | 1 -> Some (read ())
     | _ -> failwith "Combined_net.load: bad pending tag"
   in
-  let store = Observation_store.create ctx.Context.gauges in
+  let store = Observation_store.create ctx.Context.program ctx.Context.gauges in
   Observation_store.load store read;
   let buckets = read () in
   let n = read () in
@@ -59,7 +60,7 @@ let load ctx read =
   let formers = Addr.Table.create buckets in
   let fs = List.init n (fun _ -> Net_former.load ~program:ctx.Context.program read) in
   List.iter (fun f -> Addr.Table.add formers (Net_former.entry f) f) (List.rev fs);
-  { ctx; store; formers; pending }
+  make ctx store ~formers ~pending
 
 (* One more eligible execution of [tgt]; maybe arm an observation. *)
 let bump t tgt =
@@ -76,7 +77,7 @@ let resolve_pending t block =
   | Some entry ->
     t.pending <- None;
     if Addr.equal block.Block.start entry then
-      Addr.Table.replace t.formers entry (Net_former.start ~entry)
+      Addr.Table.replace t.formers entry (Net_former.start t.ctx.Context.program ~entry)
 
 (* Feed every active former; turn completed observations into stored
    compact traces and, at [T_prof], into an installable combined region. *)
@@ -92,7 +93,7 @@ let advance_observations t block taken next =
   List.iter
     (fun (entry, path) ->
       Addr.Table.remove t.formers entry;
-      match Combine.observe t.ctx t.store ~entry path with
+      match Combine.observe t.combine ~entry path with
       | Some spec -> specs := spec :: !specs
       | None -> ())
     !completed;
@@ -102,12 +103,9 @@ let handle t = function
   | Policy.Interp_block ib ->
     let block = ib.Policy.block and taken = ib.Policy.taken and next = ib.Policy.next in
     resolve_pending t block;
-    (* The option is only materialized while observations are in flight;
-       the steady (no-former) state stays allocation-free. *)
     let action =
       if Addr.Table.length t.formers = 0 then Policy.No_action
-      else
-        advance_observations t block taken (if Addr.is_none next then None else Some next)
+      else advance_observations t block taken next
     in
     if Net_former.is_start_point t.ctx ~block ~taken ~next ~installing:action then
       bump t next;

@@ -88,78 +88,76 @@ let load read =
   done;
   { entry; data; n_bits }
 
-type token = Taken | Not_taken | Indirect of Addr.t
-
-let read_tokens t =
-  let r = Bitbuf.Reader.create t.data ~n_bits:t.n_bits in
-  let rec collect acc =
-    let code = Bitbuf.Reader.read_bits2 r in
-    if code = code_end then List.rev acc, Bitbuf.Reader.read_uint32 r
-    else if code = code_indirect then collect (Indirect (Bitbuf.Reader.read_uint32 r) :: acc)
-    else if code = code_not_taken then collect (Not_taken :: acc)
-    else collect (Taken :: acc)
-  in
-  collect []
-
 let errorf fmt = Format.kasprintf invalid_arg fmt
 
+(* Two passes over the bits, no token list: the first counts the branch
+   codes and reads the end address, which the walk needs from its first
+   block on; the second reads each code as the walk reaches its branch.
+   The walk indexes the program by block id. *)
 let decode program t =
-  let tokens, end_addr = read_tokens t in
-  let tokens = ref tokens in
-  let pop () =
-    match !tokens with
-    | tok :: rest ->
-      tokens := rest;
-      Some tok
-    | [] -> None
+  let r = Bitbuf.Reader.create t.data ~n_bits:t.n_bits in
+  let rec count n =
+    let code = Bitbuf.Reader.read_bits2 r in
+    if code = code_end then n
+    else begin
+      if code = code_indirect then ignore (Bitbuf.Reader.read_uint32 r : int);
+      count (n + 1)
+    end
   in
+  let n_codes = count 0 in
+  let end_addr = Bitbuf.Reader.read_uint32 r in
+  let r = Bitbuf.Reader.create t.data ~n_bits:t.n_bits in
+  let remaining = ref n_codes in
   let blocks = ref [] in
-  let final_next = ref None in
+  let final_next = ref Addr.none in
   let finished = ref false in
   let cur = ref t.entry in
   let steps = ref 0 in
   while not !finished do
     incr steps;
     if !steps > 1_000_000 then errorf "Compact_trace.decode: runaway walk from %a" Addr.pp t.entry;
-    let b =
-      match Program.block_at program !cur with
-      | Some b -> b
-      | None -> errorf "Compact_trace.decode: %a is not a block start" Addr.pp !cur
-    in
+    let id = Program.block_id program !cur in
+    if id < 0 then errorf "Compact_trace.decode: %a is not a block start" Addr.pp !cur;
+    let b = Program.block_of_id program id in
     blocks := b :: !blocks;
     let succ =
       match b.Block.term with
-      | Terminator.Fallthrough -> Some (Block.fall_addr b)
-      | Terminator.Halt -> None
-      | term -> (
-        match pop () with
-        | None ->
+      | Terminator.Fallthrough -> Block.fall_addr b
+      | Terminator.Halt -> Addr.none
+      | term ->
+        if !remaining = 0 then begin
           (* The final branch's outcome was unknown to the encoder. *)
           if Block.last b <> end_addr then
             errorf "Compact_trace.decode: ran out of codes before %a" Addr.pp end_addr;
-          None
-        | Some tok -> (
-          match term, tok with
-          | Terminator.Cond tgt, Taken -> Some tgt
-          | Terminator.Cond _, Not_taken -> Some (Block.fall_addr b)
-          | (Terminator.Jump tgt | Terminator.Call tgt), Taken -> Some tgt
-          | ( (Terminator.Return | Terminator.Indirect_jump | Terminator.Indirect_call),
-              Indirect a ) -> Some a
+          Addr.none
+        end
+        else begin
+          decr remaining;
+          let code = Bitbuf.Reader.read_bits2 r in
+          match term with
+          | Terminator.Cond tgt when code = code_taken -> tgt
+          | Terminator.Cond _ when code = code_not_taken -> Block.fall_addr b
+          | (Terminator.Jump tgt | Terminator.Call tgt) when code = code_taken -> tgt
+          | (Terminator.Return | Terminator.Indirect_jump | Terminator.Indirect_call)
+            when code = code_indirect -> Bitbuf.Reader.read_uint32 r
           | _ ->
             errorf "Compact_trace.decode: code inconsistent with %a at %a" Terminator.pp term
-              Addr.pp (Block.last b)))
+              Addr.pp (Block.last b)
+        end
     in
-    if !tokens = [] && Block.last b = end_addr then begin
+    if !remaining = 0 && Block.last b = end_addr then begin
       final_next := succ;
       finished := true
     end
-    else
-      match succ with
-      | Some a -> cur := a
-      | None ->
-        if Block.last b <> end_addr then
-          errorf "Compact_trace.decode: walk stopped at %a but trace ends at %a" Addr.pp
-            (Block.last b) Addr.pp end_addr;
-        finished := true
+    else if Addr.is_none succ then begin
+      if Block.last b <> end_addr then
+        errorf "Compact_trace.decode: walk stopped at %a but trace ends at %a" Addr.pp
+          (Block.last b) Addr.pp end_addr;
+      finished := true
+    end
+    else cur := succ
   done;
-  { Region.blocks = List.rev !blocks; final_next = !final_next }
+  {
+    Region.blocks = List.rev !blocks;
+    final_next = (if Addr.is_none !final_next then None else Some !final_next);
+  }

@@ -17,10 +17,12 @@ type t = {
   cap : int;
   mutable hi : int; (* highest live sequence number; 0 = empty *)
   mutable live : int; (* number of live entries, maintained incrementally *)
-  hash : int Addr.Table.t; (* target -> seq of most recent occurrence *)
+  program : Program.t;
+  index : int array; (* target block id -> seq of most recent occurrence; 0 = none *)
+  mutable bound : int; (* ids with a binding in [index] *)
 }
 
-let create ~capacity =
+let create program ~capacity =
   if capacity < 1 then invalid_arg "History_buffer.create: capacity must be >= 1";
   {
     srcs = Array.make capacity 0;
@@ -30,31 +32,50 @@ let create ~capacity =
     cap = capacity;
     hi = 0;
     live = 0;
-    hash = Addr.Table.create 1024;
+    program;
+    index = Array.make (Program.n_blocks program) 0;
+    bound = 0;
   }
 
 let length t = t.live
 
-let is_live t seq = seq >= 1 && seq > t.hi - t.cap && seq <= t.hi && t.seqs.(seq mod t.cap) = seq
+let[@inline] slot t seq = seq mod t.cap
+
+(* The slot of a live [seq], or [-1]. *)
+let live_slot t seq =
+  if seq >= 1 && seq > t.hi - t.cap && seq <= t.hi then
+    let i = slot t seq in
+    if t.seqs.(i) = seq then i else -1
+  else -1
+
+let is_live t seq = live_slot t seq >= 0
 
 let get t seq =
-  if not (is_live t seq) then None
-  else
-    let i = seq mod t.cap in
-    Some { src = t.srcs.(i); tgt = t.tgts.(i); follows_exit = t.fexits.(i); seq }
+  let i = live_slot t seq in
+  if i < 0 then None
+  else Some { src = t.srcs.(i); tgt = t.tgts.(i); follows_exit = t.fexits.(i); seq }
 
-let find_seq t tgt =
-  match Addr.Table.find t.hash tgt with
-  | seq -> if is_live t seq && Addr.equal t.tgts.(seq mod t.cap) tgt then seq else 0
-  | exception Not_found -> 0
+let target_id t tgt =
+  let id = Program.block_id t.program tgt in
+  if id < 0 then invalid_arg "History_buffer: target is not a block start";
+  id
+
+(* [id] is [tgt]'s block id.  A binding whose slot has since been
+   overwritten — by wrap-around, or by a re-issued sequence number after a
+   truncation — is a miss, even when an older live occurrence of [tgt]
+   exists.  Returns the occurrence's slot, or [-1]. *)
+let find_slot t ~tgt ~id =
+  let i = live_slot t t.index.(id) in
+  if i >= 0 && Addr.equal t.tgts.(i) tgt then i else -1
 
 let find t tgt =
-  let seq = find_seq t tgt in
-  if seq = 0 then None else get t seq
+  let id = Program.block_id t.program tgt in
+  let i = if id < 0 then -1 else find_slot t ~tgt ~id in
+  if i < 0 then None else get t t.seqs.(i)
 
-let insert t ~src ~tgt ~follows_exit =
+let push t ~src ~tgt ~id ~follows_exit =
   let seq = t.hi + 1 in
-  let i = seq mod t.cap in
+  let i = slot t seq in
   (* The slot being overwritten holds the entry falling out of the window
      (if it was live); anything else there is already dead. *)
   if not (is_live t t.seqs.(i)) then t.live <- t.live + 1;
@@ -63,24 +84,40 @@ let insert t ~src ~tgt ~follows_exit =
   t.fexits.(i) <- follows_exit;
   t.seqs.(i) <- seq;
   t.hi <- seq;
-  Addr.Table.replace t.hash tgt seq;
+  if t.index.(id) = 0 then t.bound <- t.bound + 1;
+  t.index.(id) <- seq;
   seq
 
-(* The previous occurrence is looked up by sequence number and its flag
-   read before the insert, which may overwrite its slot; nothing on this
-   per-branch path allocates. *)
+let insert t ~src ~tgt ~follows_exit = push t ~src ~tgt ~id:(target_id t tgt) ~follows_exit
+
+(* The previous occurrence's sequence number and flag are read before the
+   insert, which may overwrite its slot; nothing on this per-branch path
+   allocates. *)
 let counted_cycle t ~src ~tgt ~follows_exit =
-  let old_seq = find_seq t tgt in
-  let old_follows_exit = old_seq > 0 && t.fexits.(old_seq mod t.cap) in
-  ignore (insert t ~src ~tgt ~follows_exit);
+  let id = target_id t tgt in
+  let old = find_slot t ~tgt ~id in
+  let old_seq = if old < 0 then 0 else t.seqs.(old) in
+  let old_follows_exit = old >= 0 && t.fexits.(old) in
+  ignore (push t ~src ~tgt ~id ~follows_exit);
   if old_seq > 0 && (Addr.is_backward ~src ~tgt || old_follows_exit) then old_seq else 0
 
+let rec next_live t ~after =
+  let s = max 1 (after + 1) in
+  if s > t.hi then 0 else if is_live t s then s else next_live t ~after:s
+
+let src_at t seq = t.srcs.(slot t seq)
+let tgt_at t seq = t.tgts.(slot t seq)
+let follows_exit_at t seq = t.fexits.(slot t seq)
+
+(* The cursor unfolded into records: the walk trace formation does. *)
 let entries_after t ~seq =
   let rec collect s acc =
-    if s > t.hi then List.rev acc
-    else collect (s + 1) (match get t s with Some e -> e :: acc | None -> acc)
+    if s = 0 then List.rev acc
+    else
+      let e = { src = src_at t s; tgt = tgt_at t s; follows_exit = follows_exit_at t s; seq = s } in
+      collect (next_live t ~after:s) (e :: acc)
   in
-  collect (max 1 (seq + 1)) []
+  collect (next_live t ~after:seq) []
 
 let truncate_after t ~seq =
   if seq < t.hi then begin
@@ -91,11 +128,13 @@ let truncate_after t ~seq =
   end
 
 (* Checkpoint support.  The slot arrays are serialized verbatim — stale
-   slots included — and so is the whole hash index, stale bindings
-   included: [find_seq] deliberately misses a stale binding (returns 0)
-   even when an older live occurrence of the same target exists in the
-   window, so rebuilding the index from live entries would resurrect that
-   older occurrence and silently diverge from the uninterrupted run. *)
+   slots included — and so is the whole index, stale bindings included:
+   [find_slot] deliberately misses a stale binding even when an
+   older live occurrence of the same target exists in the window, so
+   rebuilding the index from live entries would resurrect that older
+   occurrence and silently diverge from the uninterrupted run.  Bindings
+   travel as (target address, seq) pairs in ascending id order, which is
+   ascending address order. *)
 
 let save t emit =
   emit t.cap;
@@ -105,12 +144,14 @@ let save t emit =
   Array.iter emit t.seqs;
   emit t.hi;
   emit t.live;
-  emit (Addr.Table.length t.hash);
-  Addr.Table.iter_sorted
-    (fun tgt seq ->
-      emit tgt;
-      emit seq)
-    t.hash
+  emit t.bound;
+  Array.iteri
+    (fun id seq ->
+      if seq > 0 then begin
+        emit (Program.block_of_id t.program id).Block.start;
+        emit seq
+      end)
+    t.index
 
 let load t read =
   if read () <> t.cap then failwith "History_buffer.load: capacity mismatch";
@@ -131,13 +172,18 @@ let load t read =
     t.seqs.(i) <- read ()
   done;
   t.hi <- read ();
+  if t.hi < 0 then failwith "History_buffer.load: negative sequence number";
   t.live <- read ();
   if t.live < 0 || t.live > t.cap then failwith "History_buffer.load: live count out of range";
   let n = read () in
   if n < 0 then failwith "History_buffer.load: negative index length";
-  Addr.Table.reset t.hash;
+  Array.fill t.index 0 (Array.length t.index) 0;
+  t.bound <- 0;
   for _ = 1 to n do
-    let tgt = read () in
+    let id = Program.block_id t.program (read ()) in
     let seq = read () in
-    Addr.Table.replace t.hash tgt seq
+    if id < 0 then failwith "History_buffer.load: target is not a block start";
+    if seq < 1 then failwith "History_buffer.load: sequence number below 1";
+    if t.index.(id) = 0 then t.bound <- t.bound + 1;
+    t.index.(id) <- seq
   done

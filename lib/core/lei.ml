@@ -6,12 +6,17 @@ module Code_cache = Regionsel_engine.Code_cache
 module Counters = Regionsel_engine.Counters
 module Params = Regionsel_engine.Params
 
-type t = { ctx : Context.t; buf : History_buffer.t }
+type t = { ctx : Context.t; buf : History_buffer.t; former : Lei_former.t }
 
 let name = "lei"
 
 let create (ctx : Context.t) =
-  { ctx; buf = History_buffer.create ~capacity:ctx.Context.params.Params.lei_buffer_size }
+  let program = ctx.Context.program in
+  {
+    ctx;
+    buf = History_buffer.create program ~capacity:ctx.Context.params.Params.lei_buffer_size;
+    former = Lei_former.create program;
+  }
 
 (* Checkpoint support: the history buffer is the policy's only state (the
    counter pool lives in the shared context). *)
@@ -52,11 +57,12 @@ let on_event (ctx : Context.t) buf ~on_cycle state = function
 let on_cycle t ~tgt ~old_seq ~count =
   if count < t.ctx.Context.params.Params.lei_threshold then Policy.No_action
   else begin
-    let path = Lei_former.form ~ctx:t.ctx ~buf:t.buf ~start:tgt ~after_seq:old_seq in
+    let path = Lei_former.form t.former ~ctx:t.ctx ~buf:t.buf ~start:tgt ~after_seq:old_seq in
     History_buffer.truncate_after t.buf ~seq:old_seq;
     Counters.release t.ctx.Context.counters tgt;
     match path with
-    | Some path -> Policy.Install [ Region.spec_of_path ~kind:Region.Trace path ]
+    | Some path ->
+      Policy.Install [ Region.spec_of_path ~kind:Region.Trace path ]
     | None -> Policy.No_action
   end
 

@@ -13,9 +13,16 @@ open Regionsel_isa
 module Region = Regionsel_engine.Region
 module Context = Regionsel_engine.Context
 
+type t
+(** A former's scratch state, sized to the program once: one per policy
+    instance, reused by every formation. *)
+
+val create : Program.t -> t
+
 val form :
-  ctx:Context.t -> buf:History_buffer.t -> start:Addr.t -> after_seq:int -> Region.path option
-(** [form ~ctx ~buf ~start ~after_seq] rebuilds the cycle that begins at
+  t -> ctx:Context.t -> buf:History_buffer.t -> start:Addr.t -> after_seq:int ->
+  Region.path option
+(** [form t ~ctx ~buf ~start ~after_seq] rebuilds the cycle that begins at
     [start], whose branches are the buffer entries after [after_seq] (the
     previous occurrence of [start]).  Returns [None] when no blocks can be
     selected (e.g. [start] already begins a cached region). *)

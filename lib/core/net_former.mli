@@ -20,17 +20,22 @@ type outcome =
   | Continue
   | Done of Region.path
 
-val start : entry:Addr.t -> t
+val start : Program.t -> entry:Addr.t -> t
+(** An empty recording of the program's blocks, to begin at [entry]. *)
+
 val entry : t -> Addr.t
 
-val feed : t -> ctx:Context.t -> block:Block.t -> taken:bool -> next:Addr.t option -> outcome
-(** Extend the recording with one interpreted block.  The first fed block
-    must start at the former's entry.  After [Done] the former must not be
-    fed again. *)
+val feed : t -> ctx:Context.t -> block:Block.t -> taken:bool -> next:Addr.t -> outcome
+(** Extend the recording with one interpreted block, which continues at
+    [next] ([Addr.none] if the program halted there or the continuation is
+    unknown).  The first fed block must start at the former's entry, and
+    every fed block must be a block of the program.  After [Done] the
+    former must not be fed again.  [Continue] allocates nothing beyond an
+    occasional doubling of the recording. *)
 
 val save : t -> (int -> unit) -> unit
 (** Checkpoint support: the recording in progress, blocks as start
-    addresses. *)
+    addresses, most recent first. *)
 
 val load : program:Program.t -> (unit -> int) -> t
 (** Rebuild a former from a {!save} stream, re-resolving blocks in the

@@ -17,15 +17,25 @@ module Make (C : CONFIG) : Policy.S = struct
   type t = {
     ctx : Context.t;
     mutable recording : recording;
-    exit_targets : unit Addr.Table.t;
-        (** Targets first profiled via a cache exit get the exit threshold. *)
+    exit_targets : Id_set.t;
+        (** Block ids of targets first profiled via a cache exit: they get
+            the exit threshold. *)
   }
 
   let name = C.name
-  let create ctx = { ctx; recording = Idle; exit_targets = Addr.Table.create 256 }
 
-  (* Checkpoint support.  [exit_targets] is a pure membership set (never
-     iterated), so content equality is enough on restore. *)
+  let create (ctx : Context.t) =
+    {
+      ctx;
+      recording = Idle;
+      exit_targets = Id_set.create (Program.n_blocks ctx.Context.program);
+    }
+
+  let id t a = Program.block_id t.ctx.Context.program a
+
+  (* Checkpoint support.  [exit_targets] travels as start addresses in
+     ascending order; it is a pure membership set, so content equality is
+     enough on restore. *)
   let save t emit =
     (match t.recording with
     | Idle -> emit 0
@@ -35,8 +45,10 @@ module Make (C : CONFIG) : Policy.S = struct
     | Active former ->
       emit 2;
       Net_former.save former emit);
-    emit (Addr.Table.length t.exit_targets);
-    Addr.Table.iter_sorted (fun a () -> emit a) t.exit_targets
+    emit (Id_set.cardinal t.exit_targets);
+    Id_set.iter
+      (fun i -> emit (Program.block_of_id t.ctx.Context.program i).Block.start)
+      t.exit_targets
 
   let load ctx read =
     let t = create ctx in
@@ -48,12 +60,14 @@ module Make (C : CONFIG) : Policy.S = struct
     let n = read () in
     if n < 0 then failwith (name ^ ".load: negative exit-target count");
     for _ = 1 to n do
-      Addr.Table.replace t.exit_targets (read ()) ()
+      let i = id t (read ()) in
+      if i < 0 then failwith (name ^ ".load: exit target is not a block start");
+      Id_set.add t.exit_targets i
     done;
     t
 
   let threshold_for t tgt =
-    if Addr.Table.mem t.exit_targets tgt then C.exit_threshold t.ctx.Context.params
+    if Id_set.mem t.exit_targets (id t tgt) then C.exit_threshold t.ctx.Context.params
     else C.backward_threshold t.ctx.Context.params
 
   (* Count one eligible execution of [tgt]; arm a recording on threshold. *)
@@ -61,7 +75,7 @@ module Make (C : CONFIG) : Policy.S = struct
     let c = Counters.incr t.ctx.Context.counters tgt in
     if c >= threshold_for t tgt && t.recording = Idle then begin
       Counters.release t.ctx.Context.counters tgt;
-      Addr.Table.remove t.exit_targets tgt;
+      Id_set.remove t.exit_targets (id t tgt);
       t.recording <- Pending tgt
     end
 
@@ -76,7 +90,7 @@ module Make (C : CONFIG) : Policy.S = struct
     match t.recording with
     | Idle -> Policy.No_action
     | Pending entry when Addr.equal block.Block.start entry ->
-      let former = Net_former.start ~entry in
+      let former = Net_former.start t.ctx.Context.program ~entry in
       t.recording <- Active former;
       feed t former block taken next
     | Pending _ ->
@@ -88,26 +102,19 @@ module Make (C : CONFIG) : Policy.S = struct
   let handle t = function
     | Policy.Interp_block ib ->
       let block = ib.Policy.block and taken = ib.Policy.taken and next = ib.Policy.next in
-      (* The option is only materialized while a recording is in flight;
-         the steady (Idle) state stays allocation-free. *)
-      let action =
-        match t.recording with
-        | Idle -> Policy.No_action
-        | Pending _ | Active _ ->
-          advance_recording t block taken (if Addr.is_none next then None else Some next)
-      in
+      let action = advance_recording t block taken next in
       if Net_former.is_start_point t.ctx ~block ~taken ~next ~installing:action then
         bump t next;
       action
     | Policy.Cache_exited { tgt; _ } ->
-      if not (Addr.Table.mem t.exit_targets tgt) then
-        if Counters.peek t.ctx.Context.counters tgt = 0 then
-          Addr.Table.replace t.exit_targets tgt ();
+      let i = id t tgt in
+      if (not (Id_set.mem t.exit_targets i)) && Counters.peek t.ctx.Context.counters tgt = 0
+      then Id_set.add t.exit_targets i;
       bump t tgt;
       Policy.No_action
     | Policy.Region_invalidated { entry } ->
       (* Profiling restarts from scratch for the retired entry. *)
-      Addr.Table.remove t.exit_targets entry;
+      Id_set.remove t.exit_targets (id t entry);
       Counters.release t.ctx.Context.counters entry;
       (match t.recording with
       | Pending e when Addr.equal e entry -> t.recording <- Idle

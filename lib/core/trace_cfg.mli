@@ -14,12 +14,20 @@ open Regionsel_isa
 module Region = Regionsel_engine.Region
 
 type t
+(** A CFG over one program's blocks.  Its per-block tables are indexed by
+    block id and sized to the program at {!create}; {!reset} reuses them
+    for the next entry, clearing only the blocks the last CFG held. *)
 
-val create : entry:Addr.t -> t
+val create : Program.t -> entry:Addr.t -> t
+
+val reset : t -> entry:Addr.t -> unit
+(** Empty the CFG and re-root it at [entry]: afterwards it behaves like
+    a fresh [create program ~entry]. *)
 
 val add_path : t -> Region.path -> unit
-(** Merge one observed trace.  Every path must begin at the CFG's entry.
-    Each block's occurrence count rises at most once per path. *)
+(** Merge one observed trace.  Every path must begin at the CFG's entry,
+    and every block must be a block of the program.  Each block's
+    occurrence count rises at most once per path. *)
 
 val n_paths : t -> int
 val n_blocks : t -> int

@@ -15,6 +15,10 @@ type spec = {
   layout_hint : Addr.t list;
 }
 
+let compare_edge (s1, d1) (s2, d2) =
+  let c = Int.compare s1 s2 in
+  if c <> 0 then c else Int.compare d1 d2
+
 let spec_of_path ~kind path =
   match path.blocks with
   | [] -> invalid_arg "Region.spec_of_path: empty path"
@@ -37,7 +41,7 @@ let spec_of_path ~kind path =
         | Some _ | None -> acc)
       | [] -> acc
     in
-    let edges = List.sort_uniq compare (consecutive [] path.blocks) in
+    let edges = List.sort_uniq compare_edge (consecutive [] path.blocks) in
     let nodes = List.rev nodes in
     let layout_hint = List.map (fun (b : Block.t) -> b.Block.start) nodes in
     { entry; nodes; edges; kind; aux_entries = []; layout_hint }

@@ -59,6 +59,10 @@ type spec = {
 }
 (** What a policy submits for installation. *)
 
+val compare_edge : Addr.t * Addr.t -> Addr.t * Addr.t -> int
+(** The order [spec.edges] are kept in: by source, then by target (the
+    order [compare] gives int pairs). *)
+
 val spec_of_path : kind:kind -> path -> spec
 (** Build a single-path region: consecutive-block edges, plus a closing
     edge when [final_next] lands on a block of the path (a spanned cycle

@@ -114,8 +114,8 @@ let cached_done = 1 (* a step completed in the cache; the caller ends it *)
 let cached_exit = 2 (* a step took an unlinked exit; the caller leaves the region *)
 let cached_dry = 3 (* the event source is dry; no step was taken *)
 
-let create ?(params = Params.default) ?(seed = 1L) ?(telemetry = Telemetry.none) ?observer
-    ?restore ?record ?replay ~policy ~max_steps image =
+let create ?(params = Params.default) ?(seed = 1L) ?(telemetry = Telemetry.none)
+    ?(save_telemetry = true) ?observer ?restore ?record ?replay ~policy ~max_steps image =
   let program = image.Image.program in
   let ctx = Context.create ~params ~telemetry program in
   (match observer with None -> () | Some o -> o.on_context ctx);
@@ -518,8 +518,9 @@ let create ?(params = Params.default) ?(seed = 1L) ?(telemetry = Telemetry.none)
             (fun read -> policy := Policy.load policy_mod ctx read);
         ]
         @ (match telemetry with
-          | None -> []
-          | Some tel -> [ sec "telemetry" (Telemetry.save tel) (Telemetry.load tel) ])
+          | Some tel when save_telemetry ->
+            [ sec "telemetry" (Telemetry.save tel) (Telemetry.load tel) ]
+          | Some _ | None -> [])
         @ [ sec "loop" save_loop load_loop ];
     }
   in

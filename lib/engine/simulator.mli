@@ -102,6 +102,7 @@ val create :
   ?params:Params.t ->
   ?seed:int64 ->
   ?telemetry:Regionsel_telemetry.Telemetry.sink ->
+  ?save_telemetry:bool ->
   ?observer:observer ->
   ?restore:(internals -> unit) ->
   ?record:Branch_stream.events ->
@@ -117,7 +118,10 @@ val create :
     recording of a live run with the same params, seed, policy and budget
     is bit-identical to that live run.  Recording and replaying are not
     meaningfully combined with mid-run snapshot restore (the stream cursor
-    is not part of the snapshot). *)
+    is not part of the snapshot).  [save_telemetry] (default [true]) says
+    whether {!internals} carries a "telemetry" section for the sink: an
+    auditor that lends the run a private recorder passes [false], so the
+    run saves and restores exactly what a sink-less run does. *)
 
 val advance : t -> upto:int -> unit
 (** Step until the step count reaches [min upto max_steps], the program

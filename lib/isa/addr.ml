@@ -12,16 +12,9 @@ let to_string a = Printf.sprintf "0x%x" a
 module Set = Set.Make (Int)
 module Map = Map.Make (Int)
 
-module Table = struct
-  include Hashtbl.Make (struct
-    type nonrec t = t
+module Table = Hashtbl.Make (struct
+  type nonrec t = t
 
-    let equal = equal
-    let hash = hash
-  end)
-
-  let iter_sorted f t =
-    List.iter
-      (fun (k, v) -> f k v)
-      (List.sort (fun (a, _) (b, _) -> compare a b) (fold (fun k v acc -> (k, v) :: acc) t []))
-end
+  let equal = equal
+  let hash = hash
+end)

@@ -32,11 +32,4 @@ val to_string : t -> string
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t
 
-module Table : sig
-  include Hashtbl.S with type key = t
-
-  val iter_sorted : (key -> 'a -> unit) -> 'a t -> unit
-  (** [iter] in ascending key order: the canonical order checkpoint
-      writers emit a table in, so the bytes do not depend on the table's
-      insertion history. *)
-end
+module Table : Hashtbl.S with type key = t

@@ -15,10 +15,6 @@ let[@inline] block_id t a =
 
 let[@inline] block_of_id t id = t.blocks.(id)
 
-let block_at t a =
-  let id = block_id t a in
-  if id < 0 then None else Some t.blocks.(id)
-
 let block_at_exn t a =
   let id = block_id t a in
   if id < 0 then raise Not_found else t.blocks.(id)

@@ -20,9 +20,6 @@ val of_blocks_exn : entry:Addr.t -> Block.t list -> t
 
 val entry : t -> Addr.t
 
-val block_at : t -> Addr.t -> Block.t option
-(** The block starting exactly at the given address. *)
-
 val block_at_exn : t -> Addr.t -> Block.t
 (** @raise Not_found if no block starts there. *)
 

@@ -19,7 +19,7 @@ let layout_follows_declaration () =
   let image = two_function_image () in
   let p = image.Image.program in
   check_int "base honoured" 0x100 (Block.make ~start:0x100 ~size:1 ~term:Terminator.Halt).Block.start;
-  check_true "callee at base" (Program.block_at p 0x100 <> None);
+  check_true "callee at base" (Program.is_block_start p 0x100);
   check_int "entry is main" 0x103 (Program.entry p);
   check_int "five blocks" 5 (Program.n_blocks p);
   check_int "twelve instructions" 12 (Program.n_insts p)

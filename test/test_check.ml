@@ -59,6 +59,35 @@ let checked_json_is_plain_json () =
       Alcotest.(check string) ("checked " ^ what ^ " JSON") (json plain) (json checked))
     [ (Policies.net, "clean", None); (Policies.combined_lei, "mixed", Params.fault_profile "mixed") ]
 
+(* A checked run saves the plain run's snapshot byte for byte: the
+   audit's private recorder adds no telemetry section.  The checked
+   snapshot restores to the plain uninterrupted run. *)
+let checked_snapshot_is_plain_snapshot () =
+  let module Persist = Regionsel_persist.Persist in
+  let spec = Option.get (Regionsel_workload.Suite.find "gzip") in
+  let image = Regionsel_workload.Spec.image spec in
+  let policy = Policies.net and name = "net" and seed = 1L in
+  let json (r : Simulator.result) = Run_metrics.to_json (Run_metrics.of_result r) in
+  let save_at (sim, finish) =
+    Simulator.advance sim ~upto:15_000;
+    let bytes = Persist.encode ~seed ~policy:name (Simulator.internals sim) in
+    (bytes, finish ())
+  in
+  let plain_bytes, plain =
+    let sim = Simulator.create ~seed ~policy ~max_steps:30_000 image in
+    save_at (sim, fun () -> Simulator.finish sim)
+  in
+  let checked_bytes, _ = save_at (Check.create ~seed ~policy ~max_steps:30_000 image) in
+  check_int "same snapshot size" (Bytes.length plain_bytes) (Bytes.length checked_bytes);
+  check_true "checked snapshot equals the plain one" (Bytes.equal plain_bytes checked_bytes);
+  let restored =
+    Simulator.run ~seed ~policy ~max_steps:30_000 image
+      ~restore:(fun internals ->
+        check_true "clean restore"
+          (Persist.clean (Persist.decode_into checked_bytes ~seed ~policy:name internals)))
+  in
+  Alcotest.(check string) "restored run is the plain run" (json plain) (json restored)
+
 (* The audit must also hold along the eviction path, which the fuzz matrix
    (unbounded caches) does not exercise. *)
 let checked_run_survives_bounded_cache () =
@@ -132,6 +161,7 @@ let suite =
     case "self-test break caught and shrunk" self_test_catches_and_shrinks;
     case "checked run preserves metrics" checked_run_preserves_metrics;
     case "checked run prints the plain metrics JSON" checked_json_is_plain_json;
+    case "checked run saves the plain snapshot" checked_snapshot_is_plain_snapshot;
     case "checked run survives bounded cache" checked_run_survives_bounded_cache;
     case "checked run follows linked exits" checked_run_follows_linked_exits;
     case "fuzz matrix clean" fuzz_matrix_clean;

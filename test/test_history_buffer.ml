@@ -1,7 +1,7 @@
 module History_buffer = Regionsel_core.History_buffer
 open Fixtures
 
-let mk ?(capacity = 8) () = History_buffer.create ~capacity
+let mk ?(capacity = 8) () = History_buffer.create (grid_program ()) ~capacity
 
 let insert t ?(follows_exit = false) src tgt =
   History_buffer.insert t ~src ~tgt ~follows_exit
@@ -79,6 +79,40 @@ let wraparound_find () =
   check_true "target overwritten in place still latest" (History_buffer.find t 2 <> None);
   check_true "stale target gone" (History_buffer.find t 3 = None)
 
+(* A fixture with a stale index binding: target 10's most recent
+   occurrence (seq 3) is cut by a truncation, and the re-issued seq 3 then
+   overwrites its slot with target 30, while the older occurrence of 10
+   (seq 1) is still live. *)
+let stale_fixture () =
+  let t = mk ~capacity:3 () in
+  ignore (insert t 1 10);
+  ignore (insert t ~follows_exit:true 2 20);
+  ignore (insert t 3 10);
+  History_buffer.truncate_after t ~seq:2;
+  ignore (insert t 4 30);
+  t
+
+let stale_binding_shadows_older_occurrence () =
+  let t = stale_fixture () in
+  check_true "the older occurrence is live"
+    (List.exists
+       (fun e -> e.History_buffer.tgt = 10 && e.History_buffer.seq = 1)
+       (History_buffer.entries_after t ~seq:0));
+  check_true "the stale binding is a miss" (History_buffer.find t 10 = None);
+  check_int "so a branch to it closes no cycle" 0
+    (History_buffer.counted_cycle t ~src:50 ~tgt:10 ~follows_exit:true)
+
+(* The save stream of [stale_fixture], pinned: capacity, the slot arrays
+   (sources, targets, flags, sequences), hi, live count, then the index as
+   (target, seq) pairs in ascending address order, stale binding
+   included. *)
+let save_stream_pinned () =
+  let saved = ref [] in
+  History_buffer.save (stale_fixture ()) (fun v -> saved := v :: !saved);
+  Alcotest.(check (list int)) "save stream"
+    [ 3; 4; 1; 2; 30; 10; 20; 0; 0; 1; 3; 1; 2; 3; 3; 3; 10; 3; 20; 2; 30; 3 ]
+    (List.rev !saved)
+
 (* Oracle for {!History_buffer.length}: count the live entries directly. *)
 let length_oracle t = List.length (History_buffer.entries_after t ~seq:0)
 
@@ -112,7 +146,7 @@ let qcheck_length_matches_live =
   QCheck.Test.make ~name:"length agrees with live entries under insert/truncate" ~count:300
     QCheck.(pair (int_range 1 8) (list_of_size (Gen.int_range 1 120) (int_range 0 60)))
     (fun (capacity, ops) ->
-      let t = History_buffer.create ~capacity in
+      let t = History_buffer.create (grid_program ()) ~capacity in
       List.iter
         (fun v ->
           if v mod 7 = 0 then History_buffer.truncate_after t ~seq:(v / 2)
@@ -124,7 +158,7 @@ let qcheck_window =
   QCheck.Test.make ~name:"find only returns entries within the window" ~count:200
     QCheck.(pair (int_range 1 16) (list_of_size (Gen.int_range 1 100) (int_range 0 20)))
     (fun (capacity, tgts) ->
-      let t = History_buffer.create ~capacity in
+      let t = History_buffer.create (grid_program ()) ~capacity in
       let n = List.length tgts in
       List.iteri (fun i tgt -> ignore (insert t i tgt)) tgts;
       let last_seq = n in
@@ -142,7 +176,7 @@ let qcheck_entries_after_sorted =
   QCheck.Test.make ~name:"entries_after is sorted by sequence" ~count:200
     QCheck.(pair (int_range 1 16) (int_range 1 60))
     (fun (capacity, n) ->
-      let t = History_buffer.create ~capacity in
+      let t = History_buffer.create (grid_program ()) ~capacity in
       for i = 1 to n do
         ignore (insert t i (1000 + i))
       done;
@@ -165,7 +199,7 @@ let qcheck_model_audit =
     ~count:400
     QCheck.(pair (int_range 1 6) (list_of_size (Gen.int_range 1 160) (int_range 0 1000)))
     (fun (capacity, ops) ->
-      let t = History_buffer.create ~capacity in
+      let t = History_buffer.create (grid_program ()) ~capacity in
       let live = ref [] in
       let hash = Hashtbl.create 16 in
       let hi = ref 0 in
@@ -231,6 +265,8 @@ let suite =
     case "wraparound find" wraparound_find;
     case "length after wraparound" length_after_wraparound;
     case "length after truncate and refill" length_after_truncate_and_refill;
+    case "stale binding shadows an older occurrence" stale_binding_shadows_older_occurrence;
+    case "save stream pinned" save_stream_pinned;
     QCheck_alcotest.to_alcotest qcheck_length_matches_live;
     QCheck_alcotest.to_alcotest qcheck_window;
     QCheck_alcotest.to_alcotest qcheck_entries_after_sorted;

@@ -95,8 +95,8 @@ let valid_program () =
   let p = Program.of_blocks_exn ~entry:0 blocks in
   check_int "three blocks" 3 (Program.n_blocks p);
   check_int "six instructions" 6 (Program.n_insts p);
-  check_true "block at start found" (Program.block_at p 2 <> None);
-  check_true "mid-block address is not a start" (Program.block_at p 3 = None);
+  check_true "block at start found" (Program.is_block_start p 2);
+  check_true "mid-block address is not a start" (not (Program.is_block_start p 3));
   check_int "entry preserved" 0 (Program.entry p)
 
 let expect_error blocks ~entry fragment =

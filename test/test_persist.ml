@@ -554,7 +554,7 @@ let qcheck_history_buffer_roundtrip =
       pair (int_range 2 8)
         (list_of_size (Gen.int_range 0 40) (pair (int_bound 50) (int_bound 20))))
     (fun (capacity, ops) ->
-      let t = History_buffer.create ~capacity in
+      let t = History_buffer.create (grid_program ()) ~capacity in
       let seqs =
         List.map
           (fun (src, tgt) ->
@@ -572,7 +572,7 @@ let qcheck_history_buffer_roundtrip =
         List.rev !acc
       in
       let saved = dump t in
-      let t' = History_buffer.create ~capacity in
+      let t' = History_buffer.create (grid_program ()) ~capacity in
       let arr = Array.of_list saved in
       let i = ref 0 in
       History_buffer.load t' (fun () ->

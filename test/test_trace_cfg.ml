@@ -12,12 +12,18 @@ let c = mk 6 3 Terminator.Fallthrough
 let d = mk 9 2 (Terminator.Cond 0)
 let x = mk 20 2 Terminator.Fallthrough (* an unrelated rare tail *)
 
+(* The program the diamond's blocks belong to: a CFG keys its blocks by
+   id, so they must be the program's own blocks. *)
+let diamond =
+  Program.of_blocks_exn ~entry:0
+    [ a; b; c; d; mk 11 9 (Terminator.Jump 20); x; mk 22 1 Terminator.Halt ]
+
 let path_b = { Region.blocks = [ a; b; d ]; final_next = Some 0 }
 let path_c = { Region.blocks = [ a; c; d ]; final_next = Some 0 }
 let path_rare = { Region.blocks = [ a; b; d; x ]; final_next = None }
 
 let build paths =
-  let cfg = Trace_cfg.create ~entry:0 in
+  let cfg = Trace_cfg.create diamond ~entry:0 in
   List.iter (Trace_cfg.add_path cfg) paths;
   cfg
 
@@ -67,7 +73,7 @@ let to_spec_prunes () =
   check_int "unmarked block pruned" 3 (List.length spec.Region.nodes);
   check_true "kind is combined" (spec.Region.kind = Region.Combined);
   check_int "copied insts equal surviving sizes" 6
-    (Region.of_spec ~id:0 ~selected_at:0 ~program:(grid_program ()) spec).Region.copied_insts
+    (Region.of_spec ~id:0 ~selected_at:0 ~program:diamond spec).Region.copied_insts
 
 let to_spec_internal_edges () =
   let cfg = build [ path_b; path_c ] in
@@ -106,12 +112,36 @@ let entry_must_be_marked () =
      with Invalid_argument _ -> true)
 
 let path_entry_mismatch_rejected () =
-  let cfg = Trace_cfg.create ~entry:0 in
+  let cfg = Trace_cfg.create diamond ~entry:0 in
   check_true "wrong entry rejected"
     (try
        Trace_cfg.add_path cfg { Region.blocks = [ c; d ]; final_next = None };
        false
      with Invalid_argument _ -> true)
+
+let combined paths =
+  let cfg = build paths in
+  Trace_cfg.mark_frequent cfg ~t_min:2;
+  ignore (Trace_cfg.mark_rejoining_paths cfg);
+  Trace_cfg.to_spec cfg
+
+(* The region depends on the set of observed paths, not on the order they
+   were merged in, nor on what a reused CFG held before. *)
+let to_spec_order_independent () =
+  let paths = [ path_b; path_c; path_b; path_rare; path_c ] in
+  let expected = combined paths in
+  List.iter
+    (fun order ->
+      check_true "same spec in any order" (combined order = expected))
+    [ List.rev paths; [ path_rare; path_c; path_c; path_b; path_b ];
+      [ path_c; path_b; path_rare; path_b; path_c ] ];
+  let cfg = build [ path_rare; path_rare; path_rare ] in
+  Trace_cfg.reset cfg ~entry:0;
+  List.iter (Trace_cfg.add_path cfg) paths;
+  Trace_cfg.mark_frequent cfg ~t_min:2;
+  ignore (Trace_cfg.mark_rejoining_paths cfg);
+  check_int "reset forgets the old paths" 5 (Trace_cfg.n_paths cfg);
+  check_true "a reset CFG builds the fresh one's spec" (Trace_cfg.to_spec cfg = expected)
 
 (* Property: after the rejoining pass, a block is marked iff a frequent
    block is reachable from it along observed edges. *)
@@ -131,6 +161,9 @@ let qcheck_rejoining_fixpoint =
           mk 12 2 (Terminator.Cond 0);
         |]
       in
+      let program =
+        Program.of_blocks_exn ~entry:0 (Array.to_list blocks @ [ mk 14 1 Terminator.Halt ])
+      in
       let path_of_seed seed =
         let arm1 = seed land 1 = 0 and arm2 = seed land 2 = 0 in
         let p =
@@ -139,7 +172,7 @@ let qcheck_rejoining_fixpoint =
         in
         { Region.blocks = p; final_next = (if seed land 4 = 0 then Some 0 else Some 99) }
       in
-      let cfg = Trace_cfg.create ~entry:0 in
+      let cfg = Trace_cfg.create program ~entry:0 in
       List.iter (fun s -> Trace_cfg.add_path cfg (path_of_seed s)) seeds;
       let frequent =
         List.filter
@@ -171,5 +204,6 @@ let suite =
     case "to_spec static link" to_spec_static_link;
     case "entry must be marked" entry_must_be_marked;
     case "path entry mismatch rejected" path_entry_mismatch_rejected;
+    case "to_spec order independent" to_spec_order_independent;
     QCheck_alcotest.to_alcotest qcheck_rejoining_fixpoint;
   ]
