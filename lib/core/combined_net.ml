@@ -3,6 +3,18 @@ module Policy = Regionsel_engine.Policy
 module Context = Regionsel_engine.Context
 module Counters = Regionsel_engine.Counters
 module Params = Regionsel_engine.Params
+module Region = Regionsel_engine.Region
+
+(* The interpreted step every active former is fed, and the observations
+   it completed, newest first.  One per instance, with the closure that
+   feeds a former from it, so feeding the formers allocates nothing per
+   step beyond what a completed observation holds. *)
+type feed_step = {
+  mutable block : Block.t;
+  mutable taken : bool;
+  mutable next : Addr.t;
+  mutable completed : (Addr.t * Region.path) list;
+}
 
 type t = {
   ctx : Context.t;
@@ -10,12 +22,25 @@ type t = {
   combine : Combine.t;
   formers : Net_former.t Addr.Table.t; (* active observations, by entry *)
   mutable pending : Addr.t option; (* entry armed to start recording *)
+  step : feed_step;
+  feed : Addr.t -> Net_former.t -> unit; (* feeds one former [step] *)
 }
 
 let name = "combined-net"
 
 let make (ctx : Context.t) store ~formers ~pending =
-  { ctx; store; combine = Combine.create ctx store; formers; pending }
+  let step =
+    { block = Program.block_of_id ctx.Context.program 0; taken = false; next = Addr.none;
+      completed = [] }
+  in
+  let feed entry former =
+    match
+      Net_former.feed former ~ctx ~block:step.block ~taken:step.taken ~next:step.next
+    with
+    | Net_former.Continue -> ()
+    | Net_former.Done path -> step.completed <- (entry, path) :: step.completed
+  in
+  { ctx; store; combine = Combine.create ctx store; formers; pending; step; feed }
 
 let create (ctx : Context.t) =
   make ctx
@@ -82,22 +107,25 @@ let resolve_pending t block =
 (* Feed every active former; turn completed observations into stored
    compact traces and, at [T_prof], into an installable combined region. *)
 let advance_observations t block taken next =
-  let completed = ref [] in
-  Addr.Table.iter
-    (fun entry former ->
-      match Net_former.feed former ~ctx:t.ctx ~block ~taken ~next with
-      | Net_former.Continue -> ()
-      | Net_former.Done path -> completed := (entry, path) :: !completed)
-    t.formers;
-  let specs = ref [] in
-  List.iter
-    (fun (entry, path) ->
-      Addr.Table.remove t.formers entry;
-      match Combine.observe t.combine ~entry path with
-      | Some spec -> specs := spec :: !specs
-      | None -> ())
-    !completed;
-  if !specs = [] then Policy.No_action else Policy.Install !specs
+  let step = t.step in
+  step.block <- block;
+  step.taken <- taken;
+  step.next <- next;
+  Addr.Table.iter t.feed t.formers;
+  match step.completed with
+  | [] -> Policy.No_action
+  | completed ->
+    step.completed <- [];
+    let specs =
+      List.fold_left
+        (fun specs (entry, path) ->
+          Addr.Table.remove t.formers entry;
+          match Combine.observe t.combine ~entry path with
+          | Some spec -> spec :: specs
+          | None -> specs)
+        [] completed
+    in
+    if specs = [] then Policy.No_action else Policy.Install specs
 
 let handle t = function
   | Policy.Interp_block ib ->

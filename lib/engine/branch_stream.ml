@@ -111,12 +111,34 @@ let[@inline] read_field b ~last ~kn ~width bit =
   if width <= 56 then read_bits b ~last bit width
   else (read_bits b ~last bit (width - kn) lsl kn) lor read_bits b ~last (bit + width - kn) kn
 
-(* A packed recording: its own copy of a validated payload, 8 zero bytes
-   longer, and its layout's successor table.  Its fields are at most 56
-   bits wide, so with the padding each is one [read56]. *)
-type view = { data : Bytes.t; kn : int; width : int; addr : int array }
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-let no_view = { data = Bytes.empty; kn = 0; width = 0; addr = [||] }
+(* OR a field of [width] <= 56 bits into [b] at bit [bit], where [b]'s
+   bits from [bit] on are zero and [b] holds 8 bytes from byte [bit lsr
+   3]: one unaligned load, an or and one store. *)
+let[@inline] write56 b bit width f =
+  let at = bit lsr 3 in
+  let w = get64u b at in
+  let w = if Sys.big_endian then w else bswap64 w in
+  let w = Int64.logor w (Int64.shift_left (Int64.of_int f) (64 - width - (bit land 7))) in
+  set64u b at (if Sys.big_endian then w else bswap64 w)
+
+(* A packed backing: fields of at most 56 bits back to back from bit 0 of
+   [data], then at least 8 zero bytes, so each field is one [read56], and
+   the successor table of the layout they were made under.  Two kinds:
+   - decoded ([bound = None], made by [of_packed]): its own copy of a
+     validated payload, read-only;
+   - bound ([bound = Some l], made by [bind]): append-only.  Each append
+     is checked against [l]'s program and written as its field into the
+     zero bytes past the last one; [data] doubles whenever the 8 bytes of
+     padding would run short. *)
+type view = {
+  mutable data : Bytes.t;
+  kn : int;
+  width : int;
+  addr : int array;
+  bound : layout option;
+}
 
 (* In-memory recording, word backing: one int array, doubling on demand,
    one slot per event:
@@ -133,39 +155,67 @@ let no_view = { data = Bytes.empty; kn = 0; width = 0; addr = [||] }
    Positions are absolute: slot [k] holds position [base + k].  Positions
    below [released] are gone for every reader; their slots are reclaimed
    lazily, when [reserve] slides the retained tail [released, len) to the
-   front instead of growing.  [gen] counts recycles, so a stream can tell
-   that its recording was emptied under it.  A recording that is never
-   released or recycled keeps [base = released = gen = 0] and reads
-   exactly as a plain array.
+   front instead of growing.  [gen] counts recycles and bindings, so a
+   stream can tell that its recording's word slots were emptied or
+   dropped under it.  A recording that is never released or recycled
+   keeps [base = released = 0] and reads exactly as a plain array.
 
-   Packed backing ([view != no_view], made only by [of_packed]): the
-   events are the view's fields, [slots] is empty and [base = len].  It is
-   read-only: every write raises before it changes anything, so nothing is
-   ever released, recycled or appended, and a view, once made, stands for
-   the recording's whole life.  [len - base + n > capacity] holds for any
-   [n > 0], so [append_event]'s fast path falls through to [reserve],
-   which refuses it; no write pays a check of its own for this. *)
+   Packed backing ([packed = Some v]): the events are [v]'s fields,
+   [slots] is empty and [base = released = 0].  A recording turns packed
+   at most once (at [of_packed], or when [bind] binds it empty) and stays
+   so for its whole life, so a replay opened on a packed recording needs
+   no check per pull beyond its end.  Nothing of a packed recording is
+   ever released, recycled or written as a batch: those raise before they
+   change anything.  Appends check the backing first; every other write
+   checks it once per call, or falls to an error through its slot test,
+   as no slot index reaches the empty [slots]. *)
 type events = {
   mutable slots : int array;
   mutable base : int; (* absolute position of slot 0 *)
   mutable released : int; (* first position still readable *)
   mutable len : int; (* absolute length *)
-  mutable gen : int; (* recycles so far *)
-  mutable view : view; (* [no_view] for word slots *)
+  mutable gen : int; (* recycles and bindings so far *)
+  mutable packed : view option; (* [None] for word slots *)
 }
 
 type t = Interp.step -> bool
 
 let recorder ?(capacity = 1024) () =
   if capacity < 0 then invalid_arg "Branch_stream.recorder: negative capacity";
-  { slots = Array.make capacity 0; base = 0; released = 0; len = 0; gen = 0; view = no_view }
+  { slots = Array.make capacity 0; base = 0; released = 0; len = 0; gen = 0; packed = None }
+
+(* The recording turns packed only while it is empty and on word slots,
+   and only for fields a view can hold.  Its word capacity, in fields,
+   sizes the first buffer. *)
+let bind ev (l : layout) =
+  if Option.is_none ev.packed && ev.len = 0 && l.width <= 56 then begin
+    let t = tables l in
+    if t.starts_fit then begin
+      let fields = Array.length ev.slots in
+      ev.packed <-
+        Some
+          { data = Bytes.make ((((fields * l.width) + 7) lsr 3) + 8) '\000'; kn = l.kn;
+          width = l.width; addr = t.addr; bound = Some l };
+      ev.slots <- [||];
+      ev.base <- 0;
+      ev.gen <- ev.gen + 1
+    end
+  end
 
 (* Event [i] of a view as its word slot. *)
 let view_word v i =
   let f = read56 v.data (i * v.width) (64 - v.width) in
   ((Array.unsafe_get v.addr (f land ((1 lsl v.kn) - 1)) + 1) lsl 32) lor (f lsr v.kn)
 
-let read_only what = invalid_arg ("Branch_stream." ^ what ^ ": a decoded recording is read-only")
+let refuse what v =
+  invalid_arg
+    ("Branch_stream." ^ what
+    ^
+    if Option.is_none v.bound then ": a decoded recording is read-only"
+    else ": a bound recording takes only appends")
+
+(* The check of a write other than an append: word slots only. *)
+let words_only what ev = match ev.packed with Some v -> refuse what v | None -> ()
 
 (* A copy loop typed [int array] rather than [Array.blit], which into a
    major-heap array goes through the generic per-element write barrier even
@@ -183,7 +233,7 @@ let move (src : int array) ~from (dst : int array) n =
    released slots on the way. *)
 let reserve ev n =
   if n < 0 then invalid_arg "Branch_stream.reserve: negative count";
-  if ev.view != no_view then read_only "reserve";
+  words_only "reserve" ev;
   let cap = Array.length ev.slots in
   if ev.len - ev.base + n > cap then begin
     let from = ev.released - ev.base and keep = ev.len - ev.released in
@@ -204,38 +254,67 @@ let[@inline] set_pending ev i ~block_id ~taken ~next =
   if not (fits ~block_id ~next) then
     invalid_arg "Branch_stream.set_pending: block id or successor out of range";
   let k = ev.len - ev.base + i in
-  if i < 0 || k >= Array.length ev.slots then
-    if ev.view != no_view then read_only "set_pending"
-    else invalid_arg "Branch_stream.set_pending: slot not reserved";
+  if i < 0 || k >= Array.length ev.slots then begin
+    match ev.packed with
+    | Some v -> refuse "set_pending" v
+    | None -> invalid_arg "Branch_stream.set_pending: slot not reserved"
+  end;
   Array.unsafe_set ev.slots k (slot ~block_id ~taken ~next)
 
 let commit ev n =
-  if ev.view != no_view then read_only "commit";
+  words_only "commit" ev;
   if n < 0 || ev.len - ev.base + n > Array.length ev.slots then
     invalid_arg "Branch_stream.commit: more events than reserved";
   ev.len <- ev.len + n
 
+(* An append to a packed recording: one field past the last, into the
+   zero padding, after growing the buffer if the padding would run
+   short. *)
+let append_field ev v ~block_id ~taken ~next =
+  match v.bound with
+  | None -> refuse "append_event" v
+  | Some l ->
+    let code = Program.block_id l.program next + 1 in
+    if block_id < 0 || block_id >= l.n_blocks || (code = 0 && next <> Addr.none) then
+      invalid_arg "Branch_stream.append_event: block id or successor outside the bound program";
+    let i = ev.len and width = v.width in
+    let need = ((((i + 1) * width) + 7) lsr 3) + 8 in
+    if need > Bytes.length v.data then begin
+      let data = Bytes.make (max need (2 * Bytes.length v.data)) '\000' in
+      Bytes.blit v.data 0 data 0 (Bytes.length v.data);
+      v.data <- data
+    end;
+    write56 v.data (i * width) width ((((block_id lsl 1) lor Bool.to_int taken) lsl v.kn) lor code);
+    ev.len <- i + 1
+
 let[@inline] append_event ev ~block_id ~taken ~next =
-  if not (fits ~block_id ~next) then
-    invalid_arg "Branch_stream.append_event: block id or successor out of range";
-  if ev.len - ev.base = Array.length ev.slots then reserve ev 1;
-  Array.unsafe_set ev.slots (ev.len - ev.base) (slot ~block_id ~taken ~next);
-  ev.len <- ev.len + 1
+  match ev.packed with
+  | Some v -> append_field ev v ~block_id ~taken ~next
+  | None ->
+    if not (fits ~block_id ~next) then
+      invalid_arg "Branch_stream.append_event: block id or successor out of range";
+    if ev.len - ev.base = Array.length ev.slots then reserve ev 1;
+    Array.unsafe_set ev.slots (ev.len - ev.base) (slot ~block_id ~taken ~next);
+    ev.len <- ev.len + 1
 
 let[@inline] append ev (s : Interp.step) =
   append_event ev ~block_id:s.Interp.block_id ~taken:s.Interp.taken ~next:s.Interp.next
 
 let length ev = ev.len
 let released ev = ev.released
-let capacity ev = Array.length ev.slots
+let capacity ev =
+  match ev.packed with
+  | None -> Array.length ev.slots
+  | Some { bound = None; _ } -> 0
+  | Some v -> (Bytes.length v.data - 8) * 8 / v.width
 
 let release ev upto =
-  if ev.view != no_view then read_only "release";
+  words_only "release" ev;
   if upto > ev.len then invalid_arg "Branch_stream.release: past the recording's length";
   if upto > ev.released then ev.released <- upto
 
 let recycle ev =
-  if ev.view != no_view then read_only "recycle";
+  words_only "recycle" ev;
   ev.base <- 0;
   ev.released <- 0;
   ev.len <- 0;
@@ -247,17 +326,13 @@ let not_retained () = invalid_arg "Branch_stream: position not retained"
 
 let[@inline] get_slot ev i =
   if i < ev.released || i >= ev.len then not_retained ();
-  if ev.view == no_view then Array.unsafe_get ev.slots (i - ev.base) else view_word ev.view i
+  match ev.packed with
+  | None -> Array.unsafe_get ev.slots (i - ev.base)
+  | Some v -> view_word v i
 
 let[@inline] get_block_id ev i = (get_slot ev i lsr 1) land 0x7FFF_FFFF
 let[@inline] get_taken ev i = get_slot ev i land 1 = 1
 let[@inline] get_next ev i = (get_slot ev i lsr 32) - 1
-
-let iter f ev =
-  for i = ev.released to ev.len - 1 do
-    let p = get_slot ev i in
-    f ~block_id:((p lsr 1) land 0x7FFF_FFFF) ~taken:(p land 1 = 1) ~next:((p lsr 32) - 1)
-  done
 
 let equal a b =
   a.len = b.len && a.released = b.released
@@ -265,22 +340,28 @@ let equal a b =
   let rec go i = i >= a.len || (get_slot a i = get_slot b i && go (i + 1)) in
   go a.released
 
-let of_interp interp : t = fun s -> Interp.step_into interp s
-
 let stale ev ~gen =
-  if ev.gen <> gen then invalid_arg "Branch_stream: replay of a recycled recording"
+  if ev.gen <> gen then invalid_arg "Branch_stream: replay of a recording recycled or bound since"
   else invalid_arg "Branch_stream: replay behind the released events"
+
+(* A packed field [f] into the step record. *)
+let[@inline] deliver (s : Interp.step) f ~kb ~taken ~mask addr =
+  s.Interp.block_id <- f lsr kb;
+  s.Interp.taken <- f land taken <> 0;
+  s.Interp.next <- Array.unsafe_get addr (f land mask)
 
 (* Replaying holds one mutable cursor in the closure, an absolute
    position; past the end the stream reports a halt, exactly like an
    interpreter whose program finished.  The backing is checked once,
    here.  Over word slots, the one extra branch per event guards the
-   storage a release or a recycle took away.  A view is read-only, so
-   its length is fixed and nothing under the cursor can go away. *)
+   storage a release, a recycle or a binding took away.  A decoded view
+   is read-only, so its length and bytes are fixed; a bound one only
+   grows, so its replay reads the length and the buffer at each pull, and
+   nothing under the cursor can go away. *)
 let of_events ev : t =
   let cursor = ref 0 in
-  let v = ev.view in
-  if v == no_view then begin
+  match ev.packed with
+  | None ->
     let gen = ev.gen in
     fun s ->
       let i = !cursor in
@@ -294,22 +375,28 @@ let of_events ev : t =
         cursor := i + 1;
         true
       end
-  end
-  else begin
-    let n = ev.len and data = v.data and kn = v.kn and width = v.width and addr = v.addr in
+  | Some v ->
+    let kn = v.kn and width = v.width and addr = v.addr in
     let drop = 64 - width and kb = kn + 1 and taken = 1 lsl kn and mask = (1 lsl kn) - 1 in
-    fun s ->
+    if Option.is_none v.bound then begin
+      let n = ev.len and data = v.data in
+      fun s ->
+        let i = !cursor in
+        if i >= n then false
+        else begin
+          deliver s (read56 data (i * width) drop) ~kb ~taken ~mask addr;
+          cursor := i + 1;
+          true
+        end
+    end
+    else fun s ->
       let i = !cursor in
-      if i >= n then false
+      if i >= ev.len then false
       else begin
-        let f = read56 data (i * width) drop in
-        s.Interp.block_id <- f lsr kb;
-        s.Interp.taken <- f land taken <> 0;
-        s.Interp.next <- Array.unsafe_get addr (f land mask);
+        deliver s (read56 v.data (i * width) drop) ~kb ~taken ~mask addr;
         cursor := i + 1;
         true
       end
-  end
 
 let next_into (t : t) s = t s
 
@@ -380,13 +467,17 @@ let pack_slots (l : layout) (slots : int array) ~off ~len out ~at =
   !o + ((!nacc + 7) lsr 3)
 
 (* Whether [l]'s program maps every successor code of [v] to the same
-   address, so that [v]'s fields are [l]'s fields: the view shares the
-   successor table of the layout it was decoded under, and otherwise one
-   pass over the two tables decides, not one over the events.  Equal
-   tables have equal lengths, so equal field widths. *)
+   address, so that [v]'s fields are [l]'s fields: a view bound to [l]'s
+   program needs no table, a decoded view shares the successor table of
+   the layout it was decoded under, and otherwise one pass over the two
+   tables decides, not one over the events.  Equal tables have equal
+   lengths, so equal field widths. *)
 let same_starts (l : layout) v =
-  let t = tables l in
-  v.addr == t.addr || v.addr = t.addr
+  match v.bound with
+  | Some b when b.program == l.program -> true
+  | Some _ | None ->
+    let t = tables l in
+    v.addr == t.addr || v.addr = t.addr
 
 (* The backing is checked once per call: word slots are packed in place;
    a view whose fields are [l]'s is copied as it stands; a view of another
@@ -394,10 +485,10 @@ let same_starts (l : layout) v =
 let pack (l : layout) ev ~pos ~len out ~at =
   if pos < ev.released || len < 0 || pos > ev.len - len then
     invalid_arg "Branch_stream.pack: range outside the retained events";
-  let v = ev.view in
-  if v == no_view then pack_slots l ev.slots ~off:(pos - ev.base) ~len out ~at
-  else if same_starts l v then copy_fields v ~pos ~len out ~at
-  else pack_slots l (Array.init len (fun k -> view_word v (pos + k))) ~off:0 ~len out ~at
+  match ev.packed with
+  | None -> pack_slots l ev.slots ~off:(pos - ev.base) ~len out ~at
+  | Some v when same_starts l v -> copy_fields v ~pos ~len out ~at
+  | Some v -> pack_slots l (Array.init len (fun k -> view_word v (pos + k))) ~off:0 ~len out ~at
 
 let check_payload (l : layout) b ~at ~n =
   if at < 0 || n < 0 || n > max_int / l.width || ((n * l.width) + 7) / 8 > Bytes.length b - at
@@ -484,6 +575,6 @@ let of_packed (l : layout) b ~at ~n =
     | Some reason -> Error reason
     | None ->
       Ok
-        { slots = [||]; base = n; released = 0; len = n; gen = 0;
-          view = { data; kn = l.kn; width = l.width; addr } }
+        { slots = [||]; base = 0; released = 0; len = n; gen = 0;
+          packed = Some { data; kn = l.kn; width = l.width; addr; bound = None } }
   end

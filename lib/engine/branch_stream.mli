@@ -6,9 +6,9 @@
     care where that stream comes from.  This module is the seam: a stream
     is a source of branch events delivered through the caller's reusable
     {!Interp.step} record (the same allocation-free discipline as the step
-    loop), with two producers — the live interpreter ({!of_interp}) and a
-    recorded-event replayer ({!of_events}) — and the simulator as the one
-    consumer.
+    loop), with two producers — the live interpreter, which the simulator
+    steps directly, and a recorded-event replayer ({!of_events}) — and the
+    simulator as the one consumer.
 
     The parity contract: a run consuming {!of_events} over a recording of
     itself is bit-identical — metrics, telemetry, PRNG-driven fault
@@ -20,12 +20,17 @@
 type events
 (** A compact in-memory recording, in one of two backings that every
     reader treats alike:
-    - word slots, one int per event: what {!recorder} makes and every
-      write produces;
-    - packed: a decoded payload read in place (see {!of_packed}).  It is
-      read-only: every write ({!reserve}, {!append}, {!append_event},
-      {!set_pending}, {!commit}, {!release}, {!recycle}) raises
-      [Invalid_argument] and leaves it unchanged.
+    - word slots, one int per event: what {!recorder} makes, and what
+      batch writes and unbound appends produce;
+    - packed: one codec field per event ({!section-packed}), in one of
+      two kinds.  A {e bound} recording ({!bind}; every recording the
+      simulator makes) is append-only: {!append} and {!append_event} add
+      fields to a buffer that doubles as it fills.  A {e decoded}
+      recording ({!of_packed}) is read-only: {!append} and {!append_event}
+      raise too.  Every other write ({!reserve}, {!set_pending},
+      {!commit}, {!release}, {!recycle}, {!append_packed}) raises
+      [Invalid_argument] on either kind, and leaves the recording
+      unchanged.
 
     Positions are absolute: event [i] is the [i]th event ever appended
     since the recording was created or last {!recycle}d, whatever storage
@@ -37,19 +42,23 @@ type t
     Allocation-free per event. *)
 
 val recorder : ?capacity:int -> unit -> events
-(** A fresh, empty recording to pass as [Simulator.create ~record], with
-    room for [capacity] events (default 1024) before it grows. *)
+(** A fresh, empty recording on word slots, with room for [capacity]
+    events (default 1024) before it grows.  Passed as [Simulator.create
+    ~record], it is bound to the run's program ({!bind}). *)
 
 val append : events -> Interp.step -> unit
 (** Append the event a filled step record describes.  Amortized O(1). *)
 
 val append_event : events -> block_id:int -> taken:bool -> next:Regionsel_isa.Addr.t -> unit
-(** Append one event by parts.  An event must fit its one-word slot: a
-    block id in [[0, 2^31)] and a successor address in [[0, 2^30 - 2]]
-    or {!Regionsel_isa.Addr.none}.  A program would need about 8 GiB of
-    address table ([Program.block_id]) to reach either limit.
+(** Append one event by parts.  On word slots an event must fit its
+    one-word slot: a block id in [[0, 2^31)] and a successor address in
+    [[0, 2^30 - 2]] or {!Regionsel_isa.Addr.none}.  A program would need
+    about 8 GiB of address table ([Program.block_id]) to reach either
+    limit.  A bound recording takes only its program's events: a block
+    id below its block count and a successor that is a block start or
+    {!Regionsel_isa.Addr.none}.
     @raise Invalid_argument on a block id or successor outside those
-    ranges, or on a packed recording, leaving the recording unchanged. *)
+    ranges, or on a decoded recording, leaving the recording unchanged. *)
 
 (** {2 All-or-nothing appends}
 
@@ -107,7 +116,8 @@ val release : events -> int -> unit
     recording. *)
 
 val released : events -> int
-(** The first position still readable: [0] until the first {!release}. *)
+(** The first position still readable: [0] until the first {!release}.
+    Test oracle: the daemon tracks its own release point. *)
 
 val recycle : events -> unit
 (** Empty the recording ([length] and {!released} back to [0]) for a new
@@ -116,24 +126,21 @@ val recycle : events -> unit
     @raise Invalid_argument on a packed recording. *)
 
 val capacity : events -> int
-(** Word slots allocated, retained and free: the recording's memory in
-    events (one word each).  [0] for a packed recording, which has none. *)
+(** Events the recording's storage holds, retained and free, before it
+    grows: the recording's memory in events.  Word slots take one word
+    each; a bound recording's buffer holds [capacity] fields and 8 bytes
+    of padding.  [0] for a decoded recording, which takes no appends. *)
 
 val get_block_id : events -> int -> int
 val get_taken : events -> int -> bool
 val get_next : events -> int -> Regionsel_isa.Addr.t
-(** The parts of event [i].
+(** The parts of event [i].  Test oracle: the engine reads recordings
+    only through {!of_events} and the codec.
     @raise Invalid_argument unless [released ev <= i < length ev]. *)
 
-val iter :
-  (block_id:int -> taken:bool -> next:Regionsel_isa.Addr.t -> unit) -> events -> unit
-(** The retained events, oldest first. *)
-
 val equal : events -> events -> bool
-(** Same length, same released prefix and the same retained events. *)
-
-val of_interp : Interp.t -> t
-(** The live producer: each pull executes one block of the program. *)
+(** Same length, same released prefix and the same retained events,
+    whatever the backings. *)
 
 val of_events : events -> t
 (** The replay producer: each pull delivers the next recorded event,
@@ -141,13 +148,13 @@ val of_events : events -> t
     halt, exactly like an interpreter whose program finished.  Events
     appended later are delivered by later pulls.  A packed recording is
     read in place.
-    @raise Invalid_argument on a pull at a released position or after
-    the recording was recycled. *)
+    @raise Invalid_argument on a pull at a released position, or after
+    the recording was recycled or bound. *)
 
 val next_into : t -> Interp.step -> bool
 (** Pull one event into the record; [false] when the stream has ended. *)
 
-(** {1 Packed recordings}
+(** {1:packed Packed recordings}
 
     The codec's form of a recording, owned here beside the word slots it
     must agree with: [Regionsel_persist.Event_log] frames, pins and
@@ -172,12 +179,24 @@ val layout_program : layout -> Regionsel_isa.Program.t
 val field_bits : layout -> int
 (** The bits one event takes: [kb + 1 + kn]. *)
 
+val bind : events -> layout -> unit
+(** [bind ev l] makes an empty word-slot recording a bound one: from then
+    on it holds each appended event of [l]'s program as its field, in a
+    zero-filled buffer sized from its word capacity that doubles as it
+    fills, so it costs [field_bits l] bits per event, not a word, and
+    {!pack} under a layout of the same program copies its bits.  A
+    stream opened on [ev] before the binding raises on its next pull.
+    A no-op on a non-empty or packed recording, for fields wider than 56
+    bits, and for a program with a block start a word slot cannot hold:
+    those keep word slots. *)
+
 val pack : layout -> events -> pos:int -> len:int -> Bytes.t -> at:int -> int
 (** [pack l ev ~pos ~len out ~at] writes events [pos .. pos+len-1] as
     fields from byte [at] of [out], zero-padded to a whole byte, and
     returns the byte past them.  Word slots are read once each, in place;
-    a packed recording whose successor addresses are [l]'s block starts
-    is copied bit for bit, with no allocation.
+    a packed recording bound to [l]'s program, or whose successor
+    addresses are [l]'s block starts, is copied bit for bit, 32 bits at
+    a time, with no allocation.
     @raise Invalid_argument on a range outside the retained events, an
     event whose block id is outside the program or whose successor is not
     a block start, or an [out] too short. *)

@@ -108,6 +108,11 @@ type t = {
   h_internals : unit -> internals;
 }
 
+(* The recording a run that records nothing holds: never written, as
+   [has_record] guards every append, so no run allocates a recorder of
+   its own unless it records. *)
+let no_recording = Branch_stream.recorder ~capacity:0 ()
+
 (* How the cached-mode loop stopped. *)
 let cached_running = 0
 let cached_done = 1 (* a step completed in the cache; the caller ends it *)
@@ -159,10 +164,12 @@ let create ?(params = Params.default) ?(seed = 1L) ?(telemetry = Telemetry.none)
   let sbuf = Interp.make_step () in
   (* Branch-event source: the live interpreter, or a recorded stream.  The
      clean-run fast path keeps the direct [Interp.step_into] call; replay
-     pays one option compare per step either way. *)
+     pays one option compare per step either way.  An empty recording is
+     bound to the program, so it holds each step as its packed field. *)
   let replay_stream = Option.map Branch_stream.of_events replay in
+  Option.iter (fun ev -> Branch_stream.bind ev (Branch_stream.layout program)) record;
   let has_record = Option.is_some record in
-  let rec_events = match record with Some ev -> ev | None -> Branch_stream.recorder () in
+  let rec_events = Option.value record ~default:no_recording in
   let ib = { Policy.block = Program.block_of_id program 0; taken = false; next = Addr.none } in
   let interp_event = Policy.Interp_block ib in
   (* Selection events are policy decisions, stamped before the install is

@@ -113,7 +113,9 @@ val create :
   t
 (** Set up a run without stepping it (the [restore] hook, if any, fires
     here).  [record] tees every executed branch event into the given
-    recording; [replay] substitutes a recorded stream for the live
+    recording, which, if empty, is first bound to the image's program
+    ({!Branch_stream.bind}), so it holds each event as its packed field;
+    [replay] substitutes a recorded stream for the live
     interpreter as the branch-event source — a replayed run over a
     recording of a live run with the same params, seed, policy and budget
     is bit-identical to that live run.  Recording and replaying are not

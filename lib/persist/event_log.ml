@@ -6,7 +6,8 @@
    event costs [kb + 1 + kn] bits where [kb]/[kn] are the minimal widths
    for a block id / successor code under the program's block count — for
    the bundled workloads (tens to hundreds of blocks) that is ~2-3 bytes
-   per event against the 8-byte word of the in-memory recording.
+   per event, the same fields a recording made by the simulator holds in
+   memory, against the 8-byte word of a word-slot recording.
 
    Unlike snapshots there is no per-section degrade path: a recording with
    any corrupt byte cannot be replayed bit-identically, which is its whole

@@ -52,6 +52,10 @@ val encode :
   seed:int64 ->
   Regionsel_engine.Branch_stream.events ->
   bytes
+(** The file's bytes.  A packed recording of [program] (bound, as every
+    recording the simulator makes, or decoded) already holds the
+    payload's fields and is copied 32 bits at a time; word slots are
+    packed event by event, as {!write_file} and {!encode_batch} do. *)
 
 val decode :
   bytes ->
@@ -61,9 +65,8 @@ val decode :
 (** Check the header, the identity, both checksums and then every field's
     block id and successor code, and return a packed recording
     ({!Regionsel_engine.Branch_stream.of_packed}) over a copy of the
-    payload: replaying it reads each field in place, and nothing is
-    unpacked unless the recording is written to.  Later changes to the
-    input bytes do not reach it.
+    payload: replaying it reads each field in place, and it is
+    read-only.  Later changes to the input bytes do not reach it.
     @raise Persist.Hard_corruption on any validation failure, as
     {!read_file}. *)
 

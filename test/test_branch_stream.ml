@@ -22,6 +22,13 @@ let budget (spec : Spec.t) = min spec.Spec.default_steps 30_000
 
 let tasks = Suite.grid (List.map fst Policies.all)
 
+(* The retained events, oldest first, through the getters. *)
+let iter f ev =
+  for i = Branch_stream.released ev to Branch_stream.length ev - 1 do
+    f ~block_id:(Branch_stream.get_block_id ev i) ~taken:(Branch_stream.get_taken ev i)
+      ~next:(Branch_stream.get_next ev i)
+  done
+
 (* Live run recording its stream, then a replayed run over the recording:
    the two metric JSONs (fixed field order, lossless floats) must be
    byte-identical.  [to_json] equality is the strongest cheap comparison
@@ -74,7 +81,7 @@ let recorder_basics () =
   done;
   check_true "equal to itself" (Branch_stream.equal ev ev);
   let other = Branch_stream.recorder () in
-  Branch_stream.iter
+  iter
     (fun ~block_id ~taken ~next -> Branch_stream.append_event other ~block_id ~taken ~next)
     ev;
   check_true "iter rebuilds an equal recording" (Branch_stream.equal ev other);
@@ -87,27 +94,25 @@ let recorder_basics () =
      with Invalid_argument _ -> true)
 
 (* [of_events] delivers exactly the recorded events then reports a halt,
-   and [of_interp] over a fresh interpreter reproduces the recording. *)
+   and a fresh interpreter reproduces the recording. *)
 let stream_producers_agree () =
   let image = figure2 ~iters:500 () in
   let interp = Interp.create image ~seed:7L in
   let ev = Branch_stream.recorder () in
   let s = Interp.make_step () in
-  let live = Branch_stream.of_interp interp in
   let n = ref 0 in
-  while Branch_stream.next_into live s && !n < 100_000 do
+  while Interp.step_into interp s && !n < 100_000 do
     Branch_stream.append ev s;
     incr n
   done;
   check_true "program halted" (!n < 100_000);
   let replay = Branch_stream.of_events ev in
   let interp2 = Interp.create image ~seed:7L in
-  let live2 = Branch_stream.of_interp interp2 in
   let a = Interp.make_step () and b = Interp.make_step () in
   let steps = ref 0 in
   let rec loop () =
     let ra = Branch_stream.next_into replay a in
-    let rb = Branch_stream.next_into live2 b in
+    let rb = Interp.step_into interp2 b in
     check_true "streams end together" (ra = rb);
     if ra then begin
       incr steps;
@@ -290,7 +295,7 @@ let qcheck_codec_round_trip =
       (* Two batches appended after an existing event rebuild the same stream. *)
       let into = of_list [ (0, false, Addr.none) ] in
       let expected = of_list [ (0, false, Addr.none) ] in
-      Branch_stream.iter
+      iter
         (fun ~block_id ~taken ~next -> Branch_stream.append_event expected ~block_id ~taken ~next)
         events;
       let append ~pos ~len =
@@ -630,7 +635,7 @@ let reader_behind_release_raises () =
     (rest = List.init 7 (fun i -> Some (synth (6 + i))) @ [ None ]);
   check_int "iter sees the retained events" 8
     (let n = ref 0 in
-     Branch_stream.iter (fun ~block_id:_ ~taken:_ ~next:_ -> incr n) ev;
+     iter (fun ~block_id:_ ~taken:_ ~next:_ -> incr n) ev;
      !n)
 
 (* A stream from before a recycle raises on its next pull, wherever its
@@ -719,7 +724,7 @@ let decoded_reads_like_source () =
       check_true (name ^ ": equal") (Branch_stream.equal events decoded);
       check_true (name ^ ": equal, reversed") (Branch_stream.equal decoded events);
       let i = ref 0 in
-      Branch_stream.iter
+      iter
         (fun ~block_id ~taken ~next ->
           if
             block_id <> Branch_stream.get_block_id events !i
@@ -867,6 +872,181 @@ let decoded_reencodes_like_source () =
   check_true "decoded naming a start the program lacks is refused"
     (refused (decode_of program with_9))
 
+
+(* --- Bound recordings: the simulator records packed fields -------------- *)
+
+let bound_to program ~capacity =
+  let ev = Branch_stream.recorder ~capacity () in
+  Branch_stream.bind ev (Branch_stream.layout program);
+  ev
+
+type bound_op = Add of (int * bool * int) list | Pull of int
+
+(* A recording bound to its program and a word recording fed the same
+   appends, interleaved with pulls from a replay of each, are equal, replay
+   the same events and encode to the same bytes, whole and in batches at
+   any window; the bound one starts with room for at most 8 fields, so
+   every case crosses at least one regrowth of its buffer.  The block
+   counts give fields of one byte up to two puts' worth (33 bits). *)
+let qcheck_bound_matches_words =
+  let gen =
+    QCheck.Gen.(
+      oneofl [ 1; 2; 3; 127; 128; 129; 4096; 32768; 32769 ] >>= fun n_blocks ->
+      let event = triple (int_bound (n_blocks - 1)) bool (int_bound n_blocks) in
+      let op =
+        oneof [ map (fun l -> Add l) (list_size (int_range 0 40) event); map (fun k -> Pull k) (int_bound 50) ]
+      in
+      quad (return n_blocks) (list_size (int_range 9 30) event) (list_size (int_range 0 12) op)
+        (pair (int_bound 8) (list_size (int_range 1 8) (pair nat nat))))
+  in
+  let print (n, first, ops, (cap, _)) =
+    Printf.sprintf "%d blocks, capacity %d, %d first, %d ops" n cap (List.length first)
+      (List.length ops)
+  in
+  QCheck.Test.make ~name:"bound recording matches word slots" ~count:300
+    (QCheck.make ~print gen)
+    (fun (n_blocks, first, ops, (capacity, windows)) ->
+      let program = halting_program n_blocks in
+      let words = Branch_stream.recorder () and bound = bound_to program ~capacity in
+      let cap0 = Branch_stream.capacity bound in
+      let sw = Branch_stream.of_events words and sb = Branch_stream.of_events bound in
+      let same = ref true in
+      let add l =
+        List.iter
+          (fun (block_id, taken, c) ->
+            let next = if c = 0 then Addr.none else 3 * (c - 1) in
+            Branch_stream.append_event words ~block_id ~taken ~next;
+            Branch_stream.append_event bound ~block_id ~taken ~next)
+          l
+      in
+      let pull k = for _ = 1 to k do if pull_opt sw <> pull_opt sb then same := false done in
+      add first;
+      List.iter (function Add l -> add l | Pull k -> pull k) ops;
+      let n = Branch_stream.length words in
+      pull (n + 1);
+      let fresh = ref true in
+      let fw = Branch_stream.of_events words and fb = Branch_stream.of_events bound in
+      for _ = 0 to n do if pull_opt fw <> pull_opt fb then fresh := false done;
+      let encode ev = Event_log.encode ~program ~seed:5L ev in
+      let batches_agree =
+        List.for_all
+          (fun (a, b) ->
+            let pos = a mod (n + 1) in
+            let len = b mod (n - pos + 1) in
+            Bytes.equal
+              (Event_log.encode_batch ~program words ~pos ~len)
+              (Event_log.encode_batch ~program bound ~pos ~len))
+          ((0, n) :: windows)
+      in
+      !same && !fresh
+      && Branch_stream.length bound = n
+      && Branch_stream.equal words bound
+      && Branch_stream.equal bound words
+      && Bytes.equal (encode words) (encode bound)
+      && batches_agree
+      && Branch_stream.capacity bound > cap0
+      && cap0 <= 8)
+
+(* [bind] binds only an empty word recording: a stream opened before it
+   raises instead of reading the old slots; a second binding, a non-empty
+   recording and a decoded one are left as they were.  A bound recording
+   refuses an event outside its program, and every write but an append,
+   and stays unchanged. *)
+let bind_rules () =
+  let program = halting_program 5 in
+  let layout = Branch_stream.layout program in
+  let ev = Branch_stream.recorder ~capacity:16 () in
+  let early = Branch_stream.of_events ev in
+  Branch_stream.bind ev layout;
+  expect_invalid "stream opened before the binding" (fun () -> pull_opt early);
+  check_int "bound capacity, in fields" 16 (Branch_stream.capacity ev);
+  Branch_stream.append_event ev ~block_id:4 ~taken:true ~next:12;
+  Branch_stream.bind ev layout;
+  check_int "a second binding keeps the events" 1 (Branch_stream.length ev);
+  let before = of_list [ (4, true, 12) ] in
+  let step = Interp.make_step () in
+  List.iter
+    (fun (what, write) ->
+      expect_invalid what write;
+      check_true (what ^ ": unchanged") (Branch_stream.equal before ev))
+    [ ("block id past the program", fun () -> Branch_stream.append_event ev ~block_id:5 ~taken:false ~next:0);
+      ("negative block id", fun () -> Branch_stream.append_event ev ~block_id:(-1) ~taken:false ~next:0);
+      ("successor inside a block", fun () -> Branch_stream.append_event ev ~block_id:0 ~taken:false ~next:4);
+      ("successor past the program", fun () -> Branch_stream.append_event ev ~block_id:0 ~taken:false ~next:15);
+      ("successor -2", fun () -> Branch_stream.append_event ev ~block_id:0 ~taken:false ~next:(-2));
+      ("reserve", fun () -> Branch_stream.reserve ev 1);
+      ("set_pending", fun () -> Branch_stream.set_pending ev 0 ~block_id:1 ~taken:true ~next:3);
+      ("commit", fun () -> Branch_stream.commit ev 0);
+      ("release", fun () -> Branch_stream.release ev 1);
+      ("recycle", fun () -> Branch_stream.recycle ev);
+      ( "append_packed",
+        fun () ->
+          let body = Event_log.encode_batch ~program before ~pos:0 ~len:1 in
+          ignore (Event_log.decode_batch body ~program ~into:ev) ) ];
+  step.Interp.block_id <- 2;
+  step.Interp.taken <- false;
+  step.Interp.next <- Addr.none;
+  Branch_stream.append ev step;
+  check_true "append through a step record"
+    (Branch_stream.equal (of_list [ (4, true, 12); (2, false, Addr.none) ]) ev);
+  let words = of_list [ (4, true, 12) ] in
+  Branch_stream.bind words layout;
+  Branch_stream.append_event words ~block_id:9 ~taken:false ~next:1;
+  check_int "a non-empty recording keeps word slots" 2 (Branch_stream.length words);
+  let decoded = decode_of program before in
+  Branch_stream.bind decoded layout;
+  expect_invalid "a decoded recording stays read-only" (fun () ->
+      Branch_stream.append_event decoded ~block_id:1 ~taken:false ~next:0)
+
+(* A recording the simulator makes is bound: a 50k-step gcc run holds its
+   21-bit fields in at most ceil(21 / 8) = 3 bytes per event, twice over
+   for the doubling buffer's slack, besides its layout, where word slots
+   would take 8.  The layout's share is that of a layout bound alike. *)
+let simulator_records_packed () =
+  let spec = Option.get (Suite.find "gcc") in
+  let image = Spec.image spec in
+  let program = image.Image.program in
+  let n = 50_000 in
+  check_int "gcc's field width" 21 (Event_log.event_bits program);
+  let ev = Branch_stream.recorder () in
+  ignore (Simulator.run ~seed:1L ~record:ev ~policy:Policies.lei ~max_steps:n image);
+  check_int "events" n (Branch_stream.length ev);
+  let layout = Branch_stream.layout program in
+  Branch_stream.bind (Branch_stream.recorder ~capacity:0 ()) layout;
+  let bytes =
+    8 * (Obj.reachable_words (Obj.repr ev) - Obj.reachable_words (Obj.repr layout))
+  in
+  if bytes > 2 * 3 * n then Alcotest.failf "%d events take %d bytes beside their layout" n bytes;
+  check_true "capacity covers the events" (Branch_stream.capacity ev >= n)
+
+(* The REVL bytes of recorded runs, pinned: four benches under the four
+   paper policies at 30k steps, seed 1, as [regionsel_sim record
+   --events-out] writes them.  The stream does not depend on the policy,
+   so each bench's four digests agree. *)
+let revl_bytes_match_golden () =
+  let golden = In_channel.with_open_text "golden/revl.txt" In_channel.input_lines in
+  let lines =
+    List.concat_map
+      (fun bench ->
+        let spec = Option.get (Suite.find bench) in
+        let image = Spec.image spec in
+        List.map
+          (fun policy ->
+            let events = Branch_stream.recorder () in
+            ignore
+              (Simulator.run ~seed:1L ~record:events ~policy:(Option.get (Policies.find policy))
+                 ~max_steps:30_000 image);
+            let bytes = Event_log.encode ~program:image.Image.program ~seed:1L events in
+            Printf.sprintf "%s %s 30000 %s" bench policy (Digest.to_hex (Digest.bytes bytes)))
+          [ "net"; "lei"; "combined-net"; "combined-lei" ])
+      [ "gzip"; "gcc"; "perlbmk"; "twolf" ]
+  in
+  check_int "one golden line per cell" (List.length golden) (List.length lines);
+  List.iter2
+    (fun line want ->
+      if line <> want then Alcotest.failf "REVL bytes changed:\n  golden: %s\n  now:    %s" want line)
+    lines golden
+
 let suite =
   [
     case "recorder basics" recorder_basics;
@@ -893,4 +1073,8 @@ let suite =
     case "packed recording refuses every write" packed_recording_refuses_writes;
     case "decoded recording owns its payload" decoded_owns_its_payload;
     case "decoded recording re-encodes like its source" decoded_reencodes_like_source;
+    QCheck_alcotest.to_alcotest qcheck_bound_matches_words;
+    case "bind binds only an empty word recording" bind_rules;
+    case "simulator records packed fields" simulator_records_packed;
+    case "REVL bytes match the golden" revl_bytes_match_golden;
   ]
