@@ -47,7 +47,12 @@ let report_failure ~shrink ~out ~flight (c, f) =
    event codec.  The contract under fuzz: every outcome is typed
    ([Proto.Protocol_error] / [Persist.Hard_corruption] / clean decode),
    never any other exception, and a pristine byte stream always decodes
-   every frame that went in. *)
+   every frame that went in.  Every batch decodes into one long-lived
+   ingest buffer, driven as the server drives it: bound to the batch's
+   program (recycled and re-bound when that changes), read by a replay
+   stream, and released up to what that stream consumed.  A refused
+   batch must leave it as it was, and every batch it takes must read
+   back as its source. *)
 let run_frames_seed ~cases seed =
   let module P = Regionsel_serve.Proto in
   let module Sm = Regionsel_prng.Splitmix in
@@ -107,6 +112,73 @@ let run_frames_seed ~cases seed =
   in
   let n_ok = ref 0 and n_rejected = ref 0 and n_forged = ref 0 in
   let failure = ref None in
+  let fail msg = if !failure = None then failure := Some msg in
+  (* The ingest buffer and its draws, from a third generator so the cases
+     of a seed are the same with it as without.  [src] holds every event
+     of the buffer's session, unreleased: the reference it must match. *)
+  let ingest_rng =
+    Sm.create ~seed:(Int64.add (Int64.mul (Int64.of_int seed) 0x9E3779B97F4A7C15L) 3L)
+  in
+  let ingest = Branch_stream.recorder () in
+  let ingest_program = ref program in
+  Branch_stream.bind ingest (Branch_stream.layout program);
+  let src = ref (Branch_stream.recorder ()) in
+  let reader = ref (Branch_stream.of_events ingest) in
+  let consumed = ref 0 in
+  let step = Regionsel_engine.Interp.make_step () in
+  (* Before a batch of [p]: re-bind the buffer if [p] is another program,
+     then let the reader consume a few events, each checked against the
+     source, and release them. *)
+  let ingest_for p =
+    if p != !ingest_program then begin
+      Branch_stream.recycle ingest;
+      Branch_stream.bind ingest (Branch_stream.layout p);
+      ingest_program := p;
+      src := Branch_stream.recorder ();
+      reader := Branch_stream.of_events ingest;
+      consumed := 0
+    end;
+    let k = Sm.int ingest_rng 64 in
+    let pulled = ref 0 in
+    while !pulled < k && Branch_stream.next_into !reader step do
+      let i = !consumed in
+      if step.Regionsel_engine.Interp.block_id <> Branch_stream.get_block_id !src i
+         || step.Regionsel_engine.Interp.taken <> Branch_stream.get_taken !src i
+         || step.Regionsel_engine.Interp.next <> Branch_stream.get_next !src i
+      then fail (Printf.sprintf "ingest buffer replayed event %d unlike its source" i);
+      incr consumed;
+      incr pulled
+    done;
+    Branch_stream.release ingest !consumed
+  in
+  (* The buffer's state as a reader sees it: length, release point, and
+     the retained events as their wire batch. *)
+  let ingest_state () =
+    let r = Branch_stream.released ingest and n = Branch_stream.length ingest in
+    (n, r, Event_log.encode_batch ~program:!ingest_program ingest ~pos:r ~len:(n - r))
+  in
+  (* Decode a batch body into the buffer.  A refusal re-raises once the
+     buffer is checked unchanged; an accepted batch of [n] events must be
+     the events [ev] holds from [pos]. *)
+  let ingest_decode what ?(pos = 0) ?len bytes ~program ~ev ~ev_pos =
+    let before = ingest_state () in
+    match Event_log.decode_batch ~pos ?len bytes ~program ~into:ingest with
+    | n ->
+      let m = Branch_stream.length !src in
+      for i = ev_pos to ev_pos + n - 1 do
+        Branch_stream.append_event !src ~block_id:(Branch_stream.get_block_id ev i)
+          ~taken:(Branch_stream.get_taken ev i) ~next:(Branch_stream.get_next ev i)
+      done;
+      let window e = Event_log.encode_batch ~program e ~pos:m ~len:n in
+      if not (Bytes.equal (window ingest) (window !src)) then
+        fail (what ^ ": the ingest buffer does not read back the batch it took");
+      n
+    | exception (Persist.Hard_corruption _ as e) ->
+      let n, r, b = ingest_state () and n0, r0, b0 = before in
+      if n <> n0 || r <> r0 || not (Bytes.equal b b0) then
+        fail (what ^ ": a refused batch changed the ingest buffer");
+      raise e
+  in
   (* Header forgery: rewrite one count or shape field of a REVL file
      (block count, event count low or high word, payload bit count) or of a
      wire batch (event count, bit count) and re-seal the file's header
@@ -141,9 +213,21 @@ let run_frames_seed ~cases seed =
     match
       if file then Event_log.decode bytes ~program ~seed
       else begin
-        let into = Branch_stream.recorder () in
-        ignore (Event_log.decode_batch bytes ~program ~into);
-        into
+        ingest_for program;
+        let m = Branch_stream.length ingest in
+        let pristine = Event_log.encode_batch ~program ev ~pos:0 ~len:n in
+        match ingest_decode "header forgery" bytes ~program ~ev ~ev_pos:0 with
+        | got ->
+          (* what it took, as a recording of its own, to compare with [ev] *)
+          let taken = Branch_stream.recorder () in
+          for i = m to m + got - 1 do
+            Branch_stream.append_event taken ~block_id:(Branch_stream.get_block_id ingest i)
+              ~taken:(Branch_stream.get_taken ingest i) ~next:(Branch_stream.get_next ingest i)
+          done;
+          taken
+        | exception e ->
+          ignore (ingest_decode "batch after a refusal" pristine ~program ~ev ~ev_pos:0);
+          raise e
       end
     with
     | exception Persist.Hard_corruption _ -> incr n_rejected
@@ -180,6 +264,7 @@ let run_frames_seed ~cases seed =
       if file then (Event_log.encode ~program ~seed ev, 36)
       else (Event_log.encode_batch ~program ev ~pos:0 ~len:n, 8)
     in
+    let pristine = Bytes.copy bytes in
     let j = Sm.int field_rng n in
     let can_code = n_blocks + 1 < 1 lsl kn in
     let forge_block = n_blocks < 1 lsl kb && ((not can_code) || Sm.bool field_rng) in
@@ -198,7 +283,14 @@ let run_frames_seed ~cases seed =
     Bytes.set_int32_be bytes (at + plen) (Int32.of_int (Persist.crc32 bytes ~pos:at ~len:plen));
     match
       if file then ignore (Event_log.decode bytes ~program ~seed)
-      else ignore (Event_log.decode_batch bytes ~program ~into:(Branch_stream.recorder ()))
+      else begin
+        ingest_for program;
+        match ingest_decode "payload forgery" bytes ~program ~ev ~ev_pos:0 with
+        | _ -> ()
+        | exception e ->
+          ignore (ingest_decode "batch after a refusal" pristine ~program ~ev ~ev_pos:0);
+          raise e
+      end
     with
     | exception Persist.Hard_corruption _ -> incr n_forged
     | () ->
@@ -266,11 +358,20 @@ let run_frames_seed ~cases seed =
               | Some (P.Dechunker.Events_at { buf; pos; len }), Some (P.Events body) ->
                 incr decoded;
                 if not (Bytes.equal (Bytes.sub buf pos len) body) then disagree "events body";
-                (try
-                   ignore
-                     (Event_log.decode_batch ~pos ~len buf ~program
-                        ~into:(Branch_stream.recorder ()))
-                 with Persist.Hard_corruption _ -> ())
+                (* The body decoded on its own is the source the ingest
+                   buffer must read back, and a body refused on its own
+                   the buffer must refuse too. *)
+                ingest_for program;
+                let ev = Branch_stream.recorder () in
+                let alone =
+                  match Event_log.decode_batch body ~program ~into:ev with
+                  | _ -> true
+                  | exception Persist.Hard_corruption _ -> false
+                in
+                (match ingest_decode "events frame" ~pos ~len buf ~program ~ev ~ev_pos:0 with
+                | _ -> if not alone then fail "events frame: taken here, refused on its own"
+                | exception Persist.Hard_corruption _ ->
+                  if alone then fail "events frame: refused here, taken on its own")
               | Some (P.Dechunker.Msg m), Some m' when m = m' -> incr decoded
               | _ -> disagree "frame")
           done

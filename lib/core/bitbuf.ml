@@ -37,15 +37,12 @@ module Writer = struct
     if !rem > 0 then Bytes.unsafe_set buf !p (Char.unsafe_chr ((acc lsl (8 - !rem)) land 0xFF));
     t.n_bits <- stop
 
-  let add_bit t bit = add_bits t (Bool.to_int bit) 1
-  let add_bits2 t v = add_bits t v 2
   let add_uint32 t v = add_bits t v 32
 
   let length_bits t = t.n_bits
-  let byte_length t = (t.n_bits + 7) / 8
 
   let contents t =
-    let n = byte_length t in
+    let n = (t.n_bits + 7) / 8 in
     if n = Bytes.length t.buf then t.buf else Bytes.sub t.buf 0 n
 end
 
@@ -79,9 +76,5 @@ module Reader = struct
       !acc lsr ((8 - ((p + k) land 7)) land 7)
     end
 
-  let read_bit t = read_bits t 1 = 1
-  let read_bits2 t = read_bits t 2
   let read_uint32 t = read_bits t 32
-
-  let remaining_bits t = t.limit - t.pos
 end

@@ -3,12 +3,8 @@
 
     Bits are written most-significant-first within each byte, so the
     serialized form is deterministic and the reader consumes bits in write
-    order.  A field of up to {!max_bits} bits moves in one call with one
-    capacity or bounds check, whatever its alignment. *)
-
-val max_bits : int
-(** The widest field {!Writer.add_bits} and {!Reader.read_bits} move in one
-    call: 56. *)
+    order.  A field of up to 56 bits moves in one call with one capacity
+    or bounds check, whatever its alignment. *)
 
 module Writer : sig
   type t
@@ -20,22 +16,12 @@ module Writer : sig
   val add_bits : t -> int -> int -> unit
   (** [add_bits t v k] appends the [k] low bits of [v], most significant
       first.
-      @raise Invalid_argument unless [0 <= k <= max_bits] and
-      [0 <= v < 2^k]. *)
-
-  val add_bit : t -> bool -> unit
-
-  val add_bits2 : t -> int -> unit
-  (** Append a 2-bit code (value in [[0, 3]]). *)
+      @raise Invalid_argument unless [0 <= k <= 56] and [0 <= v < 2^k]. *)
 
   val add_uint32 : t -> int -> unit
   (** Append a 32-bit big-endian unsigned value (value in [[0, 2^32)]). *)
 
   val length_bits : t -> int
-
-  val byte_length : t -> int
-  (** Bytes needed to store the bits written so far: the memory-cost of the
-      encoding (Figure 18). *)
 
   val contents : t -> bytes
   (** The written bits, final partial byte zero-padded.  When they fill the
@@ -54,13 +40,9 @@ module Reader : sig
 
   val read_bits : t -> int -> int
   (** [read_bits t k] consumes the next [k] bits as an unsigned value.
-      @raise Invalid_argument unless [0 <= k <= max_bits]. *)
+      @raise Invalid_argument unless [0 <= k <= 56]. *)
 
-  val read_bit : t -> bool
-  val read_bits2 : t -> int
   val read_uint32 : t -> int
-
-  val remaining_bits : t -> int
 
   exception Out_of_bits
   (** Raised when reading past [n_bits]; the reader does not move. *)

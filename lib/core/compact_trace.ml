@@ -30,20 +30,20 @@ let encode (path : Region.path) =
         | Some _ | None -> ())
       | Terminator.Cond tgt -> (
         match succ with
-        | Some s when Addr.equal s tgt -> Bitbuf.Writer.add_bits2 w code_taken
+        | Some s when Addr.equal s tgt -> Bitbuf.Writer.add_bits w code_taken 2
         | Some s when Addr.equal s (Block.fall_addr b) ->
-          Bitbuf.Writer.add_bits2 w code_not_taken
+          Bitbuf.Writer.add_bits w code_not_taken 2
         | Some s -> inconsistent b s
         | None -> ())
       | Terminator.Jump tgt | Terminator.Call tgt -> (
         match succ with
-        | Some s when Addr.equal s tgt -> Bitbuf.Writer.add_bits2 w code_taken
+        | Some s when Addr.equal s tgt -> Bitbuf.Writer.add_bits w code_taken 2
         | Some s -> inconsistent b s
         | None -> ())
       | Terminator.Return | Terminator.Indirect_jump | Terminator.Indirect_call -> (
         match succ with
         | Some s ->
-          Bitbuf.Writer.add_bits2 w code_indirect;
+          Bitbuf.Writer.add_bits w code_indirect 2;
           Bitbuf.Writer.add_uint32 w s
         | None -> ())
     in
@@ -57,7 +57,7 @@ let encode (path : Region.path) =
         go rest
     in
     let last = go path.blocks in
-    Bitbuf.Writer.add_bits2 w code_end;
+    Bitbuf.Writer.add_bits w code_end 2;
     Bitbuf.Writer.add_uint32 w (Block.last last);
     {
       entry = first.Block.start;
@@ -97,7 +97,7 @@ let errorf fmt = Format.kasprintf invalid_arg fmt
 let decode program t =
   let r = Bitbuf.Reader.create t.data ~n_bits:t.n_bits in
   let rec count n =
-    let code = Bitbuf.Reader.read_bits2 r in
+    let code = Bitbuf.Reader.read_bits r 2 in
     if code = code_end then n
     else begin
       if code = code_indirect then ignore (Bitbuf.Reader.read_uint32 r : int);
@@ -133,7 +133,7 @@ let decode program t =
         end
         else begin
           decr remaining;
-          let code = Bitbuf.Reader.read_bits2 r in
+          let code = Bitbuf.Reader.read_bits r 2 in
           match term with
           | Terminator.Cond tgt when code = code_taken -> tgt
           | Terminator.Cond _ when code = code_not_taken -> Block.fall_addr b

@@ -92,8 +92,9 @@ let decode bytes ~program ~seed =
   let plen = payload_length l ~n_events ~n_bits in
   if total <> header_bytes + plen + 4 then corrupt "truncated payload";
   if not (crc_holds bytes ~pos:header_bytes ~len:plen) then corrupt "payload checksum mismatch";
-  match Branch_stream.of_packed l bytes ~at:header_bytes ~n:n_events with
-  | Ok events -> events
+  let events = Branch_stream.recorder ~capacity:0 () in
+  match Branch_stream.append_packed l bytes ~at:header_bytes ~n:n_events events with
+  | Ok () -> events
   | Error reason -> corrupt reason
 
 (* The wire form of a recording slice — the daemon's Events frame body.

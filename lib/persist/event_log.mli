@@ -52,10 +52,10 @@ val encode :
   seed:int64 ->
   Regionsel_engine.Branch_stream.events ->
   bytes
-(** The file's bytes.  A packed recording of [program] (bound, as every
-    recording the simulator makes, or decoded) already holds the
-    payload's fields and is copied 32 bits at a time; word slots are
-    packed event by event, as {!write_file} and {!encode_batch} do. *)
+(** The file's bytes.  A recording bound to [program] (as every
+    recording the simulator makes, and every decoded one) already holds
+    the payload's fields and is copied 32 bits at a time; any other is
+    re-encoded event by event, as {!write_file} and {!encode_batch} do. *)
 
 val decode :
   bytes ->
@@ -63,10 +63,11 @@ val decode :
   seed:int64 ->
   Regionsel_engine.Branch_stream.events
 (** Check the header, the identity, both checksums and then every field's
-    block id and successor code, and return a packed recording
-    ({!Regionsel_engine.Branch_stream.of_packed}) over a copy of the
-    payload: replaying it reads each field in place, and it is
-    read-only.  Later changes to the input bytes do not reach it.
+    block id and successor code, and return a recording bound to
+    [program] that holds a copy of the payload: one
+    {!Regionsel_engine.Branch_stream.append_packed} onto an empty
+    recording.  Replaying it reads each field in place; later changes to
+    the input bytes do not reach it.
     @raise Persist.Hard_corruption on any validation failure, as
     {!read_file}. *)
 
@@ -102,8 +103,10 @@ val decode_batch :
     [layout], when given, must be [Branch_stream.layout program], kept by
     a caller that decodes many batches of one program; without it one is
     built per call.  The append is all-or-nothing: the events become part
-    of [into] only once every one has validated.
+    of [into] only once every one has validated.  An empty unbound [into]
+    (a fresh [Branch_stream.recorder ()]) is bound to [program] first.
     @raise Persist.Hard_corruption on any validation failure, leaving
     [into] unchanged.
     @raise Invalid_argument if [pos] and [len] leave [bytes], [layout] is
-    another program's, or [into] is a packed recording. *)
+    another program's, [into] is a non-empty unbound recording, or [into]
+    is bound to another program. *)

@@ -23,18 +23,19 @@
    without storing what will never be replayed.
 
    Ingest buffers are recycled.  A Hello takes a recording from the
-   daemon's spare pool (or makes one), every Events frame first releases
-   what the simulation has consumed and then decodes into it, [reserve]
-   compacts the retained tail over the released prefix before it would
-   grow, and the session's end (Result sent, or snapshot on detach)
-   recycles it back into the pool, which keeps at most [max_tenants]
-   spares.  So a buffer holds one session's backlog, not its history:
+   daemon's spare pool (or makes one) and binds it to the session's
+   program, so it holds each event as its packed field.  Every Events
+   frame first releases what the simulation has consumed and then
+   decodes into it, the buffer slides its retained tail over the
+   released prefix before it would grow, and the session's end (Result
+   sent, or snapshot on detach) recycles it back into the pool, which
+   keeps at most [max_tenants] spares.  So a buffer holds one session's backlog, not its history:
    reads happen only below [ingest_max] unconsumed events, each read is
    sized to the headroom left below it (at least 4 KiB), and the frame
    a read completes may have started before it, so a buffer never needs
    more than [ingest_max] plus 4 KiB of events plus one Events frame,
    and never grows to twice that.  [status] reports the pool as [ingest
-   live <n> pooled <n> slots <total capacity>].
+   live <n> pooled <n> slots <total capacity> bytes <total storage>].
 
    Reads land straight in the connection's dechunker; there is no shared
    scratch buffer.  Every complete frame is drained after each read, and
@@ -231,10 +232,14 @@ let windows_of ?last t =
 
 (* A session's ingest buffer comes from the spare pool and goes back to
    it recycled, so a steady daemon decodes into warm, already-sized
-   arrays instead of growing fresh ones every session.  Recycling also
-   disarms the finished simulation's replay stream. *)
-let take_buffer t =
-  match Stack.pop_opt t.spares with Some ev -> ev | None -> Branch_stream.recorder ()
+   buffers instead of growing fresh ones every session.  It is bound to
+   the session's program before the simulation opens its replay stream;
+   a pooled buffer keeps its bytes whatever program it served before.
+   Recycling also disarms the finished simulation's replay stream. *)
+let take_buffer t layout =
+  let ev = match Stack.pop_opt t.spares with Some ev -> ev | None -> Branch_stream.recorder () in
+  Branch_stream.bind ev layout;
+  ev
 
 let give_back t ev =
   Branch_stream.recycle ev;
@@ -377,7 +382,8 @@ let handle_hello t conn (h : Proto.hello) =
           Persist.session_file ~dir:t.cfg.state_dir ~tenant ~bench:h.Proto.h_bench
             ~policy:h.Proto.h_policy ~seed:h.Proto.h_seed
         in
-        let events = take_buffer t in
+        let layout = Branch_stream.layout program in
+        let events = take_buffer t layout in
         let create ~restore () =
           Simulator.create ?restore ~seed:h.Proto.h_seed ~replay:events ~policy ~max_steps
             image
@@ -432,7 +438,7 @@ let handle_hello t conn (h : Proto.hello) =
                 s_policy_name = h.Proto.h_policy;
                 s_seed = h.Proto.h_seed;
                 s_program = program;
-                s_layout = Branch_stream.layout program;
+                s_layout = layout;
                 s_sim = sim;
                 s_events = events;
                 s_base = resume_step;
@@ -455,7 +461,7 @@ let handle_events t conn body ~pos ~len =
     close_conn t conn
   | Some s -> (
     (* Consumed events are spent: releasing them first lets the decode
-       reuse their slots.  An exhausted simulation consumes nothing more,
+       reuse their bytes.  An exhausted simulation consumes nothing more,
        so its batches are validated (a corrupt one is still rejected) and
        then released whole.  [body] is usually the connection's own
        buffer, which the next read may move: the decode copies the events
@@ -477,10 +483,12 @@ let status_text t =
   Printf.bprintf buf "recorders %d retired_windows %d\n" (Hashtbl.length t.recorders)
     (Queue.length t.retired);
   let live = List.filter_map (fun c -> Option.map (fun s -> s.s_events) c.c_session) t.conns in
-  let slots n ev = n + Branch_stream.capacity ev in
-  Printf.bprintf buf "ingest live %d pooled %d slots %d\n" (List.length live)
-    (Stack.length t.spares)
-    (Stack.fold slots (List.fold_left slots 0 live) t.spares);
+  let total f =
+    let add n ev = n + f ev in
+    Stack.fold add (List.fold_left add 0 live) t.spares
+  in
+  Printf.bprintf buf "ingest live %d pooled %d slots %d bytes %d\n" (List.length live)
+    (Stack.length t.spares) (total Branch_stream.capacity) (total Branch_stream.storage_bytes);
   List.iter
     (fun (name, sim) ->
       let line =
@@ -556,7 +564,7 @@ let max_read = 1 lsl 16
 (* A streaming tenant's read takes only what its headroom below
    [ingest_max] is worth in encoded events (at least 4 KiB, so a tenant
    near the bound still makes progress); the rest waits in the kernel,
-   a couple of bytes an event rather than the eight it takes decoded.
+   in the same packed fields the ingest buffer would hold it in.
    An exhausted tenant's batches are dropped as they arrive, so it reads
    in full.  A connection without a session reads 4 KiB: its first frame
    is a Hello or a control command, and events pipelined behind a Hello

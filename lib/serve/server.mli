@@ -23,13 +23,16 @@
     dropped to reach the Fin behind them.
 
     Ingest buffers are pooled.  A Hello takes a recycled buffer from a
-    pool of at most [max_tenants] spares; each Events frame releases the
-    events the simulation has consumed before decoding, and the buffer
-    compacts over them instead of growing; the session's end returns it.
+    pool of at most [max_tenants] spares and binds it to the session's
+    program, so it holds each event as its packed field, the same bits
+    the wire carries; each Events frame releases the events the
+    simulation has consumed before decoding, and the buffer compacts
+    over them instead of growing; the session's end returns it.
     Reads are sized to the headroom below [ingest_max] (at least 4 KiB),
     so one buffer never needs more than [ingest_max] plus 4 KiB of
     events plus one Events frame, and never grows to twice that.  [status] reports
-    [ingest live <n> pooled <n> slots <total capacity>].
+    [ingest live <n> pooled <n> slots <total capacity> bytes <total
+    storage>].
     Outgoing frames are queued per connection and flushed through the
     loop's writability set, so a peer that stops draining its replies
     stalls only itself (and is dropped once its unsent queue passes a

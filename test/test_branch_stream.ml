@@ -242,6 +242,11 @@ let of_list l =
   List.iter (fun (block_id, taken, next) -> Branch_stream.append_event ev ~block_id ~taken ~next) l;
   ev
 
+let bound_to program ~capacity =
+  let ev = Branch_stream.recorder ~capacity () in
+  Branch_stream.bind ev (Branch_stream.layout program);
+  ev
+
 let hex b =
   Bytes.fold_left (fun acc c -> acc ^ Printf.sprintf "%02x" (Char.code c)) "" b
 
@@ -293,7 +298,8 @@ let qcheck_codec_round_trip =
           (Event_log.decode (Event_log.encode ~program ~seed:9L events) ~program ~seed:9L)
       in
       (* Two batches appended after an existing event rebuild the same stream. *)
-      let into = of_list [ (0, false, Addr.none) ] in
+      let into = bound_to program ~capacity:1 in
+      Branch_stream.append_event into ~block_id:0 ~taken:false ~next:Addr.none;
       let expected = of_list [ (0, false, Addr.none) ] in
       iter
         (fun ~block_id ~taken ~next -> Branch_stream.append_event expected ~block_id ~taken ~next)
@@ -350,7 +356,10 @@ let decode_batch_all_or_nothing () =
       let b = Bytes.copy body in
       set_field b ~bit ~width:3 v;
       Bytes.set_int32_be b (8 + plen) (Int32.of_int (Persist.crc32 b ~pos:8 ~len:plen));
-      let into = of_list [ (1, true, 0); (2, false, Addr.none); (4, true, 9) ] in
+      let into = bound_to program ~capacity:4 in
+      List.iter
+        (fun (block_id, taken, next) -> Branch_stream.append_event into ~block_id ~taken ~next)
+        [ (1, true, 0); (2, false, Addr.none); (4, true, 9) ];
       let before = of_list [ (1, true, 0); (2, false, Addr.none); (4, true, 9) ] in
       (match Event_log.decode_batch b ~program ~into with
       | n -> Alcotest.failf "%s: accepted %d events" what n
@@ -438,7 +447,7 @@ let forged_batch_leaves_the_ingest_buffer () =
   let width = Event_log.event_bits program in
   check_int "gcc's field width" 21 width;
   let ingest () =
-    let ev = Branch_stream.recorder ~capacity:2048 () in
+    let ev = bound_to program ~capacity:2048 in
     for i = 0 to 1999 do
       Branch_stream.append_event ev ~block_id:(Branch_stream.get_block_id src i)
         ~taken:(Branch_stream.get_taken src i) ~next:(Branch_stream.get_next src i)
@@ -497,37 +506,15 @@ let forged_batch_leaves_the_ingest_buffer () =
         (Event_log.decode_batch ~pos:off ~len:(Bytes.length body)
            (embed ~off body ~next:body ~tail:8)
            ~program ~into);
-      check_int (what ^ ": appended") 2700 (Branch_stream.length into))
+      check_int (what ^ ": appended") 2700 (Branch_stream.length into);
+      check_true (what ^ ": the valid batch holds its events")
+        (Bytes.equal body (Event_log.encode_batch ~program into ~pos:2000 ~len)))
     cases
 
-(* Pending slots are invisible until committed, including to a replay
-   stream already reading the recording. *)
-let pending_slots () =
-  let ev = Branch_stream.recorder ~capacity:0 () in
-  Branch_stream.append_event ev ~block_id:3 ~taken:true ~next:7;
-  let stream = Branch_stream.of_events ev in
-  let s = Interp.make_step () in
-  check_true "first event" (Branch_stream.next_into stream s);
-  Branch_stream.reserve ev 2;
-  Branch_stream.set_pending ev 0 ~block_id:4 ~taken:false ~next:8;
-  Branch_stream.set_pending ev 1 ~block_id:5 ~taken:true ~next:Addr.none;
-  check_int "length before commit" 1 (Branch_stream.length ev);
-  check_true "stream sees nothing pending" (not (Branch_stream.next_into stream s));
-  check_true "slot past the reserved room refused"
-    (try
-       Branch_stream.set_pending ev 100 ~block_id:0 ~taken:false ~next:0;
-       false
-     with Invalid_argument _ -> true);
-  Branch_stream.commit ev 2;
-  check_int "length after commit" 3 (Branch_stream.length ev);
-  check_true "stream resumes" (Branch_stream.next_into stream s);
-  check_int "committed block id" 4 s.Interp.block_id;
-  check_int "last event" 5 (Branch_stream.get_block_id ev 2)
-
-(* Release and recycling.  Event [j] of a generated sequence is a pure
-   function of [j], so a batch abandoned before its commit can write
-   garbage into the slots the next batch overwrites. *)
-let synth j = (j * 7 mod 1000, j mod 3 = 0, if j mod 11 = 0 then Addr.none else j * 13)
+(* Release and recycling, on a recording bound to [synth_program].
+   Event [j] of a generated sequence is a pure function of [j]. *)
+let synth j =
+  (j * 7 mod 1000, j mod 3 = 0, if j mod 11 = 0 then Addr.none else 3 * (j * 13 mod 1000))
 
 let append_synth ev j =
   let block_id, taken, next = synth j in
@@ -538,102 +525,199 @@ let pull_opt stream =
   if Branch_stream.next_into stream s then Some (s.Interp.block_id, s.Interp.taken, s.Interp.next)
   else None
 
-type op = Append of int | Abandon of int | Consume of int | Release of int
-
-(* A recording that releases as its reader consumes (starting small, and
-   recycled from a previous life so stale slots are in its arrays) must
-   replay exactly what an unreleased recording of the same appends
-   replays.  Its capacity stays below twice the most it ever had to hold:
-   retained events plus one reservation. *)
-let qcheck_release_replays_the_same =
-  let gen =
-    QCheck.Gen.(
-      list_size (int_range 0 80)
-        (oneof
-           [ map (fun k -> Append k) (int_range 0 40); map (fun k -> Abandon k) (int_range 1 40);
-             map (fun k -> Consume k) (int_range 0 60); map (fun k -> Release k) (int_range 0 60) ]))
-  in
-  let print ops =
-    String.concat " "
-      (List.map
-         (function
-           | Append k -> Printf.sprintf "A%d" k
-           | Abandon k -> Printf.sprintf "X%d" k
-           | Consume k -> Printf.sprintf "C%d" k
-           | Release k -> Printf.sprintf "R%d" k)
-         ops)
-  in
-  QCheck.Test.make ~name:"released recording replays as an unreleased one" ~count:500
-    (QCheck.make ~print gen)
-    (fun ops ->
-      let plain = Branch_stream.recorder () in
-      let pooled = Branch_stream.recorder ~capacity:4 () in
-      for j = 5000 to 5020 do append_synth pooled j done;
-      Branch_stream.recycle pooled;
-      let a = Branch_stream.of_events plain and b = Branch_stream.of_events pooled in
-      let consumed = ref 0 and need = ref 32 and same = ref true in
-      let batch ev k ~commit =
-        need := max !need (Branch_stream.length ev - Branch_stream.released ev + k);
-        Branch_stream.reserve ev k;
-        for i = 0 to k - 1 do
-          let block_id, taken, next =
-            if commit then synth (Branch_stream.length ev + i) else (999, true, 1)
-          in
-          Branch_stream.set_pending ev i ~block_id ~taken ~next
-        done;
-        if commit then Branch_stream.commit ev k
-      in
-      let pull () =
-        let x = pull_opt a in
-        if x <> pull_opt b then same := false;
-        if Option.is_some x then incr consumed;
-        Option.is_some x
-      in
-      List.iter
-        (function
-          | Append k ->
-            batch plain k ~commit:true;
-            batch pooled k ~commit:true
-          | Abandon k -> batch pooled k ~commit:false
-          | Consume k -> for _ = 1 to k do ignore (pull ()) done
-          | Release k -> Branch_stream.release pooled (min k !consumed))
-        ops;
-      while pull () do () done;
-      !same
-      && !consumed = Branch_stream.length plain
-      && Branch_stream.length pooled = Branch_stream.length plain
-      && Branch_stream.capacity pooled < 2 * !need)
-
 let expect_invalid what f =
   match f () with
   | _ -> Alcotest.failf "%s: no Invalid_argument" what
   | exception Invalid_argument _ -> ()
 
+(* 1000 blocks: 21-bit fields, as gcc's. *)
+let synth_program () = halting_program 1000
+
+(* The daemon's ingest buffer against an unreleased word-slot model of
+   the same appends.  A program's events are [synth] folded into its
+   block count.  [Batch] appends a valid wire batch, [Forged] one whose
+   checksum holds but whose field [j mod k] names a block past the
+   program (refused: the buffer keeps its length, release point and
+   retained bytes), [Append] appends by hand, [Consume] pulls from a
+   replay of each, [Release] releases what the buffer's reader consumed,
+   and [Rebind] recycles the buffer and binds it to the next program,
+   whose fields have another width, starting a new model. *)
+type ingest_op =
+  | Batch of int
+  | Forged of int * int
+  | Append of int
+  | Consume of int
+  | Release of int
+  | Rebind
+
+let show_op = function
+  | Batch k -> Printf.sprintf "B%d" k
+  | Forged (k, j) -> Printf.sprintf "F%d.%d" k j
+  | Append k -> Printf.sprintf "A%d" k
+  | Consume k -> Printf.sprintf "C%d" k
+  | Release k -> Printf.sprintf "R%d" k
+  | Rebind -> "X"
+
+let ingest_ops ~rebind =
+  QCheck.Gen.(
+    list_size (int_range 0 60)
+      (frequency
+         ([ (3, map (fun k -> Batch k) (int_range 0 40));
+            (1, map2 (fun k j -> Forged (k, j)) (int_range 1 40) nat);
+            (2, map (fun k -> Append k) (int_range 0 20));
+            (3, map (fun k -> Consume k) (int_range 0 60));
+            (2, map (fun k -> Release k) (int_range 0 60)) ]
+         @ if rebind then [ (1, return Rebind) ] else [])))
+
+let ingest_matches_model ops =
+  let programs = [| synth_program (); halting_program 5 |] in
+  let layouts = Array.map Branch_stream.layout programs in
+  let w_max = Array.fold_left (fun m l -> max m (Branch_stream.field_bits l)) 0 layouts in
+  let pi = ref 0 in
+  let event j =
+    let n = Program.n_blocks programs.(!pi) in
+    let b, t, next = synth j in
+    (b mod n, t, if next = Addr.none then next else 3 * (next / 3 mod n))
+  in
+  let buf = Branch_stream.recorder ~capacity:4 () in
+  Branch_stream.bind buf layouts.(0);
+  let model = ref (Branch_stream.recorder ()) in
+  let rb = ref (Branch_stream.of_events buf) and rm = ref (Branch_stream.of_events !model) in
+  let consumed = ref 0 and most = ref 0 and ok = ref true in
+  let fail what = if !ok then (Printf.eprintf "ingest model: %s\n%!" what; ok := false) in
+  let add_model k =
+    let m = Branch_stream.length !model in
+    for j = m to m + k - 1 do
+      let block_id, taken, next = event j in
+      Branch_stream.append_event !model ~block_id ~taken ~next
+    done
+  in
+  let window ev =
+    let r = Branch_stream.released buf in
+    Event_log.encode_batch ~program:programs.(!pi) ev ~pos:r ~len:(Branch_stream.length ev - r)
+  in
+  let check_state what =
+    let r = Branch_stream.released buf and n = Branch_stream.length buf in
+    if n <> Branch_stream.length !model then fail (what ^ ": length");
+    if not (Bytes.equal (window buf) (window !model)) then fail (what ^ ": retained bytes");
+    for i = r to n - 1 do
+      if Branch_stream.get_block_id buf i <> Branch_stream.get_block_id !model i
+         || Branch_stream.get_taken buf i <> Branch_stream.get_taken !model i
+         || Branch_stream.get_next buf i <> Branch_stream.get_next !model i
+      then fail (what ^ ": retained event")
+    done;
+    let width = Branch_stream.field_bits layouts.(!pi) in
+    most := max !most ((n - r) * width);
+    if Branch_stream.capacity buf * width > 2 * (!most + (8 * w_max)) then
+      fail (Printf.sprintf "%s: capacity %d fields of %d bits, most held %d bits" what
+              (Branch_stream.capacity buf) width !most)
+  in
+  List.iter
+    (fun op ->
+      let program = programs.(!pi) in
+      match op with
+      | Batch k ->
+        let m = Branch_stream.length !model in
+        add_model k;
+        let body = Event_log.encode_batch ~program !model ~pos:m ~len:k in
+        ignore (Event_log.decode_batch ~layout:layouts.(!pi) body ~program ~into:buf);
+        check_state (show_op op)
+      | Forged (k, j) ->
+        let src = Branch_stream.recorder () in
+        let m = Branch_stream.length !model in
+        for i = m to m + k - 1 do
+          let block_id, taken, next = event i in
+          Branch_stream.append_event src ~block_id ~taken ~next
+        done;
+        let body = Event_log.encode_batch ~program src ~pos:0 ~len:k in
+        let width = Branch_stream.field_bits layouts.(!pi) in
+        let plen = ((k * width) + 7) / 8 in
+        let rec bits v = if v <= 1 then 1 else 1 + bits (v lsr 1) in
+        let kb = bits (Program.n_blocks program - 1) in
+        set_field body ~bit:(64 + (j mod k * width)) ~width:kb (Program.n_blocks program);
+        Bytes.set_int32_be body (8 + plen) (Int32.of_int (Persist.crc32 body ~pos:8 ~len:plen));
+        let before = (Branch_stream.length buf, Branch_stream.released buf) in
+        (match Event_log.decode_batch body ~program ~into:buf with
+        | _ -> fail (show_op op ^ ": accepted")
+        | exception Persist.Hard_corruption _ -> ());
+        if before <> (Branch_stream.length buf, Branch_stream.released buf) then
+          fail (show_op op ^ ": length or release point moved");
+        check_state (show_op op)
+      | Append k ->
+        let m = Branch_stream.length !model in
+        add_model k;
+        for j = m to m + k - 1 do
+          let block_id, taken, next = event j in
+          Branch_stream.append_event buf ~block_id ~taken ~next
+        done;
+        check_state (show_op op)
+      | Consume k ->
+        for _ = 1 to k do
+          let x = pull_opt !rm in
+          if x <> pull_opt !rb then fail (show_op op ^ ": replays differ");
+          if Option.is_some x then incr consumed
+        done
+      | Release k ->
+        Branch_stream.release buf (min k !consumed);
+        check_state (show_op op)
+      | Rebind ->
+        pi := 1 - !pi;
+        Branch_stream.recycle buf;
+        Branch_stream.bind buf layouts.(!pi);
+        expect_invalid "reader of the last session" (fun () -> pull_opt !rb);
+        model := Branch_stream.recorder ();
+        rb := Branch_stream.of_events buf;
+        rm := Branch_stream.of_events !model;
+        consumed := 0;
+        check_state "rebind")
+    ops;
+  let rest = Branch_stream.length !model - !consumed in
+  for _ = 0 to rest do
+    if pull_opt !rm <> pull_opt !rb then fail "final replay differs"
+  done;
+  check_state "end";
+  !ok
+
+(* A recording that releases as its reader consumes must replay exactly
+   what an unreleased recording of the same appends replays, on one
+   program. *)
+let qcheck_release_replays_the_same =
+  QCheck.Test.make ~name:"released recording replays as an unreleased one" ~count:300
+    (QCheck.make ~print:(QCheck.Print.list show_op) (ingest_ops ~rebind:false))
+    ingest_matches_model
+
+(* The same, with the buffer recycled and re-bound between two programs
+   whose fields differ in width, as the daemon's pool does. *)
+let qcheck_ingest_across_programs =
+  QCheck.Test.make ~name:"pooled ingest buffer matches its model across programs" ~count:300
+    (QCheck.make ~print:(QCheck.Print.list show_op) (ingest_ops ~rebind:true))
+    ingest_matches_model
+
 (* A reader is never handed storage a release took away: its next pull
    raises, and so does a stream or a getter that starts below the
    release.  A reader at or past the release is unaffected, also across
-   the compaction that reuses the released slots. *)
+   the compaction that reuses the released bytes. *)
 let reader_behind_release_raises () =
-  let ev = Branch_stream.recorder ~capacity:8 () in
-  for j = 0 to 7 do append_synth ev j done;
+  let ev = bound_to (synth_program ()) ~capacity:16 in
+  for j = 0 to 15 do append_synth ev j done;
   let behind = Branch_stream.of_events ev and ahead = Branch_stream.of_events ev in
   for _ = 1 to 3 do ignore (pull_opt behind) done;
-  for _ = 1 to 6 do ignore (pull_opt ahead) done;
-  Branch_stream.release ev 5;
+  for _ = 1 to 11 do ignore (pull_opt ahead) done;
+  Branch_stream.release ev 10;
   expect_invalid "reader behind the release" (fun () -> pull_opt behind);
   expect_invalid "fresh reader from position 0" (fun () -> pull_opt (Branch_stream.of_events ev));
-  expect_invalid "getter below the release" (fun () -> Branch_stream.get_block_id ev 4);
-  expect_invalid "release past the length" (fun () -> Branch_stream.release ev 9);
-  for j = 8 to 12 do append_synth ev j done;
-  check_int "compacted, not grown" 8 (Branch_stream.capacity ev);
-  check_int "positions stay absolute" 13 (Branch_stream.length ev);
+  expect_invalid "getter below the release" (fun () -> Branch_stream.get_block_id ev 9);
+  expect_invalid "release past the length" (fun () -> Branch_stream.release ev 17);
+  for j = 16 to 23 do append_synth ev j done;
+  check_int "compacted, not grown" 16 (Branch_stream.capacity ev);
+  check_int "positions stay absolute" 24 (Branch_stream.length ev);
   check_int "getter at a retained position"
-    (let b, _, _ = synth 12 in b)
-    (Branch_stream.get_block_id ev 12);
-  let rest = List.init 8 (fun _ -> pull_opt ahead) in
+    (let b, _, _ = synth 23 in b)
+    (Branch_stream.get_block_id ev 23);
+  let rest = List.init 14 (fun _ -> pull_opt ahead) in
   check_true "reader ahead of the release reads on"
-    (rest = List.init 7 (fun i -> Some (synth (6 + i))) @ [ None ]);
-  check_int "iter sees the retained events" 8
+    (rest = List.init 13 (fun i -> Some (synth (11 + i))) @ [ None ]);
+  check_int "the getters see the retained events" 14
     (let n = ref 0 in
      iter (fun ~block_id:_ ~taken:_ ~next:_ -> incr n) ev;
      !n)
@@ -641,7 +725,7 @@ let reader_behind_release_raises () =
 (* A stream from before a recycle raises on its next pull, wherever its
    cursor was: it never reads the next session's events. *)
 let reader_before_recycle_raises () =
-  let ev = Branch_stream.recorder () in
+  let ev = bound_to (synth_program ()) ~capacity:1024 in
   for j = 0 to 3 do append_synth ev j done;
   let mid = Branch_stream.of_events ev and done_ = Branch_stream.of_events ev in
   ignore (pull_opt mid);
@@ -656,8 +740,9 @@ let reader_before_recycle_raises () =
   check_true "a new reader replays the new session"
     (pull_opt (Branch_stream.of_events ev) = Some (synth 100))
 
-(* The extreme values one slot holds round-trip through every writer and
-   reader; one past them raises and leaves the recording as it was. *)
+(* The extreme values one word slot holds round-trip through an unbound
+   recording's writer and readers; one past them raises and leaves the
+   recording as it was. *)
 let slot_limits () =
   let max_block = (1 lsl 31) - 1 and max_next = (1 lsl 30) - 2 in
   let legal =
@@ -665,12 +750,6 @@ let slot_limits () =
       (0, false, 0); (max_block, true, 0) ]
   in
   let ev = of_list legal in
-  let pending = of_list [] in
-  Branch_stream.reserve pending (List.length legal);
-  List.iteri
-    (fun i (block_id, taken, next) -> Branch_stream.set_pending pending i ~block_id ~taken ~next)
-    legal;
-  Branch_stream.commit pending (List.length legal);
   let stream = Branch_stream.of_events ev in
   List.iteri
     (fun i ((block_id, taken, next) as e) ->
@@ -680,15 +759,11 @@ let slot_limits () =
       check_true "replayed" (pull_opt stream = Some e))
     legal;
   check_true "replay ends" (pull_opt stream = None);
-  check_true "set_pending writes what append_event does" (Branch_stream.equal ev pending);
   let before = of_list legal in
-  Branch_stream.reserve ev 1;
   List.iter
     (fun (what, block_id, next) ->
       expect_invalid ("append_event: " ^ what) (fun () ->
           Branch_stream.append_event ev ~block_id ~taken:true ~next);
-      expect_invalid ("set_pending: " ^ what) (fun () ->
-          Branch_stream.set_pending ev 0 ~block_id ~taken:true ~next);
       check_int (what ^ ": length unchanged") (List.length legal) (Branch_stream.length ev);
       check_true (what ^ ": contents unchanged") (Branch_stream.equal before ev))
     [ ("block id 2^31", max_block + 1, 0); ("block id -1", -1, 0);
@@ -704,14 +779,15 @@ let one_word_per_event () =
   let words = Obj.reachable_words (Obj.repr ev) in
   if words > n + 16 then Alcotest.failf "%d events take %d words" n words
 
-(* --- Packed recordings: a decoded file read in place --------------------- *)
+(* --- Decoded recordings: a file's payload, bound to its program ----------- *)
 
 let decode_of program events =
   Event_log.decode (Event_log.encode ~program ~seed:1L events) ~program ~seed:1L
 
-(* A decoded recording holds no word slots (capacity 0) and reads exactly
-   as its source through every reader, on every bench; its memory is its
-   payload and successor table, well under a word per event. *)
+(* A decoded recording is bound, sized to its events, and reads exactly
+   as its source through every reader, on every bench; its memory beside
+   its program is its payload and successor table, well under a word per
+   event. *)
 let decoded_reads_like_source () =
   List.iter
     (fun (spec : Spec.t) ->
@@ -720,7 +796,8 @@ let decoded_reads_like_source () =
       let events = record_of spec "net" in
       let n = Branch_stream.length events in
       let decoded = decode_of program events in
-      check_int (name ^ ": packed") 0 (Branch_stream.capacity decoded);
+      let cap = Branch_stream.capacity decoded in
+      check_true (name ^ ": sized to its events") (cap >= n && cap < max n 16 + 8);
       check_true (name ^ ": equal") (Branch_stream.equal events decoded);
       check_true (name ^ ": equal, reversed") (Branch_stream.equal decoded events);
       let i = ref 0 in
@@ -741,8 +818,13 @@ let decoded_reads_like_source () =
         (let a = Branch_stream.of_events events and b = Branch_stream.of_events decoded in
          let rec go k = k > n || (pull_opt a = pull_opt b && go (k + 1)) in
          go 0);
-      check_int (name ^ ": reading left it packed") 0 (Branch_stream.capacity decoded);
-      let words = Obj.reachable_words (Obj.repr decoded) in
+      check_int (name ^ ": reading left its buffer") cap (Branch_stream.capacity decoded);
+      let layout = Branch_stream.layout program in
+      Branch_stream.bind (Branch_stream.recorder ~capacity:0 ()) layout;
+      let words =
+        Obj.reachable_words (Obj.repr decoded) - Obj.reachable_words (Obj.repr layout)
+        + Regionsel_isa.Program.n_blocks program
+      in
       if words > (n / 2) + Regionsel_isa.Program.n_blocks program + 64 then
         Alcotest.failf "%s: %d events take %d words packed" name n words)
     Suite.all
@@ -754,44 +836,6 @@ let pull_both what k a b =
   done
 
 let same what p w = check_true (what ^ ": packed equals words") (Branch_stream.equal p w)
-
-(* A decoded recording is read-only: every kind of write raises and
-   leaves its length, its contents and its backing as they were, and a
-   replay opened before the attempt reads on to the source's end. *)
-let packed_recording_refuses_writes () =
-  let spec = Option.get (Suite.find "gzip") in
-  let program = (Spec.image spec).Image.program in
-  let src = record_of spec "net" in
-  let n = Branch_stream.length src in
-  let p = decode_of program src in
-  let sp = Branch_stream.of_events p and ss = Branch_stream.of_events src in
-  pull_both "before" (n / 2) sp ss;
-  let step = Interp.make_step () in
-  List.iter
-    (fun (what, write) ->
-      expect_invalid what write;
-      check_int (what ^ ": length unchanged") n (Branch_stream.length p);
-      check_int (what ^ ": still packed") 0 (Branch_stream.capacity p);
-      check_int (what ^ ": nothing released") 0 (Branch_stream.released p);
-      same what p src)
-    [ ("reserve 0", fun () -> Branch_stream.reserve p 0);
-      ("reserve 3", fun () -> Branch_stream.reserve p 3);
-      ("append_event", fun () -> append_synth p n);
-      ("append", fun () -> Branch_stream.append p step);
-      ("set_pending", fun () -> Branch_stream.set_pending p 0 ~block_id:1 ~taken:true ~next:3);
-      ("commit 0", fun () -> Branch_stream.commit p 0);
-      ("commit 1", fun () -> Branch_stream.commit p 1);
-      ("release 0", fun () -> Branch_stream.release p 0);
-      ("release 10", fun () -> Branch_stream.release p 10);
-      ("release all", fun () -> Branch_stream.release p n);
-      ("recycle", fun () -> Branch_stream.recycle p);
-      ( "append_packed",
-        fun () ->
-          let body = Event_log.encode_batch ~program src ~pos:0 ~len:3 in
-          ignore (Event_log.decode_batch body ~program ~into:p) ) ];
-  pull_both "a replay opened before reads on" (n - (n / 2) + 1) sp ss;
-  pull_both "a new replay reads the source" (n + 1) (Branch_stream.of_events p)
-    (Branch_stream.of_events src)
 
 (* The recording owns a copy of the payload: overwriting the decoded bytes
    changes nothing it holds or replays. *)
@@ -875,11 +919,6 @@ let decoded_reencodes_like_source () =
 
 (* --- Bound recordings: the simulator records packed fields -------------- *)
 
-let bound_to program ~capacity =
-  let ev = Branch_stream.recorder ~capacity () in
-  Branch_stream.bind ev (Branch_stream.layout program);
-  ev
-
 type bound_op = Add of (int * bool * int) list | Pull of int
 
 (* A recording bound to its program and a word recording fed the same
@@ -947,11 +986,13 @@ let qcheck_bound_matches_words =
       && Branch_stream.capacity bound > cap0
       && cap0 <= 8)
 
-(* [bind] binds only an empty word recording: a stream opened before it
-   raises instead of reading the old slots; a second binding, a non-empty
-   recording and a decoded one are left as they were.  A bound recording
-   refuses an event outside its program, and every write but an append,
-   and stays unchanged. *)
+(* [bind] binds only an empty recording: a stream opened before it
+   raises instead of reading the old slots, and a non-empty recording is
+   left as it was.  A bound recording refuses an event outside its
+   program and a batch of another program's, and a recycled one takes
+   another program.  An unbound recording takes only appends: release,
+   recycle and a batch into it once it holds events raise.  Every refused
+   write leaves the recording unchanged. *)
 let bind_rules () =
   let program = halting_program 5 in
   let layout = Branch_stream.layout program in
@@ -961,10 +1002,11 @@ let bind_rules () =
   expect_invalid "stream opened before the binding" (fun () -> pull_opt early);
   check_int "bound capacity, in fields" 16 (Branch_stream.capacity ev);
   Branch_stream.append_event ev ~block_id:4 ~taken:true ~next:12;
-  Branch_stream.bind ev layout;
-  check_int "a second binding keeps the events" 1 (Branch_stream.length ev);
+  Branch_stream.bind ev (Branch_stream.layout (synth_program ()));
+  check_int "a non-empty recording keeps its binding" 1 (Branch_stream.length ev);
   let before = of_list [ (4, true, 12) ] in
-  let step = Interp.make_step () in
+  let batch = Event_log.encode_batch ~program before ~pos:0 ~len:1 in
+  let other = synth_program () in
   List.iter
     (fun (what, write) ->
       expect_invalid what write;
@@ -974,29 +1016,38 @@ let bind_rules () =
       ("successor inside a block", fun () -> Branch_stream.append_event ev ~block_id:0 ~taken:false ~next:4);
       ("successor past the program", fun () -> Branch_stream.append_event ev ~block_id:0 ~taken:false ~next:15);
       ("successor -2", fun () -> Branch_stream.append_event ev ~block_id:0 ~taken:false ~next:(-2));
-      ("reserve", fun () -> Branch_stream.reserve ev 1);
-      ("set_pending", fun () -> Branch_stream.set_pending ev 0 ~block_id:1 ~taken:true ~next:3);
-      ("commit", fun () -> Branch_stream.commit ev 0);
-      ("release", fun () -> Branch_stream.release ev 1);
-      ("recycle", fun () -> Branch_stream.recycle ev);
-      ( "append_packed",
+      ( "another program's batch",
         fun () ->
-          let body = Event_log.encode_batch ~program before ~pos:0 ~len:1 in
-          ignore (Event_log.decode_batch body ~program ~into:ev) ) ];
+          ignore
+            (Event_log.decode_batch (Event_log.encode_batch ~program:other before ~pos:0 ~len:1)
+               ~program:other ~into:ev) ) ];
+  let step = Interp.make_step () in
   step.Interp.block_id <- 2;
   step.Interp.taken <- false;
   step.Interp.next <- Addr.none;
   Branch_stream.append ev step;
   check_true "append through a step record"
     (Branch_stream.equal (of_list [ (4, true, 12); (2, false, Addr.none) ]) ev);
+  ignore (Event_log.decode_batch batch ~program ~into:ev);
+  check_true "a batch appends"
+    (Branch_stream.equal (of_list [ (4, true, 12); (2, false, Addr.none); (4, true, 12) ]) ev);
+  Branch_stream.recycle ev;
+  Branch_stream.bind ev (Branch_stream.layout other);
+  append_synth ev 7;
+  check_true "a recycled recording takes another program"
+    (pull_opt (Branch_stream.of_events ev) = Some (synth 7));
   let words = of_list [ (4, true, 12) ] in
+  List.iter
+    (fun (what, write) ->
+      expect_invalid what write;
+      check_true (what ^ ": unchanged") (Branch_stream.equal before words))
+    [ ("release of an unbound recording", fun () -> Branch_stream.release words 0);
+      ("recycle of an unbound recording", fun () -> Branch_stream.recycle words);
+      ( "batch into a non-empty unbound recording",
+        fun () -> ignore (Event_log.decode_batch batch ~program ~into:words) ) ];
   Branch_stream.bind words layout;
   Branch_stream.append_event words ~block_id:9 ~taken:false ~next:1;
-  check_int "a non-empty recording keeps word slots" 2 (Branch_stream.length words);
-  let decoded = decode_of program before in
-  Branch_stream.bind decoded layout;
-  expect_invalid "a decoded recording stays read-only" (fun () ->
-      Branch_stream.append_event decoded ~block_id:1 ~taken:false ~next:0)
+  check_int "a non-empty recording keeps word slots" 2 (Branch_stream.length words)
 
 (* A recording the simulator makes is bound: a 50k-step gcc run holds its
    21-bit fields in at most ceil(21 / 8) = 3 bytes per event, twice over
@@ -1050,10 +1101,10 @@ let revl_bytes_match_golden () =
 let suite =
   [
     case "recorder basics" recorder_basics;
-    case "recorder pending slots commit atomically" pending_slots;
     case "slot limits round-trip and guard" slot_limits;
     case "one word per recorded event" one_word_per_event;
     QCheck_alcotest.to_alcotest qcheck_release_replays_the_same;
+    QCheck_alcotest.to_alcotest qcheck_ingest_across_programs;
     case "reader behind released storage raises" reader_behind_release_raises;
     case "reader from before a recycle raises" reader_before_recycle_raises;
     case "event-log golden bytes" golden_bytes;
@@ -1070,11 +1121,10 @@ let suite =
     case "event-log rejects corruption and identity mismatch" codec_rejects_corruption;
     case "replay through the codec is bit-identical" replay_after_round_trip_is_identical;
     case "decoded recording reads like its source" decoded_reads_like_source;
-    case "packed recording refuses every write" packed_recording_refuses_writes;
     case "decoded recording owns its payload" decoded_owns_its_payload;
     case "decoded recording re-encodes like its source" decoded_reencodes_like_source;
     QCheck_alcotest.to_alcotest qcheck_bound_matches_words;
-    case "bind binds only an empty word recording" bind_rules;
+    case "bind binds only an empty recording" bind_rules;
     case "simulator records packed fields" simulator_records_packed;
     case "REVL bytes match the golden" revl_bytes_match_golden;
   ]

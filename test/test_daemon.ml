@@ -635,14 +635,16 @@ let backpressured_tenant_does_not_stall_others () =
 let long_steps = 200_000
 let long_events = record_events long_steps
 
-(* [status]'s "ingest live <n> pooled <n> slots <total>" line. *)
+(* [status]'s "ingest live <n> pooled <n> slots <total> bytes <total>"
+   line. *)
 let ingest_status ~socket_path =
   match Client.ctrl ~socket_path "status" with
   | Ok text -> (
     match
       List.find_map
         (fun l ->
-          Scanf.sscanf_opt l "ingest live %d pooled %d slots %d" (fun a b c -> (a, b, c)))
+          Scanf.sscanf_opt l "ingest live %d pooled %d slots %d bytes %d" (fun a b c d ->
+              (a, b, c, d)))
         (String.split_on_char '\n' text)
     with
     | Some line -> line
@@ -677,7 +679,7 @@ let exhausted_tenant_still_drains_and_finishes () =
         Alcotest.(check string) "exhausted tenant result = solo run"
           (solo_json ~max_steps ()) json
       | Client.Truncated _ -> Alcotest.fail "unexpected truncation");
-      let _, _, slots = ingest_status ~socket_path in
+      let _, _, slots, _ = ingest_status ~socket_path in
       let bound = ingest_slot_bound ~ingest_max in
       check_true (Printf.sprintf "%d ingest slots <= %d" slots bound) (slots <= bound))
 
@@ -696,16 +698,22 @@ let long_session_stays_within_the_ingest_bound () =
         Alcotest.(check string) "long session = solo replay"
           (solo_json ~max_steps:long_steps ~events:long_events ()) json
       | Client.Truncated _ -> Alcotest.fail "unexpected truncation");
-      let live, pooled, slots = ingest_status ~socket_path in
+      let live, pooled, slots, bytes = ingest_status ~socket_path in
       check_int "no live buffer after the Result" 0 live;
       check_int "the session's buffer went back to the pool" 1 pooled;
       let bound = ingest_slot_bound ~ingest_max in
       check_true (Printf.sprintf "%d ingest slots <= %d" slots bound) (slots <= bound);
+      (* The buffer holds packed fields: its bytes are its slots' fields
+         and 8 bytes of padding, where word slots would take 8 bytes each. *)
+      let bits = Regionsel_persist.Event_log.event_bits (program ()) in
+      check_true
+        (Printf.sprintf "%d bytes hold %d fields of %d bits" bytes slots bits)
+        ((bytes - 8) * 8 < (slots + 1) * bits && bytes < 8 * slots);
       (* A second session reuses the pooled buffer instead of adding one. *)
       (match stream ~socket_path ~tenant:"again" () with
       | Client.Finished json -> Alcotest.(check string) "pooled buffer replays" (solo_json ()) json
       | Client.Truncated _ -> Alcotest.fail "unexpected truncation");
-      let _, pooled', slots' = ingest_status ~socket_path in
+      let _, pooled', slots', _ = ingest_status ~socket_path in
       check_int "still one pooled buffer" 1 pooled';
       check_int "no new slots" slots slots')
 
